@@ -199,17 +199,14 @@ def stage_generate(
     model_path = Path(model_path)
     if not model_path.exists():
         raise InputError(f"model artifact missing: {model_path}")
-    doc = json.loads(model_path.read_text(encoding="utf-8"))
-    bundles = bundles_from_json(doc)
+    try:
+        bundles = bundles_from_json(json.loads(model_path.read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"model artifact {model_path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise InputError(f"model artifact {model_path}: missing key {exc}") from None
     dataset = assemble_synthetic(bundles, config.n_synth, seed=config.seed)
-    bundle_of: Dict[str, str] = {}
-    offset = 0
-    for bundle in bundles:
-        count = dataset.per_bundle_counts[bundle.bundle_id]
-        for e in dataset.events[offset : offset + count]:
-            bundle_of[e.event_id] = bundle.bundle_id
-        offset += count
-    tables.write_synthetic_csv(synthetic_out, dataset, bundle_of)
+    tables.write_synthetic_csv(synthetic_out, dataset)
     if profiles_out is not None:
         profiles = (params_to_profile(e, dt or config.profile_dt) for e in dataset.events)
         tables.write_profiles_csv(profiles_out, profiles)

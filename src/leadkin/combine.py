@@ -117,12 +117,6 @@ class MergeResult:
     attachment_counts: Mapping[str, int]  # crash_id -> number of attached near-crashes
     min_distances: Mapping[str, float]  # near_crash_id -> d_min (all near-crashes)
 
-    def attached_crash(self, near_crash_id: str) -> Optional[str]:
-        for nc_id, crash_id, _ in self.selected:
-            if nc_id == near_crash_id:
-                return crash_id
-        return None
-
 
 # --- weight preprocessing ---------------------------------------------------
 

@@ -63,10 +63,6 @@ class SpeedProfile:
     weights: np.ndarray
 
     @property
-    def weight_sum(self) -> float:
-        return float(self.weights.sum())
-
-    @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize, special, stats
 
-from .errors import AllFitsFailed
+from .errors import AllFitsFailed, InputError, NumericalError
 from .wstats import effective_sample_size, normalize_to_effective, weighted_var_mle
 
 log = logging.getLogger(__name__)
@@ -37,10 +37,6 @@ class AffinePre:
     shift: float = 0.0
     reflect: bool = False
 
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0.0 and not self.reflect
-
     def forward(self, x):
         y = np.negative(x) if self.reflect else np.asarray(x, dtype=float)
         return y - self.shift
@@ -48,34 +44,6 @@ class AffinePre:
     def inverse(self, y):
         x = np.asarray(y, dtype=float) + self.shift
         return np.negative(x) if self.reflect else x
-
-
-# family -> (scipy distribution, ordered parameter names, positive support)
-_FAMILIES = {
-    "normal": (stats.norm, ("loc", "scale"), False),
-    "skewnormal": (stats.skewnorm, ("a", "loc", "scale"), False),
-    "expnormal": (stats.exponnorm, ("k", "loc", "scale"), False),
-    "gamma": (stats.gamma, ("shape", "scale"), True),
-    "gengamma": (stats.gengamma, ("a", "c", "scale"), True),
-    "exponential": (stats.expon, ("scale",), True),
-}
-
-
-def _frozen(family: str, params: Mapping[str, float]):
-    dist, names, _ = _FAMILIES[family]
-    if family == "normal":
-        return dist(loc=params["loc"], scale=params["scale"])
-    if family == "skewnormal":
-        return dist(params["a"], loc=params["loc"], scale=params["scale"])
-    if family == "expnormal":
-        return dist(params["k"], loc=params["loc"], scale=params["scale"])
-    if family == "gamma":
-        return dist(params["shape"], loc=0.0, scale=params["scale"])
-    if family == "gengamma":
-        return dist(params["a"], params["c"], loc=0.0, scale=params["scale"])
-    if family == "exponential":
-        return dist(loc=0.0, scale=params["scale"])
-    raise ValueError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +62,10 @@ class FittedDist:
 
     @property
     def k(self) -> int:
-        return len(_FAMILIES[self.family][1])
+        return len(_FAMILIES[self.family].names)
 
     def _dist(self):
-        return _frozen(self.family, self.params)
+        return _FAMILIES[self.family].freeze(self.params)
 
     def logpdf(self, x) -> np.ndarray:
         return self._dist().logpdf(self.affine.forward(x))
@@ -111,9 +79,12 @@ class FittedDist:
 
     def ppf(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if self.affine.reflect:
-            return self.affine.inverse(self._dist().ppf(1.0 - u))
-        return self.affine.inverse(self._dist().ppf(u))
+        q = 1.0 - u if self.affine.reflect else u
+        try:
+            y = self._dist().ppf(q)
+        except RuntimeError as exc:  # scipy's generic brentq inverse did not converge
+            raise NumericalError(f"{self.family} ppf with {self.params} failed: {exc}") from exc
+        return self.affine.inverse(y)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.ppf(rng.random(n))
@@ -129,6 +100,8 @@ class FittedDist:
 
     @staticmethod
     def from_json(doc: dict) -> "FittedDist":
+        if doc["family"] not in _FAMILIES:
+            raise InputError(f"unknown marginal family {doc['family']!r}")
         affine = AffinePre(
             shift=float(doc["affine"]["shift"]), reflect=bool(doc["affine"]["reflect"])
         )
@@ -318,13 +291,24 @@ def _fit_expnormal(y, w):
     return {"k": float(np.exp(log_k)), "loc": float(loc), "scale": float(np.exp(log_scale))}
 
 
-_FITTERS = {
-    "normal": _fit_normal,
-    "skewnormal": _fit_skewnormal,
-    "expnormal": _fit_expnormal,
-    "gamma": _fit_gamma,
-    "gengamma": _fit_gengamma,
-    "exponential": _fit_exponential,
+class _Family(NamedTuple):
+    dist: object  # scipy.stats distribution
+    names: Tuple[str, ...]  # shape parameters first, then loc (if free) and scale
+    positive: bool  # support is (0, inf): fit through an AffinePre on signed data
+    fit: Callable  # (y, w) -> params dict, or None when the family cannot fit
+
+    def freeze(self, params: Mapping[str, float]):
+        shapes = [params[n] for n in self.names if n not in ("loc", "scale")]
+        return self.dist(*shapes, loc=params.get("loc", 0.0), scale=params["scale"])
+
+
+_FAMILIES = {
+    "normal": _Family(stats.norm, ("loc", "scale"), False, _fit_normal),
+    "skewnormal": _Family(stats.skewnorm, ("a", "loc", "scale"), False, _fit_skewnormal),
+    "expnormal": _Family(stats.exponnorm, ("k", "loc", "scale"), False, _fit_expnormal),
+    "gamma": _Family(stats.gamma, ("shape", "scale"), True, _fit_gamma),
+    "gengamma": _Family(stats.gengamma, ("a", "c", "scale"), True, _fit_gengamma),
+    "exponential": _Family(stats.expon, ("scale",), True, _fit_exponential),
 }
 
 
@@ -342,12 +326,12 @@ def fit_family(family: str, values, weights) -> Optional[FittedDist]:
     """Weighted MLE for one family; None when the family cannot fit."""
     x = np.asarray(values, dtype=float)
     w = normalize_to_effective(weights)
-    _, _, positive = _FAMILIES[family]
+    spec = _FAMILIES[family]
     affine = AffinePre()
-    if positive and x.min() <= 0:
+    if spec.positive and x.min() <= 0:
         affine = _affine_for(x, w)
     y = affine.forward(x)
-    params = _FITTERS[family](y, w)
+    params = spec.fit(y, w)
     if params is None:
         return None
     fitted = FittedDist(family=family, params=params, affine=affine)

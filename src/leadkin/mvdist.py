@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .combine import WeightedDataset
-from .errors import AllFitsFailed, ModelBuildFailed, ZeroVariance
+from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
 from .events import PARAM_NAMES, EventParams
 from .marginals import (
     CONTINUOUS_FAMILIES,
@@ -632,8 +632,9 @@ def bundles_to_json(bundles: Sequence[SubmodelBundle]) -> dict:
 
 
 def bundles_from_json(doc: dict) -> List[SubmodelBundle]:
-    if doc.get("schema") != SCHEMA_ID:
-        raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA_ID:
+        raise InputError(f"unsupported model schema {schema!r}")
     bundles = []
     for item in doc["bundles"]:
         label_doc = item["label"]

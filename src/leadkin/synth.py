@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,9 +70,7 @@ class SyntheticDataset:
     per_bundle_counts: Dict[str, int]
     rejections: Dict[str, Dict[str, int]]  # bundle_id -> reason -> count
     seed: Optional[int]
-
-    def param_column(self, name: str) -> np.ndarray:
-        return np.array([e.value(name) for e in self.events])
+    bundle_ids: tuple  # the bundle each event was drawn from, parallel to events
 
     def weights(self) -> np.ndarray:
         return np.ones(len(self.events))
@@ -250,6 +248,7 @@ def assemble_synthetic(
     streams = root.spawn(len(bundles))
 
     all_events: List[EventParams] = []
+    bundle_ids: List[str] = []
     per_bundle: Dict[str, int] = {}
     rejections: Dict[str, Dict[str, int]] = {}
     for bundle, target, stream in zip(bundles, targets, streams):
@@ -273,19 +272,12 @@ def assemble_synthetic(
         per_bundle[bundle.bundle_id] = int(target)
         rejections[bundle.bundle_id] = {r: int(tally.get(r, 0)) for r in _REASONS}
         all_events.extend(accepted)
+        bundle_ids.extend([bundle.bundle_id] * len(accepted))
 
-    events = tuple(
-        e if e.event_id else _with_id(e, i) for i, e in enumerate(all_events)
-    )
     return SyntheticDataset(
-        events=events,
+        events=tuple(replace(e, event_id=f"syn-{i:06d}") for i, e in enumerate(all_events)),
         per_bundle_counts=per_bundle,
         rejections=rejections,
         seed=seed if isinstance(seed, int) else None,
+        bundle_ids=tuple(bundle_ids),
     )
-
-
-def _with_id(e: EventParams, index: int) -> EventParams:
-    from dataclasses import replace
-
-    return replace(e, event_id=f"syn-{index:06d}")

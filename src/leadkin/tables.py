@@ -1,16 +1,20 @@
 """CSV serialization for stage artifacts.
 
 Every stage writes plain CSV so artifacts stay independently inspectable.
-The parameter table also accepts the minimal published format (six
-parameters plus a weight column) for externally supplied incident data.
+The parameter table (params, combined and synthetic CSVs) has one reader:
+columns resolve through ``_ALIASES``, so the minimal published format (six
+parameters plus a weight column) reads as well, and every malformed cell
+raises ``InputError`` naming its file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from .errors import InputError
@@ -19,102 +23,125 @@ from .synth import SyntheticDataset
 
 PathLike = Union[str, Path]
 
-PARAMS_HEADER = [
-    "event_id", "group", "severity",
-    "v_c", "a1", "a2", "tau_s", "tau_1", "tau_2",
-    "r2", "n_b", "weight", "valid",
-]
-COMBINED_HEADER = [
-    "event_id", "group", "severity",
-    "v_c", "a1", "a2", "tau_s", "tau_1", "tau_2",
-    "weight", "stage", "attached_to",
-]
-SYNTHETIC_HEADER = ["event_id", "v_c", "a1", "a2", "tau_s", "tau_1", "tau_2", "weight", "bundle"]
+PARAMS_HEADER = ["event_id", "group", "severity", *PARAM_NAMES, "r2", "n_b", "weight", "valid"]
+COMBINED_HEADER = ["event_id", "group", "severity", *PARAM_NAMES, "weight", "stage", "attached_to"]
+SYNTHETIC_HEADER = ["event_id", *PARAM_NAMES, "weight", "bundle"]
 
-_ALIASES = {"vc": "v_c", "v_c": "v_c", "a1": "a1", "a2": "a2",
-            "tau_s": "tau_s", "taus": "tau_s", "tau_1": "tau_1", "tau1": "tau_1",
-            "tau_2": "tau_2", "tau2": "tau_2", "weight": "weight", "w": "weight"}
+# lower-cased header name -> column; any other name stands for itself
+_ALIASES = {"vc": "v_c", "taus": "tau_s", "tau1": "tau_1", "tau2": "tau_2", "w": "weight"}
+
+
+class _Row(NamedTuple):
+    event: EventParams
+    stage: Optional[Stage]
+    bundle: str
+    valid: bool
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 
-def write_params_csv(
-    path: PathLike,
-    rows: Sequence[dict],
-) -> None:
-    """Rows carry: event (EventParams), r2, n_b, valid."""
+def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PARAMS_HEADER)
-        for row in rows:
-            e: EventParams = row["event"]
-            writer.writerow([
-                e.event_id,
-                e.source_group.value if e.source_group else "",
-                e.severity.value if e.severity else "",
-                *(_fmt(e.value(name)) for name in PARAM_NAMES),
-                _fmt(row.get("r2")),
-                _fmt(row.get("n_b")),
-                _fmt(e.native_weight),
-                "1" if row.get("valid", True) else "0",
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _param_cells(e: EventParams) -> List[str]:
+    return [repr(e.value(name)) for name in PARAM_NAMES]
+
+
+def _event_cells(e: EventParams) -> List[str]:
+    """The leading event_id, group, severity and parameter cells of a row."""
+    return [e.event_id, _fmt(e.source_group), _fmt(e.severity), *_param_cells(e)]
+
+
+def _number(text: str, name: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"non-numeric {name} {text!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"non-finite {name} {text!r}")
+    return value
+
+
+def _member(kind, text: str, name: str):
+    """The enum member spelled ``text``; None for an empty cell."""
+    try:
+        return kind(text) if text else None
+    except ValueError:
+        raise InputError(f"unknown {name} {text!r}") from None
+
+
+def _parse_row(cell: Dict[str, str], index: int, native_weight: bool) -> _Row:
+    valid = cell.get("valid", "")
+    if valid not in ("", "0", "1"):
+        raise InputError(f"valid flag {valid!r} is neither 0 nor 1")
+    weight = _number(cell["weight"], "weight") if cell.get("weight") else None
+    if weight is not None and weight <= 0:
+        raise InputError(f"non-positive weight {cell['weight']!r}")
+    event = EventParams(
+        event_id=cell.get("event_id") or f"row-{index}",
+        **{name: _number(cell[name], name) for name in PARAM_NAMES},
+        weight=1.0 if weight is None else weight,
+        source_group=_member(SourceGroup, cell.get("group"), "group"),
+        severity=_member(Severity, cell.get("severity"), "severity"),
+        native_weight=weight if native_weight else None,
+    )
+    return _Row(event, _member(Stage, cell.get("stage"), "stage"), cell.get("bundle", ""), valid != "0")
+
+
+def _read_rows(path: PathLike, native_weight: bool = False) -> List[_Row]:
+    """Parse and validate every row of a parameter table.
+
+    Header names are matched case-insensitively after stripping and resolved
+    through ``_ALIASES``; columns the table does not use are ignored.  A
+    missing ``event_id`` becomes ``row-<index>``, a missing weight 1.0.
+    ``native_weight`` also records the weight column as the native weight.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in next(reader, [])]
+        missing = [p for p in PARAM_NAMES if p not in header]
+        if missing:
+            raise InputError(f"{path}: missing parameter columns: {', '.join(missing)}")
+        duplicated = sorted({n for n in header if n and header.count(n) > 1})
+        if duplicated:
+            raise InputError(f"{path}: duplicate columns: {', '.join(duplicated)}")
+        rows = []
+        for index, cells in enumerate(filter(None, reader)):  # blank lines carry no row
+            try:
+                if len(cells) != len(header):
+                    raise InputError(f"{len(cells)} cells for {len(header)} columns")
+                cell = {name: text.strip() for name, text in zip(header, cells)}
+                rows.append(_parse_row(cell, index, native_weight))
+            except InputError as exc:
+                raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    return rows
+
+
+def write_params_csv(path: PathLike, rows: Sequence[dict]) -> None:
+    """Rows carry: event (EventParams), r2, n_b, valid."""
+    _write_csv(path, PARAMS_HEADER, (
+        [*_event_cells(row["event"]), _fmt(row.get("r2")), _fmt(row.get("n_b")),
+         _fmt(row["event"].native_weight), "1" if row.get("valid", True) else "0"]
+        for row in rows
+    ))
 
 
 def read_params_csv(path: PathLike, only_valid: bool = True) -> List[EventParams]:
     """Read a parameter table; tolerates the minimal published format."""
-    path = Path(path)
-    events: List[EventParams] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file")
-        columns = {}
-        for raw in reader.fieldnames:
-            key = raw.strip().lower()
-            if key in _ALIASES:
-                columns[_ALIASES[key]] = raw
-            else:
-                columns[key] = raw
-        missing = [p for p in PARAM_NAMES if p not in columns]
-        if missing:
-            raise InputError(f"{path}: missing parameter columns: {', '.join(missing)}")
-        for i, row in enumerate(reader):
-            if only_valid and columns.get("valid") and row[columns["valid"]].strip() == "0":
-                continue
-            group = None
-            severity = None
-            if columns.get("group") and row[columns["group"]].strip():
-                group = SourceGroup(row[columns["group"]].strip())
-            if columns.get("severity") and row[columns["severity"]].strip():
-                severity = Severity(row[columns["severity"]].strip())
-            weight = 1.0
-            native = None
-            if columns.get("weight") and row[columns["weight"]].strip():
-                weight = float(row[columns["weight"]])
-                native = weight
-            event_id = row[columns["event_id"]].strip() if columns.get("event_id") else f"row-{i}"
-            events.append(
-                EventParams(
-                    event_id=event_id,
-                    v_c=float(row[columns["v_c"]]),
-                    a1=float(row[columns["a1"]]),
-                    a2=float(row[columns["a2"]]),
-                    tau_s=float(row[columns["tau_s"]]),
-                    tau_1=float(row[columns["tau_1"]]),
-                    tau_2=float(row[columns["tau_2"]]),
-                    weight=weight,
-                    source_group=group,
-                    severity=severity,
-                    native_weight=native,
-                )
-            )
-    return events
+    rows = _read_rows(path, native_weight=True)
+    return [r.event for r in rows if r.valid or not only_valid]
 
 
 def write_counts_json(path: PathLike, counts: GroupCounts) -> None:
@@ -126,11 +153,14 @@ def write_counts_json(path: PathLike, counts: GroupCounts) -> None:
 
 
 def read_counts_json(path: PathLike) -> GroupCounts:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GroupCounts(
-        raw={SourceGroup(k): int(v) for k, v in doc["raw"].items()},
-        valid={SourceGroup(k): int(v) for k, v in doc["valid"].items()},
-    )
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return GroupCounts(
+            raw={SourceGroup(k): int(v) for k, v in doc["raw"].items()},
+            valid={SourceGroup(k): int(v) for k, v in doc["valid"].items()},
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise InputError(f"{path}: malformed counts: {exc!r}") from None
 
 
 def write_combined_csv(
@@ -138,93 +168,45 @@ def write_combined_csv(
     dataset: WeightedDataset,
     merge: Optional[MergeResult] = None,
 ) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMBINED_HEADER)
-        for e in dataset.events:
-            attached = merge.attached_crash(e.event_id) if merge else None
-            writer.writerow([
-                e.event_id,
-                e.source_group.value if e.source_group else "",
-                e.severity.value if e.severity else "",
-                *(_fmt(e.value(name)) for name in PARAM_NAMES),
-                _fmt(e.weight),
-                dataset.stage.value,
-                attached or "",
-            ])
+    attached_to = {nc_id: crash_id for nc_id, crash_id, _ in merge.selected} if merge else {}
+    _write_csv(path, COMBINED_HEADER, (
+        [*_event_cells(e), _fmt(e.weight), dataset.stage.value, attached_to.get(e.event_id, "")]
+        for e in dataset.events
+    ))
 
 
 def read_combined_csv(path: PathLike) -> WeightedDataset:
-    path = Path(path)
-    events: List[EventParams] = []
-    stage = Stage.COMBINED_INCIDENT
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file")
-        lowered = {c.strip().lower(): c for c in reader.fieldnames}
-        for name in PARAM_NAMES:
-            aliases = [k for k, v in _ALIASES.items() if v == name]
-            if not any(a in lowered for a in aliases):
-                raise InputError(f"{path}: missing parameter column {name}")
-        for i, row in enumerate(reader):
-            def get(name, default=""):
-                col = lowered.get(name)
-                return row[col].strip() if col and row.get(col) is not None else default
-
-            if get("stage"):
-                stage = Stage(get("stage"))
-            group = SourceGroup(get("group")) if get("group") else None
-            severity = Severity(get("severity")) if get("severity") else None
-            try:
-                events.append(
-                    EventParams(
-                        event_id=get("event_id") or f"row-{i}",
-                        v_c=float(get("v_c") or get("vc")),
-                        a1=float(get("a1")),
-                        a2=float(get("a2")),
-                        tau_s=float(get("tau_s") or get("taus")),
-                        tau_1=float(get("tau_1") or get("tau1")),
-                        tau_2=float(get("tau_2") or get("tau2")),
-                        weight=float(get("weight") or 1.0),
-                        source_group=group,
-                        severity=severity,
-                    )
-                )
-            except ValueError as exc:
-                raise InputError(f"{path}: row {i + 2}: {exc}") from None
-    if not events:
+    rows = _read_rows(path)
+    if not rows:
         raise InputError(f"{path}: no events")
-    return WeightedDataset(events=tuple(events), stage=stage)
+    stages = {r.stage for r in rows if r.stage is not None}
+    if len(stages) > 1:
+        raise InputError(f"{path}: mixed stages: {', '.join(sorted(s.value for s in stages))}")
+    stage = stages.pop() if stages else Stage.COMBINED_INCIDENT
+    return WeightedDataset(events=tuple(r.event for r in rows), stage=stage)
 
 
-def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset, bundle_of: Optional[Dict[str, str]] = None) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SYNTHETIC_HEADER)
-        for e in dataset.events:
-            writer.writerow([
-                e.event_id,
-                *(_fmt(e.value(name)) for name in PARAM_NAMES),
-                _fmt(e.weight),
-                (bundle_of or {}).get(e.event_id, ""),
-            ])
+def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset) -> None:
+    _write_csv(path, SYNTHETIC_HEADER, (
+        [e.event_id, *_param_cells(e), _fmt(e.weight), bundle]
+        for e, bundle in zip(dataset.events, dataset.bundle_ids, strict=True)
+    ))
 
 
 def read_synthetic_csv(path: PathLike) -> SyntheticDataset:
-    events = read_params_csv(path, only_valid=False)
+    rows = _read_rows(path)
     return SyntheticDataset(
-        events=tuple(events),
+        events=tuple(r.event for r in rows),
         per_bundle_counts={},
         rejections={},
         seed=None,
+        bundle_ids=tuple(r.bundle for r in rows),
     )
 
 
 def write_profiles_csv(path: PathLike, profiles) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_id", "t", "v"])
-        for profile in profiles:
-            for t, v in zip(profile.times, profile.speeds):
-                writer.writerow([profile.event_id, _fmt(float(t)), _fmt(float(v))])
+    _write_csv(path, ["event_id", "t", "v"], (
+        [profile.event_id, repr(float(t)), repr(float(v))]
+        for profile in profiles
+        for t, v in zip(profile.times, profile.speeds)
+    ))

@@ -73,7 +73,7 @@ def weighted_ecdf(values, weights=None) -> WeightedEcdf:
     return WeightedEcdf(support=support, cumulative=np.cumsum(mass) / total)
 
 
-def _ks_distance(values, w1, w2, step_idx) -> float:
+def _ks_distance(w1, w2, step_idx) -> float:
     t1, t2 = w1.sum(), w2.sum()
     c1 = np.cumsum(w1) / t1
     c2 = np.cumsum(w2) / t2
@@ -115,7 +115,7 @@ def weighted_ks_test(
     n = values.size
     step_idx = np.flatnonzero(np.concatenate([values[1:] != values[:-1], [True]]))
 
-    observed = _ks_distance(values, weights * labels, weights * ~labels, step_idx)
+    observed = _ks_distance(weights * labels, weights * ~labels, step_idx)
 
     rng = np.random.default_rng(seed)
     exceed = 0

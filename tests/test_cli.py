@@ -2,8 +2,14 @@ import json
 
 import pytest
 
+from groundtruth import ground_truth_bundles
 from leadkin.cli import PipelineConfig, main, run_pipeline
+from leadkin.combine import Stage, WeightedDataset
 from leadkin.demo import make_demo_events
+from leadkin.events import Severity, SourceGroup, from_vector
+from leadkin.mvdist import bundles_to_json
+from leadkin.synth import SyntheticDataset
+from leadkin.tables import write_combined_csv, write_params_csv, write_synthetic_csv
 
 ARTIFACTS = ("params.csv", "combined.csv", "model.json", "synthetic.csv", "report.json")
 
@@ -92,3 +98,94 @@ class TestCliSubcommands:
             "--alpha", "0.10", "--output", str(report), "--seed", "5",
         ])
         assert rc == 0
+
+
+# --- exit codes for malformed artifacts --------------------------------------------
+
+
+def _corrupt_csv(path, column, value):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1].split(",")
+    cells[header.index(column)] = value
+    path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+
+
+@pytest.fixture
+def tables_dir(tmp_path):
+    events = [
+        from_vector([3.0 + i, -2.0, -1.0, 0.5, 2.0, 1.0], event_id=f"e{i}", weight=1.5,
+                    source_group=SourceGroup.SHRP2_NSC, severity=Severity.NON_SEVERE)
+        for i in range(3)
+    ]
+    write_params_csv(tmp_path / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    write_combined_csv(tmp_path / "combined.csv", WeightedDataset(tuple(events), Stage.COMBINED_INCIDENT))
+    write_synthetic_csv(
+        tmp_path / "synthetic.csv",
+        SyntheticDataset(tuple(events), {}, {}, None, bundle_ids=("S1",) * len(events)),
+    )
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "artifact, column, value, command",
+    [
+        ("params.csv", "group", "CISS_xx", ["combine", "--params", "{d}/params.csv", "--output", "{d}/out.csv"]),
+        ("params.csv", "a1", "fast", ["combine", "--params", "{d}/params.csv", "--output", "{d}/out.csv"]),
+        ("combined.csv", "a1", "fast", ["model", "--input", "{d}/combined.csv", "--output", "{d}/model.json"]),
+        ("combined.csv", "tau_1", "nan", ["model", "--input", "{d}/combined.csv", "--output", "{d}/model.json"]),
+        ("combined.csv", "weight", "-1", ["model", "--input", "{d}/combined.csv", "--output", "{d}/model.json"]),
+        ("synthetic.csv", "a1", "fast", [
+            "validate", "--raw", "{d}/combined.csv", "--synthetic", "{d}/synthetic.csv",
+            "--output", "{d}/report.json",
+        ]),
+    ],
+)
+def test_malformed_table_exits_2(tables_dir, capsys, artifact, column, value, command):
+    _corrupt_csv(tables_dir / artifact, column, value)
+    assert main([arg.format(d=tables_dir) for arg in command]) == 2
+    assert f"{artifact}: line 2: " in capsys.readouterr().err
+
+
+def _model_doc():
+    return bundles_to_json(ground_truth_bundles())
+
+
+def _drop_share(doc):
+    del doc["bundles"][0]["train_weight_share"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        lambda doc: json.dumps({**doc, "schema": "lead-kinematics-model/0"}),
+        lambda doc: json.dumps(doc)[:200],
+        _drop_share,
+        lambda doc: "[]",
+    ],
+    ids=["wrong-schema", "truncated", "missing-key", "not-an-object"],
+)
+def test_malformed_model_exits_2(tmp_path, text):
+    model = tmp_path / "model.json"
+    model.write_text(text(_model_doc()))
+    assert main(["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]) == 2
+
+
+def test_well_formed_model_generates(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc()))
+    assert main(["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]) == 0
+
+
+def test_expnormal_ppf_non_convergence_exits_3(demo_csv, tmp_path, capsys):
+    """At seed 18 the model fits an expnormal with k near its 1e4 cap, and
+    scipy's brentq-based exponnorm.ppf fails to converge while sampling it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_synth": 2000}))
+    rc = main([
+        "--config", str(config), "pipeline", "--input", str(demo_csv),
+        "--workdir", str(tmp_path / "out"), "--seed", "18",
+    ])
+    assert rc == 3
+    assert "expnormal ppf" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from leadkin.errors import AllFitsFailed
+from leadkin.errors import AllFitsFailed, InputError, NumericalError
 from leadkin.marginals import (
     AffinePre,
     FittedDist,
@@ -112,3 +112,34 @@ class TestQuantileNormalize:
         back = FittedDist.from_json(doc)
         x = np.linspace(-6, -0.1, 50)
         assert np.allclose(back.cdf(x), d.cdf(x))
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize(
+        "family, params, reference",
+        [
+            ("normal", {"loc": 1.0, "scale": 2.0}, stats.norm(loc=1.0, scale=2.0)),
+            ("skewnormal", {"a": 3.0, "loc": 1.0, "scale": 2.0}, stats.skewnorm(3.0, loc=1.0, scale=2.0)),
+            ("expnormal", {"k": 0.5, "loc": 1.0, "scale": 2.0}, stats.exponnorm(0.5, loc=1.0, scale=2.0)),
+            ("gamma", {"shape": 3.0, "scale": 2.0}, stats.gamma(3.0, scale=2.0)),
+            ("gengamma", {"a": 2.0, "c": 1.5, "scale": 2.0}, stats.gengamma(2.0, 1.5, scale=2.0)),
+            ("exponential", {"scale": 2.0}, stats.expon(scale=2.0)),
+        ],
+    )
+    def test_frozen_from_parameter_names(self, family, params, reference):
+        u = np.linspace(0.01, 0.99, 9)
+        assert np.array_equal(FittedDist(family=family, params=params).ppf(u), reference.ppf(u))
+
+    def test_unknown_family_in_json_is_an_input_error(self):
+        doc = FittedDist(family="normal", params={"loc": 0.0, "scale": 1.0}).to_json()
+        with pytest.raises(InputError):
+            FittedDist.from_json({**doc, "family": "cauchy"})
+
+    def test_expnormal_ppf_non_convergence_is_numerical(self):
+        # fitted at the k = 1e4 cap; scipy's brentq inverse fails at this u
+        d = FittedDist(
+            family="expnormal",
+            params={"k": 9999.999997762154, "loc": 2.52747310683026, "scale": 0.0008972654682683459},
+        )
+        with pytest.raises(NumericalError, match="expnormal ppf"):
+            d.ppf(np.array([0.0026669573462327896]))

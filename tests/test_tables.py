@@ -1,13 +1,23 @@
-import pytest
+import csv
+import math
+from dataclasses import replace
 
-from leadkin.combine import Stage, WeightedDataset
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leadkin.combine import MergeResult, Stage, WeightedDataset
 from leadkin.errors import InputError
-from leadkin.events import EventParams, Severity, SourceGroup, from_vector
+from leadkin.events import PARAM_NAMES, EventParams, Severity, SourceGroup, from_vector
+from leadkin.synth import SyntheticDataset
 from leadkin.tables import (
     read_combined_csv,
+    read_counts_json,
     read_params_csv,
+    read_synthetic_csv,
     write_combined_csv,
     write_params_csv,
+    write_synthetic_csv,
 )
 
 
@@ -66,3 +76,170 @@ class TestCombinedCsv:
         path.write_text("event_id,v_c,a1\na,1,2\n")
         with pytest.raises(InputError):
             read_combined_csv(path)
+
+    def test_attached_to_names_the_host_crash(self, tmp_path):
+        path = tmp_path / "combined.csv"
+        events = tuple(sample_event(i) for i in range(3))
+        merge = MergeResult(
+            selected=(("e2", "e0", 0.1),),
+            distance_threshold=0.78,
+            attachment_counts={"e0": 1},
+            min_distances={"e2": 0.1},
+        )
+        write_combined_csv(path, WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT), merge)
+        with path.open(newline="") as fh:
+            attached = [row["attached_to"] for row in csv.DictReader(fh)]
+        assert attached == ["", "", "e0"]
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("v_c,a1,a2,tau_s,tau_1,tau_2,weight\n")
+        with pytest.raises(InputError, match="no events"):
+            read_combined_csv(path)
+
+    def test_aliases_ignore_case_and_whitespace(self, tmp_path):
+        path = tmp_path / "published.csv"
+        path.write_text(" VC ,A1,a2, TauS,TAU1,tau2,W\n\n2.5,-1.0,-1.0,0.0,5.0,0.0,1.25\n")
+        back = read_combined_csv(path)
+        assert back.events[0].tau_1 == 5.0
+        assert back.events[0].weight == 1.25
+        assert back.events[0].event_id == "row-0"
+
+
+# --- property tests: every table round-trips, every corrupted cell is an InputError ---
+
+ids = st.text(alphabet="abcXYZ019-_ ,\"'", min_size=1, max_size=10).filter(lambda s: s == s.strip())
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def event_params(draw, enums=True):
+    return EventParams(
+        event_id=draw(ids),
+        **{name: draw(finite) for name in PARAM_NAMES},
+        weight=draw(positive),
+        source_group=draw(st.none() | st.sampled_from(SourceGroup)) if enums else None,
+        severity=draw(st.none() | st.sampled_from(Severity)) if enums else None,
+    )
+
+
+@st.composite
+def params_events(draw):
+    """Params tables carry the native weight; an event without one reads as weight 1."""
+    native = draw(st.none() | positive)
+    return replace(draw(event_params()), weight=1.0 if native is None else native, native_weight=native)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(params_events(), st.booleans()), max_size=8))
+def test_params_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("params") / "params.csv"
+    write_params_csv(path, [{"event": e, "r2": 0.5, "n_b": 2, "valid": ok} for e, ok in rows])
+    assert read_params_csv(path, only_valid=False) == [e for e, _ in rows]
+    assert read_params_csv(path) == [e for e, ok in rows if ok]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(event_params(), min_size=1, max_size=8), stage=st.sampled_from(Stage))
+def test_combined_round_trip(tmp_path_factory, rows, stage):
+    path = tmp_path_factory.mktemp("combined") / "combined.csv"
+    write_combined_csv(path, WeightedDataset(events=tuple(rows), stage=stage))
+    back = read_combined_csv(path)
+    assert back.events == tuple(rows)
+    assert back.stage is stage
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(event_params(enums=False), ids | st.just("")), max_size=8))
+def test_synthetic_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("synthetic") / "synthetic.csv"
+    dataset = SyntheticDataset(
+        events=tuple(e for e, _ in rows),
+        per_bundle_counts={},
+        rejections={},
+        seed=None,
+        bundle_ids=tuple(b for _, b in rows),
+    )
+    write_synthetic_csv(path, dataset)
+    back = read_synthetic_csv(path)
+    assert back.events == dataset.events
+    assert back.bundle_ids == dataset.bundle_ids
+
+
+def _parses_finite(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+printable = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+not_a_number = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "1,5"]) | printable.filter(
+    lambda s: not _parses_finite(s)
+)
+
+
+def not_one_of(values):
+    return printable.filter(lambda s: s.strip() not in values)
+
+
+CORRUPT = {
+    **{name: not_a_number for name in PARAM_NAMES},
+    "weight": st.sampled_from(["0", "-1", "-0.0", "nan", "inf", "x"]),
+    "group": not_one_of({"", *(g.value for g in SourceGroup)}),
+    "severity": not_one_of({"", *(s.value for s in Severity)}),
+    "stage": not_one_of({"", *(s.value for s in Stage)}),
+    "valid": not_one_of({"", "0", "1"}),
+}
+
+
+def _write_tables(directory):
+    events = [sample_event(i, weight=0.5 + i) for i in range(3)]
+    write_params_csv(directory / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    write_combined_csv(
+        directory / "combined.csv", WeightedDataset(events=tuple(events), stage=Stage.COMBINED_INCIDENT)
+    )
+    write_synthetic_csv(
+        directory / "synthetic.csv",
+        SyntheticDataset(events=tuple(events), per_bundle_counts={}, rejections={}, seed=None,
+                         bundle_ids=("S1", "S2", "S1")),
+    )
+
+
+READERS = {
+    "params.csv": read_params_csv,
+    "combined.csv": read_combined_csv,
+    "synthetic.csv": read_synthetic_csv,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(READERS)), data=st.data())
+def test_any_corrupted_cell_is_an_input_error(tmp_path_factory, name, data):
+    directory = tmp_path_factory.mktemp("tables")
+    _write_tables(directory)
+    path = directory / name
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    r = data.draw(st.integers(0, len(rows) - 1), label="row")
+    mutation = data.draw(st.sampled_from(["cell", "drop", "extra"]), label="mutation")
+    if mutation == "cell":
+        column = data.draw(st.sampled_from([c for c in header if c in CORRUPT]), label="column")
+        rows[r][header.index(column)] = data.draw(CORRUPT[column], label="value")
+    elif mutation == "drop":
+        del rows[r][data.draw(st.integers(0, len(header) - 1), label="dropped")]
+    else:
+        rows[r].append("1.0")
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    with pytest.raises(InputError, match=rf"{path.name}: line {r + 2}: "):
+        READERS[name](path)
+
+
+@pytest.mark.parametrize("text", ["", "{", '{"raw": {"NOPE": 1}, "valid": {}}', '{"raw": {}}'])
+def test_malformed_counts_sidecar_is_an_input_error(tmp_path, text):
+    path = tmp_path / "params.counts.json"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        read_counts_json(path)
