@@ -80,10 +80,10 @@ class FittedDist:
     def ppf(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         q = 1.0 - u if self.affine.reflect else u
-        try:
+        if self.family == "expnormal":
+            y = _expnormal_ppf(q, **self.params)
+        else:
             y = self._dist().ppf(q)
-        except RuntimeError as exc:  # scipy's generic brentq inverse did not converge
-            raise NumericalError(f"{self.family} ppf with {self.params} failed: {exc}") from exc
         return self.affine.inverse(y)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -112,6 +112,108 @@ class FittedDist:
             aic=float(doc.get("aic", float("nan"))),
             loglik=float(doc.get("loglik", float("nan"))),
         )
+
+
+# --- expnormal inverse CDF ---------------------------------------------------
+#
+# scipy's exponnorm has no closed-form ppf and runs one scalar brentq per
+# draw.  The standard EMG X = Z + k E (Z standard normal, E standard
+# exponential) has cdf Phi(x) - T(x) and sf Phi(-x) + T(x) with the tail term
+# T(x) = exp(1/(2 k^2) - x/k) Phi(x - 1/k) and pdf T(x)/k (Grushka 1972), so
+# the inverse below is a vectorized safeguarded Newton iteration on them.
+
+_SQRT1_2 = np.sqrt(0.5)
+_PPF_STEP_TOL = 4.0 * np.finfo(float).eps
+_PPF_MAXITER = 100
+
+
+def _expnormal_terms(x, k, sign):
+    """Standard EMG cdf (sign +1) or sf (sign -1) at x, the sum of the
+    magnitudes of its two terms Phi(sign x) and T(x), and the pdf.
+
+    While x - 1/k <= 5 both terms are written as exp(-x^2/2)/2 times an
+    erfcx, and the common factor is applied after their difference, so the
+    lower-tail cancellation at large k only sees erfcx's own rounding (the
+    log_ndtr form of T loses up to 7e-7 relative at k = 1e-5).  Beyond that
+    erfcx(-(x - 1/k)/sqrt 2) overflows and T takes the log form.
+    """
+    d = x - 1.0 / k
+    factor, a, b = np.ones_like(x), np.empty_like(x), np.empty_like(x)
+    near = d <= 5.0
+    factor[near] = 0.5 * np.exp(-0.5 * np.square(x[near]))
+    a[near] = special.erfcx(-sign[near] * x[near] * _SQRT1_2)
+    b[near] = special.erfcx(-d[near] * _SQRT1_2)
+    far = ~near
+    a[far] = special.ndtr(sign[far] * x[far])
+    b[far] = np.exp(special.log_ndtr(d[far]) - (d[far] + 0.5 / k) / k)
+    return factor * (a - sign * b), factor * (a + b), factor * b / k
+
+
+def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
+    """x with P(Z + k E <= x) = q for each q in (0, 1); NaN where the
+    iteration does not converge within the cap.
+
+    Solves log cdf(x) = log q for q <= 0.5 and log sf(x) = log(1 - q)
+    otherwise, so the upper tail keeps its precision.  The bracket
+    [Phi^-1(q), Phi^-1(sqrt q) - k log(1 - sqrt q)] holds the root: X >= Z,
+    and both Z <= Phi^-1(sqrt q) and E <= -log(1 - sqrt q) hold with
+    probability q.  Both functions are log-concave, so Newton started at the
+    lower end (cdf) or the upper end (sf) approaches the root from one side.
+    A step that leaves the bracket or does not halve the step before last
+    bisects instead, which guarantees progress once rounding dominates.  The
+    iteration stops when a step is within 4 eps of max(1, |x|) plus the
+    rounding level of the evaluated probability.
+    """
+    upper = q > 0.5
+    sign = np.where(upper, -1.0, 1.0)
+    target = np.where(upper, 1.0 - q, q)
+    s = (1.0 - q) / (1.0 + np.sqrt(q))  # 1 - sqrt(q) without cancellation
+    lo = special.ndtri(q)
+    hi = -special.ndtri(s) - k * np.log(s)
+    x = np.where(upper, hi, lo)
+    step = older = hi - lo
+    out = np.full_like(q, np.nan)
+    idx = np.arange(q.size)
+    with np.errstate(all="ignore"):  # non-finite steps bisect; NaN never converges
+        for _ in range(_PPF_MAXITER):
+            prob, magnitude, pdf = _expnormal_terms(x, k, sign)
+            # increasing in x, root at 0; a cdf cancelled to <= 0 reads as -inf
+            g = sign * np.log(np.maximum(prob, 0.0) / target)
+            lo = np.where(g < 0, x, lo)
+            hi = np.where(g > 0, x, hi)
+            newton = g * prob / pdf
+            x_new = x - newton
+            ok = (x_new >= lo) & (x_new <= hi) & (np.abs(newton) <= 0.5 * older)
+            x_new = np.where(ok, x_new, 0.5 * (lo + hi))
+            older, step = step, np.abs(x_new - x)
+            rounding = np.where(pdf > 0, magnitude / pdf, 0.0)
+            done = step <= _PPF_STEP_TOL * (np.maximum(1.0, np.abs(x_new)) + rounding)
+            out[idx[done]] = x_new[done]
+            keep = ~done
+            if not keep.any():
+                break
+            idx, x, lo, hi, step, older, sign, target = (
+                v[keep] for v in (idx, x_new, lo, hi, step, older, sign, target)
+            )
+    return out
+
+
+def _expnormal_ppf(q: np.ndarray, k: float, loc: float, scale: float) -> np.ndarray:
+    """Quantiles of the fitted expnormal: loc + scale times the standard
+    EMG quantile; -inf and +inf at q = 0 and 1, as scipy's ppf gives."""
+    if not (np.isfinite([k, loc, scale]).all() and k > 0 and scale > 0):
+        raise NumericalError(f"expnormal ppf with {dict(k=k, loc=loc, scale=scale)}: invalid parameters")
+    flat = q.ravel()
+    x = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
+    inside = (flat > 0.0) & (flat < 1.0)
+    x[inside] = _standard_expnormal_ppf(flat[inside], k)
+    failed = int(np.isnan(x).sum())
+    if failed:
+        raise NumericalError(
+            f"expnormal ppf with {dict(k=k, loc=loc, scale=scale)}: "
+            f"no finite quantile for {failed} of {flat.size} values (not converged, or NaN)"
+        )
+    return (loc + scale * x).reshape(q.shape)
 
 
 # --- weighted MLE per family -------------------------------------------------
@@ -366,14 +468,19 @@ def fit_univariate(
         raise AllFitsFailed("zero variance: data is constant")
 
     fits = []
+    failed = 0
     for family in families:
         try:
             fitted = fit_family(family, x, w)
-        except Exception:  # optimizer blow-ups count as a failed family
+        except (ArithmeticError, ValueError, np.linalg.LinAlgError, NumericalError):
+            # a numerical blow-up counts as a failed family; anything else is a bug
             log.debug("family %s failed", family, exc_info=True)
-            fitted = None
+            failed += 1
+            continue
         if fitted is not None and np.isfinite(fitted.aic):
             fits.append(fitted)
+    if failed:
+        log.info("%d of %d families failed with a numerical error", failed, len(families))
     if not fits:
         raise AllFitsFailed(f"no family among {families} produced a finite fit")
     return min(fits, key=lambda f: f.aic)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from leadkin import marginals
 from leadkin.errors import AllFitsFailed, InputError, NumericalError
 from leadkin.marginals import (
     AffinePre,
@@ -77,6 +80,24 @@ class TestFitUnivariate:
         grid = np.linspace(x.min(), x.max(), 500)
         assert (np.diff(fitted.cdf(grid)) >= 0).all()
 
+    def test_bug_in_a_family_fitter_propagates(self, monkeypatch):
+        def broken(y, w):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setitem(marginals._FAMILIES, "skewnormal", marginals._FAMILIES["skewnormal"]._replace(fit=broken))
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            fit_univariate(np.random.default_rng(15).normal(size=200))
+
+    def test_numerical_failure_skips_the_family_and_is_counted(self, monkeypatch, caplog):
+        def diverged(y, w):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setitem(marginals._FAMILIES, "skewnormal", marginals._FAMILIES["skewnormal"]._replace(fit=diverged))
+        with caplog.at_level("INFO", logger="leadkin.marginals"):
+            fitted = fit_univariate(np.random.default_rng(15).normal(size=200))
+        assert fitted.family != "skewnormal"
+        assert "1 of 4 families failed" in caplog.text
+
     def test_weighted_mle_against_scipy_reference(self):
         rng = np.random.default_rng(14)
         x = rng.normal(2.0, 3.0, 2000) + rng.exponential(2.0, 2000)
@@ -120,10 +141,18 @@ class TestFamilyTable:
         [
             ("normal", {"loc": 1.0, "scale": 2.0}, stats.norm(loc=1.0, scale=2.0)),
             ("skewnormal", {"a": 3.0, "loc": 1.0, "scale": 2.0}, stats.skewnorm(3.0, loc=1.0, scale=2.0)),
-            ("expnormal", {"k": 0.5, "loc": 1.0, "scale": 2.0}, stats.exponnorm(0.5, loc=1.0, scale=2.0)),
             ("gamma", {"shape": 3.0, "scale": 2.0}, stats.gamma(3.0, scale=2.0)),
             ("gengamma", {"a": 2.0, "c": 1.5, "scale": 2.0}, stats.gengamma(2.0, 1.5, scale=2.0)),
             ("exponential", {"scale": 2.0}, stats.expon(scale=2.0)),
+        ],
+        # pinned so that each family's case keeps its name; expnormal is
+        # checked in TestExpnormalPpf, because its ppf is not scipy's
+        ids=[
+            "normal-params0-reference0",
+            "skewnormal-params1-reference1",
+            "gamma-params3-reference3",
+            "gengamma-params4-reference4",
+            "exponential-params5-reference5",
         ],
     )
     def test_frozen_from_parameter_names(self, family, params, reference):
@@ -135,11 +164,96 @@ class TestFamilyTable:
         with pytest.raises(InputError):
             FittedDist.from_json({**doc, "family": "cauchy"})
 
-    def test_expnormal_ppf_non_convergence_is_numerical(self):
-        # fitted at the k = 1e4 cap; scipy's brentq inverse fails at this u
+    def test_expnormal_ppf_at_fitted_k_cap(self):
+        # fitted at the k = 1e4 cap; scipy's brentq inverse does not converge at this u
         d = FittedDist(
             family="expnormal",
             params={"k": 9999.999997762154, "loc": 2.52747310683026, "scale": 0.0008972654682683459},
         )
+        assert d.ppf(np.array([0.0026669573462327896]))[0] == pytest.approx(2.5514348055853735, rel=1e-12)
+
+
+# Quantiles of the standard EMG X = Z + k E (loc 0, scale 1) at EXPNORMAL_U,
+# computed once with 50-digit mpmath (not a dependency of this package):
+#
+#     mp.mp.dps = 50
+#     tail = lambda x: mp.exp(1 / (2 * k**2) - x / k) * mp.ncdf(x - 1 / k)
+#     f = (lambda x: mp.ncdf(x) - tail(x) - u) if u <= 0.5 else (lambda x: (1 - u) - mp.ncdf(-x) - tail(x))
+#
+# with k = mp.mpf(k) and u = mp.mpf(u) taken from the doubles below, by
+# bisecting f to a bracket width of 1e-40 relative.
+EXPNORMAL_U = (1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10)
+EXPNORMAL_REFERENCE = {
+    1e-4: (-6.361240934197611, -4.7533243325828245, -3.090132321616126, -1.281451571952144, 9.999999966666668e-05, 1.2816515719525725, 3.0903323216218253, 4.75352433259141, 6.361440921517287),
+    1e-3: (-6.3603440699774785, -4.752426678359329, -3.0892338484387905, -1.2805522061056642, 0.0009999996666676, 1.2825522065339119, 3.0912338541384896, 4.75442669275035, 6.362344083582476),
+    0.05: (-6.317947525744135, -4.708589312882225, -3.0437665876550537, -1.233123360613287, 0.04995862141059102, 1.3331762489771448, 3.1444818074990337, 4.81043218211293, 6.42141085642166),
+    0.5: (-6.137044822539003, -4.498575607110325, -2.790639962285057, -0.9039422710191447, 0.47286772005730404, 1.9320159838868314, 4.452444737471943, 7.9077552787559355, 12.512925423600045),
+    3.0: (-5.887654394781972, -4.177297397593794, -2.333917638746814, -0.07454250683958126, 2.236272384756287, 7.074421945647734, 20.889932503613075, 41.613198340473225, 69.24421920826694),
+    50.0: (-5.425392839911589, -3.538034149271658, -1.2515874574979382, 5.2780257699468, 34.667359027997264, 115.1392546497023, 345.39776394910683, 690.7855278967759, 1151.3025423600045),
+    1e4: (-4.424888158903745, -1.9383431724704383, 10.005053335835335, 1053.605206578263, 6931.471855599453, 23025.85097994046, 69077.55283982136, 138155.10562935518, 230258.5085220009),
+}
+
+
+def _rel_err(x, reference):
+    """Error relative to max(1, |x|), the scale of a standardized quantile."""
+    return np.abs(x - reference) / np.maximum(1.0, np.abs(reference))
+
+
+class TestExpnormalPpf:
+    @pytest.mark.parametrize("k", sorted(EXPNORMAL_REFERENCE))
+    def test_matches_50_digit_reference(self, k):
+        x = FittedDist(family="expnormal", params={"k": k, "loc": 0.0, "scale": 1.0}).ppf(np.array(EXPNORMAL_U))
+        assert _rel_err(x, np.array(EXPNORMAL_REFERENCE[k])).max() <= 1e-11
+
+    @pytest.mark.parametrize("k", sorted(EXPNORMAL_REFERENCE))
+    def test_matches_scipy_where_it_converges(self, k):
+        x = FittedDist(family="expnormal", params={"k": k, "loc": 0.0, "scale": 1.0}).ppf(np.array(EXPNORMAL_U))
+        for u, xi in zip(EXPNORMAL_U, x):
+            try:
+                reference = stats.exponnorm(k).ppf(u)
+            except RuntimeError:  # scipy's brentq gives up
+                continue
+            assert _rel_err(xi, reference) <= 1e-7
+
+    def test_loc_and_scale_against_scipy(self):
+        u = np.linspace(0.01, 0.99, 9)
+        y = FittedDist(family="expnormal", params={"k": 0.5, "loc": 1.0, "scale": 2.0}).ppf(u)
+        x, reference = (y - 1.0) / 2.0, (stats.exponnorm(0.5, loc=1.0, scale=2.0).ppf(u) - 1.0) / 2.0
+        assert _rel_err(x, reference).max() <= 1e-7
+
+    def test_endpoints_and_shape(self):
+        d = FittedDist(family="expnormal", params={"k": 0.5, "loc": 1.0, "scale": 2.0})
+        assert d.ppf(np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
+        assert d.ppf(np.full((2, 3), 0.5)).shape == (2, 3)
+        assert d.ppf(0.5) == pytest.approx(1.0 + 2.0 * EXPNORMAL_REFERENCE[0.5][4], rel=1e-12)
+
+    @pytest.mark.parametrize("nan_in", ["k", "scale", "u"])
+    def test_nan_is_a_numerical_error(self, nan_in):
+        params = {"k": 0.5, "loc": 1.0, "scale": 2.0}
+        u = np.array([0.5, 0.7])
+        if nan_in == "u":
+            u[1] = np.nan
+        else:
+            params[nan_in] = np.nan
         with pytest.raises(NumericalError, match="expnormal ppf"):
-            d.ppf(np.array([0.0026669573462327896]))
+            FittedDist(family="expnormal", params=params).ppf(u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_k=st.floats(-4.0, 4.0),
+        loc=st.floats(-10.0, 10.0),
+        log_scale=st.floats(-3.0, 3.0),
+        u=st.lists(st.floats(1e-10, 1.0 - 1e-10), min_size=1, max_size=20),
+    )
+    def test_monotone_and_inverts_scipy_cdf(self, log_k, loc, log_scale, u):
+        k, scale = 10.0**log_k, 10.0**log_scale
+        # probabilities closer than ~1e-6 of their tail mass can swap order
+        # within the evaluation's rounding, so only separated ones are compared
+        u = np.sort(np.array(u))
+        tail = np.minimum(u, 1.0 - u)
+        u = u[np.concatenate(([True], np.diff(u) > 1e-6 * tail[1:]))]
+        y = FittedDist(family="expnormal", params={"k": k, "loc": loc, "scale": scale}).ppf(u)
+        assert (np.diff(y) >= 0).all()
+        reference = stats.exponnorm(k, loc=loc, scale=scale)
+        back = np.where(u <= 0.5, reference.cdf(y) / u, reference.sf(y) / (1.0 - u))
+        assert np.abs(back - 1.0).max() <= 1e-9
