@@ -10,6 +10,7 @@ from .events import (
     GRAVITY,
     PARAM_NAMES,
     EventParams,
+    ParamTable,
     RawEvent,
     Severity,
     SourceGroup,
@@ -36,7 +37,7 @@ from .mvdist import (
     build_all,
     build_submodels,
     categorize,
-    classify_event,
+    classify,
 )
 from .synth import SyntheticDataset, assemble_synthetic, params_to_profile, sample_submodel
 from .validate import (

@@ -23,7 +23,7 @@ from . import combine as combine_mod
 from . import ingest, pwl, tables
 from . import validate as validate_mod
 from .errors import InputError, LeadkinError, NumericalError
-from .events import EventParams, SourceGroup
+from .events import PARAM_NAMES, SourceGroup
 from .mvdist import ModelConfig, build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
 from .validate import bootstrap_robustness, compare_datasets
@@ -111,7 +111,7 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     fit_cfg = config.fit_config()
     rows = []
     raw_counts: Dict[SourceGroup, int] = {}
-    valid_events: List[EventParams] = []
+    valid_groups: List[Optional[SourceGroup]] = []
     for event in events:
         raw_counts[event.source_group] = raw_counts.get(event.source_group, 0) + 1
         try:
@@ -131,13 +131,13 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
         valid = ingest.validate_event(profile, fit)
         rows.append({"event": params, "r2": fit.r_squared, "n_b": fit.n_b, "valid": valid})
         if valid:
-            valid_events.append(params)
+            valid_groups.append(params.source_group)
     tables.write_params_csv(params_out, rows)
-    counts = combine_mod.GroupCounts.from_events(valid_events, raw_counts=raw_counts)
+    counts = combine_mod.GroupCounts.from_groups(valid_groups, raw_counts=raw_counts)
     if counts_out is None:
         counts_out = Path(params_out).with_suffix(".counts.json")
     tables.write_counts_json(counts_out, counts)
-    log.info("fit: %d events, %d valid", len(rows), len(valid_events))
+    log.info("fit: %d events, %d valid", len(rows), len(valid_groups))
 
 
 def stage_combine(
@@ -158,9 +158,9 @@ def stage_combine(
         counts = tables.read_counts_json(counts_path)
     else:
         log.warning("no counts sidecar; deriving raw counts from the parameter table")
-        counts = combine_mod.GroupCounts.from_events(events)
-    crashes, ncs = combine_mod.split_near_crashes(events)
-    preprocessed = combine_mod.preprocess(crashes + ncs, counts)
+        counts = combine_mod.GroupCounts.from_groups(events.source_group)
+    _, ncs = combine_mod.split_near_crashes(events)
+    preprocessed = combine_mod.preprocess(events, counts)
     plan = combine_mod.build_plan(preprocessed)
     combined_crash = combine_mod.reweight_combine(preprocessed, plan)
     threshold = config.d_thd
@@ -206,6 +206,11 @@ def stage_generate(
     except KeyError as exc:
         raise InputError(f"model artifact {model_path}: missing key {exc}") from None
     dataset = assemble_synthetic(bundles, config.n_synth, seed=config.seed)
+    for bundle_id, rejected in dataset.rejections.items():
+        log.info(
+            "generate: bundle %s: %d accepted, rejected %s",
+            bundle_id, dataset.per_bundle_counts[bundle_id], rejected,
+        )
     tables.write_synthetic_csv(synthetic_out, dataset)
     if profiles_out is not None:
         profiles = (params_to_profile(e, dt or config.profile_dt) for e in dataset.events)
@@ -223,13 +228,9 @@ def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report
         raw, synthetic, alpha=config.alpha_ks, n_perm=config.n_perm, seed=config.seed
     )
     ecdf_points = {}
-    from .events import PARAM_NAMES, params_matrix
-
-    raw_matrix = params_matrix(raw.events)
-    syn_matrix = params_matrix(synthetic.events)
-    for j, name in enumerate(PARAM_NAMES):
-        raw_ecdf = validate_mod.weighted_ecdf(raw_matrix[:, j], raw.weights())
-        syn_ecdf = validate_mod.weighted_ecdf(syn_matrix[:, j])
+    for name in PARAM_NAMES:
+        raw_ecdf = validate_mod.weighted_ecdf(raw.events[name], raw.events.weight)
+        syn_ecdf = validate_mod.weighted_ecdf(synthetic.events[name])
         ecdf_points[name] = {
             "raw": [[float(a), float(b)] for a, b in zip(raw_ecdf.support, raw_ecdf.cumulative)],
             "synthetic": [[float(a), float(b)] for a, b in zip(syn_ecdf.support, syn_ecdf.cumulative)],

@@ -11,21 +11,15 @@ crash with the crash's weight split equally among the group.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import DegenerateSplit, EmptyGroup, InputError, ZeroVariance
-from .events import (
-    PARAM_NAMES,
-    EventParams,
-    SourceGroup,
-    event_weights,
-    params_matrix,
-)
+from .events import PARAM_NAMES, ParamTable, SourceGroup
 from .wstats import weighted_mean, weighted_sd
 
 log = logging.getLogger(__name__)
@@ -56,41 +50,29 @@ class GroupCounts:
         return int(self.valid.get(group, 0))
 
     @staticmethod
-    def from_events(
-        valid_events: Sequence[EventParams],
+    def from_groups(
+        valid_groups: Iterable[Optional[SourceGroup]],
         raw_counts: Optional[Mapping[SourceGroup, int]] = None,
     ) -> "GroupCounts":
+        """Valid counts from the source group of each valid event."""
         valid: Dict[SourceGroup, int] = {}
-        for e in valid_events:
-            if e.source_group is not None:
-                valid[e.source_group] = valid.get(e.source_group, 0) + 1
+        for group in valid_groups:
+            if group is not None:
+                valid[group] = valid.get(group, 0) + 1
         raw = dict(raw_counts) if raw_counts is not None else dict(valid)
         return GroupCounts(raw=raw, valid=valid)
 
 
 @dataclass(frozen=True)
 class WeightedDataset:
-    events: tuple
+    events: ParamTable
     stage: Stage
     counts: Optional[GroupCounts] = None
     provenance: Optional[Mapping[str, Mapping[str, float]]] = None
 
-    def weights(self) -> np.ndarray:
-        return event_weights(self.events)
-
-    def param_matrix(self) -> np.ndarray:
-        return params_matrix(self.events)
-
     @property
     def total_weight(self) -> float:
-        return float(self.weights().sum())
-
-    def group_events(self, group: SourceGroup) -> list:
-        return [e for e in self.events if e.source_group is group]
-
-    def subset(self, indices) -> "WeightedDataset":
-        picked = tuple(self.events[i] for i in indices)
-        return replace(self, events=picked)
+        return float(self.events.weight.sum())
 
 
 @dataclass(frozen=True)
@@ -169,65 +151,61 @@ def shrp2_group_weight(n2: int, n3: int, n2_valid: int, n3_valid: int, group: So
     return (n2_valid + n3_valid) * (n_i / (n2 + n3)) / n_i_valid
 
 
-def split_near_crashes(events: Sequence[EventParams]) -> Tuple[list, list]:
+def in_groups(table: ParamTable, *groups: SourceGroup) -> np.ndarray:
+    """Mask of the rows whose source group is one of ``groups``."""
+    return np.array([g in groups for g in table.source_group], dtype=bool)
+
+
+def split_near_crashes(events: ParamTable) -> Tuple[ParamTable, ParamTable]:
     """Partition events into (crashes, near-crashes)."""
-    crashes = [e for e in events if e.source_group in CRASH_GROUPS]
-    ncs = [e for e in events if e.source_group is SourceGroup.SHRP2_NC]
-    return crashes, ncs
+    crashes = in_groups(events, *CRASH_GROUPS)
+    return events.take(crashes), events.take(in_groups(events, SourceGroup.SHRP2_NC))
 
 
-def preprocess(events: Sequence[EventParams], counts: GroupCounts) -> WeightedDataset:
+def preprocess(events: ParamTable, counts: GroupCounts) -> WeightedDataset:
     """Make the crash sources' weights compatible.
 
     CISS native weights are trimmed and scaled to sum to the CISS valid
     count; each SHRP2 crash group gets one uniform weight.  Near-crashes are
-    excluded here (they enter at the merge step).
+    excluded here (they enter at the merge step).  Rows come out grouped
+    CISS, SHRP2 severe, SHRP2 non-severe, each in input order.
     """
-    crashes, _ = split_near_crashes(events)
-    by_group: Dict[SourceGroup, list] = {g: [] for g in CRASH_GROUPS}
-    for e in crashes:
-        by_group[e.source_group].append(e)
+    rows = {g: np.flatnonzero(in_groups(events, g)) for g in CRASH_GROUPS}
     for group in CRASH_GROUPS:
-        if not by_group[group]:
+        if not rows[group].size:
             raise EmptyGroup(group.value)
         expected = counts.valid_of(group)
-        if expected and expected != len(by_group[group]):
+        if expected and expected != rows[group].size:
             raise InputError(
                 f"valid count mismatch for {group.value}: counts say {expected}, "
-                f"got {len(by_group[group])} events"
+                f"got {rows[group].size} events"
             )
 
-    provenance: Dict[str, Dict[str, float]] = {}
-    out: List[EventParams] = []
-
-    ciss = by_group[SourceGroup.CISS_SC]
-    native = []
-    for e in ciss:
-        if e.native_weight is None:
-            raise InputError(f"CISS event {e.event_id!r} is missing its native weight")
-        native.append(e.native_weight)
+    ciss = events.take(rows[SourceGroup.CISS_SC])
+    for event_id, native in zip(ciss.event_id, ciss.native_weight):
+        if native is None:
+            raise InputError(f"CISS event {event_id!r} is missing its native weight")
+    native = ciss.native_weight.astype(float)
     trimmed = trim_weights(native)
-    scaled = scale_weights(trimmed, len(ciss))
-    for e, w_raw, w_trim, w in zip(ciss, native, trimmed, scaled):
-        provenance[e.event_id] = {
-            "original": float(w_raw),
-            "trimmed": float(w_trim),
-            "preprocessed": float(w),
-        }
-        out.append(e.with_weight(float(w)))
+    weights = [scale_weights(trimmed, len(ciss))]
+    provenance: Dict[str, Dict[str, float]] = {
+        event_id: {"original": float(w_raw), "trimmed": float(w_trim), "preprocessed": float(w)}
+        for event_id, w_raw, w_trim, w in zip(ciss.event_id, native, trimmed, weights[0])
+    }
 
     n2 = counts.raw_of(SourceGroup.SHRP2_SC)
     n3 = counts.raw_of(SourceGroup.SHRP2_NSC)
-    n2_valid = len(by_group[SourceGroup.SHRP2_SC])
-    n3_valid = len(by_group[SourceGroup.SHRP2_NSC])
+    n2_valid = rows[SourceGroup.SHRP2_SC].size
+    n3_valid = rows[SourceGroup.SHRP2_NSC].size
     for group in (SourceGroup.SHRP2_SC, SourceGroup.SHRP2_NSC):
         w = shrp2_group_weight(n2, n3, n2_valid, n3_valid, group)
-        for e in by_group[group]:
-            provenance[e.event_id] = {"original": 1.0, "preprocessed": float(w)}
-            out.append(e.with_weight(float(w)))
+        weights.append(np.full(rows[group].size, w))
+        for event_id in events.event_id[rows[group]]:
+            provenance[event_id] = {"original": 1.0, "preprocessed": float(w)}
 
+    order = np.concatenate([rows[g] for g in CRASH_GROUPS])
     return WeightedDataset(
-        events=tuple(out),
+        events=events.take(order).with_weights(np.concatenate(weights)),
         stage=Stage.PREPROCESSED,
         counts=counts,
         provenance=provenance,
@@ -244,29 +222,28 @@ def build_plan(dataset: WeightedDataset) -> CombinePlan:
     counts = dataset.counts
     if counts is None:
         raise InputError("preprocessed dataset is missing group counts")
-    for group in CRASH_GROUPS:
-        if not dataset.group_events(group):
+    events = dataset.events
+    ciss, shrp2_sc, shrp2_nsc = (in_groups(events, g) for g in CRASH_GROUPS)
+    for group, rows in zip(CRASH_GROUPS, (ciss, shrp2_sc, shrp2_nsc)):
+        if not rows.any():
             raise EmptyGroup(group.value)
 
     n2 = counts.raw_of(SourceGroup.SHRP2_SC)
     n3 = counts.raw_of(SourceGroup.SHRP2_NSC)
     nonsevere_share = n3 / (n2 + n3)
 
-    shrp2_sc = dataset.group_events(SourceGroup.SHRP2_SC)
-    speed_split = max(e.v_c for e in shrp2_sc)
+    speed_split = events["v_c"][shrp2_sc].max()
+    fast = events["v_c"] > speed_split
 
-    ciss = dataset.group_events(SourceGroup.CISS_SC)
-    n1_valid = len(ciss)
-    highspeed_weight = sum(e.weight for e in ciss if e.v_c > speed_split)
+    # Python sums in row order, so the targets do not depend on numpy's
+    # pairwise summation
+    n1_valid = int(ciss.sum())
+    highspeed_weight = sum(events.weight[ciss & fast].tolist())
     highspeed_share = highspeed_weight / n1_valid
 
-    lowspeed_weight = sum(e.weight for e in shrp2_sc) + sum(
-        e.weight for e in ciss if e.v_c <= speed_split
-    )
+    lowspeed_weight = sum(events.weight[shrp2_sc].tolist()) + sum(events.weight[ciss & ~fast].tolist())
 
-    n2_valid = len(shrp2_sc)
-    n3_valid = len(dataset.group_events(SourceGroup.SHRP2_NSC))
-    combined_size = float(n1_valid + n2_valid + n3_valid)
+    combined_size = float(n1_valid + shrp2_sc.sum() + shrp2_nsc.sum())
 
     target_nonsevere = combined_size * nonsevere_share
     target_highspeed = combined_size * (1.0 - nonsevere_share) * highspeed_share
@@ -294,23 +271,21 @@ def reweight_combine(dataset: WeightedDataset, plan: CombinePlan) -> WeightedDat
     if plan.highspeed_weight <= 0 and plan.target_highspeed > 0:
         raise DegenerateSplit("high-speed branch has zero weight but a positive target")
 
-    n3_valid = len(dataset.group_events(SourceGroup.SHRP2_NSC))
-    out = []
-    for e in dataset.events:
-        if e.source_group is SourceGroup.SHRP2_NSC:
-            w = plan.target_nonsevere / n3_valid
-        elif e.source_group is SourceGroup.SHRP2_SC:
-            w = plan.target_lowspeed * e.weight / plan.lowspeed_weight
-        elif e.source_group is SourceGroup.CISS_SC:
-            if e.v_c > plan.speed_split:
-                w = plan.target_highspeed * e.weight / plan.highspeed_weight
-            else:
-                w = plan.target_lowspeed * e.weight / plan.lowspeed_weight
-        else:
-            raise InputError(f"unexpected group {e.source_group} at combine stage")
-        out.append(e.with_weight(float(w)))
+    events = dataset.events
+    ciss, shrp2_sc, shrp2_nsc = (in_groups(events, g) for g in CRASH_GROUPS)
+    unexpected = ~(ciss | shrp2_sc | shrp2_nsc)
+    if unexpected.any():
+        group = events.source_group[unexpected][0]
+        raise InputError(f"unexpected group {group} at combine stage")
+    high = ciss & (events["v_c"] > plan.speed_split)
+    low = ~shrp2_nsc & ~high
+    w = events.weight
+    weights = np.empty(len(events))
+    weights[shrp2_nsc] = plan.target_nonsevere / int(shrp2_nsc.sum()) if shrp2_nsc.any() else 0.0
+    weights[high] = plan.target_highspeed * w[high] / plan.highspeed_weight
+    weights[low] = plan.target_lowspeed * w[low] / plan.lowspeed_weight
     return WeightedDataset(
-        events=tuple(out),
+        events=events.with_weights(weights),
         stage=Stage.COMBINED_CRASH,
         counts=dataset.counts,
         provenance=dataset.provenance,
@@ -320,50 +295,21 @@ def reweight_combine(dataset: WeightedDataset, plan: CombinePlan) -> WeightedDat
 # --- near-crash merging -----------------------------------------------------
 
 
-def param_stats(
-    events: Sequence[EventParams], weights: Optional[np.ndarray] = None
-) -> Dict[str, Tuple[float, float]]:
+def param_stats(events: ParamTable) -> Dict[str, Tuple[float, float]]:
     """Weighted mean and SD per parameter (frequency-weight convention)."""
-    matrix = params_matrix(events)
-    w = event_weights(events) if weights is None else np.asarray(weights, dtype=float)
-    stats = {}
-    for j, name in enumerate(PARAM_NAMES):
-        stats[name] = (weighted_mean(matrix[:, j], w), weighted_sd(matrix[:, j], w))
-    return stats
+    return {
+        name: (weighted_mean(events[name], events.weight), weighted_sd(events[name], events.weight))
+        for name in PARAM_NAMES
+    }
 
 
-def standardized_distance(
-    a: EventParams,
-    b: EventParams,
-    stats: Mapping[str, Tuple[float, float]],
-    param_weights: Optional[Mapping[str, float]] = None,
-) -> float:
-    """Euclidean distance between the z-scored six-parameter vectors."""
-    total = 0.0
-    for name in PARAM_NAMES:
-        mean, sd = stats[name]
-        if not sd > 0:
-            raise ZeroVariance(f"parameter {name} has zero variance")
-        pw = 1.0 if param_weights is None else float(param_weights.get(name, 1.0))
-        za = (a.value(name) - mean) / sd
-        zb = (b.value(name) - mean) / sd
-        total += pw * (za - zb) ** 2
-    return float(np.sqrt(total))
-
-
-def _zscore_matrix(events, stats, names):
-    matrix = params_matrix(events)
-    cols = []
-    for name in names:
-        j = PARAM_NAMES.index(name)
-        mean, sd = stats[name]
-        cols.append((matrix[:, j] - mean) / sd)
-    return np.column_stack(cols)
+def _zscore_matrix(events: ParamTable, stats, names) -> np.ndarray:
+    return np.column_stack([(events[name] - stats[name][0]) / stats[name][1] for name in names])
 
 
 def merge_near_crashes(
     crashes: WeightedDataset,
-    near_crashes: Sequence[EventParams],
+    near_crashes: ParamTable,
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
     param_weights: Optional[Mapping[str, float]] = None,
 ) -> Tuple[WeightedDataset, MergeResult]:
@@ -372,9 +318,10 @@ def merge_near_crashes(
     Standardization statistics come from the combined crash dataset.  A
     crash hosting n near-crashes shares its weight equally among the n+1
     events; the host keeps the exact remainder so the split sums back to
-    the original weight.
+    the original weight.  The merged rows are the crashes sorted by id,
+    then the attached near-crashes in input order.
     """
-    if not crashes.events:
+    if not len(crashes.events):
         raise InputError("combined crash dataset is empty")
     if crashes.stage is not Stage.COMBINED_CRASH:
         raise InputError("merge_near_crashes requires a CombinedCrash dataset")
@@ -387,8 +334,11 @@ def merge_near_crashes(
     if not usable:
         raise ZeroVariance("every parameter is constant across crashes")
 
-    crash_events = sorted(crashes.events, key=lambda e: e.event_id)
-    z_crash = _zscore_matrix(crash_events, stats, usable)
+    ids = crashes.events.event_id
+    sorted_crashes = crashes.events.take(sorted(range(len(ids)), key=ids.__getitem__))
+    crash_ids = sorted_crashes.event_id.tolist()
+    z_crash = _zscore_matrix(sorted_crashes, stats, usable)
+    z_nc = _zscore_matrix(near_crashes, stats, usable)
     if param_weights is not None:
         pw = np.array([float(param_weights.get(n, 1.0)) for n in usable])
     else:
@@ -396,41 +346,31 @@ def merge_near_crashes(
 
     selected = []
     min_distances: Dict[str, float] = {}
-    attach: Dict[str, int] = {}
-    nearest: Dict[str, str] = {}
-    for nc in near_crashes:
-        z = _zscore_matrix([nc], stats, usable)[0]
-        d2 = np.square(z_crash - z) @ pw
-        i = int(np.argmin(d2))  # crash_events sorted by id; first wins ties
+    host = np.full(len(near_crashes), -1)  # index into sorted_crashes, -1 when not attached
+    for k, nc_id in enumerate(near_crashes.event_id.tolist()):
+        d2 = np.square(z_crash - z_nc[k]) @ pw
+        i = int(np.argmin(d2))  # crashes sorted by id; first wins ties
         d_min = float(np.sqrt(d2[i]))
-        min_distances[nc.event_id] = d_min
+        min_distances[nc_id] = d_min
         if d_min <= distance_threshold:
-            crash_id = crash_events[i].event_id
-            nearest[nc.event_id] = crash_id
-            attach[crash_id] = attach.get(crash_id, 0) + 1
-            selected.append((nc.event_id, crash_id, d_min))
+            host[k] = i
+            selected.append((nc_id, crash_ids[i], d_min))
 
-    out = []
-    for e in crash_events:
-        n_nc = attach.get(e.event_id, 0)
-        if n_nc == 0:
-            out.append(e)
-        else:
-            share = e.weight / (1 + n_nc)
-            # host keeps the residual, computed exactly so the group sums
-            # back to the original weight under compensated summation
-            host = float(Fraction(e.weight) - n_nc * Fraction(share))
-            out.append(e.with_weight(host))
-    crash_weight = {e.event_id: e.weight for e in crash_events}
-    for nc in near_crashes:
-        crash_id = nearest.get(nc.event_id)
-        if crash_id is None:
-            continue
-        share = crash_weight[crash_id] / (1 + attach[crash_id])
-        out.append(nc.with_weight(share))
-
+    attachments = np.bincount(host[host >= 0], minlength=len(crash_ids)).tolist()
+    crash_weight = sorted_crashes.weight.tolist()
+    share = [w / (1 + n) for w, n in zip(crash_weight, attachments)]
+    # the host keeps the residual, computed exactly so the group sums back to
+    # the original weight under compensated summation
+    host_weight = [
+        w if n == 0 else float(Fraction(w) - n * Fraction(s))
+        for w, n, s in zip(crash_weight, attachments, share)
+    ]
+    attached = np.flatnonzero(host >= 0)
     merged = WeightedDataset(
-        events=tuple(out),
+        events=ParamTable.concat([
+            sorted_crashes.with_weights(host_weight),
+            near_crashes.take(attached).with_weights([share[i] for i in host[attached]]),
+        ]),
         stage=Stage.COMBINED_INCIDENT,
         counts=crashes.counts,
         provenance=crashes.provenance,
@@ -438,7 +378,7 @@ def merge_near_crashes(
     result = MergeResult(
         selected=tuple(selected),
         distance_threshold=float(distance_threshold),
-        attachment_counts=attach,
+        attachment_counts={crash_ids[i]: n for i, n in enumerate(attachments) if n},
         min_distances=min_distances,
     )
     return merged, result
@@ -464,7 +404,7 @@ def distance_threshold_from_quantile(
     d2 = np.square(z[:, None, :] - z[None, :, :]).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     d_min = np.sqrt(d2.min(axis=1))
-    w = crashes.weights()
+    w = crashes.events.weight
     order = np.argsort(d_min)
     cum = np.cumsum(w[order]) / w.sum()
     idx = int(np.searchsorted(cum, quantile))

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,14 +69,15 @@ class SpeedProfile:
 
 @dataclass(frozen=True)
 class EventParams:
-    """Six-parameter description of a lead-vehicle speed profile.
+    """One parameter row: the six-parameter description of a lead-vehicle
+    speed profile, with its weight and provenance.
 
     Counted backward from time zero: an optional steady-speed phase of
     duration ``tau_s`` at speed ``v_c``, a constant-acceleration phase
     (``a1``, ``tau_1``) and an earlier constant-acceleration phase
     (``a2``, ``tau_2``).  Absent phases follow the zero-duration defaults
     (``tau_s = 0``; ``tau_1 = 0`` with ``a1 = 0``; ``tau_2 = 0`` with
-    ``a2 = a1``).
+    ``a2 = a1``).  Collections of rows are kept in a ``ParamTable``.
     """
 
     event_id: str
@@ -91,47 +92,75 @@ class EventParams:
     severity: Optional[Severity] = None
     native_weight: Optional[float] = None
 
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.v_c, self.a1, self.a2, self.tau_s, self.tau_1, self.tau_2],
-            dtype=float,
+
+def _objects(data, n: int, fill=None) -> np.ndarray:
+    """An object column; ``None`` gives n cells holding ``fill``."""
+    return np.full(n, fill, dtype=object) if data is None else np.asarray(data, dtype=object)
+
+
+class ParamTable:
+    """Parameter rows stored by column.
+
+    ``values`` is an (n, 6) float array in ``PARAM_NAMES`` order; ``weight``
+    (default 1), ``event_id`` (default ""), ``source_group``, ``severity``
+    and ``native_weight`` (default None) are parallel length-n columns.
+    ``table["v_c"]`` is one parameter's column; iterating yields the rows
+    as ``EventParams``.
+    """
+
+    __slots__ = ("values", "weight", "event_id", "source_group", "severity", "native_weight")
+
+    def __init__(self, values, weight=None, event_id=None, source_group=None, severity=None,
+                 native_weight=None):
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 2 or self.values.shape[1] != len(PARAM_NAMES):
+            raise ValueError(f"parameter values must have shape (n, 6), got {self.values.shape}")
+        n = len(self.values)
+        self.weight = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
+        self.event_id = _objects(event_id, n, "")
+        self.source_group = _objects(source_group, n)
+        self.severity = _objects(severity, n)
+        self.native_weight = _objects(native_weight, n)
+        shapes = {name: getattr(self, name).shape for name in self.__slots__[1:]}
+        if any(shape != (n,) for shape in shapes.values()):
+            raise ValueError(f"columns of unequal length for {n} rows: {shapes}")
+
+    @staticmethod
+    def from_rows(rows: Iterable[EventParams]) -> "ParamTable":
+        rows = list(rows)
+        values = np.array([[getattr(r, name) for name in PARAM_NAMES] for r in rows], dtype=float)
+        return ParamTable(
+            values.reshape(len(rows), len(PARAM_NAMES)),
+            [r.weight for r in rows],
+            [r.event_id for r in rows],
+            [r.source_group for r in rows],
+            [r.severity for r in rows],
+            [r.native_weight for r in rows],
         )
 
-    def value(self, name: str) -> float:
-        return float(getattr(self, name))
+    @staticmethod
+    def concat(tables: Sequence["ParamTable"]) -> "ParamTable":
+        """The rows of every table, in order."""
+        return ParamTable(*(np.concatenate([getattr(t, name) for t in tables])
+                            for name in ParamTable.__slots__))
 
-    def with_weight(self, weight: float) -> "EventParams":
-        return replace(self, weight=weight)
+    def __len__(self) -> int:
+        return len(self.values)
 
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[:, PARAM_NAMES.index(name)]
 
-def params_matrix(events: Sequence[EventParams]) -> np.ndarray:
-    """Stack events into an (n, 6) array in canonical parameter order."""
-    if not events:
-        return np.empty((0, len(PARAM_NAMES)))
-    return np.vstack([e.as_vector() for e in events])
+    def __iter__(self) -> Iterator[EventParams]:
+        for event_id, row, weight, group, severity, native in zip(
+            self.event_id, self.values.tolist(), self.weight.tolist(),
+            self.source_group, self.severity, self.native_weight,
+        ):
+            yield EventParams(event_id, *row, weight, group, severity, native)
 
+    def take(self, index) -> "ParamTable":
+        """The rows at ``index``: integer positions (kept in their order) or a boolean mask."""
+        return ParamTable(*(getattr(self, name)[index] for name in self.__slots__))
 
-def event_weights(events: Sequence[EventParams]) -> np.ndarray:
-    return np.array([e.weight for e in events], dtype=float)
-
-
-def from_vector(
-    vector: Sequence[float],
-    event_id: str = "",
-    weight: float = 1.0,
-    source_group: Optional[SourceGroup] = None,
-    severity: Optional[Severity] = None,
-) -> EventParams:
-    v_c, a1, a2, tau_s, tau_1, tau_2 = (float(v) for v in vector)
-    return EventParams(
-        event_id=event_id,
-        v_c=v_c,
-        a1=a1,
-        a2=a2,
-        tau_s=tau_s,
-        tau_1=tau_1,
-        tau_2=tau_2,
-        weight=weight,
-        source_group=source_group,
-        severity=severity,
-    )
+    def with_weights(self, weight) -> "ParamTable":
+        return ParamTable(self.values, weight, self.event_id, self.source_group, self.severity,
+                          self.native_weight)

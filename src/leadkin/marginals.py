@@ -102,6 +102,12 @@ class FittedDist:
     def from_json(doc: dict) -> "FittedDist":
         if doc["family"] not in _FAMILIES:
             raise InputError(f"unknown marginal family {doc['family']!r}")
+        names = _FAMILIES[doc["family"]].names
+        if sorted(doc["params"]) != sorted(names):
+            raise InputError(
+                f"{doc['family']} marginal has parameters {sorted(doc['params'])}, "
+                f"expected {sorted(names)}"
+            )
         affine = AffinePre(
             shift=float(doc["affine"]["shift"]), reflect=bool(doc["affine"]["reflect"])
         )

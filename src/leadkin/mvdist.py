@@ -21,7 +21,7 @@ from scipy import stats as sstats
 
 from .combine import WeightedDataset
 from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
-from .events import PARAM_NAMES, EventParams
+from .events import PARAM_NAMES, ParamTable
 from .marginals import (
     CONTINUOUS_FAMILIES,
     HURDLE_FAMILIES,
@@ -65,40 +65,41 @@ LABELS = {
 }
 
 
-def classify_pattern(a1: float, a2: float) -> Pattern:
-    if a1 == a2:
-        return Pattern.CONSTANT
-    return Pattern.INCREASING if a1 > a2 else Pattern.DECREASING
+def classify(table: ParamTable) -> np.ndarray:
+    """The sub-dataset id ("S1".."S7") of every row.
 
-
-def classify_event(e: EventParams) -> SubdatasetLabel:
-    """Assign an event to exactly one of the seven sub-datasets.
-
-    Boundary cases: constant-pattern events with a1 = 0 but nonzero speed go
-    to S2; increasing-pattern events with a1 exactly 0 close into S5.
+    The pattern is constant for a1 = a2, increasing for a1 > a2 and
+    decreasing otherwise.  Boundary cases: constant-pattern rows with a1 = 0
+    but nonzero speed go to S2; increasing-pattern rows with a1 exactly 0
+    close into S5.
     """
-    pattern = classify_pattern(e.a1, e.a2)
-    if pattern is Pattern.CONSTANT:
-        if e.v_c == 0.0 and e.a1 == 0.0:
-            return LABELS["S1"]
-        if e.tau_s > 0.0 and e.a1 != 0.0:
-            return LABELS["S3"]
-        return LABELS["S2"]
-    if pattern is Pattern.INCREASING:
-        if e.a1 == 0.0:
-            log.warning("event %r: increasing pattern with a1 = 0 assigned to S5", e.event_id)
-        return LABELS["S4"] if e.a1 < 0.0 else LABELS["S5"]
-    return LABELS["S6"] if e.tau_s == 0.0 else LABELS["S7"]
+    v_c, a1, a2, tau_s = (table[name] for name in ("v_c", "a1", "a2", "tau_s"))
+    constant = a1 == a2
+    increasing = a1 > a2
+    closed = int((increasing & (a1 == 0.0)).sum())
+    if closed:
+        log.warning("%d events: increasing pattern with a1 = 0 assigned to S5", closed)
+    return np.select(
+        [
+            constant & (v_c == 0.0) & (a1 == 0.0),
+            constant & (tau_s > 0.0) & (a1 != 0.0),
+            constant,
+            increasing & (a1 < 0.0),
+            increasing,
+            tau_s == 0.0,
+        ],
+        ["S1", "S3", "S2", "S4", "S5", "S6"],
+        default="S7",
+    )
 
 
 def categorize(dataset: WeightedDataset) -> Dict[SubdatasetLabel, WeightedDataset]:
-    """Partition a dataset by sub-dataset label; empty labels are omitted."""
-    buckets: Dict[SubdatasetLabel, list] = {}
-    for e in dataset.events:
-        buckets.setdefault(classify_event(e), []).append(e)
+    """Partition a dataset by sub-dataset label, keeping row order within
+    each; empty labels are omitted."""
+    ids = classify(dataset.events)
     return {
-        label: WeightedDataset(events=tuple(evts), stage=dataset.stage)
-        for label, evts in sorted(buckets.items(), key=lambda kv: kv[0].id)
+        LABELS[i]: WeightedDataset(events=dataset.events.take(ids == i), stage=dataset.stage)
+        for i in sorted(set(ids.tolist()))
     }
 
 
@@ -228,11 +229,9 @@ def split_on_point_mass(
     dataset: WeightedDataset, spec: PointMassSpec
 ) -> Tuple[WeightedDataset, WeightedDataset]:
     """Split events by whether the parameter equals its point-mass value."""
-    at_mass, off_mass = [], []
-    for e in dataset.events:
-        (at_mass if e.value(spec.parameter) == spec.mass_value else off_mass).append(e)
-    make = lambda evts: WeightedDataset(events=tuple(evts), stage=dataset.stage)
-    return make(at_mass), make(off_mass)
+    at_mass = dataset.events[spec.parameter] == spec.mass_value
+    make = lambda rows: WeightedDataset(events=dataset.events.take(rows), stage=dataset.stage)
+    return make(at_mass), make(~at_mass)
 
 
 # --- hurdle model -------------------------------------------------------------
@@ -328,9 +327,9 @@ class SplitCondition:
     op: str
     value: float
 
-    def check(self, e: EventParams) -> bool:
-        v = e.value(self.parameter)
-        return v == self.value if self.op == "eq" else v != self.value
+    def mask(self, table: ParamTable) -> np.ndarray:
+        column = table[self.parameter]
+        return column == self.value if self.op == "eq" else column != self.value
 
     def to_json(self) -> dict:
         return {"parameter": self.parameter, "op": self.op, "value": self.value}
@@ -425,7 +424,7 @@ def build_submodels(
     significantly and non-weakly correlated, in which case the data is split
     on the heavier mass and each side modeled from scratch.
     """
-    if not sub.events:
+    if not len(sub.events):
         raise ModelBuildFailed(f"sub-dataset {label.id} is empty")
     total = sub.total_weight if total_weight is None else float(total_weight)
     try:
@@ -435,9 +434,8 @@ def build_submodels(
 
 
 def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
-    events = sub.events
-    w = sub.weights()
-    matrix = sub.param_matrix()
+    w = sub.events.weight
+    matrix = sub.events.values
 
     constants: Dict[str, float] = {}
     copies: Dict[str, str] = {}
@@ -576,9 +574,9 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
 
 
 def _can_model(side: WeightedDataset) -> bool:
-    if not side.events:
+    if not len(side.events):
         return False
-    return effective_sample_size(side.weights()) >= _MIN_EFFECTIVE
+    return effective_sample_size(side.events.weight) >= _MIN_EFFECTIVE
 
 
 def build_all(dataset: WeightedDataset, cfg: ModelConfig = ModelConfig()) -> List[SubmodelBundle]:

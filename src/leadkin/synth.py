@@ -11,22 +11,15 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as sstats
 
 from .errors import RejectionCapExceeded
-from .events import (
-    GRAVITY,
-    MODEL_T_MIN,
-    PARAM_NAMES,
-    EventParams,
-    SpeedProfile,
-    from_vector,
-)
-from .mvdist import HurdleDist, SubmodelBundle, classify_event
+from .events import GRAVITY, MODEL_T_MIN, PARAM_NAMES, EventParams, ParamTable, SpeedProfile
+from .mvdist import HurdleDist, SubmodelBundle, classify
 from .pwl import sample_weights
 
 log = logging.getLogger(__name__)
@@ -48,62 +41,72 @@ class ConstraintSet:
     g_limit: float = GRAVITY
     full_window: bool = True
 
+    def rejection_reasons(self, table: ParamTable) -> np.ndarray:
+        """The failing constraint family of every row, "" where none fails.
+
+        Checked in order: range, |a| > g, negative reconstructed speed, then
+        the label and the bundle's splits; a row gets the first that fails.
+        The speed check reconstructs each profile, so it runs only on the
+        rows that pass the first two.
+        """
+        reasons = np.full(len(table), "", dtype=object)
+        nonnegative = np.column_stack([table[name] for name in ("v_c", "tau_s", "tau_1", "tau_2")])
+        reasons[(nonnegative < 0).any(axis=1)] = "range"
+        too_hard = (np.abs(table["a1"]) > self.g_limit) | (np.abs(table["a2"]) > self.g_limit)
+        reasons[(reasons == "") & too_hard] = "physical"
+        left = np.flatnonzero(reasons == "")
+        below = [min_profile_speed(row, self.full_window) < 0.0 for row in table.values[left].tolist()]
+        reasons[left[np.array(below, dtype=bool)]] = "physical"
+        left = np.flatnonzero(reasons == "")
+        rest = table.take(left)
+        fits = classify(rest) == self.bundle.label.id
+        for cond in self.bundle.splits:
+            fits &= cond.mask(rest)
+        reasons[left[~fits]] = "categorization"
+        return reasons
+
     def rejection_reason(self, e: EventParams) -> Optional[str]:
         """None when the event is acceptable, else the failing constraint family."""
-        if e.v_c < 0 or e.tau_s < 0 or e.tau_1 < 0 or e.tau_2 < 0:
-            return "range"
-        if abs(e.a1) > self.g_limit or abs(e.a2) > self.g_limit:
-            return "physical"
-        if min_profile_speed(e, full_window=self.full_window) < 0.0:
-            return "physical"
-        if classify_event(e).id != self.bundle.label.id:
-            return "categorization"
-        for cond in self.bundle.splits:
-            if not cond.check(e):
-                return "categorization"
-        return None
+        return self.rejection_reasons(ParamTable.from_rows([e]))[0] or None
 
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    events: tuple
+    events: ParamTable
     per_bundle_counts: Dict[str, int]
     rejections: Dict[str, Dict[str, int]]  # bundle_id -> reason -> count
     seed: Optional[int]
     bundle_ids: tuple  # the bundle each event was drawn from, parallel to events
 
-    def weights(self) -> np.ndarray:
-        return np.ones(len(self.events))
-
 
 # --- profile reconstruction ---------------------------------------------------
 
 
-def _profile_vertices(e: EventParams) -> Tuple[np.ndarray, np.ndarray]:
+def _profile_vertices(v_c, a1, a2, tau_s, tau_1, tau_2) -> Tuple[np.ndarray, np.ndarray]:
     """Polyline knots of the reconstructed speed profile on [-5, 0].
 
     Built backward from time zero; the earliest modeled segment's slope is
     extended back to -5 s when the phases do not fill the window, and the
     polyline is truncated at -5 s when they exceed it.
     """
-    ts = [0.0, -e.tau_s]
-    vs = [e.v_c, e.v_c]
-    v = e.v_c
-    if e.tau_1 > 0:
-        v = v - e.a1 * e.tau_1
-        ts.append(-(e.tau_s + e.tau_1))
+    ts = [0.0, -tau_s]
+    vs = [v_c, v_c]
+    v = v_c
+    if tau_1 > 0:
+        v = v - a1 * tau_1
+        ts.append(-(tau_s + tau_1))
         vs.append(v)
-    if e.tau_2 > 0:
-        v = v - e.a2 * e.tau_2
-        ts.append(-(e.tau_s + e.tau_1 + e.tau_2))
+    if tau_2 > 0:
+        v = v - a2 * tau_2
+        ts.append(-(tau_s + tau_1 + tau_2))
         vs.append(v)
 
     # extend the earliest slope back to the window start
     if ts[-1] > MODEL_T_MIN:
-        if e.tau_2 > 0:
-            slope = e.a2
-        elif e.tau_1 > 0:
-            slope = e.a1
+        if tau_2 > 0:
+            slope = a2
+        elif tau_1 > 0:
+            slope = a1
         else:
             slope = 0.0
         vs.append(vs[-1] - slope * (ts[-1] - MODEL_T_MIN))
@@ -123,12 +126,14 @@ def _profile_vertices(e: EventParams) -> Tuple[np.ndarray, np.ndarray]:
     return ts, vs
 
 
-def min_profile_speed(e: EventParams, full_window: bool = True) -> float:
-    """Minimum reconstructed speed, over the whole modeling window by
-    default or over the modeled phases only."""
-    ts, vs = _profile_vertices(e)
+def min_profile_speed(params: Sequence[float], full_window: bool = True) -> float:
+    """Minimum reconstructed speed of the six parameters (in ``PARAM_NAMES``
+    order), over the whole modeling window by default or over the modeled
+    phases only."""
+    ts, vs = _profile_vertices(*params)
     if not full_window:
-        start = max(-(e.tau_s + e.tau_1 + e.tau_2), MODEL_T_MIN)
+        _, _, _, tau_s, tau_1, tau_2 = params
+        start = max(-(tau_s + tau_1 + tau_2), MODEL_T_MIN)
         keep = ts >= start - 1e-12
         vs = vs[keep]
     return float(vs.min())
@@ -138,7 +143,7 @@ def params_to_profile(e: EventParams, dt: float = 0.1) -> SpeedProfile:
     """Sample the reconstructed profile on a dt grid over [-5, 0]."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ts, vs = _profile_vertices(e)
+    ts, vs = _profile_vertices(e.v_c, e.a1, e.a2, e.tau_s, e.tau_1, e.tau_2)
     steps = int(np.floor(-MODEL_T_MIN / dt + 1e-9))
     grid = MODEL_T_MIN + dt * np.arange(steps + 1)
     speeds = np.interp(grid, ts, vs)
@@ -166,7 +171,7 @@ def sample_submodel(
     bundle: SubmodelBundle,
     n: int,
     seed=None,
-) -> List[EventParams]:
+) -> ParamTable:
     """Draw n raw parameter vectors from a bundle (no constraint filtering)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     columns: Dict[str, np.ndarray] = {}
@@ -196,23 +201,14 @@ def sample_submodel(
     for name, value in bundle.constants.items():
         columns[name] = np.full(n, value)
 
-    matrix = np.column_stack([columns[name] for name in PARAM_NAMES])
-    return [from_vector(row) for row in matrix]
+    return ParamTable(np.column_stack([columns[name] for name in PARAM_NAMES]))
 
 
-def filter_valid(
-    events: Sequence[EventParams], constraints: ConstraintSet
-) -> Tuple[List[EventParams], Counter]:
-    """Split draws into accepted events and per-reason rejection tallies."""
-    accepted: List[EventParams] = []
-    rejected: Counter = Counter()
-    for e in events:
-        reason = constraints.rejection_reason(e)
-        if reason is None:
-            accepted.append(e)
-        else:
-            rejected[reason] += 1
-    return accepted, rejected
+def filter_valid(draws: ParamTable, constraints: ConstraintSet) -> Tuple[ParamTable, Counter]:
+    """Split draws into the accepted rows (in draw order) and per-reason
+    rejection tallies."""
+    reasons = constraints.rejection_reasons(draws)
+    return draws.take(reasons == ""), Counter(reasons[reasons != ""].tolist())
 
 
 def _apportion(shares: np.ndarray, total: int) -> np.ndarray:
@@ -247,7 +243,7 @@ def assemble_synthetic(
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(len(bundles))
 
-    all_events: List[EventParams] = []
+    accepted: List[np.ndarray] = []  # parameter rows, bundle by bundle
     bundle_ids: List[str] = []
     per_bundle: Dict[str, int] = {}
     rejections: Dict[str, Dict[str, int]] = {}
@@ -255,27 +251,26 @@ def assemble_synthetic(
         rng = np.random.default_rng(stream)
         constraints = ConstraintSet(bundle=bundle)
         cap = max(retry_factor * int(target), 1000)
-        accepted: List[EventParams] = []
         tally: Counter = Counter()
-        drawn = 0
-        while len(accepted) < target:
-            remaining = target - len(accepted)
-            batch = min(max(64, 2 * remaining), cap - drawn)
+        drawn = got = 0
+        while got < target:
+            batch = min(max(64, 2 * (target - got)), cap - drawn)
             if batch <= 0:
                 dominant = tally.most_common(1)[0][0] if tally else "none"
-                raise RejectionCapExceeded(bundle.bundle_id, dominant, drawn, len(accepted))
+                raise RejectionCapExceeded(bundle.bundle_id, dominant, drawn, got)
             draws = sample_submodel(bundle, batch, seed=rng)
             ok, rej = filter_valid(draws, constraints)
-            accepted.extend(ok[: target - len(accepted)])
+            accepted.append(ok.values[: target - got])
+            got += len(accepted[-1])
             tally.update(rej)
             drawn += batch
         per_bundle[bundle.bundle_id] = int(target)
         rejections[bundle.bundle_id] = {r: int(tally.get(r, 0)) for r in _REASONS}
-        all_events.extend(accepted)
-        bundle_ids.extend([bundle.bundle_id] * len(accepted))
+        bundle_ids.extend([bundle.bundle_id] * got)
 
+    values = np.concatenate(accepted) if accepted else np.empty((0, len(PARAM_NAMES)))
     return SyntheticDataset(
-        events=tuple(replace(e, event_id=f"syn-{i:06d}") for i, e in enumerate(all_events)),
+        events=ParamTable(values, event_id=[f"syn-{i:06d}" for i in range(len(values))]),
         per_bundle_counts=per_bundle,
         rejections=rejections,
         seed=seed if isinstance(seed, int) else None,

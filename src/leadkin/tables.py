@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from .errors import InputError
-from .events import PARAM_NAMES, EventParams, Severity, SourceGroup
+from .events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 from .synth import SyntheticDataset
 
 PathLike = Union[str, Path]
@@ -56,7 +56,7 @@ def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence[st
 
 
 def _param_cells(e: EventParams) -> List[str]:
-    return [repr(e.value(name)) for name in PARAM_NAMES]
+    return [repr(float(getattr(e, name))) for name in PARAM_NAMES]
 
 
 def _event_cells(e: EventParams) -> List[str]:
@@ -138,10 +138,10 @@ def write_params_csv(path: PathLike, rows: Sequence[dict]) -> None:
     ))
 
 
-def read_params_csv(path: PathLike, only_valid: bool = True) -> List[EventParams]:
+def read_params_csv(path: PathLike, only_valid: bool = True) -> ParamTable:
     """Read a parameter table; tolerates the minimal published format."""
     rows = _read_rows(path, native_weight=True)
-    return [r.event for r in rows if r.valid or not only_valid]
+    return ParamTable.from_rows(r.event for r in rows if r.valid or not only_valid)
 
 
 def write_counts_json(path: PathLike, counts: GroupCounts) -> None:
@@ -183,7 +183,7 @@ def read_combined_csv(path: PathLike) -> WeightedDataset:
     if len(stages) > 1:
         raise InputError(f"{path}: mixed stages: {', '.join(sorted(s.value for s in stages))}")
     stage = stages.pop() if stages else Stage.COMBINED_INCIDENT
-    return WeightedDataset(events=tuple(r.event for r in rows), stage=stage)
+    return WeightedDataset(events=ParamTable.from_rows(r.event for r in rows), stage=stage)
 
 
 def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset) -> None:
@@ -196,7 +196,7 @@ def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset) -> None:
 def read_synthetic_csv(path: PathLike) -> SyntheticDataset:
     rows = _read_rows(path)
     return SyntheticDataset(
-        events=tuple(r.event for r in rows),
+        events=ParamTable.from_rows(r.event for r in rows),
         per_bundle_counts={},
         rejections={},
         seed=None,

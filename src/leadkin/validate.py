@@ -10,14 +10,14 @@ recomputed for each permutation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .combine import WeightedDataset
 from .errors import EmptyInput, EmptyReps, LeadkinError
-from .events import PARAM_NAMES, event_weights, params_matrix
+from .events import PARAM_NAMES
 from .mvdist import ModelConfig, build_all
 from .synth import SyntheticDataset, assemble_synthetic
 from .wstats import weighted_mean, weighted_sd
@@ -138,18 +138,16 @@ def weighted_ks_test(
 def describe(dataset) -> Dict[str, Tuple[float, float]]:
     """Weighted mean and SD of each parameter.
 
-    Accepts a WeightedDataset, a SyntheticDataset (unit weights), or any
-    object with ``events``.
+    Accepts a WeightedDataset, a SyntheticDataset (unit weights), or a
+    ParamTable.
     """
-    events = getattr(dataset, "events", dataset)
-    if not events:
+    table = getattr(dataset, "events", dataset)
+    if not len(table):
         raise EmptyInput("dataset has no events")
-    matrix = params_matrix(events)
-    weights = event_weights(events)
-    out = {}
-    for j, name in enumerate(PARAM_NAMES):
-        out[name] = (weighted_mean(matrix[:, j], weights), weighted_sd(matrix[:, j], weights))
-    return out
+    return {
+        name: (weighted_mean(table[name], table.weight), weighted_sd(table[name], table.weight))
+        for name in PARAM_NAMES
+    }
 
 
 def compare_datasets(
@@ -162,16 +160,13 @@ def compare_datasets(
     """Per-parameter mean/SD plus weighted KS statistic and p-value."""
     raw_stats = describe(raw)
     syn_stats = describe(synthetic)
-    raw_matrix = params_matrix(raw.events)
-    raw_w = raw.weights()
-    syn_matrix = params_matrix(synthetic.events)
     rng = np.random.default_rng(seed)
     report = {}
-    for j, name in enumerate(PARAM_NAMES):
+    for name in PARAM_NAMES:
         ks = weighted_ks_test(
-            raw_matrix[:, j],
-            raw_w,
-            syn_matrix[:, j],
+            raw.events[name],
+            raw.events.weight,
+            synthetic.events[name],
             None,
             n_perm=n_perm,
             seed=rng.integers(2**63),
@@ -215,7 +210,6 @@ def bootstrap_robustness(
 
     bundles_full = build_all(dataset, cfg)
     reference = assemble_synthetic(bundles_full, n_reference, seed=ref_seed)
-    ref_matrix = params_matrix(reference.events)
 
     n = len(dataset.events)
     proportions: Dict[float, Dict[str, float]] = {}
@@ -230,7 +224,7 @@ def bootstrap_robustness(
             stream = next(seed_iter)
             rng = np.random.default_rng(stream)
             idx = rng.choice(n, size=size, replace=False)
-            sub = dataset.subset(sorted(idx))
+            sub = replace(dataset, events=dataset.events.take(np.sort(idx)))
             try:
                 bundles = build_all(sub, cfg)
                 syn = assemble_synthetic(bundles, n_synth, seed=rng)
@@ -238,13 +232,12 @@ def bootstrap_robustness(
                 log.warning("bootstrap rep failed (fraction %.2f): %s", fraction, exc)
                 failed += 1
                 continue
-            syn_matrix = params_matrix(syn.events)
             p_values = {}
-            for j, name in enumerate(PARAM_NAMES):
+            for name in PARAM_NAMES:
                 ks = weighted_ks_test(
-                    syn_matrix[:, j],
+                    syn.events[name],
                     None,
-                    ref_matrix[:, j],
+                    reference.events[name],
                     None,
                     n_perm=n_perm,
                     seed=rng.integers(2**63),

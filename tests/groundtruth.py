@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from leadkin.combine import Stage, WeightedDataset
-from leadkin.events import SpeedProfile
+from leadkin.events import ParamTable, SpeedProfile
 from leadkin.marginals import FittedDist
 from leadkin.mvdist import (
     LABELS,
@@ -204,4 +204,4 @@ def ground_truth_corpus(seed: int = 20240, counts=(90, 120, 90)) -> WeightedData
         weighted.append(
             replace(e, event_id=f"gt-{i:04d}", weight=float(rng.uniform(0.5, 1.5)))
         )
-    return WeightedDataset(events=tuple(weighted), stage=Stage.COMBINED_INCIDENT)
+    return WeightedDataset(events=ParamTable.from_rows(weighted), stage=Stage.COMBINED_INCIDENT)

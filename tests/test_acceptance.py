@@ -25,7 +25,7 @@ from leadkin.combine import (
     reweight_combine,
 )
 from leadkin.demo import make_demo_events
-from leadkin.events import EventParams, PARAM_NAMES, Severity, SourceGroup, from_vector, params_matrix
+from leadkin.events import EventParams, PARAM_NAMES, ParamTable, Severity, SourceGroup
 from leadkin.mvdist import build_all
 from leadkin.pwl import FitConfig, fit_event
 from leadkin.synth import assemble_synthetic
@@ -85,7 +85,7 @@ def test_c1_combination_algebra_oracle():
             valid={SourceGroup.CISS_SC: 49, SourceGroup.SHRP2_SC: 20, SourceGroup.SHRP2_NSC: 63},
         )
         start = time.perf_counter()
-        pre = preprocess(events, counts)
+        pre = preprocess(ParamTable.from_rows(events), counts)
         plan = build_plan(pre)
         combined = reweight_combine(pre, plan)
         elapsed = time.perf_counter() - start
@@ -153,16 +153,13 @@ def test_c4_round_trip_distribution_fidelity(distribution_corpus, full_synthetic
         start = time.perf_counter()
         bundles, synthetic = full_synthetic
         raw = distribution_corpus
-        raw_matrix = params_matrix(raw.events)
-        raw_weights = raw.weights()
-        syn_matrix = params_matrix(synthetic.events)
 
         raw_stats = describe(raw)
         syn_stats = describe(synthetic)
         rng = np.random.default_rng(4242)
-        for j, name in enumerate(PARAM_NAMES):
+        for name in PARAM_NAMES:
             result = weighted_ks_test(
-                raw_matrix[:, j], raw_weights, syn_matrix[:, j], None,
+                raw.events[name], raw.events.weight, synthetic.events[name], None,
                 n_perm=2000, seed=rng.integers(2**63),
             )
             assert result.p_value >= 0.10, f"{name}: p={result.p_value:.4f} D={result.statistic:.4f}"
@@ -205,36 +202,34 @@ def test_c6_merge_weight_conservation():
             crashes = []
             for i in range(n_crash):
                 crashes.append(
-                    from_vector(
-                        [
-                            rng.uniform(0, 10),
-                            rng.normal(-2, 1),
-                            rng.normal(-1, 1),
-                            rng.uniform(0, 2),
-                            rng.uniform(0.5, 4),
-                            rng.uniform(0, 2),
-                        ],
-                        event_id=f"crash-{i:03d}",
+                    EventParams(
+                        f"crash-{i:03d}",
+                        rng.uniform(0, 10),
+                        rng.normal(-2, 1),
+                        rng.normal(-1, 1),
+                        rng.uniform(0, 2),
+                        rng.uniform(0.5, 4),
+                        rng.uniform(0, 2),
                         weight=float(rng.uniform(0.2, 3.0)),
                         source_group=SourceGroup.SHRP2_NSC,
                         severity=Severity.NON_SEVERE,
                     )
                 )
-            dataset = WeightedDataset(events=tuple(crashes), stage=Stage.COMBINED_CRASH)
+            dataset = WeightedDataset(events=ParamTable.from_rows(crashes), stage=Stage.COMBINED_CRASH)
             ncs = []
             for k in range(int(rng.integers(5, 40))):
-                host = crashes[int(rng.integers(0, n_crash))]
+                host = dataset.events.values[int(rng.integers(0, n_crash))]
                 jitter = rng.uniform(0, 0.4)
                 ncs.append(
-                    from_vector(
-                        host.as_vector() + jitter * rng.normal(size=6),
-                        event_id=f"nc-{k:03d}",
+                    EventParams(
+                        f"nc-{k:03d}",
+                        *(host + jitter * rng.normal(size=6)),
                         weight=1.0,
                         source_group=SourceGroup.SHRP2_NC,
                         severity=Severity.NONE,
                     )
                 )
-            merged, result = merge_near_crashes(dataset, ncs, distance_threshold=0.78)
+            merged, result = merge_near_crashes(dataset, ParamTable.from_rows(ncs), distance_threshold=0.78)
 
             assert abs(merged.total_weight - dataset.total_weight) < 1e-9
             original = {e.event_id: e.weight for e in crashes}
@@ -285,12 +280,10 @@ def test_c8_published_dataset_reproduction():
 
         bundles = build_all(dataset)
         synthetic = assemble_synthetic(bundles, 10000, seed=1)
-        matrix = params_matrix(dataset.events)
-        weights = dataset.weights()
-        syn_matrix = params_matrix(synthetic.events)
         for j, name in enumerate(PARAM_NAMES):
             result = weighted_ks_test(
-                matrix[:, j], weights, syn_matrix[:, j], None, n_perm=2000, seed=j
+                dataset.events[name], dataset.events.weight, synthetic.events[name], None,
+                n_perm=2000, seed=j,
             )
             assert result.p_value > 0.10
 

@@ -6,7 +6,7 @@ from groundtruth import ground_truth_bundles
 from leadkin.cli import PipelineConfig, main, run_pipeline
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.demo import make_demo_events
-from leadkin.events import Severity, SourceGroup, from_vector
+from leadkin.events import EventParams, ParamTable, Severity, SourceGroup
 from leadkin.mvdist import bundles_to_json
 from leadkin.synth import SyntheticDataset
 from leadkin.tables import read_synthetic_csv, write_combined_csv, write_params_csv, write_synthetic_csv
@@ -114,15 +114,16 @@ def _corrupt_csv(path, column, value):
 @pytest.fixture
 def tables_dir(tmp_path):
     events = [
-        from_vector([3.0 + i, -2.0, -1.0, 0.5, 2.0, 1.0], event_id=f"e{i}", weight=1.5,
+        EventParams(f"e{i}", 3.0 + i, -2.0, -1.0, 0.5, 2.0, 1.0, weight=1.5,
                     source_group=SourceGroup.SHRP2_NSC, severity=Severity.NON_SEVERE)
         for i in range(3)
     ]
     write_params_csv(tmp_path / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
-    write_combined_csv(tmp_path / "combined.csv", WeightedDataset(tuple(events), Stage.COMBINED_INCIDENT))
+    table = ParamTable.from_rows(events)
+    write_combined_csv(tmp_path / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))
     write_synthetic_csv(
         tmp_path / "synthetic.csv",
-        SyntheticDataset(tuple(events), {}, {}, None, bundle_ids=("S1",) * len(events)),
+        SyntheticDataset(table, {}, {}, None, bundle_ids=("S1",) * len(events)),
     )
     return tmp_path
 
@@ -170,6 +171,39 @@ def test_malformed_model_exits_2(tmp_path, text):
     model = tmp_path / "model.json"
     model.write_text(text(_model_doc()))
     assert main(["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]) == 2
+
+
+def _drop_scale(params):
+    del params["scale"]
+
+
+def _add_shape(params):
+    params["shape"] = 2.0
+
+
+@pytest.mark.parametrize("edit", [_drop_scale, _add_shape], ids=["missing", "extra"])
+def test_marginal_parameter_names_checked(tmp_path, capsys, edit):
+    doc = _model_doc()
+    marginal = doc["bundles"][0]["correlated"]["marginals"][1]
+    assert marginal["family"] == "normal"
+    edit(marginal["params"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    argv = ["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    assert "normal marginal has parameters" in capsys.readouterr().err
+
+
+def test_generate_logs_rejection_tallies(tmp_path, caplog):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc()))
+    argv = ["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        assert main(argv) == 0
+    lines = [r.getMessage() for r in caplog.records if "bundle" in r.getMessage()]
+    assert [line.split(":")[1].strip() for line in lines] == ["bundle S2", "bundle S4", "bundle S7"]
+    assert lines[0].startswith("generate: bundle S2: 15 accepted, rejected {'range': ")
+    assert all("'physical': " in line and "'categorization': " in line for line in lines)
 
 
 def test_well_formed_model_generates(tmp_path):

@@ -14,13 +14,13 @@ from leadkin.combine import (
     preprocess,
     reweight_combine,
     scale_weights,
+    in_groups,
     shrp2_group_weight,
-    standardized_distance,
     trim_cutpoint,
     trim_weights,
 )
-from leadkin.errors import EmptyGroup, ZeroVariance
-from leadkin.events import EventParams, Severity, SourceGroup
+from leadkin.errors import EmptyGroup
+from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 
 
 def event(event_id, group, v_c, weight=1.0, native=None, **kw):
@@ -112,7 +112,7 @@ def micro_dataset():
 class TestPlanAndReweight:
     def test_micro_dataset_hand_algebra(self):
         events, counts = micro_dataset()
-        pre = preprocess(events, counts)
+        pre = preprocess(ParamTable.from_rows(events), counts)
         plan = build_plan(pre)
         assert plan.nonsevere_share == pytest.approx(0.5)
         assert plan.speed_split == pytest.approx(5.0)
@@ -128,7 +128,7 @@ class TestPlanAndReweight:
     def test_no_highspeed_puts_all_mass_low(self):
         events, counts = micro_dataset()
         events[0] = event("c0", SourceGroup.CISS_SC, 4.5, native=1.0)
-        pre = preprocess(events, counts)
+        pre = preprocess(ParamTable.from_rows(events), counts)
         plan = build_plan(pre)
         assert plan.highspeed_share == 0.0
         combined = reweight_combine(pre, plan)
@@ -147,8 +147,9 @@ class TestPlanAndReweight:
             raw={SourceGroup.CISS_SC: 15, SourceGroup.SHRP2_SC: 7, SourceGroup.SHRP2_NSC: 13},
             valid={SourceGroup.CISS_SC: 12, SourceGroup.SHRP2_SC: 6, SourceGroup.SHRP2_NSC: 9},
         )
-        pre = preprocess(events, counts)
-        assert sum(e.weight for e in pre.group_events(SourceGroup.CISS_SC)) == pytest.approx(12.0, abs=1e-9)
+        pre = preprocess(ParamTable.from_rows(events), counts)
+        ciss = in_groups(pre.events, SourceGroup.CISS_SC)
+        assert pre.events.weight[ciss].sum() == pytest.approx(12.0, abs=1e-9)
         total_shrp2 = sum(
             e.weight for e in pre.events if e.source_group is not SourceGroup.CISS_SC
         )
@@ -174,7 +175,7 @@ class TestPlanAndReweight:
         events, counts = micro_dataset()
         events = [e for e in events if e.source_group is not SourceGroup.SHRP2_SC]
         with pytest.raises(EmptyGroup):
-            preprocess(events, counts)
+            preprocess(ParamTable.from_rows(events), counts)
 
     def test_reference_share_values(self):
         # 49/20/63 valid and 52/24/106 raw reproduce the documented shares
@@ -190,41 +191,10 @@ class TestPlanAndReweight:
             events.append(event(f"s{i}", SourceGroup.SHRP2_SC, rng.uniform(0, 7.9)))
         for i in range(63):
             events.append(event(f"n{i}", SourceGroup.SHRP2_NSC, rng.uniform(0, 6)))
-        pre = preprocess(events, counts)
+        pre = preprocess(ParamTable.from_rows(events), counts)
         plan = build_plan(pre)
         assert plan.nonsevere_share == pytest.approx(106 / 130, abs=1e-12)
         assert plan.combined_size == 132.0
-
-
-class TestStandardizedDistance:
-    def stats(self):
-        return {name: (0.0, 1.0) for name in ("v_c", "a1", "a2", "tau_s", "tau_1", "tau_2")}
-
-    def test_identical_events(self):
-        a = event("a", SourceGroup.SHRP2_NC, 3.0)
-        assert standardized_distance(a, a, self.stats()) == 0.0
-
-    def test_one_sd_apart(self):
-        a = event("a", SourceGroup.SHRP2_NC, 3.0)
-        b = event("b", SourceGroup.SHRP2_NC, 4.0)
-        assert standardized_distance(a, b, self.stats()) == pytest.approx(1.0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        stats = {k: (float(rng.normal()), float(rng.uniform(0.5, 2))) for k in self.stats()}
-        a = event("a", SourceGroup.SHRP2_NC, 3.0, a1=-2.0, tau_1=1.0)
-        b = event("b", SourceGroup.SHRP2_NC, 5.0, a1=-0.5, tau_1=3.0)
-        assert standardized_distance(a, b, stats) == pytest.approx(
-            standardized_distance(b, a, stats)
-        )
-
-    def test_zero_variance_raises(self):
-        stats = self.stats()
-        stats["tau_2"] = (0.0, 0.0)
-        a = event("a", SourceGroup.SHRP2_NC, 3.0)
-        b = event("b", SourceGroup.SHRP2_NC, 4.0)
-        with pytest.raises(ZeroVariance):
-            standardized_distance(a, b, stats)
 
 
 def crash_dataset(rng, n=8):
@@ -243,7 +213,7 @@ def crash_dataset(rng, n=8):
                 tau_2=float(rng.uniform(0, 2)),
             )
         )
-    return WeightedDataset(events=tuple(events), stage=Stage.COMBINED_CRASH)
+    return WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_CRASH)
 
 
 def near_crash_like(crash, event_id, jitter, rng):
@@ -265,9 +235,9 @@ class TestMergeNearCrashes:
     def test_weight_split_with_one_attachment(self):
         rng = np.random.default_rng(11)
         crashes = crash_dataset(rng)
-        host = crashes.events[0]
+        host = list(crashes.events)[0]
         nc = near_crash_like(host, "nc-0", 0.01, rng)
-        merged, result = merge_near_crashes(crashes, [nc], distance_threshold=0.78)
+        merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), distance_threshold=0.78)
         assert result.attachment_counts == {host.event_id: 1}
         by_id = {e.event_id: e for e in merged.events}
         assert by_id[host.event_id].weight == pytest.approx(host.weight / 2)
@@ -277,12 +247,11 @@ class TestMergeNearCrashes:
     def test_distant_near_crash_excluded(self):
         rng = np.random.default_rng(12)
         crashes = crash_dataset(rng)
-        nc = near_crash_like(crashes.events[0], "nc-0", 0.0, rng)
         nc = EventParams(
             "nc-far", 50.0, 5.0, 5.0, 10.0, 10.0, 10.0,
             weight=1.0, source_group=SourceGroup.SHRP2_NC, severity=Severity.NONE,
         )
-        merged, result = merge_near_crashes(crashes, [nc], distance_threshold=0.78)
+        merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), distance_threshold=0.78)
         assert result.selected == ()
         assert merged.total_weight == pytest.approx(crashes.total_weight, abs=1e-12)
         assert len(merged.events) == len(crashes.events)
@@ -290,8 +259,8 @@ class TestMergeNearCrashes:
     def test_split_weights_sum_exactly(self):
         rng = np.random.default_rng(13)
         crashes = crash_dataset(rng, n=5)
-        host = crashes.events[2]
-        ncs = [near_crash_like(host, f"nc-{k}", 0.005, rng) for k in range(3)]
+        host = list(crashes.events)[2]
+        ncs = ParamTable.from_rows(near_crash_like(host, f"nc-{k}", 0.005, rng) for k in range(3))
         merged, result = merge_near_crashes(crashes, ncs, distance_threshold=0.78)
         assert result.attachment_counts[host.event_id] == 3
         group = [e.weight for e in merged.events if e.event_id == host.event_id]
@@ -301,9 +270,10 @@ class TestMergeNearCrashes:
     def test_total_weight_conserved(self):
         rng = np.random.default_rng(14)
         crashes = crash_dataset(rng, n=10)
-        ncs = []
-        for k in range(12):
-            ncs.append(near_crash_like(crashes.events[k % 10], f"nc-{k}", 0.3, rng))
+        hosts = list(crashes.events)
+        ncs = ParamTable.from_rows(
+            near_crash_like(hosts[k % 10], f"nc-{k}", 0.3, rng) for k in range(12)
+        )
         merged, _ = merge_near_crashes(crashes, ncs)
         assert merged.total_weight == pytest.approx(crashes.total_weight, abs=1e-9)
         assert merged.stage is Stage.COMBINED_INCIDENT
@@ -312,24 +282,24 @@ class TestMergeNearCrashes:
         # weight splitting keeps each parameter's weighted distribution
         # nearly unchanged when similar near-crashes join a decently sized
         # crash corpus
-        from leadkin.events import PARAM_NAMES, event_weights, params_matrix
         from leadkin.validate import weighted_ks_test
 
         for seed in (0, 1, 2, 3, 4):
             rng = np.random.default_rng(seed)
             n_crash = int(rng.integers(60, 140))
             crashes = crash_dataset(rng, n=n_crash)
+            hosts = list(crashes.events)
             ncs = []
             for k in range(int(rng.integers(30, int(1.5 * n_crash)))):
-                host = crashes.events[int(rng.integers(0, n_crash))]
+                host = hosts[int(rng.integers(0, n_crash))]
                 ncs.append(near_crash_like(host, f"nc-{k}", float(rng.uniform(0, 0.3)), rng))
-            merged, _ = merge_near_crashes(crashes, ncs, distance_threshold=0.78)
-            for j in range(len(PARAM_NAMES)):
+            merged, _ = merge_near_crashes(crashes, ParamTable.from_rows(ncs), distance_threshold=0.78)
+            for name in PARAM_NAMES:
                 result = weighted_ks_test(
-                    params_matrix(crashes.events)[:, j],
-                    event_weights(crashes.events),
-                    params_matrix(merged.events)[:, j],
-                    event_weights(merged.events),
+                    crashes.events[name],
+                    crashes.events.weight,
+                    merged.events[name],
+                    merged.events.weight,
                     n_perm=1,
                     seed=0,
                 )
@@ -342,15 +312,13 @@ class TestMergeNearCrashes:
 
         rng = np.random.default_rng(15)
         crashes = crash_dataset(rng, n=6)
-        ncs = [near_crash_like(c, f"nc-{i}", 0.0, rng) for i, c in enumerate(crashes.events)]
+        ncs = ParamTable.from_rows(
+            near_crash_like(c, f"nc-{i}", 0.0, rng) for i, c in enumerate(crashes.events)
+        )
         merged, result = merge_near_crashes(crashes, ncs)
         assert len(result.selected) == 6
         for name in ("v_c", "a1", "tau_1"):
-            before = weighted_ecdf(
-                [e.value(name) for e in crashes.events], [e.weight for e in crashes.events]
-            )
-            after = weighted_ecdf(
-                [e.value(name) for e in merged.events], [e.weight for e in merged.events]
-            )
+            before = weighted_ecdf(crashes.events[name], crashes.events.weight)
+            after = weighted_ecdf(merged.events[name], merged.events.weight)
             for x in before.support:
                 assert after.evaluate(x) == pytest.approx(before.evaluate(x), abs=1e-12)

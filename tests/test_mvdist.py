@@ -5,7 +5,7 @@ from scipy.stats import pearsonr
 from groundtruth import ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.errors import ZeroVariance
-from leadkin.events import from_vector
+from leadkin.events import EventParams, ParamTable
 from leadkin.mvdist import (
     LABELS,
     HurdleDist,
@@ -14,7 +14,7 @@ from leadkin.mvdist import (
     bundles_from_json,
     bundles_to_json,
     categorize,
-    classify_event,
+    classify,
     decorrelate,
     detect_point_mass,
     fit_hurdle,
@@ -27,33 +27,42 @@ from leadkin.wstats import effective_sample_size
 
 
 def ev(vector, event_id="e", weight=1.0):
-    return from_vector(vector, event_id=event_id, weight=weight)
+    return EventParams(event_id, *map(float, vector), weight=weight)
+
+
+def dataset(events):
+    return WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_INCIDENT)
+
+
+def label(vector):
+    (only,) = classify(ParamTable.from_rows([ev(vector)]))
+    return only
 
 
 class TestClassify:
     def test_standstill(self):
-        assert classify_event(ev([0, 0, 0, 5, 0, 0])).id == "S1"
+        assert label([0, 0, 0, 5, 0, 0]) == "S1"
 
     def test_decreasing_with_steady(self):
-        assert classify_event(ev([5, -3, 2, 1, 2, 2])).id == "S7"
+        assert label([5, -3, 2, 1, 2, 2]) == "S7"
 
     def test_constant_braking_line(self):
-        assert classify_event(ev([1, -2, -2, 0, 5, 0])).id == "S2"
+        assert label([1, -2, -2, 0, 5, 0]) == "S2"
 
     def test_constant_then_steady(self):
-        assert classify_event(ev([5, -2, -2, 1.5, 3.5, 0])).id == "S3"
+        assert label([5, -2, -2, 1.5, 3.5, 0]) == "S3"
 
     def test_increasing_split_on_a1_sign(self):
-        assert classify_event(ev([5, -1, -4, 0, 2, 2])).id == "S4"
-        assert classify_event(ev([5, 1, -4, 0, 2, 2])).id == "S5"
-        assert classify_event(ev([5, 0, -4, 0, 2, 2])).id == "S5"  # closure
+        assert label([5, -1, -4, 0, 2, 2]) == "S4"
+        assert label([5, 1, -4, 0, 2, 2]) == "S5"
+        assert label([5, 0, -4, 0, 2, 2]) == "S5"  # closure
 
     def test_decreasing_without_steady(self):
-        assert classify_event(ev([5, -3, 2, 0, 2, 2])).id == "S6"
+        assert label([5, -3, 2, 0, 2, 2]) == "S6"
 
     def test_constant_speed_nonzero(self):
         # constant pattern, zero acceleration, moving: goes to S2
-        assert classify_event(ev([8, 0, 0, 5, 0, 0])).id == "S2"
+        assert label([8, 0, 0, 5, 0, 0]) == "S2"
 
     def test_partition_total(self):
         rng = np.random.default_rng(5)
@@ -68,9 +77,31 @@ class TestClassify:
                 max(rng.normal(1, 1), 0),
             ]
             events.append(ev(vec, event_id=f"e{i}"))
-        ds = WeightedDataset(events=tuple(events), stage=Stage.COMBINED_INCIDENT)
-        parts = categorize(ds)
+        parts = categorize(dataset(events))
         assert sum(len(sub.events) for sub in parts.values()) == 300
+
+
+    @pytest.mark.parametrize(
+        "vector, expected",
+        [
+            ([0, 0, 0, 0, 0, 0], "S1"),  # v_c == a1 == 0 without a steady phase
+            ([0, -2, -2, 0, 5, 0], "S2"),  # v_c == 0 but braking
+            ([5, -0.0, -4, 0, 2, 2], "S5"),  # -0.0 is not below zero
+            ([5, -1e-12, -4, 0, 2, 2], "S4"),
+            ([5, -3, 2, 1e-12, 2, 2], "S7"),  # any steady phase
+        ],
+    )
+    def test_boundaries(self, vector, expected):
+        assert label(vector) == expected
+
+    def test_a1_zero_closure_warns_once_per_call(self, caplog):
+        rows = [ev([5, 0, -4, 0, 2, 2], event_id=f"e{i}") for i in range(3)]
+        with caplog.at_level("WARNING", logger="leadkin.mvdist"):
+            ids = classify(ParamTable.from_rows(rows + [ev([5, -1, -4, 0, 2, 2])]))
+        assert ids.tolist() == ["S5", "S5", "S5", "S4"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 events: increasing pattern with a1 = 0 assigned to S5"
+        ]
 
 
 class TestDetectPointMass:
@@ -163,10 +194,9 @@ class TestSplitOnPointMass:
     def test_split_sides(self):
         events = [ev([1, -1, 0, 0.0, 2, 1], event_id=f"a{i}") for i in range(4)]
         events += [ev([1, -1, 0, 1.5, 2, 1], event_id=f"b{i}") for i in range(3)]
-        ds = WeightedDataset(events=tuple(events), stage=Stage.COMBINED_INCIDENT)
         from leadkin.mvdist import PointMassSpec
 
-        at, off = split_on_point_mass(ds, PointMassSpec("tau_s", 0.0, 0.57))
+        at, off = split_on_point_mass(dataset(events), PointMassSpec("tau_s", 0.0, 0.57))
         assert len(at.events) == 4 and len(off.events) == 3
 
 
@@ -217,9 +247,8 @@ class TestNearestUnitCorrelation:
 
 class TestBuildSubmodels:
     def test_standstill_bundle_is_all_constant(self):
-        events = tuple(ev([0, 0, 0, 5, 0, 0], event_id=f"s{i}") for i in range(6))
-        ds = WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT)
-        (bundle,) = build_submodels(ds, LABELS["S1"])
+        events = [ev([0, 0, 0, 5, 0, 0], event_id=f"s{i}") for i in range(6)]
+        (bundle,) = build_submodels(dataset(events), LABELS["S1"])
         assert bundle.constants == {
             "v_c": 0.0, "a1": 0.0, "a2": 0.0, "tau_s": 5.0, "tau_1": 0.0, "tau_2": 0.0
         }
@@ -229,13 +258,12 @@ class TestBuildSubmodels:
         rng = np.random.default_rng(8)
         x = rng.gamma(3, 1, 200)
         y = 2 * x + 1  # same ordering, r = 1, but not identical values
-        events = tuple(
+        events = [
             ev([x[i], -1.0 - y[i] * 0, -2.0, 0.0, y[i], 1.0 + 0 * i], event_id=f"e{i}")
             for i in range(200)
-        )
+        ]
         # v_c and tau_1 carry the correlated pair; a1 constant -1, a2 constant -2
-        ds = WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT)
-        (bundle,) = build_submodels(ds, LABELS["S6"])
+        (bundle,) = build_submodels(dataset(events), LABELS["S6"])
         assert bundle.correlated is not None
         assert set(bundle.correlated.names) == {"v_c", "tau_1"}
         off_diag = bundle.correlated.sigma[0, 1]
@@ -260,8 +288,7 @@ class TestBuildSubmodels:
                 vec = [rng.gamma(2, 1.5) + 0.5, rng.normal(-3, 0.3), rng.normal(1, 0.2),
                        0.0, rng.gamma(2, 0.5) + 0.5, rng.gamma(2, 0.4) + 0.3]
             events.append(ev(vec, event_id=f"e{i}"))
-        ds = WeightedDataset(events=tuple(events), stage=Stage.COMBINED_INCIDENT)
-        bundles = build_submodels(ds, LABELS["S6"])
+        bundles = build_submodels(dataset(events), LABELS["S6"])
         assert len(bundles) == 2
         split_params = {b.splits[0].parameter for b in bundles}
         assert len(split_params) == 1  # both sides split on the same parameter
@@ -299,8 +326,7 @@ class TestBuildSubmodels:
             rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
             da = sample_submodel(a, 50, seed=rng_a)
             db = sample_submodel(b, 50, seed=rng_b)
-            for x, y in zip(da, db):
-                assert np.allclose(x.as_vector(), y.as_vector())
+            assert np.allclose(da.values, db.values)
 
 
 class TestQuantileNormalitySanity:

@@ -29,3 +29,31 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert [getattr(owner, name) for owner, name in hooked] == originals
+
+
+def test_tracer_counters_see_a_small_pipeline(tmp_path):
+    """The counters take len() of what the traced functions return or take
+    (sampled and accepted tables, near-crash table, read and written tables)."""
+    from leadkin import cli
+    from leadkin.demo import make_demo_events
+
+    make_demo_events(tmp_path / "events.csv", seed=7)
+    config = cli.PipelineConfig(
+        input=str(tmp_path / "events.csv"), workdir=str(tmp_path / "out"), n_synth=200, n_perm=50
+    )
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cli.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    count = tracer.counters
+    rejected = sum(v for k, v in count.items() if k.startswith("synth.rejected."))
+    # every draw is accepted or rejected; a batch may accept more rows than are kept
+    assert count["synth.draws"] >= 200
+    assert count["synth.accepted"] >= 200
+    assert count["synth.accepted"] + rejected == count["synth.draws"]
+    assert count["combine.nc_total"] == 20
+    assert 0 < count["combine.nc_attached"] <= 20
+    assert count["tables.rows_read"] > 0
+    assert count["tables.rows_written"] >= 200

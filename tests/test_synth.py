@@ -1,12 +1,21 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from groundtruth import ground_truth_bundles
 from leadkin.errors import RejectionCapExceeded
-from leadkin.events import from_vector
+from leadkin.events import GRAVITY, PARAM_NAMES, EventParams, ParamTable
 from leadkin.marginals import FittedDist
-from leadkin.mvdist import LABELS, CorrelatedBlock, SubmodelBundle
+from leadkin.mvdist import (
+    LABELS,
+    CorrelatedBlock,
+    HurdleDist,
+    PointMassSpec,
+    SplitCondition,
+    SubmodelBundle,
+)
 from leadkin.pwl import extract_params
 from leadkin.synth import (
     ConstraintSet,
@@ -16,6 +25,10 @@ from leadkin.synth import (
     params_to_profile,
     sample_submodel,
 )
+
+
+def row(vector):
+    return EventParams("", *map(float, vector))
 
 
 def constant_bundle():
@@ -36,8 +49,8 @@ class TestSampleSubmodel:
     def test_constant_bundle_replicates(self):
         events = sample_submodel(constant_bundle(), 7, seed=0)
         assert len(events) == 7
-        for e in events:
-            assert np.array_equal(e.as_vector(), [0, 0, 0, 5, 0, 0])
+        for vector in events.values:
+            assert np.array_equal(vector, [0, 0, 0, 5, 0, 0])
 
     def test_independent_normal_mean(self):
         bundle = SubmodelBundle(
@@ -85,8 +98,7 @@ class TestSampleSubmodel:
         bundle = ground_truth_bundles()[1]
         a = sample_submodel(bundle, 50, seed=99)
         b = sample_submodel(bundle, 50, seed=99)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.as_vector(), y.as_vector())
+        assert np.array_equal(a.values, b.values)
 
     def test_transform_inverted_on_sampling(self):
         from leadkin.mvdist import HurdleDist, PointMassSpec, TransformSpec
@@ -124,35 +136,35 @@ class TestFilterValid:
         return ConstraintSet(bundle=bundle)
 
     def test_excessive_deceleration_rejected(self):
-        e = from_vector([5, -12.0, -13.0, 0, 2, 1])
-        accepted, rejected = filter_valid([e], self.cs())
+        e = row([5, -12.0, -13.0, 0, 2, 1])
+        accepted, rejected = filter_valid(ParamTable.from_rows([e]), self.cs())
         assert not accepted
         assert rejected["physical"] == 1
 
     def test_wrong_pattern_rejected(self):
-        e = from_vector([5, 0.5, -1.0, 0, 2, 1])  # a1 > 0 cannot be S4
-        accepted, rejected = filter_valid([e], self.cs())
+        e = row([5, 0.5, -1.0, 0, 2, 1])  # a1 > 0 cannot be S4
+        accepted, rejected = filter_valid(ParamTable.from_rows([e]), self.cs())
         assert rejected["categorization"] == 1
 
     def test_negative_back_extension_rejected(self):
         # decelerating early segment extended back crosses below zero
-        e = from_vector([1.0, -1.0, 2.0, 0.0, 1.0, 1.0])
+        e = row([1.0, -1.0, 2.0, 0.0, 1.0, 1.0])
         # vertices: v(0)=1, v(-1)=2, v(-2)=0, back-extension at slope 2 to -5 -> negative
-        assert min_profile_speed(e) < 0
-        accepted, rejected = filter_valid([e], self.cs())
+        assert min_profile_speed([1.0, -1.0, 2.0, 0.0, 1.0, 1.0]) < 0
+        accepted, rejected = filter_valid(ParamTable.from_rows([e]), self.cs())
         assert rejected["physical"] == 1
 
     def test_modeled_span_only_speed_check(self):
         # same event passes when the check stops at the modeled phases
-        e = from_vector([1.0, -1.0, 2.0, 0.0, 1.0, 1.0])
-        assert min_profile_speed(e, full_window=False) >= 0.0
+        e = row([1.0, -1.0, 2.0, 0.0, 1.0, 1.0])
+        assert min_profile_speed([1.0, -1.0, 2.0, 0.0, 1.0, 1.0], full_window=False) >= 0.0
         bundle = ground_truth_bundles()[1]
         relaxed = ConstraintSet(bundle=bundle, full_window=False)
         assert relaxed.rejection_reason(e) != "physical"
 
     def test_negative_duration_rejected_as_range(self):
-        e = from_vector([5, -2, -3, -0.5, 2, 1])
-        accepted, rejected = filter_valid([e], self.cs())
+        e = row([5, -2, -3, -0.5, 2, 1])
+        accepted, rejected = filter_valid(ParamTable.from_rows([e]), self.cs())
         assert rejected["range"] == 1
 
     def test_tallies_are_exact(self):
@@ -160,6 +172,74 @@ class TestFilterValid:
         draws = sample_submodel(bundle, 500, seed=3)
         accepted, rejected = filter_valid(draws, ConstraintSet(bundle=bundle))
         assert len(accepted) + sum(rejected.values()) == 500
+
+
+def bundle_for(label, *splits):
+    return SubmodelBundle(
+        label=LABELS[label], splits=splits, constants={}, copies={}, transforms=(),
+        correlated=None, uncorrelated={}, train_weight_share=1.0, train_weight=1.0,
+    )
+
+
+TAU_S_EQ_0 = SplitCondition("tau_s", "eq", 0.0)
+TAU_S_NE_0 = SplitCondition("tau_s", "ne", 0.0)
+
+
+class TestConstraintBoundaries:
+    @pytest.mark.parametrize(
+        "bundle, vector, reason",
+        [
+            (bundle_for("S2"), [60.0, -GRAVITY, -GRAVITY, 0.0, 5.0, 0.0], None),  # |a1| == g
+            (bundle_for("S2"), [60.0, -np.nextafter(GRAVITY, 20.0), -2.0, 0.0, 5.0, 0.0], "physical"),
+            (bundle_for("S4"), [5.0, -1.0, -GRAVITY, 0.0, 2.0, 2.0], None),  # |a2| == g
+            (bundle_for("S2"), [5.0, -1.0, -1.0, -0.1, 2.0, 0.0], "range"),  # negative tau_s
+            (bundle_for("S2"), [5.0, -1.0, -1.0, 0.0, 2.0, -1e-300], "range"),  # negative tau_2
+            (bundle_for("S2"), [-1e-9, 0.0, 0.0, 5.0, 0.0, 0.0], "range"),  # negative v_c
+            (bundle_for("S2"), [5.0, 20.0, 20.0, -1.0, 2.0, 0.0], "range"),  # range before |a| > g
+            (bundle_for("S2"), [10.0, 2.0, 2.0, 0.0, 5.0, 0.0], None),  # min speed exactly 0 at -5 s
+            (bundle_for("S2"), [0.0, -2.0, -2.0, 0.0, 5.0, 0.0], None),  # min speed exactly 0 at 0 s
+            (bundle_for("S2"), [9.5, 2.0, 2.0, 0.0, 5.0, 0.0], "physical"),  # below 0 at -5 s
+            (bundle_for("S1"), [0.0, 0.0, 0.0, 5.0, 0.0, 0.0], None),
+            (bundle_for("S2"), [0.0, 0.0, 0.0, 5.0, 0.0, 0.0], "categorization"),  # standstill is S1
+            (bundle_for("S5"), [5.0, 0.0, -4.0, 0.0, 2.0, 2.0], None),  # a1 == 0 closes into S5
+            (bundle_for("S4"), [5.0, 0.0, -4.0, 0.0, 2.0, 2.0], "categorization"),
+            (bundle_for("S4", TAU_S_EQ_0), [5.0, -1.0, -4.0, 0.0, 2.0, 2.0], None),
+            (bundle_for("S4", TAU_S_EQ_0), [5.0, -1.0, -4.0, 1.0, 2.0, 2.0], "categorization"),
+            (bundle_for("S4", TAU_S_NE_0), [5.0, -1.0, -4.0, 1.0, 2.0, 2.0], None),
+            (bundle_for("S4", TAU_S_NE_0), [5.0, -1.0, -4.0, 0.0, 2.0, 2.0], "categorization"),
+        ],
+    )
+    def test_row_and_table_agree(self, bundle, vector, reason):
+        constraints = ConstraintSet(bundle=bundle)
+        assert constraints.rejection_reason(row(vector)) == reason
+        # the same row inside a table, between two rows that fail differently
+        table = ParamTable.from_rows([row([-1, 0, 0, 0, 0, 0]), row(vector), row([5, 99, 0, 0, 5, 0])])
+        assert constraints.rejection_reasons(table).tolist() == ["range", reason or "", "physical"]
+
+    def test_sampled_batch_matches_per_row_reasons(self):
+        # a deliberately loose bundle, so every rejection reason occurs
+        bundle = SubmodelBundle(
+            label=LABELS["S4"], splits=(TAU_S_EQ_0,), constants={}, copies={}, transforms=(),
+            correlated=None,
+            uncorrelated={
+                "v_c": FittedDist("normal", {"loc": 4.0, "scale": 4.0}),
+                "a1": FittedDist("normal", {"loc": -2.0, "scale": 5.0}),
+                "a2": FittedDist("normal", {"loc": -4.0, "scale": 5.0}),
+                "tau_s": HurdleDist(
+                    PointMassSpec("tau_s", 0.0, 0.6), FittedDist("normal", {"loc": 1.0, "scale": 1.0})
+                ),
+                "tau_1": FittedDist("normal", {"loc": 2.0, "scale": 1.0}),
+                "tau_2": FittedDist("normal", {"loc": 1.5, "scale": 1.0}),
+            },
+            train_weight_share=1.0, train_weight=1.0,
+        )
+        constraints = ConstraintSet(bundle=bundle)
+        draws = sample_submodel(bundle, 1000, seed=17)
+        accepted, tally = filter_valid(draws, constraints)
+        per_row = [constraints.rejection_reason(e) for e in draws]
+        assert list(accepted) == [e for e, r in zip(draws, per_row) if r is None]
+        assert tally == Counter(r for r in per_row if r is not None)
+        assert set(tally) == {"range", "physical", "categorization"} and len(accepted) > 0
 
 
 class TestAssemble:
@@ -202,25 +282,22 @@ class TestAssemble:
         bundles = ground_truth_bundles()
         ds = assemble_synthetic(bundles, 600, seed=11)
         assert len(ds.events) == 600
-        offset = 0
         for bundle in bundles:
             n = ds.per_bundle_counts[bundle.bundle_id]
-            chunk = ds.events[offset : offset + n]
+            chunk = ds.events.take(np.array(ds.bundle_ids) == bundle.bundle_id)
             accepted, rejected = filter_valid(chunk, ConstraintSet(bundle=bundle))
             assert len(accepted) == n and not sum(rejected.values())
-            offset += n
 
     def test_determinism(self):
         bundles = ground_truth_bundles()
         a = assemble_synthetic(bundles, 200, seed=21)
         b = assemble_synthetic(bundles, 200, seed=21)
-        for x, y in zip(a.events, b.events):
-            assert np.array_equal(x.as_vector(), y.as_vector())
+        assert np.array_equal(a.events.values, b.events.values)
 
 
 class TestParamsToProfile:
     def test_hand_kinematics(self):
-        profile = params_to_profile(from_vector([5, -3, 2, 1, 2, 2]), dt=0.5)
+        profile = params_to_profile(row([5, -3, 2, 1, 2, 2]), dt=0.5)
         v = dict(zip(np.round(profile.times, 6), profile.speeds))
         assert v[0.0] == pytest.approx(5.0)
         assert v[-1.0] == pytest.approx(5.0)
@@ -228,23 +305,22 @@ class TestParamsToProfile:
         assert v[-5.0] == pytest.approx(7.0)
 
     def test_constant_speed(self):
-        profile = params_to_profile(from_vector([8, 0, 0, 5, 0, 0]), dt=0.1)
+        profile = params_to_profile(row([8, 0, 0, 5, 0, 0]), dt=0.1)
         assert np.allclose(profile.speeds, 8.0)
         assert profile.times.size == 51
 
     def test_round_trip_extraction_exact(self):
         vec = [5.0, -3.0, 2.0, 1.0, 2.0, 2.0]
-        e = from_vector(vec)
         from leadkin.synth import _profile_vertices
 
-        ts, vs = _profile_vertices(e)
+        ts, vs = _profile_vertices(*vec)
         from test_pwl import fit_from_vertices
 
         params = extract_params(fit_from_vertices(ts, vs))
-        assert np.allclose(params.as_vector(), vec, atol=1e-9)
+        assert np.allclose([getattr(params, name) for name in PARAM_NAMES], vec, atol=1e-9)
 
     def test_truncation_beyond_window(self):
-        profile = params_to_profile(from_vector([2, -1, -4, 1, 3, 3]), dt=0.1)
+        profile = params_to_profile(row([2, -1, -4, 1, 3, 3]), dt=0.1)
         assert profile.times[0] == pytest.approx(-5.0)
         assert profile.times.size == 51
         # vertex at -(1+3) = -4 has v = 2 + 3 = 5; slope -4 continues to -5

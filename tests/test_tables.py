@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from leadkin.combine import MergeResult, Stage, WeightedDataset
 from leadkin.errors import InputError
-from leadkin.events import PARAM_NAMES, EventParams, Severity, SourceGroup, from_vector
+from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 from leadkin.synth import SyntheticDataset
 from leadkin.tables import (
     read_combined_csv,
@@ -22,9 +22,8 @@ from leadkin.tables import (
 
 
 def sample_event(i, weight=1.0):
-    return from_vector(
-        [3.0 + i, -2.0, -1.0, 0.5, 2.0, 1.0],
-        event_id=f"e{i}",
+    return EventParams(
+        f"e{i}", 3.0 + i, -2.0, -1.0, 0.5, 2.0, 1.0,
         weight=weight,
         source_group=SourceGroup.SHRP2_NSC,
         severity=Severity.NON_SEVERE,
@@ -38,8 +37,8 @@ class TestParamsCsv:
         rows = [{"event": e, "r2": 0.99, "n_b": 1, "valid": i != 1} for i, e in enumerate(events)]
         write_params_csv(path, rows)
         back = read_params_csv(path)
-        assert [e.event_id for e in back] == ["e0", "e2"]  # invalid row dropped
-        assert back[0].v_c == events[0].v_c
+        assert back.event_id.tolist() == ["e0", "e2"]  # invalid row dropped
+        assert back["v_c"][0] == events[0].v_c
         everything = read_params_csv(path, only_valid=False)
         assert len(everything) == 3
 
@@ -64,12 +63,12 @@ class TestParamsCsv:
 class TestCombinedCsv:
     def test_round_trip_with_weights(self, tmp_path):
         path = tmp_path / "combined.csv"
-        events = tuple(sample_event(i, weight=0.1 + 0.7 * i) for i in range(4))
-        dataset = WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT)
+        events = [sample_event(i, weight=0.1 + 0.7 * i) for i in range(4)]
+        dataset = WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_INCIDENT)
         write_combined_csv(path, dataset)
         back = read_combined_csv(path)
         assert back.stage is Stage.COMBINED_INCIDENT
-        assert [e.weight for e in back.events] == [e.weight for e in events]
+        assert back.events.weight.tolist() == [e.weight for e in events]
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
@@ -79,7 +78,7 @@ class TestCombinedCsv:
 
     def test_attached_to_names_the_host_crash(self, tmp_path):
         path = tmp_path / "combined.csv"
-        events = tuple(sample_event(i) for i in range(3))
+        events = ParamTable.from_rows(sample_event(i) for i in range(3))
         merge = MergeResult(
             selected=(("e2", "e0", 0.1),),
             distance_threshold=0.78,
@@ -100,10 +99,10 @@ class TestCombinedCsv:
     def test_aliases_ignore_case_and_whitespace(self, tmp_path):
         path = tmp_path / "published.csv"
         path.write_text(" VC ,A1,a2, TauS,TAU1,tau2,W\n\n2.5,-1.0,-1.0,0.0,5.0,0.0,1.25\n")
-        back = read_combined_csv(path)
-        assert back.events[0].tau_1 == 5.0
-        assert back.events[0].weight == 1.25
-        assert back.events[0].event_id == "row-0"
+        (event,) = read_combined_csv(path).events
+        assert event.tau_1 == 5.0
+        assert event.weight == 1.25
+        assert event.event_id == "row-0"
 
 
 # --- property tests: every table round-trips, every corrupted cell is an InputError ---
@@ -136,17 +135,17 @@ def params_events(draw):
 def test_params_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("params") / "params.csv"
     write_params_csv(path, [{"event": e, "r2": 0.5, "n_b": 2, "valid": ok} for e, ok in rows])
-    assert read_params_csv(path, only_valid=False) == [e for e, _ in rows]
-    assert read_params_csv(path) == [e for e, ok in rows if ok]
+    assert list(read_params_csv(path, only_valid=False)) == [e for e, _ in rows]
+    assert list(read_params_csv(path)) == [e for e, ok in rows if ok]
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(event_params(), min_size=1, max_size=8), stage=st.sampled_from(Stage))
 def test_combined_round_trip(tmp_path_factory, rows, stage):
     path = tmp_path_factory.mktemp("combined") / "combined.csv"
-    write_combined_csv(path, WeightedDataset(events=tuple(rows), stage=stage))
+    write_combined_csv(path, WeightedDataset(events=ParamTable.from_rows(rows), stage=stage))
     back = read_combined_csv(path)
-    assert back.events == tuple(rows)
+    assert list(back.events) == rows
     assert back.stage is stage
 
 
@@ -155,7 +154,7 @@ def test_combined_round_trip(tmp_path_factory, rows, stage):
 def test_synthetic_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("synthetic") / "synthetic.csv"
     dataset = SyntheticDataset(
-        events=tuple(e for e, _ in rows),
+        events=ParamTable.from_rows(e for e, _ in rows),
         per_bundle_counts={},
         rejections={},
         seed=None,
@@ -163,7 +162,7 @@ def test_synthetic_round_trip(tmp_path_factory, rows):
     )
     write_synthetic_csv(path, dataset)
     back = read_synthetic_csv(path)
-    assert back.events == dataset.events
+    assert list(back.events) == [e for e, _ in rows]
     assert back.bundle_ids == dataset.bundle_ids
 
 
@@ -197,12 +196,13 @@ CORRUPT = {
 def _write_tables(directory):
     events = [sample_event(i, weight=0.5 + i) for i in range(3)]
     write_params_csv(directory / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    table = ParamTable.from_rows(events)
     write_combined_csv(
-        directory / "combined.csv", WeightedDataset(events=tuple(events), stage=Stage.COMBINED_INCIDENT)
+        directory / "combined.csv", WeightedDataset(events=table, stage=Stage.COMBINED_INCIDENT)
     )
     write_synthetic_csv(
         directory / "synthetic.csv",
-        SyntheticDataset(events=tuple(events), per_bundle_counts={}, rejections={}, seed=None,
+        SyntheticDataset(events=table, per_bundle_counts={}, rejections={}, seed=None,
                          bundle_ids=("S1", "S2", "S1")),
     )
 

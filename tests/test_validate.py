@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from groundtruth import ground_truth_corpus
 from leadkin.errors import EmptyInput, EmptyReps
-from leadkin.events import from_vector
+from leadkin.events import ParamTable
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.validate import (
     bootstrap_robustness,
@@ -101,10 +101,7 @@ class TestWeightedKs:
 
 class TestDescribe:
     def dataset(self, vectors, weights):
-        events = tuple(
-            from_vector(vec, event_id=f"e{i}", weight=w)
-            for i, (vec, w) in enumerate(zip(vectors, weights))
-        )
+        events = ParamTable(vectors, weight=weights, event_id=[f"e{i}" for i in range(len(weights))])
         return WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT)
 
     def test_unit_weights_match_unweighted(self):
@@ -122,7 +119,7 @@ class TestDescribe:
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            describe(WeightedDataset(events=(), stage=Stage.COMBINED_INCIDENT))
+            describe(WeightedDataset(events=ParamTable.from_rows([]), stage=Stage.COMBINED_INCIDENT))
 
     def test_merge_limit_case_preserves_descriptives(self):
         # attaching exact copies of each crash leaves every mean/SD in place
@@ -131,10 +128,10 @@ class TestDescribe:
 
         rng = np.random.default_rng(8)
         crashes = crash_dataset(rng, n=12)
-        ncs = [
+        ncs = ParamTable.from_rows(
             near_crash_like(c, f"nc-{i}", 0.0, rng)
             for i, c in enumerate(crashes.events)
-        ]
+        )
         merged, _ = merge_near_crashes(crashes, ncs)
         before = describe(crashes)
         after = describe(merged)
