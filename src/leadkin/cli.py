@@ -12,7 +12,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
+import numbers
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -31,6 +34,17 @@ from .validate import bootstrap_robustness, compare_datasets
 log = logging.getLogger(__name__)
 
 STAGES = ("fit", "combine", "model", "generate", "validate")
+
+
+# fit fields checked on construction: (name, kind, lower bound, bound excluded)
+_FIT_FIELD_RULES = (
+    ("n_b_max", numbers.Integral, 0, False),
+    ("penalty", numbers.Real, 0, True),
+    ("epsilon", numbers.Real, 0, True),
+    ("steady_slope_tol", numbers.Real, 0, False),
+    ("max_restarts", numbers.Integral, 1, False),
+    ("convergence_tol", numbers.Real, 0, False),
+)
 
 
 @dataclass
@@ -54,6 +68,18 @@ class PipelineConfig:
     seed: int = 0
     input: str = "events.csv"
     workdir: str = "out"
+
+    def __post_init__(self):
+        for name, kind, low, strict in _FIT_FIELD_RULES:
+            value = getattr(self, name)
+            typed = isinstance(value, kind) and not isinstance(value, bool)
+            # a chained comparison, not math.isfinite, so a huge JSON integer cannot overflow
+            if not typed or not -math.inf < value < math.inf:
+                expected = "an integer" if kind is numbers.Integral else "a finite number"
+                raise InputError(f"config field {name}: expected {expected}, got {value!r}")
+            if value < low or (strict and value == low):
+                relation = ">" if strict else ">="
+                raise InputError(f"config field {name} must be {relation} {low}, got {value!r}")
 
     def fit_config(self) -> pwl.FitConfig:
         return pwl.FitConfig(
@@ -112,12 +138,16 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     rows = []
     raw_counts: Dict[SourceGroup, int] = {}
     valid_groups: List[Optional[SourceGroup]] = []
+    n_b_hist: Counter = Counter()
+    skipped: Counter = Counter()
+    repairs = 0
     for event in events:
         raw_counts[event.source_group] = raw_counts.get(event.source_group, 0) + 1
         try:
             profile = ingest.window_event(event)
         except LeadkinError as exc:
             log.warning("skipping event %s: %s", event.event_id, exc)
+            skipped[type(exc).__name__] += 1
             continue
         fit = pwl.fit_event(profile, fit_cfg, rng=event_rng(config.seed, event.event_id))
         params = pwl.extract_params(
@@ -130,6 +160,8 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
         )
         valid = ingest.validate_event(profile, fit)
         rows.append({"event": params, "r2": fit.r_squared, "n_b": fit.n_b, "valid": valid})
+        n_b_hist[fit.n_b] += 1
+        repairs += fit.modified_for_nonnegativity
         if valid:
             valid_groups.append(params.source_group)
     tables.write_params_csv(params_out, rows)
@@ -137,7 +169,16 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     if counts_out is None:
         counts_out = Path(params_out).with_suffix(".counts.json")
     tables.write_counts_json(counts_out, counts)
-    log.info("fit: %d events, %d valid", len(rows), len(valid_groups))
+    log.info(
+        "fit: %d events, %d valid, %d invalid; n_b histogram %s; "
+        "%d non-negativity repairs; skipped %s",
+        len(rows),
+        len(valid_groups),
+        len(rows) - len(valid_groups),
+        dict(sorted(n_b_hist.items())),
+        repairs,
+        dict(sorted(skipped.items())),
+    )
 
 
 def stage_combine(

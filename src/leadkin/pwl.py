@@ -132,15 +132,64 @@ def _wls(t, v, sqrt_w, breakpoints):
     return coef, float(np.dot(sqrt_w * resid, sqrt_w * resid))
 
 
+def _weighted_designs(t, sqrt_w, bks) -> np.ndarray:
+    """(B, n, 2 + k) stack of ``_design`` rows scaled by sqrt_w, one per row of bks."""
+    X = np.empty((bks.shape[0], t.size, 2 + bks.shape[1]))
+    X[:, :, 0] = sqrt_w
+    X[:, :, 1] = t * sqrt_w
+    X[:, :, 2:] = np.maximum(t[:, None] - bks[:, None, :], 0.0) * sqrt_w[:, None]
+    return X
+
+
+def _sse_batch(t, v, sqrt_w, bks) -> np.ndarray:
+    """Weighted SSE at each row of a (B, k) stack of breakpoint vectors.
+
+    One stacked QR of the weighted designs; each SSE is the squared norm of
+    the explicit residual yw - Q (Q^T yw).  A row whose R has a diagonal
+    entry at or below 1e-10 * max|diag R| is rank deficient and is solved
+    again by ``_wls`` (the minimum-norm lstsq solution).
+    """
+    bks = np.asarray(bks, dtype=float)
+    yw = v * sqrt_w
+    q, r = np.linalg.qr(_weighted_designs(t, sqrt_w, bks))
+    resid = yw - (q @ (yw @ q)[:, :, None])[:, :, 0]
+    sse = np.einsum("bn,bn->b", resid, resid)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    for row in np.flatnonzero((diag <= 1e-10 * diag.max(axis=1, keepdims=True)).any(axis=1)):
+        sse[row] = _wls(t, v, sqrt_w, bks[row])[1]
+    return sse
+
+
+def _directions(t, v, sqrt_w, bks) -> np.ndarray:
+    """Estimated breakpoint moves for each row of a (B, k) stack.
+
+    Augments the design with jump indicator columns 1[t > b]; the ratio of
+    each indicator coefficient to its slope-change coefficient estimates
+    how far that breakpoint should move.  Rows where a slope change
+    vanished (|gamma| < 1e-12) come back as NaN.  Each row is its own
+    lstsq solve: the ratio is ill-conditioned when a slope change is
+    small, and a stacked QR solve there sends restarts down other paths.
+    """
+    k = bks.shape[1]
+    yw = v * sqrt_w
+    X = np.concatenate(
+        [_weighted_designs(t, sqrt_w, bks), (t[:, None] > bks[:, None, :]) * sqrt_w[:, None]],
+        axis=2,
+    )
+    delta = np.full(bks.shape, np.nan)
+    for row, X_row in enumerate(X):
+        coef, *_ = np.linalg.lstsq(X_row, yw, rcond=None)
+        gamma = coef[2 : 2 + k]
+        if not np.any(np.abs(gamma) < 1e-12):
+            delta[row] = coef[2 + k :] / gamma
+    return delta
+
+
 def _separated(breakpoints: np.ndarray, t: np.ndarray) -> bool:
     """Each segment must keep at least a couple of samples."""
     edges = np.concatenate(([t[0]], breakpoints, [t[-1]]))
     counts = np.histogram(t, bins=edges)[0]
     return bool((counts >= _MIN_SAMPLES_PER_SEGMENT).all())
-
-
-def _min_separation(t: np.ndarray) -> float:
-    return 2.5 * float(np.median(np.diff(t)))
 
 
 def _breakpoint_bounds(t: np.ndarray):
@@ -151,79 +200,91 @@ def _breakpoint_bounds(t: np.ndarray):
 
 
 def _project_separated(bks, lo, hi, min_sep):
-    """Sort and push breakpoints apart to at least min_sep inside [lo, hi]."""
-    k = len(bks)
+    """Sort each row of a (M, k) stack and push its breakpoints apart to at
+    least min_sep inside [lo, hi]; returns the rows and a mask of those
+    that fit."""
+    out = np.sort(np.asarray(bks, dtype=float), axis=1)
+    k = out.shape[1]
     if lo + (k - 1) * min_sep > hi:
-        return None
-    out = np.sort(np.asarray(bks, dtype=float))
-    out[0] = max(out[0], lo)
+        return out, np.zeros(len(out), dtype=bool)
+    out[:, 0] = np.maximum(out[:, 0], lo)
     for i in range(1, k):
-        out[i] = max(out[i], out[i - 1] + min_sep)
-    out[-1] = min(out[-1], hi)
+        out[:, i] = np.maximum(out[:, i], out[:, i - 1] + min_sep)
+    out[:, -1] = np.minimum(out[:, -1], hi)
     for i in range(k - 2, -1, -1):
-        out[i] = min(out[i], out[i + 1] - min_sep)
-    if out[0] < lo - 1e-12:
-        return None
-    return out
+        out[:, i] = np.minimum(out[:, i], out[:, i + 1] - min_sep)
+    return out, out[:, 0] >= lo - 1e-12
 
 
-def _iterate_breakpoints(t, v, w, init, tol):
-    """Breakpoint refinement by iterative linearization.
+_STEPS = np.array([1.0, 0.5, 0.25, 0.1])
 
-    Augments the design with jump indicator columns; the ratio of the
-    indicator coefficient to the slope-change coefficient estimates how far
-    each breakpoint should move.  A shrinking-step line search keeps the
-    updates from oscillating around sharp kinks; breakpoints are projected
-    back onto the minimum-separation set after every step.
+
+def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
+    """Breakpoint refinement by iterative linearization, restarts in lockstep.
+
+    Each iteration moves the breakpoints by the ``_directions`` estimate.
+    A shrinking-step line search keeps the updates from oscillating around
+    sharp kinks; breakpoints are projected back onto the minimum-separation
+    set after every step.
+
+    All rows of ``inits`` advance together: each iteration scores every
+    step of every active restart in one stacked solve.  A restart stops when
+    a slope change vanishes, no step is admissible, the best step does not
+    lower its SSE, the decrease is below ``tol``, or after ``_MAX_ITER``
+    iterations.  Returns (coef, bks, sse) of the restart with the lowest
+    final SSE, or None when no start is admissible.
     """
-    sqrt_w = np.sqrt(w)
-    lo, hi = _breakpoint_bounds(t)
-    min_sep = _min_separation(t)
-    bks = _project_separated(np.asarray(init, dtype=float), lo, hi, min_sep)
-    if bks is None:
+    bks, ok = _project_separated(inits, lo, hi, min_sep)
+    bks = bks[ok]
+    if not len(bks):
         return None
-    k = len(bks)
-    _, best_sse = _wls(t, v, sqrt_w, bks)
+    k = bks.shape[1]
     best_bks = bks.copy()
+    best_sse = _sse_batch(t, v, sqrt_w, bks)
+    active = np.arange(len(bks))
     for _ in range(_MAX_ITER):
-        relu = np.maximum(t - bks[:, None], 0.0)
-        ind = (t > bks[:, None]).astype(float)
-        X = np.column_stack([np.ones_like(t), t, relu.T, ind.T])
-        coef, *_ = np.linalg.lstsq(X * sqrt_w[:, None], v * sqrt_w, rcond=None)
-        gamma = coef[2 : 2 + k]
-        beta_ind = coef[2 + k :]
-        if np.any(np.abs(gamma) < 1e-12):
-            break  # a slope change vanished; keep the best point so far
-        delta = beta_ind / gamma
-        stepped = None
-        for step in (1.0, 0.5, 0.25, 0.1):
-            cand = _project_separated(bks - step * delta, lo, hi, min_sep)
-            if cand is None:
-                continue
-            _, sse = _wls(t, v, sqrt_w, cand)
-            if stepped is None or sse < stepped[1]:
-                stepped = (cand, sse)
-        if stepped is None:
+        if not len(active):
             break
-        bks = stepped[0]
-        if stepped[1] < best_sse:
-            improved = best_sse - stepped[1] > tol * (best_sse + tol)
-            best_bks, best_sse = bks.copy(), stepped[1]
-            if not improved:
-                break
-        else:
-            break
+        delta = _directions(t, v, sqrt_w, bks[active])
+        # a vanished slope change stops the restart at its best point so far
+        moving = ~np.isnan(delta[:, 0])
+        active, delta = active[moving], delta[moving]
+        trial = bks[active][:, None, :] - _STEPS[:, None] * delta[:, None, :]
+        cand, ok = _project_separated(trial.reshape(-1, k), lo, hi, min_sep)
+        sse = np.full(len(cand), np.inf)
+        if ok.any():
+            sse[ok] = _sse_batch(t, v, sqrt_w, cand[ok])
+        sse = sse.reshape(len(active), _STEPS.size)
+        cand = cand.reshape(len(active), _STEPS.size, k)
+        stepped = ok.reshape(sse.shape).any(axis=1)
+        active, sse, cand = active[stepped], sse[stepped], cand[stepped]
+        pick = np.argmin(sse, axis=1)  # first minimum: ties go to the longer step
+        new_sse = sse[np.arange(len(active)), pick]
+        bks[active] = cand[np.arange(len(active)), pick]
+        old_sse = best_sse[active]
+        lower = new_sse < old_sse
+        best_bks[active[lower]] = bks[active[lower]]
+        best_sse[active[lower]] = new_sse[lower]
+        active = active[lower & (old_sse - new_sse > tol * (old_sse + tol))]
 
-    coef, sse = _wls(t, v, sqrt_w, best_bks)
-    return coef, best_bks, sse
+    best = None
+    for row in best_bks:
+        coef, sse = _wls(t, v, sqrt_w, row)
+        if best is None or sse < best[2]:
+            best = (coef, row, sse)
+    return best
 
 
-def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi):
-    """Coordinate-wise fine-grid refinement around each breakpoint."""
+def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, dt, min_sep):
+    """Coordinate-wise fine-grid refinement around each breakpoint.
+
+    A greedy scan: each offset in turn moves breakpoint i when it lowers
+    the SSE.  The offsets still to try are scored from the current position
+    in one stacked solve; the first that improves is taken, and only the
+    later offsets are scored again from the new position.
+    """
     if len(bks) == 0:
         return bks, sse
-    dt = float(np.median(np.diff(t)))
-    min_sep = _min_separation(t)
     offsets = np.linspace(-1.5 * dt, 1.5 * dt, 31)
     bks = np.asarray(bks, dtype=float)
     for _ in range(2):
@@ -231,34 +292,51 @@ def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi):
         for i in range(len(bks)):
             left = lo if i == 0 else bks[i - 1] + min_sep
             right = hi if i == len(bks) - 1 else bks[i + 1] - min_sep
-            for off in offsets:
-                b = bks[i] + off
-                if b < left or b > right or off == 0.0:
-                    continue
-                cand = bks.copy()
-                cand[i] = b
-                _, sse_c = _wls(t, v, sqrt_w, cand)
-                if sse_c < sse:
-                    bks, sse = cand, sse_c
-                    moved = True
+            rest = offsets
+            while rest.size:
+                b = bks[i] + rest
+                idx = np.flatnonzero((b >= left) & (b <= right) & (rest != 0.0))
+                if not idx.size:
+                    break
+                cand = np.repeat(bks[None, :], idx.size, axis=0)
+                cand[:, i] = b[idx]
+                sse_c = _sse_batch(t, v, sqrt_w, cand)
+                better = np.flatnonzero(sse_c < sse)
+                if not better.size:
+                    break
+                j = better[0]
+                bks, sse = cand[j], float(sse_c[j])
+                moved = True
+                rest = rest[idx[j] + 1 :]
         if not moved:
             break
     return bks, sse
 
 
-def _grid_search(t, v, w, k):
+_GRID_CHUNK = 4096  # combinations scored per stacked solve
+
+
+def _grid_search(t, v, sqrt_w, k):
     """Exhaustive search over sample-midpoint breakpoints (fallback)."""
-    sqrt_w = np.sqrt(w)
     mids = (t[:-1] + t[1:]) / 2.0
+    combos = itertools.combinations(range(len(mids)), k)
     best = None
-    for combo in itertools.combinations(range(len(mids)), k):
-        bks = mids[list(combo)]
-        if not _separated(bks, t):
+    while chunk := list(itertools.islice(combos, _GRID_CHUNK)):
+        idx = np.array(chunk, dtype=int)
+        # with t strictly increasing, the breakpoint at mids[j] leaves samples
+        # 0..j to its left, so each segment's sample count is an index gap
+        edges = np.column_stack([np.full(len(idx), -1), idx, np.full(len(idx), t.size - 1)])
+        idx = idx[(np.diff(edges, axis=1) >= _MIN_SAMPLES_PER_SEGMENT).all(axis=1)]
+        if not len(idx):
             continue
-        coef, sse = _wls(t, v, sqrt_w, bks)
-        if best is None or sse < best[2]:
-            best = (coef, bks, sse)
-    return best
+        sse = _sse_batch(t, v, sqrt_w, mids[idx])
+        j = int(np.argmin(sse))
+        if best is None or sse[j] < best[1]:
+            best = (mids[idx[j]], sse[j])
+    if best is None:
+        return None
+    coef, sse = _wls(t, v, sqrt_w, best[0])
+    return coef, best[0], sse
 
 
 def _segments_from_coef(coef, breakpoints) -> tuple:
@@ -327,32 +405,27 @@ def fit_candidates(
 
     lo, hi = _breakpoint_bounds(t)
     span = hi - lo
+    dt = float(np.median(np.diff(t)))
+    min_sep = 2.5 * dt
     for k in range(1, config.n_b_max + 1):
         if t.size < _MIN_SAMPLES_PER_SEGMENT * (k + 1):
             log.warning(
                 "event %r: too few samples for %d breakpoints", profile.event_id, k
             )
             continue
-        best = None
-        inits = [lo + span * np.arange(1, k + 1) / (k + 1)]
-        for _ in range(max(config.max_restarts - 1, 0)):
-            draw = np.sort(rng.uniform(lo, hi, size=k))
-            inits.append(draw)
-        for init in inits:
-            result = _iterate_breakpoints(t, v, w, init, config.convergence_tol)
-            if result is None:
-                continue
-            if best is None or result[2] < best[2]:
-                best = result
+        even = lo + span * np.arange(1, k + 1) / (k + 1)
+        draws = rng.uniform(lo, hi, size=(max(config.max_restarts - 1, 0), k))
+        inits = np.vstack([even, draws])
+        best = _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, config.convergence_tol)
         if best is None:
-            best = _grid_search(t, v, w, k)
+            best = _grid_search(t, v, sqrt_w, k)
         if best is None:
             log.warning(
                 "event %r: no converged fit with %d breakpoints", profile.event_id, k
             )
             continue
         _, bks, sse = best
-        bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi)
+        bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, dt, min_sep)
         if not _separated(bks, t):
             log.warning(
                 "event %r: %d-breakpoint fit lost separation", profile.event_id, k

@@ -1,5 +1,7 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from groundtruth import ground_truth_bundles
@@ -224,3 +226,70 @@ def test_pipeline_seed_18_samples_expnormal_at_k_cap(demo_csv, tmp_path):
     ])
     assert rc == 0
     assert len(read_synthetic_csv(tmp_path / "out" / "synthetic.csv").events) == 2000
+
+
+@pytest.mark.parametrize(
+    "flags, doc, field",
+    [
+        (["--nb-max", "-1"], None, "n_b_max"),
+        ([], {"n_b_max": "3"}, "n_b_max"),
+        ([], {"n_b_max": 2.5}, "n_b_max"),
+        ([], {"max_restarts": -3, "convergence_tol": -1}, "max_restarts"),
+        ([], {"max_restarts": 0}, "max_restarts"),
+        ([], {"convergence_tol": -1}, "convergence_tol"),
+        (["--lambda", "0"], None, "penalty"),
+        (["--lambda", "nan"], None, "penalty"),
+        ([], {"penalty": "0.006"}, "penalty"),
+        ([], {"epsilon": -1e-6}, "epsilon"),
+        ([], {"epsilon": float("inf")}, "epsilon"),
+        ([], {"epsilon": -(10**400)}, "epsilon"),  # too large for a float
+        ([], {"steady_slope_tol": -0.05}, "steady_slope_tol"),
+        ([], {"steady_slope_tol": True}, "steady_slope_tol"),
+    ],
+)
+def test_bad_fit_settings_exit_2(demo_csv, tmp_path, capsys, flags, doc, field):
+    params = tmp_path / "params.csv"
+    argv = ["fit", "--input", str(demo_csv), "--output", str(params), *flags]
+    if doc is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = ["--config", str(config), *argv]
+    assert main(argv) == 2
+    assert f"config field {field}" in capsys.readouterr().err
+    assert not params.exists()
+
+
+def test_fit_logs_summary(demo_csv, tmp_path, caplog):
+    from collections import Counter
+
+    from leadkin import ingest, pwl
+    from leadkin.cli import event_rng
+
+    # three extra near-crashes: samples all before the modeling window
+    # (skipped), a convex stop whose fit dips below zero (repaired), and a
+    # 2 s record (invalid)
+    ts = np.round(np.arange(-5.0, 0.01, 0.1), 10)
+    extra = [f"early-000,SHRP2_nc,None,{t - 5.5:.1f},10.0," for t in ts]
+    extra += [f"stop-000,SHRP2_nc,None,{t:.1f},{0.8 * t * t:.4f}," for t in ts]
+    extra += [f"short-000,SHRP2_nc,None,{t:.1f},10.0," for t in ts[-21:]]
+    events = tmp_path / "events.csv"
+    text = demo_csv.read_text(encoding="utf-8") + "\n".join(extra) + "\n"
+    events.write_text(text, encoding="utf-8")
+    params = tmp_path / "params.csv"
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        assert main(["fit", "--input", str(events), "--output", str(params)]) == 0
+    [summary] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit: ")]
+
+    rows = list(csv.DictReader(params.open(encoding="utf-8")))
+    n_b = dict(sorted(Counter(int(r["n_b"]) for r in rows).items()))
+    valid = sum(r["valid"] == "1" for r in rows)
+    repairs = 0
+    for event in ingest.load_events(events):
+        if event.event_id != "early-000":
+            fit = pwl.fit_event(ingest.window_event(event), rng=event_rng(0, event.event_id))
+            repairs += fit.modified_for_nonnegativity
+    assert len(rows) == 54 and repairs > 0 and valid < 54
+    assert summary == (
+        f"fit: 54 events, {valid} valid, {54 - valid} invalid; n_b histogram {n_b}; "
+        f"{repairs} non-negativity repairs; skipped {{'EmptyWindow': 1}}"
+    )

@@ -4,12 +4,19 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pwl_reference as scalar
+from groundtruth import recovery_corpus
+from leadkin import pwl
 from leadkin.errors import EmptyCandidates
 from leadkin.events import SpeedProfile
 from leadkin.pwl import (
     FitConfig,
     PwlFit,
     Segment,
+    _breakpoint_bounds,
+    _polish_breakpoints,
+    _sse_batch,
+    _wls,
     enforce_nonnegative,
     extract_params,
     fit_candidates,
@@ -274,3 +281,142 @@ class TestSelection:
         assert fit.n_b == 1
         assert fit.breakpoints[0] == pytest.approx(-2.0, abs=0.1)
         assert fit.loss is not None
+
+
+SQRT_W = np.sqrt(sample_weights(GRID))
+LO, HI = _breakpoint_bounds(GRID)
+DT = float(np.median(np.diff(GRID)))
+MIN_SEP = 2.5 * DT
+TOL = FitConfig().convergence_tol
+
+
+class TestSseBatch:
+    """The stacked QR scoring against one lstsq solve per row.
+
+    The tolerance is 1e-12 relative with a 1e-20 absolute floor for a zero
+    SSE.  Both methods round at about eps * |yw| per residual entry, so the
+    relative agreement holds while the residual is not tiny next to the data:
+    the noise-0.05 recovery profiles below stay under about 6e-13.
+    """
+
+    @staticmethod
+    def assert_matches_lstsq(v, bks):
+        bks = np.asarray(bks, dtype=float)
+        sse = _sse_batch(GRID, v, SQRT_W, bks)
+        ref = np.array([_wls(GRID, v, SQRT_W, b)[1] for b in bks])
+        assert np.all(np.abs(sse - ref) <= np.maximum(1e-12 * ref, 1e-20)), (sse, ref)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_random_stacks(self, k):
+        rng = np.random.default_rng(k)
+        for _, p in recovery_corpus(8, seed=5):
+            self.assert_matches_lstsq(p.speeds, rng.uniform(LO, HI, size=(25, k)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_edge_placements(self, k):
+        steps = MIN_SEP * np.arange(k)
+        stack = [
+            np.full(k, LO) + steps,  # at lo, exactly min_sep apart
+            np.full(k, HI) - steps[::-1],  # at hi, exactly min_sep apart
+            GRID[[10, 25, 40][:k]],  # on sample times
+            np.linspace(LO, HI, k),  # spanning [lo, hi]
+        ]
+        for _, p in recovery_corpus(4, seed=6):
+            self.assert_matches_lstsq(p.speeds, stack)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_constant_speed(self, k):
+        stack = np.random.default_rng(k).uniform(LO, HI, size=(10, k))
+        self.assert_matches_lstsq(np.full(GRID.size, 8.0), stack)
+
+    def test_rank_deficient_rows_are_solved_by_wls(self, monkeypatch):
+        solved = []
+
+        def spy(t, v, sqrt_w, bks):
+            solved.append(tuple(bks))
+            return _wls(t, v, sqrt_w, bks)
+
+        monkeypatch.setattr(pwl, "_wls", spy)
+        v = recovery_corpus(3, seed=5)[2][1].speeds
+        stack = np.array([[-3.0, -1.0], [-2.0, -2.0], [-3.0, 0.5]])  # twin, empty column
+        sse = _sse_batch(GRID, v, SQRT_W, stack)
+        assert solved == [(-2.0, -2.0), (-3.0, 0.5)]
+        assert sse[1] == _wls(GRID, v, SQRT_W, stack[1])[1]
+        assert sse[2] == _wls(GRID, v, SQRT_W, stack[2])[1]
+        self.assert_matches_lstsq(v, stack[:1])
+
+
+def assert_same_candidates(new, old):
+    assert [c.n_b for c in new] == [c.n_b for c in old]
+    for a, b in zip(new, old):
+        assert np.all(np.abs(np.subtract(a.breakpoints, b.breakpoints)) <= 1e-9)
+        assert abs(a.r_squared - b.r_squared) <= 1e-12
+
+
+class TestBatchedFitMatchesScalar:
+    """The batched fitter against the one-lstsq-per-point oracle in
+    ``tests/pwl_reference.py``."""
+
+    def test_recovery_corpus(self):
+        for i, (_, p) in enumerate(recovery_corpus(24, seed=17)):
+            new = fit_candidates(p, FitConfig(), np.random.default_rng(i))
+            old = scalar.fit_candidates(p, FitConfig(), np.random.default_rng(i))
+            assert_same_candidates(new, old)
+
+    @given(
+        n_b=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        log_noise=st.floats(-3.0, 0.0),
+        clamp=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_noisy_piecewise_linear(self, n_b, seed, log_noise, clamp):
+        rng = np.random.default_rng(seed)
+        edges = np.concatenate([[-5.0], np.sort(rng.uniform(-4.5, -0.5, n_b)), [0.0]])
+        v = np.interp(GRID, edges, rng.uniform(0.0, 20.0, n_b + 2))
+        v = v + rng.normal(0.0, 10.0**log_noise, GRID.size)
+        if clamp:
+            v = np.maximum(v, 0.0)
+        p = profile(v)
+        new = fit_candidates(p, FitConfig(), np.random.default_rng(seed))
+        old = scalar.fit_candidates(p, FitConfig(), np.random.default_rng(seed))
+        assert_same_candidates(new, old)
+
+    def test_lockstep_restarts_match_scalar_restarts(self):
+        rng = np.random.default_rng(4)
+        for _, p in recovery_corpus(12, seed=23):
+            for k in (1, 2, 3):
+                inits = rng.uniform(LO, HI, size=(10, k))
+                runs = [
+                    scalar._iterate_breakpoints(GRID, p.speeds, p.weights, x, TOL) for x in inits
+                ]
+                _, old_bks, old_sse = min(runs, key=lambda run: run[2])
+                _, bks, sse = pwl._refine_restarts(
+                    GRID, p.speeds, SQRT_W, inits, LO, HI, MIN_SEP, TOL
+                )
+                assert bks == pytest.approx(old_bks, abs=1e-11)
+                assert sse == pytest.approx(old_sse, rel=1e-12)
+
+    def test_polish_is_byte_identical(self):
+        rng = np.random.default_rng(8)
+        for _, p in recovery_corpus(12, seed=19):
+            for k in (1, 2, 3):
+                start = scalar._project_separated(np.sort(rng.uniform(LO, HI, k)), LO, HI, MIN_SEP)
+                sse = _wls(GRID, p.speeds, SQRT_W, start)[1]
+                old = scalar._polish_breakpoints(GRID, p.speeds, SQRT_W, start, sse, LO, HI)
+                new = _polish_breakpoints(GRID, p.speeds, SQRT_W, start, sse, LO, HI, DT, MIN_SEP)
+                assert new[0].tobytes() == old[0].tobytes()
+                assert new[1] == pytest.approx(old[1], rel=1e-12)
+
+    def test_grid_search_fallback(self):
+        # 8 samples leave no room for 3 breakpoints min_sep apart, so k = 3
+        # comes from the midpoint grid
+        t = np.round(np.linspace(-0.7, 0.0, 8), 10)
+        v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
+        p = SpeedProfile("short", None, None, t, v, sample_weights(t))
+        new = fit_candidates(p, FitConfig(), np.random.default_rng(0))
+        old = scalar.fit_candidates(p, FitConfig(), np.random.default_rng(0))
+        assert_same_candidates(new, old)
+        mids = (t[:-1] + t[1:]) / 2.0
+        assert new[-1].n_b == 3
+        assert new[-1].breakpoints == pytest.approx(mids[[1, 3, 5]], abs=1e-12)
