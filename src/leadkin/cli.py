@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from . import ingest, pwl, tables
 from . import validate as validate_mod
 from .errors import InputError, LeadkinError, NumericalError
 from .events import PARAM_NAMES, SourceGroup
+from .marginals import fit_tally
 from .mvdist import ModelConfig, build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
 from .validate import bootstrap_robustness, compare_datasets
@@ -36,15 +37,44 @@ log = logging.getLogger(__name__)
 STAGES = ("fit", "combine", "model", "generate", "validate")
 
 
-# fit fields checked on construction: (name, kind, lower bound, bound excluded)
-_FIT_FIELD_RULES = (
-    ("n_b_max", numbers.Integral, 0, False),
-    ("penalty", numbers.Real, 0, True),
-    ("epsilon", numbers.Real, 0, True),
-    ("steady_slope_tol", numbers.Real, 0, False),
-    ("max_restarts", numbers.Integral, 1, False),
-    ("convergence_tol", numbers.Real, 0, False),
-)
+class _Rule(NamedTuple):
+    """A numeric config field's type and its interval, low..high."""
+
+    kind: type  # numbers.Integral or numbers.Real
+    low: float
+    high: float = math.inf
+    open_low: bool = False  # the bound itself is excluded
+    open_high: bool = False
+
+    def describe(self) -> str:
+        if self.high == math.inf:
+            return f"{'>' if self.open_low else '>='} {self.low}"
+        return f"in {'(' if self.open_low else '['}{self.low}, {self.high}{')' if self.open_high else ']'}"
+
+    def holds(self, value) -> bool:
+        above = value > self.low if self.open_low else value >= self.low
+        below = value < self.high if self.open_high else value <= self.high
+        return above and below
+
+
+# every numeric field, checked on construction
+_FIELD_RULES = {
+    "n_b_max": _Rule(numbers.Integral, 0),
+    "penalty": _Rule(numbers.Real, 0, open_low=True),
+    "epsilon": _Rule(numbers.Real, 0, open_low=True),
+    "steady_slope_tol": _Rule(numbers.Real, 0),
+    "max_restarts": _Rule(numbers.Integral, 1),
+    "convergence_tol": _Rule(numbers.Real, 0),
+    "d_thd": _Rule(numbers.Real, 0),
+    "mass_threshold": _Rule(numbers.Real, 0, 1),
+    "corr_threshold": _Rule(numbers.Real, 0, 1),
+    "alpha_corr": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
+    "alpha_ks": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
+    "n_synth": _Rule(numbers.Integral, 1),
+    "profile_dt": _Rule(numbers.Real, 0, open_low=True),
+    "n_perm": _Rule(numbers.Integral, 1),
+    "seed": _Rule(numbers.Integral, 0),
+}
 
 
 @dataclass
@@ -70,16 +100,15 @@ class PipelineConfig:
     workdir: str = "out"
 
     def __post_init__(self):
-        for name, kind, low, strict in _FIT_FIELD_RULES:
+        for name, rule in _FIELD_RULES.items():
             value = getattr(self, name)
-            typed = isinstance(value, kind) and not isinstance(value, bool)
+            typed = isinstance(value, rule.kind) and not isinstance(value, bool)
             # a chained comparison, not math.isfinite, so a huge JSON integer cannot overflow
             if not typed or not -math.inf < value < math.inf:
-                expected = "an integer" if kind is numbers.Integral else "a finite number"
+                expected = "an integer" if rule.kind is numbers.Integral else "a finite number"
                 raise InputError(f"config field {name}: expected {expected}, got {value!r}")
-            if value < low or (strict and value == low):
-                relation = ">" if strict else ">="
-                raise InputError(f"config field {name} must be {relation} {low}, got {value!r}")
+            if not rule.holds(value):
+                raise InputError(f"config field {name} must be {rule.describe()}, got {value!r}")
 
     def fit_config(self) -> pwl.FitConfig:
         return pwl.FitConfig(
@@ -103,6 +132,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in dataclasses.fields(PipelineConfig)}
         unknown = set(doc) - known
         if unknown:
@@ -228,10 +259,37 @@ def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
     if not combined_path.exists():
         raise InputError(f"combined dataset not found: {combined_path}")
     dataset = tables.read_combined_csv(combined_path)
-    bundles = build_all(dataset, config.model_config())
+    with fit_tally() as tally:
+        bundles = build_all(dataset, config.model_config())
     doc = bundles_to_json(bundles)
     Path(model_out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    log.info("model: %d bundles", len(bundles))
+    log.info(
+        "model: %d bundles; %d univariate fits, %d Nelder-Mead runs, %d evaluations; "
+        "chosen families by role %s; families without a fit %s",
+        len(bundles),
+        tally.univariate_fits,
+        tally.nm_runs,
+        tally.nm_nfev,
+        _chosen_families(bundles),
+        dict(sorted(tally.failed.items())),
+    )
+
+
+def _chosen_families(bundles) -> Dict[str, Dict[str, int]]:
+    """Counts of the fitted marginal family per parameter role, over all bundles."""
+    chosen: Dict[str, Counter] = {}
+    for bundle in bundles:
+        for name, role in bundle.roles().items():
+            if role == "correlated":
+                dist = bundle.correlated.marginals[bundle.correlated.names.index(name)]
+            elif role in ("uncorrelated", "point-mass"):
+                dist = bundle.uncorrelated[name]
+                dist = getattr(dist, "continuous", dist)  # a hurdle's continuous part
+            else:
+                continue  # constants and copies have no marginal
+            family = "none" if dist is None else dist.family
+            chosen.setdefault(role, Counter())[family] += 1
+    return {role: dict(sorted(c.items())) for role, c in sorted(chosen.items())}
 
 
 def stage_generate(
@@ -408,6 +466,20 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
     return dataclasses.replace(config, **updates) if updates else config
 
 
+def _bootstrap_fractions(text: str) -> Tuple[float, ...]:
+    """The comma-separated resampling fractions, each a number in (0, 1]."""
+    fractions = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            raise InputError(f"--fractions: {item.strip()!r} is not a number") from None
+        if not 0.0 < value <= 1.0:  # also rejects NaN
+            raise InputError(f"--fractions: each fraction must be in (0, 1], got {item.strip()}")
+        fractions.append(value)
+    return tuple(fractions)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -431,8 +503,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "validate":
             stage_validate(config, args.raw, args.synthetic, args.output)
         elif args.command == "bootstrap":
+            fractions = _bootstrap_fractions(args.fractions)
+            for flag, value in (("--reps", args.reps), ("--n-synth", args.n_synth)):
+                if value < 1:
+                    raise InputError(f"{flag} must be >= 1, got {value}")
             dataset = tables.read_combined_csv(args.input)
-            fractions = tuple(float(f) for f in args.fractions.split(","))
             report = bootstrap_robustness(
                 dataset,
                 fractions=fractions,
@@ -440,7 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 n_synth=args.n_synth,
                 alpha=config.alpha_ks,
                 seed=config.seed,
-                n_perm=args.n_perm or config.n_perm,
+                n_perm=config.n_perm,
                 model_cfg=config.model_config(),
             )
             doc = {

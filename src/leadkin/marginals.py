@@ -10,11 +10,17 @@ comparable across families.
 from __future__ import annotations
 
 import logging
+import math
+import operator
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special, stats
 
 from .errors import AllFitsFailed, InputError, NumericalError
 from .wstats import effective_sample_size, normalize_to_effective, weighted_var_mle
@@ -222,6 +228,134 @@ def _expnormal_ppf(q: np.ndarray, k: float, loc: float, scale: float) -> np.ndar
     return (loc + scale * x).reshape(q.shape)
 
 
+# --- Nelder-Mead ---------------------------------------------------------------
+#
+# scipy.optimize.minimize(method="Nelder-Mead") spends as long on numpy calls
+# over 3-element arrays as on the likelihoods themselves.  _nelder_mead
+# repeats scipy 1.17's non-adaptive algorithm (Nelder & Mead 1965) step for
+# step on Python floats: the same initial simplex, coefficients, centroid
+# summation order, vertex order and stop rule, so every fit ends on the same
+# bits.  The tests use scipy itself as the oracle.
+
+_NM_MAXITER = 400
+_NM_XATOL = 1e-6
+_NM_FATOL = 1e-9
+_NM_NONZDELT = 0.05  # initial simplex: grow each coordinate by 5%,
+_NM_ZDELT = 0.00025  # or set it to this where it is 0
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5  # reflection, expansion, contraction, shrink
+
+
+class _Simplex(NamedTuple):
+    x: np.ndarray  # best vertex
+    fun: float
+    nfev: int
+    nit: int
+
+
+@dataclass
+class FitTally:
+    """Fitting work counted inside a :func:`fit_tally` block."""
+
+    univariate_fits: int = 0
+    nm_runs: int = 0
+    nm_nfev: int = 0
+    failed: Counter = field(default_factory=Counter)  # family -> fits it did not produce
+
+
+_TALLY: ContextVar[Optional[FitTally]] = ContextVar("leadkin_fit_tally", default=None)
+
+
+@contextmanager
+def fit_tally() -> Iterator[FitTally]:
+    """Count the univariate fits, Nelder-Mead runs and evaluations, and the
+    families that produced no fit, for every fit made inside the block."""
+    tally = FitTally()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+
+
+def _ordered(sim, fsim):
+    """The vertices and values sorted by value, in np.argsort's order.
+
+    Distinct values have only one order.  Ties (the 1e12 infeasible plateau)
+    and NaN go through np.argsort itself, whose order of tied values differs
+    from a stable sort on hosts with a SIMD sort.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    ranked = [fsim[i] for i in order]
+    # strictly increasing means distinct and free of NaN, for which a comparison is False
+    if not all(a < b for a, b in zip(ranked, ranked[1:])):
+        order = np.argsort(fsim).tolist()
+        ranked = [fsim[i] for i in order]
+    return [sim[i] for i in order], ranked
+
+
+def _nelder_mead(fun, x0) -> _Simplex:
+    """Minimize fun from x0 exactly as scipy's Nelder-Mead does with
+    maxiter 400, xatol 1e-6, fatol 1e-9 and no evaluation cap."""
+    nfev = 0
+
+    def f(vertex):
+        nonlocal nfev
+        nfev += 1
+        return float(fun(np.array(vertex)))
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        vertex = list(x0)
+        vertex[k] = (1 + _NM_NONZDELT) * vertex[k] if vertex[k] != 0 else _NM_ZDELT
+        sim.append(vertex)
+    fsim = [f(vertex) for vertex in sim]
+    # scipy sorts twice before the first step, and the second sort can move ties
+    sim, fsim = _ordered(*_ordered(sim, fsim))
+
+    nit = 1
+    while nit < _NM_MAXITER:
+        best = sim[0]
+        if all(abs(a - b) <= _NM_XATOL for v in sim[1:] for a, b in zip(v, best)) and all(
+            abs(fsim[0] - fv) <= _NM_FATOL for fv in fsim[1:]
+        ):
+            break
+        # centroid summed vertex by vertex, ((r0 + r1) + r2) / n, as np.add.reduce does
+        xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [b + _SIGMA * (v - b) for b, v in zip(sim[0], sim[j])]
+                fsim[j] = f(sim[j])
+        nit += 1
+        sim, fsim = _ordered(sim, fsim)
+    return _Simplex(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev, nit=nit)
+
+
 # --- weighted MLE per family -------------------------------------------------
 #
 # Inner-loop likelihoods use explicit log-pdf formulas (scipy.special) to
@@ -240,6 +374,11 @@ def _norm_logpdf(z):
     return -0.5 * np.square(z) - _LOG_SQRT_2PI
 
 
+def _finite3(a, b, c) -> bool:
+    """np.isfinite([a, b, c]).all() for three scalars, without the array."""
+    return math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+
+
 def _nll(logpdf, y, w):
     def fun(theta):
         lp = logpdf(theta, y)
@@ -250,15 +389,15 @@ def _nll(logpdf, y, w):
     return fun
 
 
-def _minimize(fun, starts):
+def _minimize(fun, starts) -> Optional[_Simplex]:
+    """Best Nelder-Mead result over the starts; None when none is finite."""
     best = None
+    tally = _TALLY.get()
     for x0 in starts:
-        res = optimize.minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-9},
-        )
+        res = _nelder_mead(fun, x0)
+        if tally is not None:
+            tally.nm_runs += 1
+            tally.nm_nfev += res.nfev
         if not np.isfinite(res.fun):
             continue
         if best is None or res.fun < best.fun:
@@ -316,7 +455,7 @@ def _fit_gengamma(y, w):
 
     def logpdf(theta, y):
         a, c, scale = np.exp(theta)
-        if not np.isfinite([a, c, scale]).all() or a > 1e6 or c > 50:
+        if not _finite3(a, c, scale) or a > 1e6 or c > 50:
             return None
         log_t = log_y - np.log(scale)
         return (
@@ -348,7 +487,7 @@ def _fit_skewnormal(y, w):
     def logpdf(theta, y):
         a, loc, log_scale = theta
         scale = np.exp(log_scale)
-        if not np.isfinite([a, loc, scale]).all() or abs(a) > 100:
+        if not _finite3(a, loc, scale) or abs(a) > 100:
             return None
         z = (y - loc) / scale
         return np.log(2.0) + _norm_logpdf(z) + special.log_ndtr(a * z) - log_scale
@@ -375,7 +514,7 @@ def _fit_expnormal(y, w):
         log_k, loc, log_scale = theta
         k = np.exp(log_k)
         scale = np.exp(log_scale)
-        if not np.isfinite([k, loc, scale]).all() or k > 1e4:
+        if not _finite3(k, loc, scale) or k > 1e4:
             return None
         z = (y - loc) / scale
         inv_k = 1.0 / k
@@ -473,6 +612,9 @@ def fit_univariate(
     if weighted_var_mle(x, w) <= 0.0:
         raise AllFitsFailed("zero variance: data is constant")
 
+    tally = _TALLY.get()
+    if tally is not None:
+        tally.univariate_fits += 1
     fits = []
     failed = 0
     for family in families:
@@ -482,9 +624,11 @@ def fit_univariate(
             # a numerical blow-up counts as a failed family; anything else is a bug
             log.debug("family %s failed", family, exc_info=True)
             failed += 1
-            continue
+            fitted = None
         if fitted is not None and np.isfinite(fitted.aic):
             fits.append(fitted)
+        elif tally is not None:
+            tally.failed[family] += 1
     if failed:
         log.info("%d of %d families failed with a numerical error", failed, len(families))
     if not fits:
@@ -497,8 +641,3 @@ def quantile_normalize(values, dist: FittedDist) -> np.ndarray:
     u = np.clip(dist.cdf(values), _CLIP_LO, _CLIP_HI)
     return stats.norm.ppf(u)
 
-
-def quantile_denormalize(z, dist: FittedDist) -> np.ndarray:
-    """Inverse of :func:`quantile_normalize`."""
-    u = np.clip(stats.norm.cdf(z), _CLIP_LO, _CLIP_HI)
-    return dist.ppf(u)

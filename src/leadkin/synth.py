@@ -24,7 +24,7 @@ from .pwl import sample_weights
 
 log = logging.getLogger(__name__)
 
-DEFAULT_RETRY_FACTOR = 100
+_RETRY_FACTOR = 100  # draws allowed per target row (at least 1000) before a bundle gives up
 _REASONS = ("range", "physical", "categorization")
 
 
@@ -226,7 +226,6 @@ def assemble_synthetic(
     bundles: Sequence[SubmodelBundle],
     n_total: int,
     seed=None,
-    retry_factor: int = DEFAULT_RETRY_FACTOR,
 ) -> SyntheticDataset:
     """Build a synthetic dataset with per-bundle counts proportional to the
     training weight shares, rejection-sampling each bundle to its target."""
@@ -250,7 +249,7 @@ def assemble_synthetic(
     for bundle, target, stream in zip(bundles, targets, streams):
         rng = np.random.default_rng(stream)
         constraints = ConstraintSet(bundle=bundle)
-        cap = max(retry_factor * int(target), 1000)
+        cap = max(_RETRY_FACTOR * int(target), 1000)
         tally: Counter = Counter()
         drawn = got = 0
         while got < target:

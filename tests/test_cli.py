@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundtruth import ground_truth_bundles
 from leadkin.cli import PipelineConfig, main, run_pipeline
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.demo import make_demo_events
+from leadkin.errors import InputError
 from leadkin.events import EventParams, ParamTable, Severity, SourceGroup
 from leadkin.mvdist import bundles_to_json
 from leadkin.synth import SyntheticDataset
@@ -293,3 +297,161 @@ def test_fit_logs_summary(demo_csv, tmp_path, caplog):
         f"fit: 54 events, {valid} valid, {54 - valid} invalid; n_b histogram {n_b}; "
         f"{repairs} non-negativity repairs; skipped {{'EmptyWindow': 1}}"
     )
+
+
+def test_model_logs_summary(tmp_path, caplog, monkeypatch):
+    from collections import Counter
+
+    from groundtruth import ground_truth_corpus
+    from leadkin import marginals, mvdist
+
+    combined, model = tmp_path / "combined.csv", tmp_path / "model.json"
+    write_combined_csv(combined, ground_truth_corpus(counts=(30, 40, 30)))
+    evaluations, runs, fits = [0], [0], [0]
+    nll, nelder_mead, fit_univariate = marginals._nll, marginals._nelder_mead, mvdist.fit_univariate
+
+    def counted_nll(*args):
+        fun = nll(*args)
+
+        def counted(theta):
+            evaluations[0] += 1
+            return fun(theta)
+
+        return counted
+
+    def counted_nelder_mead(fun, x0):
+        runs[0] += 1
+        return nelder_mead(fun, x0)
+
+    def counted_fit_univariate(*args, **kwargs):
+        fits[0] += 1
+        return fit_univariate(*args, **kwargs)
+
+    monkeypatch.setattr(marginals, "_nll", counted_nll)
+    monkeypatch.setattr(marginals, "_nelder_mead", counted_nelder_mead)
+    monkeypatch.setattr(mvdist, "fit_univariate", counted_fit_univariate)
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        assert main(["model", "--input", str(combined), "--output", str(model)]) == 0
+    [summary] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("model: ")]
+
+    doc = json.loads(model.read_text())
+    chosen = {}
+    for bundle in doc["bundles"]:
+        for m in (bundle["correlated"] or {}).get("marginals", []):
+            chosen.setdefault("correlated", Counter())[m["family"]] += 1
+        for dist in bundle["uncorrelated"].values():
+            if "continuous" in dist:
+                family = dist["continuous"]["family"] if dist["continuous"] else "none"
+                chosen.setdefault("point-mass", Counter())[family] += 1
+            else:
+                chosen.setdefault("uncorrelated", Counter())[dist["family"]] += 1
+    chosen = {role: dict(sorted(c.items())) for role, c in sorted(chosen.items())}
+    assert fits[0] > 0 and runs[0] > 0
+    assert summary == (
+        f"model: {len(doc['bundles'])} bundles; {fits[0]} univariate fits, {runs[0]} Nelder-Mead runs, "
+        f"{evaluations[0]} evaluations; chosen families by role {chosen}; families without a fit {{}}"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"n_perm": 0}, "n_perm"),
+        ({"n_perm": 2.5}, "n_perm"),
+        ({"n_synth": -5}, "n_synth"),
+        ({"alpha_ks": 7}, "alpha_ks"),
+        ({"alpha_ks": 0}, "alpha_ks"),
+        ({"alpha_corr": 1}, "alpha_corr"),
+        ({"mass_threshold": 1.5}, "mass_threshold"),
+        ({"corr_threshold": -0.1}, "corr_threshold"),
+        ({"profile_dt": 0}, "profile_dt"),
+        ({"d_thd": -1}, "d_thd"),
+        ({"seed": -1}, "seed"),
+        ({"seed": "7"}, "seed"),
+    ],
+)
+def test_bad_config_fields_exit_2(tables_dir, capsys, doc, field):
+    config = tables_dir / "config.json"
+    config.write_text(json.dumps(doc))
+    argv = ["--config", str(config), "validate", "--raw", str(tables_dir / "combined.csv"),
+            "--synthetic", str(tables_dir / "synthetic.csv"), "--output", str(tables_dir / "r.json")]
+    assert main(argv) == 2
+    assert f"config field {field}" in capsys.readouterr().err
+    assert not (tables_dir / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("validate", ["--alpha", "7"], "alpha_ks"),
+        ("validate", ["--alpha", "nan"], "alpha_ks"),
+        ("model", ["--mass-threshold", "5"], "mass_threshold"),
+        ("model", ["--corr-threshold", "-3"], "corr_threshold"),
+        ("model", ["--alpha-corr", "nan"], "alpha_corr"),
+        ("generate", ["--n", "-5"], "n_synth"),
+        ("generate", ["--dt", "0"], "profile_dt"),
+        ("combine", ["--d-thd", "-1"], "d_thd"),
+        ("bootstrap", ["--n-perm", "0"], "n_perm"),
+    ],
+)
+def test_bad_stage_flags_exit_2(tables_dir, capsys, command, flags, field):
+    d = tables_dir
+    inputs = {
+        "validate": ["--raw", f"{d}/combined.csv", "--synthetic", f"{d}/synthetic.csv"],
+        "model": ["--input", f"{d}/combined.csv"],
+        "generate": ["--model", f"{d}/model.json"],
+        "combine": ["--params", f"{d}/params.csv"],
+        "bootstrap": ["--input", f"{d}/combined.csv"],
+    }[command]
+    out = d / "out.file"
+    assert main([command, *inputs, "--output", str(out), *flags]) == 2
+    assert f"config field {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fractions", ["x", "1.5", "0", "0.9,nan", "0.8,-0.2"])
+def test_bad_bootstrap_fractions_exit_2(tables_dir, capsys, fractions):
+    out = tables_dir / "bootstrap.json"
+    argv = ["bootstrap", "--input", str(tables_dir / "combined.csv"), "--fractions", fractions,
+            "--output", str(out)]
+    assert main(argv) == 2
+    assert "--fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--reps", "--n-synth"])
+def test_bad_bootstrap_counts_exit_2(tables_dir, capsys, flag):
+    out = tables_dir / "bootstrap.json"
+    argv = ["bootstrap", "--input", str(tables_dir / "combined.csv"), flag, "0", "--output", str(out)]
+    assert main(argv) == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+
+_FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from([10**400, -(10**400), 0, 1, 2]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 1.0, 1e-300, float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(
+    st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]), _FIELD_VALUES),
+    st.dictionaries(st.text(max_size=8), _FIELD_VALUES, max_size=3),
+    st.lists(st.integers(), max_size=3),
+    st.integers(),
+    st.text(max_size=5),
+    st.none(),
+))
+def test_random_config_document_is_a_config_or_an_input_error(doc):
+    try:
+        config = PipelineConfig.from_json(doc)
+    except InputError:
+        return
+    assert isinstance(config, PipelineConfig)

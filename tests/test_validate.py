@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ks_reference
 from groundtruth import ground_truth_corpus
-from leadkin.errors import EmptyInput, EmptyReps
+from leadkin.errors import EmptyInput, EmptyReps, InputError
 from leadkin.events import ParamTable
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.validate import (
@@ -97,6 +98,61 @@ class TestWeightedKs:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             weighted_ks_test(np.array([]), None, np.array([1.0]), None)
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_weight_raises(self, bad):
+        with pytest.raises(InputError, match="finite and non-negative"):
+            weighted_ks_test([1.0, 2.0], [1.0, bad], [0.5, 3.0], None, n_perm=10)
+
+
+def _sample(draw, size, tied):
+    if tied:  # a few levels, so values tie within and across the samples
+        return [float(v) for v in draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))]
+    return draw(st.lists(st.floats(-5, 5), min_size=size, max_size=size))
+
+
+def _weights(draw, size):
+    if not draw(st.booleans()):
+        return None
+    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.7, 3.0]), min_size=size, max_size=size))
+    weights[draw(st.integers(0, size - 1))] = 2.5  # a positive total
+    return weights
+
+
+@st.composite
+def ks_cases(draw):
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    tied = draw(st.booleans())
+    return dict(
+        x=_sample(draw, nx, tied),
+        wx=_weights(draw, nx),
+        y=_sample(draw, ny, tied),
+        wy=_weights(draw, ny),
+        n_perm=draw(st.sampled_from([1, 7, 255, 256, 257, 600])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ks_cases())
+def test_ks_matches_full_cumsum_reference(case):
+    """Scoring each permutation from the smaller sample gives the statistic
+    and p-value of the full-cumsum version (either sample the smaller,
+    weights on neither, one or both sides, ties, one-element samples,
+    n_perm not a multiple of the 256-permutation chunk)."""
+    assert weighted_ks_test(**case) == ks_reference.weighted_ks_test(**case)
+
+
+@pytest.mark.parametrize("sizes", [(36, 2000), (1000, 3000), (500, 80)])
+def test_ks_matches_reference_at_pipeline_sizes(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    x = np.round(rng.gamma(2.0, 1.0, sizes[0]), 2)  # rounded: ties, as tau_s and tau_2 have
+    y = np.round(rng.gamma(2.1, 1.0, sizes[1]), 2)
+    wx = rng.uniform(0.2, 3.0, sizes[0])
+    for args in ((x, wx, y, None), (y, None, x, wx), (x, None, y, None)):
+        assert weighted_ks_test(*args, n_perm=600, seed=5) == ks_reference.weighted_ks_test(
+            *args, n_perm=600, seed=5
+        )
 
 
 class TestDescribe:
