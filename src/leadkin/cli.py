@@ -57,6 +57,8 @@ class _Rule(NamedTuple):
         return above and below
 
 
+_MAX_COUNT = 10**9  # largest draw or permutation count; keeps synth._apportion's int64 sums exact
+
 # every numeric field, checked on construction
 _FIELD_RULES = {
     "n_b_max": _Rule(numbers.Integral, 0),
@@ -70,9 +72,9 @@ _FIELD_RULES = {
     "corr_threshold": _Rule(numbers.Real, 0, 1),
     "alpha_corr": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
     "alpha_ks": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
-    "n_synth": _Rule(numbers.Integral, 1),
+    "n_synth": _Rule(numbers.Integral, 1, _MAX_COUNT),
     "profile_dt": _Rule(numbers.Real, 0, open_low=True),
-    "n_perm": _Rule(numbers.Integral, 1),
+    "n_perm": _Rule(numbers.Integral, 1, _MAX_COUNT),
     "seed": _Rule(numbers.Integral, 0),
 }
 
@@ -219,6 +221,8 @@ def stage_combine(
     counts_path=None,
     threshold_quantile=None,
 ) -> None:
+    if threshold_quantile is not None and not 0.0 <= threshold_quantile <= 1.0:  # also rejects NaN
+        raise InputError(f"similarity threshold quantile must be in [0, 1], got {threshold_quantile}")
     params_path = Path(params_path)
     if not params_path.exists():
         raise InputError(f"parameter table not found: {params_path}")
@@ -302,18 +306,15 @@ def stage_generate(
         bundles = bundles_from_json(json.loads(model_path.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise InputError(f"model artifact {model_path} is not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise InputError(f"model artifact {model_path}: missing key {exc}") from None
-    dataset = assemble_synthetic(bundles, config.n_synth, seed=config.seed)
-    for bundle_id, rejected in dataset.rejections.items():
-        log.info(
-            "generate: bundle %s: %d accepted, rejected %s",
-            bundle_id, dataset.per_bundle_counts[bundle_id], rejected,
-        )
+    except InputError as exc:
+        raise InputError(f"model artifact {model_path}: {exc}") from None
+    dataset, rejections = assemble_synthetic(bundles, config.n_synth, seed=config.seed)
+    accepted = Counter(dataset.bundle_ids)
+    for bundle_id, rejected in rejections.items():
+        log.info("generate: bundle %s: %d accepted, rejected %s", bundle_id, accepted[bundle_id], rejected)
     tables.write_synthetic_csv(synthetic_out, dataset)
     if profiles_out is not None:
-        profiles = (params_to_profile(e, dt or config.profile_dt) for e in dataset.events)
-        tables.write_profiles_csv(profiles_out, profiles)
+        tables.write_profiles_csv(profiles_out, params_to_profile(dataset.events, dt or config.profile_dt))
     log.info("generate: %d events", len(dataset.events))
 
 
@@ -505,8 +506,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "bootstrap":
             fractions = _bootstrap_fractions(args.fractions)
             for flag, value in (("--reps", args.reps), ("--n-synth", args.n_synth)):
-                if value < 1:
-                    raise InputError(f"{flag} must be >= 1, got {value}")
+                if not 1 <= value <= _MAX_COUNT:
+                    raise InputError(f"{flag} must be >= 1 and <= {_MAX_COUNT}, got {value}")
             dataset = tables.read_combined_csv(args.input)
             report = bootstrap_robustness(
                 dataset,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSplit, EmptyGroup, InputError, ZeroVariance
 from .events import PARAM_NAMES, ParamTable, SourceGroup
-from .wstats import weighted_mean, weighted_sd
+from .wstats import describe
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +68,6 @@ class WeightedDataset:
     events: ParamTable
     stage: Stage
     counts: Optional[GroupCounts] = None
-    provenance: Optional[Mapping[str, Mapping[str, float]]] = None
 
     @property
     def total_weight(self) -> float:
@@ -95,9 +94,7 @@ class MergeResult:
     """Which near-crashes were attached to which crash, and the weight splits."""
 
     selected: tuple  # (near_crash_id, most_similar_crash_id, d_min)
-    distance_threshold: float
     attachment_counts: Mapping[str, int]  # crash_id -> number of attached near-crashes
-    min_distances: Mapping[str, float]  # near_crash_id -> d_min (all near-crashes)
 
 
 # --- weight preprocessing ---------------------------------------------------
@@ -188,10 +185,6 @@ def preprocess(events: ParamTable, counts: GroupCounts) -> WeightedDataset:
     native = ciss.native_weight.astype(float)
     trimmed = trim_weights(native)
     weights = [scale_weights(trimmed, len(ciss))]
-    provenance: Dict[str, Dict[str, float]] = {
-        event_id: {"original": float(w_raw), "trimmed": float(w_trim), "preprocessed": float(w)}
-        for event_id, w_raw, w_trim, w in zip(ciss.event_id, native, trimmed, weights[0])
-    }
 
     n2 = counts.raw_of(SourceGroup.SHRP2_SC)
     n3 = counts.raw_of(SourceGroup.SHRP2_NSC)
@@ -200,15 +193,12 @@ def preprocess(events: ParamTable, counts: GroupCounts) -> WeightedDataset:
     for group in (SourceGroup.SHRP2_SC, SourceGroup.SHRP2_NSC):
         w = shrp2_group_weight(n2, n3, n2_valid, n3_valid, group)
         weights.append(np.full(rows[group].size, w))
-        for event_id in events.event_id[rows[group]]:
-            provenance[event_id] = {"original": 1.0, "preprocessed": float(w)}
 
     order = np.concatenate([rows[g] for g in CRASH_GROUPS])
     return WeightedDataset(
         events=events.take(order).with_weights(np.concatenate(weights)),
         stage=Stage.PREPROCESSED,
         counts=counts,
-        provenance=provenance,
     )
 
 
@@ -288,19 +278,10 @@ def reweight_combine(dataset: WeightedDataset, plan: CombinePlan) -> WeightedDat
         events=events.with_weights(weights),
         stage=Stage.COMBINED_CRASH,
         counts=dataset.counts,
-        provenance=dataset.provenance,
     )
 
 
 # --- near-crash merging -----------------------------------------------------
-
-
-def param_stats(events: ParamTable) -> Dict[str, Tuple[float, float]]:
-    """Weighted mean and SD per parameter (frequency-weight convention)."""
-    return {
-        name: (weighted_mean(events[name], events.weight), weighted_sd(events[name], events.weight))
-        for name in PARAM_NAMES
-    }
 
 
 def _zscore_matrix(events: ParamTable, stats, names) -> np.ndarray:
@@ -311,7 +292,6 @@ def merge_near_crashes(
     crashes: WeightedDataset,
     near_crashes: ParamTable,
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
-    param_weights: Optional[Mapping[str, float]] = None,
 ) -> Tuple[WeightedDataset, MergeResult]:
     """Attach similar near-crashes as variations of their nearest crash.
 
@@ -326,7 +306,7 @@ def merge_near_crashes(
     if crashes.stage is not Stage.COMBINED_CRASH:
         raise InputError("merge_near_crashes requires a CombinedCrash dataset")
 
-    stats = param_stats(crashes.events)
+    stats = describe(crashes.events)
     usable = [name for name in PARAM_NAMES if stats[name][1] > 0]
     skipped = [name for name in PARAM_NAMES if name not in usable]
     if skipped:
@@ -339,19 +319,14 @@ def merge_near_crashes(
     crash_ids = sorted_crashes.event_id.tolist()
     z_crash = _zscore_matrix(sorted_crashes, stats, usable)
     z_nc = _zscore_matrix(near_crashes, stats, usable)
-    if param_weights is not None:
-        pw = np.array([float(param_weights.get(n, 1.0)) for n in usable])
-    else:
-        pw = np.ones(len(usable))
+    ones = np.ones(len(usable))  # a dot product sums in another order than .sum(axis=1)
 
     selected = []
-    min_distances: Dict[str, float] = {}
     host = np.full(len(near_crashes), -1)  # index into sorted_crashes, -1 when not attached
     for k, nc_id in enumerate(near_crashes.event_id.tolist()):
-        d2 = np.square(z_crash - z_nc[k]) @ pw
+        d2 = np.square(z_crash - z_nc[k]) @ ones
         i = int(np.argmin(d2))  # crashes sorted by id; first wins ties
         d_min = float(np.sqrt(d2[i]))
-        min_distances[nc_id] = d_min
         if d_min <= distance_threshold:
             host[k] = i
             selected.append((nc_id, crash_ids[i], d_min))
@@ -373,13 +348,10 @@ def merge_near_crashes(
         ]),
         stage=Stage.COMBINED_INCIDENT,
         counts=crashes.counts,
-        provenance=crashes.provenance,
     )
     result = MergeResult(
         selected=tuple(selected),
-        distance_threshold=float(distance_threshold),
         attachment_counts={crash_ids[i]: n for i, n in enumerate(attachments) if n},
-        min_distances=min_distances,
     )
     return merged, result
 
@@ -393,7 +365,7 @@ def distance_threshold_from_quantile(
     Approximates picking the elbow of the minimum-distance CDF when a new
     corpus ships without a calibrated threshold.
     """
-    stats = param_stats(crashes.events)
+    stats = describe(crashes.events)
     usable = [name for name in PARAM_NAMES if stats[name][1] > 0]
     if not usable:
         raise ZeroVariance("every parameter is constant across crashes")

@@ -70,7 +70,7 @@ class SpeedProfile:
 @dataclass(frozen=True)
 class EventParams:
     """One parameter row: the six-parameter description of a lead-vehicle
-    speed profile, with its weight and provenance.
+    speed profile, with its weight and its source group and severity.
 
     Counted backward from time zero: an optional steady-speed phase of
     duration ``tau_s`` at speed ``v_c``, a constant-acceleration phase

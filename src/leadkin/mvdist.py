@@ -12,6 +12,8 @@ else is fit independently.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -23,7 +25,6 @@ from .combine import WeightedDataset
 from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
 from .events import PARAM_NAMES, ParamTable
 from .marginals import (
-    CONTINUOUS_FAMILIES,
     HURDLE_FAMILIES,
     FittedDist,
     fit_family,
@@ -193,11 +194,11 @@ class TransformSpec:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "TransformSpec":
+    def from_json(doc: dict, where: str) -> "TransformSpec":
         return TransformSpec(
-            parameter=doc["parameter"],
-            intercept=float(doc["intercept"]),
-            coefficients={k: float(v) for k, v in doc["coefficients"].items()},
+            parameter=_field(doc, "parameter", str, where),
+            intercept=_field(doc, "intercept", float, where),
+            coefficients=_mapping(doc, "coefficients", float, where),
         )
 
 
@@ -262,15 +263,15 @@ class HurdleDist:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "HurdleDist":
+    def from_json(doc: dict, where: str) -> "HurdleDist":
         cont = doc.get("continuous")
         return HurdleDist(
             mass=PointMassSpec(
-                parameter=doc.get("parameter", ""),
-                mass_value=float(doc["mass_value"]),
-                mass_probability=float(doc["mass_probability"]),
+                parameter=_field(doc, "parameter", str, where, default=""),
+                mass_value=_field(doc, "mass_value", float, where),
+                mass_probability=_field(doc, "mass_probability", float, where),
             ),
-            continuous=None if cont is None else FittedDist.from_json(cont),
+            continuous=None if cont is None else _fitted_from_json(cont, f"{where}.continuous"),
         )
 
 
@@ -316,7 +317,6 @@ class ModelConfig:
     mass_threshold: float = DEFAULT_MASS_THRESHOLD
     corr_threshold: float = DEFAULT_CORR_THRESHOLD
     alpha_corr: float = DEFAULT_ALPHA_CORR
-    continuous_families: Tuple[str, ...] = CONTINUOUS_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -335,8 +335,11 @@ class SplitCondition:
         return {"parameter": self.parameter, "op": self.op, "value": self.value}
 
     @staticmethod
-    def from_json(doc: dict) -> "SplitCondition":
-        return SplitCondition(doc["parameter"], doc["op"], float(doc["value"]))
+    def from_json(doc: dict, where: str) -> "SplitCondition":
+        op = _field(doc, "op", str, where)
+        if op not in ("eq", "ne"):
+            raise InputError(f"{where}.op: expected 'eq' or 'ne', got {op!r}")
+        return SplitCondition(_field(doc, "parameter", str, where), op, _field(doc, "value", float, where))
 
 
 @dataclass(frozen=True)
@@ -532,7 +535,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
         marginals = []
         z_cols = []
         for name in corr_names:
-            fitted = fit_univariate(columns[name], w, families=cfg.continuous_families)
+            fitted = fit_univariate(columns[name], w)
             marginals.append(fitted)
             z_cols.append(quantile_normalize(columns[name], fitted))
         k = len(corr_names)
@@ -556,7 +559,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
                 columns[name], w, mass_threshold=cfg.mass_threshold, parameter=name
             )
         else:
-            uncorrelated[name] = fit_univariate(columns[name], w, families=cfg.continuous_families)
+            uncorrelated[name] = fit_univariate(columns[name], w)
 
     return [
         SubmodelBundle(
@@ -629,42 +632,108 @@ def bundles_to_json(bundles: Sequence[SubmodelBundle]) -> dict:
     return {"schema": SCHEMA_ID, "bundles": docs}
 
 
-def bundles_from_json(doc: dict) -> List[SubmodelBundle]:
+def bundles_from_json(doc) -> List[SubmodelBundle]:
+    """Decode a model document; a malformed one raises ``InputError`` naming
+    the part at fault."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA_ID:
         raise InputError(f"unsupported model schema {schema!r}")
-    bundles = []
-    for item in doc["bundles"]:
-        label_doc = item["label"]
-        pattern = Pattern(label_doc["pattern"]) if label_doc.get("pattern") else None
-        label = SubdatasetLabel(
-            id=label_doc["id"], pattern=pattern, description=label_doc.get("description", "")
-        )
-        correlated = None
-        if item.get("correlated") is not None:
-            cdoc = item["correlated"]
-            correlated = CorrelatedBlock(
-                names=tuple(cdoc["names"]),
-                marginals=tuple(FittedDist.from_json(m) for m in cdoc["marginals"]),
-                sigma=np.asarray(cdoc["sigma"], dtype=float),
-            )
-        uncorrelated: Dict[str, object] = {}
-        for name, udoc in item["uncorrelated"].items():
-            if udoc["kind"] == "hurdle":
-                uncorrelated[name] = HurdleDist.from_json(udoc)
-            else:
-                uncorrelated[name] = FittedDist.from_json(udoc)
-        bundles.append(
-            SubmodelBundle(
-                label=label,
-                splits=tuple(SplitCondition.from_json(s) for s in item.get("splits", [])),
-                constants={k: float(v) for k, v in item["constants"].items()},
-                copies=dict(item.get("copies", {})),
-                transforms=tuple(TransformSpec.from_json(t) for t in item.get("transforms", [])),
-                correlated=correlated,
-                uncorrelated=uncorrelated,
-                train_weight_share=float(item["train_weight_share"]),
-                train_weight=float(item.get("train_weight", 0.0)),
-            )
-        )
+    bundles = [_bundle_from_json(item, where) for item, where in _objects(doc, "bundles", "model")]
+    shares = [b.train_weight_share for b in bundles]
+    if not shares or min(shares) < 0 or abs(sum(shares) - 1.0) > 1e-6:
+        raise InputError(f"bundle weight shares must be non-negative and sum to 1, got {shares}")
     return bundles
+
+
+_REQUIRED = object()
+_KIND_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+               float: "a finite number"}
+
+
+def _checked(value, kind: type, where: str):
+    """``value`` if it is JSON of ``kind``, else ``InputError``; a ``float``
+    is any finite number, returned as a float."""
+    if kind is not float and isinstance(value, kind):
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and abs(value) <= sys.float_info.max:  # False for NaN and inf
+        return float(value)
+    raise InputError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
+
+
+def _field(doc: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """``doc[key]`` checked by ``_checked``; ``default`` when the key is
+    absent and a default is given."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise InputError(f"{where}: missing key {key!r}")
+        return default
+    return _checked(doc[key], kind, f"{where}.{key}")
+
+
+def _mapping(doc: dict, key: str, kind: type, where: str, default=_REQUIRED) -> dict:
+    """The object ``doc[key]`` with every value checked to be of ``kind``."""
+    entries = _field(doc, key, dict, where, default)
+    return {k: _checked(v, kind, f"{where}.{key}.{k}") for k, v in entries.items()}
+
+
+def _objects(doc: dict, key: str, where: str) -> list:
+    """(object, where) for each entry of the array ``doc[key]``, empty when absent."""
+    entries = _field(doc, key, list, where, default=[])
+    return [(_checked(e, dict, f"{where}.{key}[{i}]"), f"{where}.{key}[{i}]") for i, e in enumerate(entries)]
+
+
+def _fitted_from_json(doc, where: str) -> FittedDist:
+    doc = _checked(doc, dict, where)
+    _field(doc, "family", str, where)
+    _mapping(doc, "params", float, where)
+    affine = _field(doc, "affine", dict, where)
+    _field(affine, "shift", float, f"{where}.affine")
+    _field(affine, "reflect", bool, f"{where}.affine")
+    for key in ("aic", "loglik"):  # NaN for a marginal that was never scored
+        if not (isinstance(doc.get(key), float) and math.isnan(doc[key])):
+            _field(doc, key, float, where, default=0.0)
+    return FittedDist.from_json(doc)
+
+
+def _bundle_from_json(item: dict, where: str) -> SubmodelBundle:
+    label_id = _field(_field(item, "label", dict, where), "id", str, f"{where}.label")
+    if label_id not in LABELS:
+        raise InputError(f"{where}.label.id: unknown sub-dataset {label_id!r}")
+    correlated = None
+    if item.get("correlated") is not None:
+        block = _field(item, "correlated", dict, where)
+        w = f"{where}.correlated"
+        names = tuple(_checked(n, str, f"{w}.names") for n in _field(block, "names", list, w))
+        marginals = tuple(_fitted_from_json(m, f"{w}.marginals") for m in _field(block, "marginals", list, w))
+        sigma = [[_checked(v, float, f"{w}.sigma") for v in _checked(row, list, f"{w}.sigma")]
+                 for row in _field(block, "sigma", list, w)]
+        k = len(names)
+        if len(marginals) != k or len(sigma) != k or any(len(row) != k for row in sigma):
+            raise InputError(f"{w}: {k} names need {k} marginals and a {k}x{k} sigma")
+        correlated = CorrelatedBlock(names, marginals, np.array(sigma, dtype=float).reshape(k, k))
+    uncorrelated = {}
+    for name, u in _mapping(item, "uncorrelated", dict, where).items():
+        w = f"{where}.uncorrelated.{name}"
+        hurdle = _field(u, "kind", str, w) == "hurdle"
+        uncorrelated[name] = HurdleDist.from_json(u, w) if hurdle else _fitted_from_json(u, w)
+    bundle = SubmodelBundle(
+        label=LABELS[label_id],
+        splits=tuple(SplitCondition.from_json(*entry) for entry in _objects(item, "splits", where)),
+        constants=_mapping(item, "constants", float, where),
+        copies=_mapping(item, "copies", str, where, default={}),
+        transforms=tuple(TransformSpec.from_json(*entry) for entry in _objects(item, "transforms", where)),
+        correlated=correlated,
+        uncorrelated=uncorrelated,
+        train_weight_share=_field(item, "train_weight_share", float, where),
+        train_weight=_field(item, "train_weight", float, where, default=0.0),
+    )
+    sampled = [*uncorrelated, *(correlated.names if correlated else ())]
+    if sorted([*bundle.constants, *bundle.copies, *sampled]) != sorted(PARAM_NAMES):
+        raise InputError(f"{where}: constants, copies, correlated and uncorrelated parameters "
+                         f"must name each of {', '.join(PARAM_NAMES)} once")
+    read = [*bundle.copies.values(), *(t.parameter for t in bundle.transforms),
+            *(name for t in bundle.transforms for name in t.coefficients)]
+    if not set(read) <= set(sampled) or not {c.parameter for c in bundle.splits} <= set(PARAM_NAMES):
+        raise InputError(f"{where}: copies and transforms must read sampled parameters, splits known ones")
+    return bundle

@@ -19,44 +19,39 @@ from scipy import stats as sstats
 
 from .errors import RejectionCapExceeded
 from .events import GRAVITY, MODEL_T_MIN, PARAM_NAMES, EventParams, ParamTable, SpeedProfile
-from .mvdist import HurdleDist, SubmodelBundle, classify
+from .mvdist import SubmodelBundle, classify
 from .pwl import sample_weights
 
 log = logging.getLogger(__name__)
 
 _RETRY_FACTOR = 100  # draws allowed per target row (at least 1000) before a bundle gives up
 _REASONS = ("range", "physical", "categorization")
+_WINDOW = -MODEL_T_MIN  # s, length of the modeling window before time zero
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Range, physical, and categorization constraints for one bundle.
-
-    ``full_window`` controls whether the non-negative-speed check covers the
-    whole [-5, 0] window including the back-extension (default) or only the
-    modeled phases.
-    """
+    """Range, physical, and categorization constraints for one bundle."""
 
     bundle: SubmodelBundle
-    g_limit: float = GRAVITY
-    full_window: bool = True
 
     def rejection_reasons(self, table: ParamTable) -> np.ndarray:
         """The failing constraint family of every row, "" where none fails.
 
-        Checked in order: range, |a| > g, negative reconstructed speed, then
-        the label and the bundle's splits; a row gets the first that fails.
-        The speed check reconstructs each profile, so it runs only on the
-        rows that pass the first two.
+        Checked in order: range, |a| > g, a negative reconstructed speed
+        anywhere in the window, then the label and the bundle's splits; a
+        row gets the first that fails.
         """
         reasons = np.full(len(table), "", dtype=object)
         nonnegative = np.column_stack([table[name] for name in ("v_c", "tau_s", "tau_1", "tau_2")])
         reasons[(nonnegative < 0).any(axis=1)] = "range"
-        too_hard = (np.abs(table["a1"]) > self.g_limit) | (np.abs(table["a2"]) > self.g_limit)
+        too_hard = (np.abs(table["a1"]) > GRAVITY) | (np.abs(table["a2"]) > GRAVITY)
         reasons[(reasons == "") & too_hard] = "physical"
-        left = np.flatnonzero(reasons == "")
-        below = [min_profile_speed(row, self.full_window) < 0.0 for row in table.values[left].tolist()]
-        reasons[left[np.array(below, dtype=bool)]] = "physical"
+        # the profile is linear between its knots, so its minimum over the window is at one of them
+        tau_s, tau_1, n = table["tau_s"], table["tau_1"], len(table)
+        knots = np.column_stack([np.zeros(n), tau_s, tau_s + tau_1, np.full(n, _WINDOW)])
+        below = speeds_at(table.values, np.minimum(knots, _WINDOW)).min(axis=1) < 0.0
+        reasons[(reasons == "") & below] = "physical"
         left = np.flatnonzero(reasons == "")
         rest = table.take(left)
         fits = classify(rest) == self.bundle.label.id
@@ -73,88 +68,49 @@ class ConstraintSet:
 @dataclass(frozen=True)
 class SyntheticDataset:
     events: ParamTable
-    per_bundle_counts: Dict[str, int]
-    rejections: Dict[str, Dict[str, int]]  # bundle_id -> reason -> count
-    seed: Optional[int]
     bundle_ids: tuple  # the bundle each event was drawn from, parallel to events
 
 
 # --- profile reconstruction ---------------------------------------------------
 
 
-def _profile_vertices(v_c, a1, a2, tau_s, tau_1, tau_2) -> Tuple[np.ndarray, np.ndarray]:
-    """Polyline knots of the reconstructed speed profile on [-5, 0].
+def speeds_at(values: np.ndarray, s) -> np.ndarray:
+    """Reconstructed speed of every parameter row (an (n, 6) array in
+    ``PARAM_NAMES`` order) at s seconds before time zero.
 
-    Built backward from time zero; the earliest modeled segment's slope is
-    extended back to -5 s when the phases do not fill the window, and the
-    polyline is truncated at -5 s when they exceed it.
+    ``s`` broadcasts against one row per parameter vector: a shared grid of
+    shape (k,) or per-row times of shape (n, k).  Counted backward from
+    time zero, the speed holds v_c for tau_s, then changes at slope a1 for
+    tau_1 and at slope a2 for tau_2; the earliest modeled slope continues
+    without end, so the profile covers the whole window:
+
+        v = v_c - a1 clip(s - tau_s, 0, e1) - a2 clip(s - tau_s - tau_1, 0, e2)
+
+    with e1 = tau_1 when tau_2 > 0 or tau_1 = 0 (else unbounded), and e2
+    unbounded when tau_2 > 0 (else 0).
     """
-    ts = [0.0, -tau_s]
-    vs = [v_c, v_c]
-    v = v_c
-    if tau_1 > 0:
-        v = v - a1 * tau_1
-        ts.append(-(tau_s + tau_1))
-        vs.append(v)
-    if tau_2 > 0:
-        v = v - a2 * tau_2
-        ts.append(-(tau_s + tau_1 + tau_2))
-        vs.append(v)
-
-    # extend the earliest slope back to the window start
-    if ts[-1] > MODEL_T_MIN:
-        if tau_2 > 0:
-            slope = a2
-        elif tau_1 > 0:
-            slope = a1
-        else:
-            slope = 0.0
-        vs.append(vs[-1] - slope * (ts[-1] - MODEL_T_MIN))
-        ts.append(MODEL_T_MIN)
-
-    ts = np.asarray(ts[::-1], dtype=float)
-    vs = np.asarray(vs[::-1], dtype=float)
-
-    # truncate anything before the window start
-    if ts[0] < MODEL_T_MIN:
-        keep = ts >= MODEL_T_MIN
-        v_at_start = float(np.interp(MODEL_T_MIN, ts, vs))
-        ts = np.concatenate(([MODEL_T_MIN], ts[keep]))
-        vs = np.concatenate(([v_at_start], vs[keep]))
-        if ts.size > 1 and ts[0] == ts[1]:
-            ts, vs = ts[1:], vs[1:]
-    return ts, vs
+    v_c, a1, a2, tau_s, tau_1, tau_2 = (values[:, j, None] for j in range(len(PARAM_NAMES)))
+    second = tau_2 > 0
+    e1 = np.where(second | (tau_1 == 0), tau_1, np.inf)
+    e2 = np.where(second, np.inf, 0.0)
+    since_steady = s - tau_s
+    return v_c - a1 * np.clip(since_steady, 0.0, e1) - a2 * np.clip(since_steady - tau_1, 0.0, e2)
 
 
-def min_profile_speed(params: Sequence[float], full_window: bool = True) -> float:
-    """Minimum reconstructed speed of the six parameters (in ``PARAM_NAMES``
-    order), over the whole modeling window by default or over the modeled
-    phases only."""
-    ts, vs = _profile_vertices(*params)
-    if not full_window:
-        _, _, _, tau_s, tau_1, tau_2 = params
-        start = max(-(tau_s + tau_1 + tau_2), MODEL_T_MIN)
-        keep = ts >= start - 1e-12
-        vs = vs[keep]
-    return float(vs.min())
-
-
-def params_to_profile(e: EventParams, dt: float = 0.1) -> SpeedProfile:
-    """Sample the reconstructed profile on a dt grid over [-5, 0]."""
+def params_to_profile(table: ParamTable, dt: float = 0.1) -> List[SpeedProfile]:
+    """The reconstructed profile of every row, sampled on a dt grid over [-5, 0]."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ts, vs = _profile_vertices(e.v_c, e.a1, e.a2, e.tau_s, e.tau_1, e.tau_2)
     steps = int(np.floor(-MODEL_T_MIN / dt + 1e-9))
     grid = MODEL_T_MIN + dt * np.arange(steps + 1)
-    speeds = np.interp(grid, ts, vs)
-    return SpeedProfile(
-        event_id=e.event_id,
-        source_group=e.source_group,
-        severity=e.severity,
-        times=grid,
-        speeds=speeds,
-        weights=sample_weights(grid),
-    )
+    speeds = speeds_at(table.values, -grid)
+    weights = sample_weights(grid)
+    return [
+        SpeedProfile(event_id, group, severity, grid, row, weights)
+        for event_id, group, severity, row in zip(
+            table.event_id, table.source_group, table.severity, speeds
+        )
+    ]
 
 
 # --- sampling -------------------------------------------------------------------
@@ -187,10 +143,7 @@ def sample_submodel(
         dist = bundle.uncorrelated.get(name)
         if dist is None:
             continue
-        if isinstance(dist, HurdleDist):
-            columns[name] = dist.sample(rng, n)
-        else:
-            columns[name] = np.asarray(dist.sample(rng, n), dtype=float)
+        columns[name] = np.asarray(dist.sample(rng, n), dtype=float)
 
     # undo decorrelation using the sampled point-mass columns
     for spec in bundle.transforms:
@@ -226,9 +179,12 @@ def assemble_synthetic(
     bundles: Sequence[SubmodelBundle],
     n_total: int,
     seed=None,
-) -> SyntheticDataset:
+) -> Tuple[SyntheticDataset, Dict[str, Dict[str, int]]]:
     """Build a synthetic dataset with per-bundle counts proportional to the
-    training weight shares, rejection-sampling each bundle to its target."""
+    training weight shares, rejection-sampling each bundle to its target.
+
+    Also returns the rejection tallies: bundle_id -> reason -> count.
+    """
     shares = np.array([b.train_weight_share for b in bundles], dtype=float)
     if shares.size == 0:
         raise ValueError("no bundles to sample from")
@@ -244,7 +200,6 @@ def assemble_synthetic(
 
     accepted: List[np.ndarray] = []  # parameter rows, bundle by bundle
     bundle_ids: List[str] = []
-    per_bundle: Dict[str, int] = {}
     rejections: Dict[str, Dict[str, int]] = {}
     for bundle, target, stream in zip(bundles, targets, streams):
         rng = np.random.default_rng(stream)
@@ -263,15 +218,9 @@ def assemble_synthetic(
             got += len(accepted[-1])
             tally.update(rej)
             drawn += batch
-        per_bundle[bundle.bundle_id] = int(target)
         rejections[bundle.bundle_id] = {r: int(tally.get(r, 0)) for r in _REASONS}
         bundle_ids.extend([bundle.bundle_id] * got)
 
     values = np.concatenate(accepted) if accepted else np.empty((0, len(PARAM_NAMES)))
-    return SyntheticDataset(
-        events=ParamTable(values, event_id=[f"syn-{i:06d}" for i in range(len(values))]),
-        per_bundle_counts=per_bundle,
-        rejections=rejections,
-        seed=seed if isinstance(seed, int) else None,
-        bundle_ids=tuple(bundle_ids),
-    )
+    events = ParamTable(values, event_id=[f"syn-{i:06d}" for i in range(len(values))])
+    return SyntheticDataset(events, tuple(bundle_ids)), rejections

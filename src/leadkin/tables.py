@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from .errors import InputError
-from .events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
+from .events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup, SpeedProfile
 from .synth import SyntheticDataset
 
 PathLike = Union[str, Path]
@@ -195,18 +195,13 @@ def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset) -> None:
 
 def read_synthetic_csv(path: PathLike) -> SyntheticDataset:
     rows = _read_rows(path)
-    return SyntheticDataset(
-        events=ParamTable.from_rows(r.event for r in rows),
-        per_bundle_counts={},
-        rejections={},
-        seed=None,
-        bundle_ids=tuple(r.bundle for r in rows),
-    )
+    return SyntheticDataset(ParamTable.from_rows(r.event for r in rows), tuple(r.bundle for r in rows))
 
 
-def write_profiles_csv(path: PathLike, profiles) -> None:
+def write_profiles_csv(path: PathLike, profiles: Iterable[SpeedProfile]) -> None:
+    # csv writes a float as str(), which is its repr
     _write_csv(path, ["event_id", "t", "v"], (
-        [profile.event_id, repr(float(t)), repr(float(v))]
+        (profile.event_id, t, v)
         for profile in profiles
-        for t, v in zip(profile.times, profile.speeds)
+        for t, v in zip(profile.times.tolist(), profile.speeds.tolist())
     ))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import EmptyInput, EmptyReps, InputError, LeadkinError
 from .events import PARAM_NAMES
 from .mvdist import ModelConfig, build_all
 from .synth import SyntheticDataset, assemble_synthetic
-from .wstats import weighted_mean, weighted_sd
+from .wstats import describe
 
 log = logging.getLogger(__name__)
 
@@ -131,11 +131,10 @@ def weighted_ks_test(
         raise ValueError("n_perm must be >= 1")
     wx = np.ones_like(x) if wx is None else np.asarray(wx, dtype=float)
     wy = np.ones_like(y) if wy is None else np.asarray(wy, dtype=float)
-    if not all(np.isfinite(w).all() and (w >= 0).all() for w in (wx, wy)):
-        # the permutation scoring relies on a non-decreasing cumulative weight
-        raise InputError("sample weights must be finite and non-negative")
-    if wx.sum() <= 0 or wy.sum() <= 0:
-        raise EmptyInput("sample weights must have positive sum")
+    if not all(np.isfinite(w).all() and (w > 0).all() for w in (wx, wy)):
+        # a zero weight could leave a permuted sample with no weight at all,
+        # and its NaN distance would never count as exceeding the observed one
+        raise InputError("sample weights must be finite and positive")
 
     # per-sample normalization makes the test invariant to weight rescaling
     wx = wx * (x.size / wx.sum())
@@ -172,21 +171,6 @@ def weighted_ks_test(
 
     p = (1.0 + exceed) / (1.0 + n_perm)
     return KsResult(statistic=observed, p_value=float(min(p, 1.0)), n_permutations=n_perm)
-
-
-def describe(dataset) -> Dict[str, Tuple[float, float]]:
-    """Weighted mean and SD of each parameter.
-
-    Accepts a WeightedDataset, a SyntheticDataset (unit weights), or a
-    ParamTable.
-    """
-    table = getattr(dataset, "events", dataset)
-    if not len(table):
-        raise EmptyInput("dataset has no events")
-    return {
-        name: (weighted_mean(table[name], table.weight), weighted_sd(table[name], table.weight))
-        for name in PARAM_NAMES
-    }
 
 
 def compare_datasets(
@@ -248,7 +232,7 @@ def bootstrap_robustness(
     ref_seed, *rep_seeds = root.spawn(1 + len(fractions) * reps)
 
     bundles_full = build_all(dataset, cfg)
-    reference = assemble_synthetic(bundles_full, n_reference, seed=ref_seed)
+    reference, _ = assemble_synthetic(bundles_full, n_reference, seed=ref_seed)
 
     n = len(dataset.events)
     proportions: Dict[float, Dict[str, float]] = {}
@@ -266,7 +250,7 @@ def bootstrap_robustness(
             sub = replace(dataset, events=dataset.events.take(np.sort(idx)))
             try:
                 bundles = build_all(sub, cfg)
-                syn = assemble_synthetic(bundles, n_synth, seed=rng)
+                syn, _ = assemble_synthetic(bundles, n_synth, seed=rng)
             except LeadkinError as exc:
                 log.warning("bootstrap rep failed (fraction %.2f): %s", fraction, exc)
                 failed += 1

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 import numpy as np
 
 from .errors import EmptyInput
+from .events import PARAM_NAMES
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -60,3 +63,18 @@ def normalize_to_effective(weights) -> np.ndarray:
     if n_eff <= 0:
         raise EmptyInput("total weight must be positive")
     return w * (n_eff / w.sum())
+
+
+def describe(dataset) -> Dict[str, Tuple[float, float]]:
+    """Weighted mean and SD of each parameter.
+
+    Accepts a ParamTable or anything holding one as ``events`` (a
+    WeightedDataset, a SyntheticDataset with unit weights).
+    """
+    table = getattr(dataset, "events", dataset)
+    if not len(table):
+        raise EmptyInput("dataset has no events")
+    return {
+        name: (weighted_mean(table[name], table.weight), weighted_sd(table[name], table.weight))
+        for name in PARAM_NAMES
+    }

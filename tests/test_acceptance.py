@@ -53,7 +53,7 @@ def distribution_corpus():
 @pytest.fixture(scope="module")
 def full_synthetic(distribution_corpus):
     bundles = build_all(distribution_corpus)
-    synthetic = assemble_synthetic(bundles, 10000, seed=777)
+    synthetic, _ = assemble_synthetic(bundles, 10000, seed=777)
     return bundles, synthetic
 
 
@@ -279,7 +279,7 @@ def test_c8_published_dataset_reproduction():
             assert stats[name][1] == pytest.approx(sd, abs=0.02)
 
         bundles = build_all(dataset)
-        synthetic = assemble_synthetic(bundles, 10000, seed=1)
+        synthetic, _ = assemble_synthetic(bundles, 10000, seed=1)
         for j, name in enumerate(PARAM_NAMES):
             result = weighted_ks_test(
                 dataset.events[name], dataset.events.weight, synthetic.events[name], None,

@@ -129,7 +129,7 @@ def tables_dir(tmp_path):
     write_combined_csv(tmp_path / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))
     write_synthetic_csv(
         tmp_path / "synthetic.csv",
-        SyntheticDataset(table, {}, {}, None, bundle_ids=("S1",) * len(events)),
+        SyntheticDataset(table, bundle_ids=("S1",) * len(events)),
     )
     return tmp_path
 
@@ -455,3 +455,106 @@ def test_random_config_document_is_a_config_or_an_input_error(doc):
     except InputError:
         return
     assert isinstance(config, PipelineConfig)
+
+
+def _edit_bundle(edit):
+    def apply(doc):
+        edit(doc["bundles"][0])
+        return json.dumps(doc)
+
+    return apply
+
+
+def _one_by_one_sigma(bundle):
+    assert len(bundle["correlated"]["names"]) == 2
+    bundle["correlated"]["sigma"] = [[1.0]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        lambda doc: json.dumps({**doc, "bundles": 3}),
+        _edit_bundle(lambda b: b.update(train_weight_share="x")),
+        _edit_bundle(lambda b: b.update(train_weight_share=b["train_weight_share"] - 0.05)),
+        _edit_bundle(lambda b: b.update(label=5)),
+        _edit_bundle(_one_by_one_sigma),
+    ],
+    ids=["bundles-not-an-array", "share-not-a-number", "shares-sum-to-0.95", "label-not-an-object",
+         "sigma-1x1-for-two-names"],
+)
+def test_malformed_model_document_exits_2(tmp_path, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text(_model_doc()))
+    argv = ["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    assert f"model artifact {model}: " in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def _json_nodes(doc, path=()):
+    """Paths to every value inside a JSON document."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield path + (key,)
+        yield from _json_nodes(value, path + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([10**400, 0.5, -1.0, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.sampled_from(["v_c", "a1", "tau_2", "eq", "ne", "hurdle", "continuous", "normal", "S4"]),
+    st.lists(st.integers(0, 2), max_size=2), st.just({}), st.just([[1.0]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_edited_model_document_is_a_model_or_an_input_error(tmp_path_factory, data):
+    """One value replaced or one key deleted anywhere in a model document:
+    generate either succeeds, or exits 2 (input error) or 3 (numerical
+    failure), never with a traceback."""
+    doc = _model_doc()
+    path = data.draw(st.sampled_from(list(_json_nodes(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES, label="value")
+    directory = tmp_path_factory.mktemp("model")
+    (directory / "model.json").write_text(json.dumps(doc))
+    argv = ["generate", "--model", str(directory / "model.json"), "--n", "50",
+            "--output", str(directory / "s.csv")]
+    assert main(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("quantile", ["3", "-0.1", "nan"])
+def test_bad_threshold_quantile_exits_2_before_reading(tmp_path, capsys, quantile):
+    out = tmp_path / "combined.csv"
+    argv = ["combine", "--params", str(tmp_path / "absent.csv"), "--output", str(out),
+            "--d-thd-quantile", quantile]
+    assert main(argv) == 2
+    assert "threshold quantile must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--model", "{d}/absent.json", "--n", "10000000000000000000"], "config field n_synth"),
+        (["bootstrap", "--input", "{d}/absent.csv", "--n-perm", "1000000001"], "config field n_perm"),
+        (["bootstrap", "--input", "{d}/absent.csv", "--reps", "1000000001"], "--reps must be"),
+        (["bootstrap", "--input", "{d}/absent.csv", "--n-synth", "10000000000000000000"], "--n-synth must be"),
+    ],
+)
+def test_huge_counts_exit_2_before_reading(tmp_path, capsys, argv, message):
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_count_bound_is_inclusive():
+    assert PipelineConfig(n_synth=10**9, n_perm=10**9).n_synth == 10**9
+    with pytest.raises(InputError, match=r"n_synth must be in \[1, 1000000000\]"):
+        PipelineConfig(n_synth=10**9 + 1)

@@ -10,14 +10,18 @@ from tracer import Tracer  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls():
-    from leadkin import cli, synth, tables
+    from leadkin import cli, synth, tables, validate
 
     hooked = [
         (tables, "read_params_csv"),
         (tables, "read_combined_csv"),
         (tables, "read_synthetic_csv"),
+        (tables, "write_profiles_csv"),
         (cli, "params_to_profile"),
         (cli, "bundles_from_json"),
+        (cli, "assemble_synthetic"),
+        (validate, "assemble_synthetic"),
+        (synth, "sample_submodel"),
         (synth, "filter_valid"),
     ]
     originals = [getattr(owner, name) for owner, name in hooked]
@@ -57,3 +61,26 @@ def test_tracer_counters_see_a_small_pipeline(tmp_path):
     assert 0 < count["combine.nc_attached"] <= 20
     assert count["tables.rows_read"] > 0
     assert count["tables.rows_written"] >= 200
+
+
+def test_tracer_counts_profile_rows_of_a_traced_generate(tmp_path):
+    """The profile writer is fed an iterable of profiles, each counted by
+    its number of samples: 51 at dt 0.1, next to one synthetic row per event."""
+    import json
+
+    from groundtruth import ground_truth_bundles
+    from leadkin import cli
+    from leadkin.mvdist import bundles_to_json
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(bundles_to_json(ground_truth_bundles())))
+    config = cli.PipelineConfig(n_synth=120, seed=3)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cli.stage_generate(config, model, tmp_path / "synthetic.csv", tmp_path / "profiles.csv", 0.1)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["tables.rows_written"] == 120 + 120 * 51
+    assert len((tmp_path / "profiles.csv").read_text().splitlines()) == 1 + 120 * 51
+    assert [s.name for s in tracer.spans].count("synth.params_to_profile") == 1

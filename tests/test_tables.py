@@ -79,12 +79,7 @@ class TestCombinedCsv:
     def test_attached_to_names_the_host_crash(self, tmp_path):
         path = tmp_path / "combined.csv"
         events = ParamTable.from_rows(sample_event(i) for i in range(3))
-        merge = MergeResult(
-            selected=(("e2", "e0", 0.1),),
-            distance_threshold=0.78,
-            attachment_counts={"e0": 1},
-            min_distances={"e2": 0.1},
-        )
+        merge = MergeResult(selected=(("e2", "e0", 0.1),), attachment_counts={"e0": 1})
         write_combined_csv(path, WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT), merge)
         with path.open(newline="") as fh:
             attached = [row["attached_to"] for row in csv.DictReader(fh)]
@@ -154,11 +149,7 @@ def test_combined_round_trip(tmp_path_factory, rows, stage):
 def test_synthetic_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("synthetic") / "synthetic.csv"
     dataset = SyntheticDataset(
-        events=ParamTable.from_rows(e for e, _ in rows),
-        per_bundle_counts={},
-        rejections={},
-        seed=None,
-        bundle_ids=tuple(b for _, b in rows),
+        events=ParamTable.from_rows(e for e, _ in rows), bundle_ids=tuple(b for _, b in rows)
     )
     write_synthetic_csv(path, dataset)
     back = read_synthetic_csv(path)
@@ -202,8 +193,7 @@ def _write_tables(directory):
     )
     write_synthetic_csv(
         directory / "synthetic.csv",
-        SyntheticDataset(events=table, per_bundle_counts={}, rejections={}, seed=None,
-                         bundle_ids=("S1", "S2", "S1")),
+        SyntheticDataset(events=table, bundle_ids=("S1", "S2", "S1")),
     )
 
 

@@ -101,8 +101,14 @@ class TestWeightedKs:
 
     @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
     def test_negative_or_non_finite_weight_raises(self, bad):
-        with pytest.raises(InputError, match="finite and non-negative"):
+        with pytest.raises(InputError, match="finite and positive"):
             weighted_ks_test([1.0, 2.0], [1.0, bad], [0.5, 3.0], None, n_perm=10)
+
+    @pytest.mark.parametrize("wx, wy", [([1.0, 0.0, 2.0], None), (None, [0.0, 3.0])])
+    def test_zero_weight_raises(self, wx, wy):
+        # a permutation could leave a sample with no weight, and a NaN distance
+        with pytest.raises(InputError, match="finite and positive"):
+            weighted_ks_test([1.0, 2.0, 3.0], wx, [0.5, 3.0], wy, n_perm=10)
 
 
 def _sample(draw, size, tied):
@@ -114,9 +120,7 @@ def _sample(draw, size, tied):
 def _weights(draw, size):
     if not draw(st.booleans()):
         return None
-    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.7, 3.0]), min_size=size, max_size=size))
-    weights[draw(st.integers(0, size - 1))] = 2.5  # a positive total
-    return weights
+    return draw(st.lists(st.sampled_from([0.25, 1.0, 1.7, 3.0]), min_size=size, max_size=size))
 
 
 @st.composite
