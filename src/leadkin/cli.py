@@ -13,10 +13,15 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import numbers
+import os
 import sys
+import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,10 +63,12 @@ class _Rule(NamedTuple):
 
 
 _MAX_COUNT = 10**9  # largest draw or permutation count; keeps synth._apportion's int64 sums exact
+_MAX_BREAKPOINTS = 5  # the fit's grid-search fallback tries every k-subset of sample midpoints
+_MIN_PROFILE_DT = 1e-3  # s; at most 5001 samples per written profile
 
 # every numeric field, checked on construction
 _FIELD_RULES = {
-    "n_b_max": _Rule(numbers.Integral, 0),
+    "n_b_max": _Rule(numbers.Integral, 0, _MAX_BREAKPOINTS),
     "penalty": _Rule(numbers.Real, 0, open_low=True),
     "epsilon": _Rule(numbers.Real, 0, open_low=True),
     "steady_slope_tol": _Rule(numbers.Real, 0),
@@ -73,7 +80,7 @@ _FIELD_RULES = {
     "alpha_corr": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
     "alpha_ks": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
     "n_synth": _Rule(numbers.Integral, 1, _MAX_COUNT),
-    "profile_dt": _Rule(numbers.Real, 0, open_low=True),
+    "profile_dt": _Rule(numbers.Real, _MIN_PROFILE_DT),
     "n_perm": _Rule(numbers.Integral, 1, _MAX_COUNT),
     "seed": _Rule(numbers.Integral, 0),
 }
@@ -162,18 +169,53 @@ def event_rng(master_seed: int, event_id: str) -> np.random.Generator:
 # --- stages --------------------------------------------------------------------
 
 
+_FIT_CHUNK = 4  # events per task sent to a fit worker
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the platform has none."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _fit_profile(fit_cfg: pwl.FitConfig, seed: int, profile) -> Tuple[pwl.PwlFit, float]:
+    """One event's fit and its elapsed seconds; the generator depends only on
+    the seed and the event id, so the fit is the same in any process."""
+    began = time.perf_counter()
+    fit = pwl.fit_event(profile, fit_cfg, rng=event_rng(seed, profile.event_id))
+    return fit, time.perf_counter() - began
+
+
+def _fit_all(fit_cfg: pwl.FitConfig, seed: int, profiles: list) -> Tuple[int, list]:
+    """(worker count, [(fit, seconds)] in input order).
+
+    Fits run in forked workers, one per usable CPU and at most one per
+    profile, or in this process when that is one or fork is unavailable.
+    Forked, not spawned: a worker starts with the parent's imported modules
+    and state, where a spawned one would import numpy and scipy again on
+    every call.  The pool forks every worker before it starts its own
+    threads.  Only errors with the default constructor (``FitDiverged``,
+    ``EmptyCandidates``) can be raised here, so each reaches the caller as
+    itself; ``with`` joins every worker whether the map returns or raises.
+    """
+    fit = partial(_fit_profile, fit_cfg, seed)
+    workers = min(_usable_cpus(), len(profiles))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return 1, list(map(fit, profiles))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return workers, list(pool.map(fit, profiles, chunksize=_FIT_CHUNK))
+
+
 def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -> None:
     input_path = Path(input_path)
     if not input_path.exists():
         raise InputError(f"input file not found: {input_path}")
     events = ingest.load_events(input_path)
     fit_cfg = config.fit_config()
-    rows = []
     raw_counts: Dict[SourceGroup, int] = {}
-    valid_groups: List[Optional[SourceGroup]] = []
-    n_b_hist: Counter = Counter()
     skipped: Counter = Counter()
-    repairs = 0
+    windowed = []  # (event, profile) of every event with samples in the window
     for event in events:
         raw_counts[event.source_group] = raw_counts.get(event.source_group, 0) + 1
         try:
@@ -182,7 +224,15 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
             log.warning("skipping event %s: %s", event.event_id, exc)
             skipped[type(exc).__name__] += 1
             continue
-        fit = pwl.fit_event(profile, fit_cfg, rng=event_rng(config.seed, event.event_id))
+        windowed.append((event, profile))
+    began = time.perf_counter()
+    workers, fitted = _fit_all(fit_cfg, config.seed, [profile for _, profile in windowed])
+    fit_s = time.perf_counter() - began
+    rows = []
+    valid_groups: List[Optional[SourceGroup]] = []
+    n_b_hist: Counter = Counter()
+    repairs = 0
+    for (event, profile), (fit, _) in zip(windowed, fitted):
         params = pwl.extract_params(
             fit,
             fit_cfg,
@@ -212,6 +262,10 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
         repairs,
         dict(sorted(skipped.items())),
     )
+    fit_ms = [1e3 * seconds for _, seconds in fitted]
+    p50, p90 = np.percentile(fit_ms, [50, 90]) if fit_ms else (math.nan, math.nan)
+    # its own prefix: the summary above stays the one line that starts "fit: "
+    log.info("fit timing: %d workers, %.2f s; per-event fit ms p50 %.1f p90 %.1f", workers, fit_s, p50, p90)
 
 
 def stage_combine(
@@ -482,7 +536,10 @@ def _bootstrap_fractions(text: str) -> Tuple[float, ...]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -533,7 +590,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -114,12 +114,15 @@ class FittedDist:
                 f"{doc['family']} marginal has parameters {sorted(doc['params'])}, "
                 f"expected {sorted(names)}"
             )
+        params = {k: float(v) for k, v in doc["params"].items()}
+        if not _FAMILIES[doc["family"]].admits(params):
+            raise InputError(f"{doc['family']} marginal parameters {params} are outside the family's domain")
         affine = AffinePre(
             shift=float(doc["affine"]["shift"]), reflect=bool(doc["affine"]["reflect"])
         )
         return FittedDist(
             family=doc["family"],
-            params={k: float(v) for k, v in doc["params"].items()},
+            params=params,
             affine=affine,
             aic=float(doc.get("aic", float("nan"))),
             loglik=float(doc.get("loglik", float("nan"))),
@@ -544,9 +547,15 @@ class _Family(NamedTuple):
     positive: bool  # support is (0, inf): fit through an AffinePre on signed data
     fit: Callable  # (y, w) -> params dict, or None when the family cannot fit
 
+    def shapes(self, params: Mapping[str, float]) -> list:
+        return [params[n] for n in self.names if n not in ("loc", "scale")]
+
     def freeze(self, params: Mapping[str, float]):
-        shapes = [params[n] for n in self.names if n not in ("loc", "scale")]
-        return self.dist(*shapes, loc=params.get("loc", 0.0), scale=params["scale"])
+        return self.dist(*self.shapes(params), loc=params.get("loc", 0.0), scale=params["scale"])
+
+    def admits(self, params: Mapping[str, float]) -> bool:
+        """scale > 0 and the shapes within scipy's domain for the family."""
+        return params["scale"] > 0 and bool(self.dist._argcheck(*self.shapes(params)))
 
 
 _FAMILIES = {

@@ -38,19 +38,21 @@ class ConstraintSet:
     def rejection_reasons(self, table: ParamTable) -> np.ndarray:
         """The failing constraint family of every row, "" where none fails.
 
-        Checked in order: range, |a| > g, a negative reconstructed speed
-        anywhere in the window, then the label and the bundle's splits; a
-        row gets the first that fails.
+        Checked in order: range (a non-finite value, or a negative speed or
+        duration), |a| > g, a negative reconstructed speed anywhere in the
+        window, then the label and the bundle's splits; a row gets the
+        first that fails.
         """
         reasons = np.full(len(table), "", dtype=object)
         nonnegative = np.column_stack([table[name] for name in ("v_c", "tau_s", "tau_1", "tau_2")])
-        reasons[(nonnegative < 0).any(axis=1)] = "range"
+        reasons[(nonnegative < 0).any(axis=1) | ~np.isfinite(table.values).all(axis=1)] = "range"
         too_hard = (np.abs(table["a1"]) > GRAVITY) | (np.abs(table["a2"]) > GRAVITY)
         reasons[(reasons == "") & too_hard] = "physical"
         # the profile is linear between its knots, so its minimum over the window is at one of them
         tau_s, tau_1, n = table["tau_s"], table["tau_1"], len(table)
         knots = np.column_stack([np.zeros(n), tau_s, tau_s + tau_1, np.full(n, _WINDOW)])
-        below = speeds_at(table.values, np.minimum(knots, _WINDOW)).min(axis=1) < 0.0
+        with np.errstate(invalid="ignore"):  # rows with inf are "range" already
+            below = speeds_at(table.values, np.minimum(knots, _WINDOW)).min(axis=1) < 0.0
         reasons[(reasons == "") & below] = "physical"
         left = np.flatnonzero(reasons == "")
         rest = table.take(left)

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import io
 import json
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +253,8 @@ def test_pipeline_seed_18_samples_expnormal_at_k_cap(demo_csv, tmp_path):
         ([], {"epsilon": -(10**400)}, "epsilon"),  # too large for a float
         ([], {"steady_slope_tol": -0.05}, "steady_slope_tol"),
         ([], {"steady_slope_tol": True}, "steady_slope_tol"),
+        (["--nb-max", "10000000000000000000"], None, "n_b_max"),
+        (["--nb-max", "6"], None, "n_b_max"),
     ],
 )
 def test_bad_fit_settings_exit_2(demo_csv, tmp_path, capsys, flags, doc, field):
@@ -392,6 +398,7 @@ def test_bad_config_fields_exit_2(tables_dir, capsys, doc, field):
         ("generate", ["--dt", "0"], "profile_dt"),
         ("combine", ["--d-thd", "-1"], "d_thd"),
         ("bootstrap", ["--n-perm", "0"], "n_perm"),
+        ("generate", ["--dt", "1e-300"], "profile_dt"),
     ],
 )
 def test_bad_stage_flags_exit_2(tables_dir, capsys, command, flags, field):
@@ -558,3 +565,213 @@ def test_count_bound_is_inclusive():
     assert PipelineConfig(n_synth=10**9, n_perm=10**9).n_synth == 10**9
     with pytest.raises(InputError, match=r"n_synth must be in \[1, 1000000000\]"):
         PipelineConfig(n_synth=10**9 + 1)
+
+
+# --- the fit stage's worker pool ---------------------------------------------------
+
+
+def _reordered_events(demo_csv, path):
+    """The demo corpus with its events in reverse file order, so event ids are
+    out of sorted order, and an event with no samples in the window (an
+    ``EmptyWindow`` skip) in the middle."""
+    header, *lines = demo_csv.read_text(encoding="utf-8").splitlines()
+    blocks = {}
+    for line in lines:
+        blocks.setdefault(line.split(",", 1)[0], []).append(line)
+    ts = np.round(np.arange(-5.0, 0.01, 0.1), 10)
+    early = [f"early-000,SHRP2_nc,None,{t - 5.5:.1f},10.0," for t in ts]
+    ordered = list(reversed(blocks.values()))
+    ordered.insert(len(ordered) // 2, early)
+    path.write_text("\n".join([header, *(line for block in ordered for line in block)]) + "\n", encoding="utf-8")
+    return path
+
+
+def _fit_with_cpus(monkeypatch, cpus, events, out):
+    from leadkin import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert main(["fit", "--input", str(events), "--output", str(out / "params.csv")]) == 0
+    assert multiprocessing.active_children() == []
+    return [(out / name).read_bytes() for name in ("params.csv", "params.counts.json")]
+
+
+def test_fit_artifacts_do_not_depend_on_the_worker_count(demo_csv, tmp_path, monkeypatch, caplog):
+    events = _reordered_events(demo_csv, tmp_path / "events.csv")
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        serial = _fit_with_cpus(monkeypatch, 1, events, tmp_path / "one")
+        pooled = _fit_with_cpus(monkeypatch, 2, events, tmp_path / "two")
+    assert pooled == serial
+    timing = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit timing: ")]
+    assert len(timing) == 2
+    for workers, line in zip((1, 2), timing):
+        match = re.fullmatch(
+            rf"fit timing: {workers} workers, (\d+\.\d\d) s; per-event fit ms p50 (\d+\.\d) p90 (\d+\.\d)", line
+        )
+        assert match, line
+        seconds, p50, p90 = map(float, match.groups())
+        assert seconds > 0 and 0 < p50 <= p90
+    ids = [row["event_id"] for row in csv.DictReader(io.StringIO(serial[0].decode("utf-8")))]
+    assert len(ids) == 52 and "early-000" not in ids and ids != sorted(ids)
+    assert "skipping event early-000" in caplog.text
+
+
+def test_fit_diverged_in_a_worker_exits_3(demo_csv, tmp_path, monkeypatch, capsys):
+    from leadkin import cli, pwl
+    from leadkin.errors import FitDiverged
+
+    fit_event = pwl.fit_event
+
+    def diverges_once(profile, *args, **kwargs):
+        if profile.event_id == "SHRP2_nc-005":
+            raise FitDiverged(f"event {profile.event_id!r}: no restart converged")
+        return fit_event(profile, *args, **kwargs)
+
+    monkeypatch.setattr(pwl, "fit_event", diverges_once)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    params = tmp_path / "params.csv"
+    assert main(["fit", "--input", str(demo_csv), "--output", str(params)]) == 3
+    assert "numerical failure: event 'SHRP2_nc-005': no restart converged" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not params.exists()
+
+
+# --- marginal parameter domains ---------------------------------------------------
+
+
+def test_gamma_scale_outside_its_domain_exits_2(tmp_path, capsys):
+    doc = _model_doc()
+    [s4] = [b for b in doc["bundles"] if b["label"]["id"] == "S4"]
+    assert s4["uncorrelated"]["v_c"]["family"] == "gamma"
+    s4["uncorrelated"]["v_c"]["params"]["scale"] = -1.0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "s.csv"
+    assert main(["generate", "--model", str(model), "--n", "50", "--output", str(out)]) == 2
+    assert "gamma marginal parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("normal", {"loc": 0.0, "scale": 0.0}),
+        ("skewnormal", {"a": 1.0, "loc": 0.0, "scale": -2.0}),
+        ("expnormal", {"k": 0.0, "loc": 0.0, "scale": 1.0}),
+        ("gamma", {"shape": -2.0, "scale": 1.0}),
+        ("gengamma", {"a": 2.0, "c": 0.0, "scale": 1.0}),
+        ("exponential", {"scale": 0.0}),
+    ],
+)
+def test_marginal_outside_its_family_domain_is_an_input_error(family, params):
+    from leadkin.marginals import FittedDist
+
+    doc = {"family": family, "params": params, "affine": {"shift": 0.0, "reflect": False}}
+    with pytest.raises(InputError, match="outside the family's domain"):
+        FittedDist.from_json(doc)
+    doc["params"] = {**params, **{k: 1.0 for k in ("scale", "k", "shape", "c") if k in params}}
+    assert FittedDist.from_json(doc).family == family
+
+
+# --- the exit-code contract through main -------------------------------------------
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["1", "2", "0.5", "0.1"]),  # in range for most flags, so a run can get past its checks
+    st.sampled_from([
+        "-1", "0", "1e-300", "nan", "inf", "-inf", "1e400", "x", "",
+        "10000000000000000000", "-10000000000000000000",
+    ]),
+    st.text(max_size=4),
+)
+_FLAGS = {  # subcommand -> flag -> the kind of value it takes
+    "fit": {"--input": "events", "--output": "out", "--counts-out": "out", "--lambda": "number",
+            "--nb-max": "number"},
+    "combine": {"--params": "params", "--counts": "counts", "--d-thd": "number",
+                "--d-thd-quantile": "number", "--output": "out"},
+    "model": {"--input": "combined", "--output": "out", "--mass-threshold": "number",
+              "--corr-threshold": "number", "--alpha-corr": "number"},
+    "generate": {"--model": "model", "--n": "number", "--output": "out", "--profiles-out": "out",
+                 "--dt": "number"},
+    "validate": {"--raw": "combined", "--synthetic": "synthetic", "--alpha": "number", "--output": "out"},
+    # no well-formed input: a valid bootstrap run takes minutes
+    "bootstrap": {"--input": "bad", "--fractions": "fractions", "--reps": "number",
+                  "--n-synth": "number", "--n-perm": "number", "--output": "out"},
+    "pipeline": {"--input": "events", "--workdir": "out", "--stage": "stage"},
+}
+_GLOBAL_FLAGS = {"--config": "config", "--seed": "number"}
+_REQUIRED = {"fit": ("--input",), "combine": ("--params",), "model": ("--input",), "generate": ("--model",),
+             "validate": ("--raw", "--synthetic"), "bootstrap": ("--input",)}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Well-formed and malformed files for every input kind."""
+    root = tmp_path_factory.mktemp("inputs")
+    ts = np.round(np.arange(-5.0, 0.01, 0.1), 10)
+    (root / "events.csv").write_text(
+        "event_id,group,severity,t,v,weight\n"
+        + "".join(f"e{i},SHRP2_nc,None,{t:.1f},{10.0 + i * t:.2f},\n" for i in range(3) for t in ts),
+        encoding="utf-8",
+    )
+    events = [
+        EventParams(f"e{i}", 3.0 + i, -2.0, -1.0, 0.5, 2.0, 1.0, weight=1.5,
+                    source_group=SourceGroup.SHRP2_NSC, severity=Severity.NON_SEVERE)
+        for i in range(3)
+    ]
+    write_params_csv(root / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    (root / "counts.json").write_text(json.dumps({"SHRP2_nsc": 3}), encoding="utf-8")
+    table = ParamTable.from_rows(events)
+    write_combined_csv(root / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))
+    write_synthetic_csv(root / "synthetic.csv", SyntheticDataset(table, bundle_ids=("S1",) * 3))
+    (root / "model.json").write_text(json.dumps(_model_doc()), encoding="utf-8")
+    (root / "config.json").write_text(json.dumps({"n_synth": 20, "n_perm": 10}), encoding="utf-8")
+    (root / "empty.txt").write_text("", encoding="utf-8")
+    (root / "garbage.txt").write_text("{[,\n\"a\",1\n", encoding="utf-8")
+    (root / "binary.dat").write_bytes(b"\xff\xfe\x00\x9c\n\x81")
+    (root / "dir").mkdir()
+    bad = [root / "absent.csv", root / "dir", root / "empty.txt", root / "garbage.txt", root / "binary.dat"]
+    return {kind: [root / f"{kind}.{ext}", *bad] for kind, ext in (
+        ("events", "csv"), ("params", "csv"), ("counts", "json"), ("combined", "csv"),
+        ("synthetic", "csv"), ("model", "json"), ("config", "json"),
+    )} | {"bad": bad}
+
+
+def _value(kind, inputs, workdir):
+    if kind == "number":
+        return _NUMBERS
+    if kind == "fractions":
+        return st.sampled_from(["0.9,0.8", "1", "0", "1.5", "nan", "x", ",", "", "0.5,-0.5"])
+    if kind == "stage":
+        return st.sampled_from(["fit", "generate", "validate", "bogus", ""])
+    if kind == "out":
+        bad = [workdir / "absent" / "out", workdir, inputs["bad"][3] / "out"]
+        return st.one_of(st.just(workdir / "out"), st.sampled_from(bad))
+    return st.one_of(st.just(inputs[kind][0]), st.sampled_from(inputs[kind]))  # well-formed half the time
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_main_keeps_the_exit_code_contract_for_any_arguments(cli_inputs, tmp_path_factory, data):
+    """Random argument lists for every subcommand (unknown flags, bad
+    numbers, missing and malformed files): main returns 0, 2 or 3, and
+    never raises."""
+    workdir = tmp_path_factory.mktemp("run")
+    command = data.draw(st.sampled_from([*_FLAGS, "bogus"]), label="command")
+    argv = []
+    for flags in (_GLOBAL_FLAGS, _FLAGS.get(command, {"--input": "events"})):
+        chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True), label="flags")
+        if data.draw(st.integers(0, 9), label="keep required") > 0:  # a run that can get past argparse
+            chosen += [f for f in _REQUIRED.get(command, ()) if f in flags and f not in chosen]
+        for flag in chosen:
+            argv += [flag, str(data.draw(_value(flags[flag], cli_inputs, workdir), label=flag))]
+        if flags is _GLOBAL_FLAGS:
+            argv.append(command)
+    argv += data.draw(st.lists(st.sampled_from(["--bogus", "-x", "--verbose", "--n", "7", "--help"]), max_size=1))
+    cwd = os.getcwd()
+    os.chdir(workdir)  # default output paths are relative
+    try:
+        assert main(argv) in (0, 2, 3)
+    finally:
+        os.chdir(cwd)

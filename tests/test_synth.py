@@ -164,6 +164,14 @@ class TestFilterValid:
         accepted, rejected = filter_valid(ParamTable.from_rows([e]), self.cs())
         assert rejected["range"] == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", range(len(PARAM_NAMES)))
+    def test_non_finite_rejected_as_range(self, column, value):
+        vector = [5, -2, -3, 0, 2, 1]
+        vector[column] = value
+        accepted, rejected = filter_valid(ParamTable.from_rows([row(vector)]), self.cs())
+        assert not accepted and rejected["range"] == 1
+
     def test_tallies_are_exact(self):
         bundle = ground_truth_bundles()[1]
         draws = sample_submodel(bundle, 500, seed=3)
