@@ -16,7 +16,8 @@ from .events import (
     SourceGroup,
     SpeedProfile,
 )
-from .pwl import FitConfig, PwlFit, fit_candidates, fit_event, sample_weights
+from .config import PipelineConfig
+from .pwl import PwlFit, fit_candidates, fit_event, sample_weights
 from .combine import (
     CombinePlan,
     GroupCounts,
@@ -31,7 +32,6 @@ from .combine import (
     trim_weights,
 )
 from .mvdist import (
-    ModelConfig,
     SubdatasetLabel,
     SubmodelBundle,
     build_all,

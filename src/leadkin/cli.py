@@ -14,150 +14,31 @@ import json
 import logging
 import math
 import multiprocessing
-import numbers
 import os
 import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import combine as combine_mod
 from . import ingest, pwl, tables
 from . import validate as validate_mod
+from .config import MAX_COUNT, PipelineConfig
 from .errors import InputError, LeadkinError, NumericalError
 from .events import PARAM_NAMES, SourceGroup
 from .marginals import fit_tally
-from .mvdist import ModelConfig, build_all, bundles_from_json, bundles_to_json
+from .mvdist import build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
 from .validate import bootstrap_robustness, compare_datasets
 
 log = logging.getLogger(__name__)
 
 STAGES = ("fit", "combine", "model", "generate", "validate")
-
-
-class _Rule(NamedTuple):
-    """A numeric config field's type and its interval, low..high."""
-
-    kind: type  # numbers.Integral or numbers.Real
-    low: float
-    high: float = math.inf
-    open_low: bool = False  # the bound itself is excluded
-    open_high: bool = False
-
-    def describe(self) -> str:
-        if self.high == math.inf:
-            return f"{'>' if self.open_low else '>='} {self.low}"
-        return f"in {'(' if self.open_low else '['}{self.low}, {self.high}{')' if self.open_high else ']'}"
-
-    def holds(self, value) -> bool:
-        above = value > self.low if self.open_low else value >= self.low
-        below = value < self.high if self.open_high else value <= self.high
-        return above and below
-
-
-_MAX_COUNT = 10**9  # largest draw or permutation count; keeps synth._apportion's int64 sums exact
-_MAX_BREAKPOINTS = 5  # the fit's grid-search fallback tries every k-subset of sample midpoints
-_MIN_PROFILE_DT = 1e-3  # s; at most 5001 samples per written profile
-
-# every numeric field, checked on construction
-_FIELD_RULES = {
-    "n_b_max": _Rule(numbers.Integral, 0, _MAX_BREAKPOINTS),
-    "penalty": _Rule(numbers.Real, 0, open_low=True),
-    "epsilon": _Rule(numbers.Real, 0, open_low=True),
-    "steady_slope_tol": _Rule(numbers.Real, 0),
-    "max_restarts": _Rule(numbers.Integral, 1),
-    "convergence_tol": _Rule(numbers.Real, 0),
-    "d_thd": _Rule(numbers.Real, 0),
-    "mass_threshold": _Rule(numbers.Real, 0, 1),
-    "corr_threshold": _Rule(numbers.Real, 0, 1),
-    "alpha_corr": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
-    "alpha_ks": _Rule(numbers.Real, 0, 1, open_low=True, open_high=True),
-    "n_synth": _Rule(numbers.Integral, 1, _MAX_COUNT),
-    "profile_dt": _Rule(numbers.Real, _MIN_PROFILE_DT),
-    "n_perm": _Rule(numbers.Integral, 1, _MAX_COUNT),
-    "seed": _Rule(numbers.Integral, 0),
-}
-
-
-@dataclass
-class PipelineConfig:
-    """Flat, JSON-serializable configuration for the whole pipeline."""
-
-    n_b_max: int = 3
-    penalty: float = 0.006
-    epsilon: float = 1e-6
-    steady_slope_tol: float = 0.05
-    max_restarts: int = 10
-    convergence_tol: float = 1e-6
-    d_thd: float = 0.78
-    mass_threshold: float = 0.10
-    corr_threshold: float = 0.30
-    alpha_corr: float = 0.05
-    alpha_ks: float = 0.10
-    n_synth: int = 10000
-    profile_dt: float = 0.1
-    n_perm: int = 2000
-    seed: int = 0
-    input: str = "events.csv"
-    workdir: str = "out"
-
-    def __post_init__(self):
-        for name, rule in _FIELD_RULES.items():
-            value = getattr(self, name)
-            typed = isinstance(value, rule.kind) and not isinstance(value, bool)
-            # a chained comparison, not math.isfinite, so a huge JSON integer cannot overflow
-            if not typed or not -math.inf < value < math.inf:
-                expected = "an integer" if rule.kind is numbers.Integral else "a finite number"
-                raise InputError(f"config field {name}: expected {expected}, got {value!r}")
-            if not rule.holds(value):
-                raise InputError(f"config field {name} must be {rule.describe()}, got {value!r}")
-
-    def fit_config(self) -> pwl.FitConfig:
-        return pwl.FitConfig(
-            n_b_max=self.n_b_max,
-            penalty=self.penalty,
-            epsilon=self.epsilon,
-            steady_slope_tol=self.steady_slope_tol,
-            max_restarts=self.max_restarts,
-            convergence_tol=self.convergence_tol,
-        )
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            mass_threshold=self.mass_threshold,
-            corr_threshold=self.corr_threshold,
-            alpha_corr=self.alpha_corr,
-        )
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_json(doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return PipelineConfig(**doc)
-
-    @staticmethod
-    def load(path) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise InputError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {path} is not valid JSON: {exc}") from None
-        return PipelineConfig.from_json(doc)
 
 
 def event_rng(master_seed: int, event_id: str) -> np.random.Generator:
@@ -178,15 +59,15 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _fit_profile(fit_cfg: pwl.FitConfig, seed: int, profile) -> Tuple[pwl.PwlFit, float]:
+def _fit_profile(config: PipelineConfig, profile) -> Tuple[pwl.PwlFit, float]:
     """One event's fit and its elapsed seconds; the generator depends only on
     the seed and the event id, so the fit is the same in any process."""
     began = time.perf_counter()
-    fit = pwl.fit_event(profile, fit_cfg, rng=event_rng(seed, profile.event_id))
+    fit = pwl.fit_event(profile, config, rng=event_rng(config.seed, profile.event_id))
     return fit, time.perf_counter() - began
 
 
-def _fit_all(fit_cfg: pwl.FitConfig, seed: int, profiles: list) -> Tuple[int, list]:
+def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, list]:
     """(worker count, [(fit, seconds)] in input order).
 
     Fits run in forked workers, one per usable CPU and at most one per
@@ -198,7 +79,7 @@ def _fit_all(fit_cfg: pwl.FitConfig, seed: int, profiles: list) -> Tuple[int, li
     ``EmptyCandidates``) can be raised here, so each reaches the caller as
     itself; ``with`` joins every worker whether the map returns or raises.
     """
-    fit = partial(_fit_profile, fit_cfg, seed)
+    fit = partial(_fit_profile, config)
     workers = min(_usable_cpus(), len(profiles))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return 1, list(map(fit, profiles))
@@ -212,7 +93,6 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     if not input_path.exists():
         raise InputError(f"input file not found: {input_path}")
     events = ingest.load_events(input_path)
-    fit_cfg = config.fit_config()
     raw_counts: Dict[SourceGroup, int] = {}
     skipped: Counter = Counter()
     windowed = []  # (event, profile) of every event with samples in the window
@@ -226,7 +106,7 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
             continue
         windowed.append((event, profile))
     began = time.perf_counter()
-    workers, fitted = _fit_all(fit_cfg, config.seed, [profile for _, profile in windowed])
+    workers, fitted = _fit_all(config, [profile for _, profile in windowed])
     fit_s = time.perf_counter() - began
     rows = []
     valid_groups: List[Optional[SourceGroup]] = []
@@ -235,7 +115,7 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     for (event, profile), (fit, _) in zip(windowed, fitted):
         params = pwl.extract_params(
             fit,
-            fit_cfg,
+            config,
             event_id=event.event_id,
             source_group=event.source_group,
             severity=event.severity,
@@ -318,7 +198,7 @@ def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
         raise InputError(f"combined dataset not found: {combined_path}")
     dataset = tables.read_combined_csv(combined_path)
     with fit_tally() as tally:
-        bundles = build_all(dataset, config.model_config())
+        bundles = build_all(dataset, config)
     doc = bundles_to_json(bundles)
     Path(model_out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     log.info(
@@ -353,6 +233,8 @@ def _chosen_families(bundles) -> Dict[str, Dict[str, int]]:
 def stage_generate(
     config: PipelineConfig, model_path, synthetic_out, profiles_out=None, dt=None
 ) -> None:
+    if dt is not None:
+        config = dataclasses.replace(config, profile_dt=dt)  # checked by the profile_dt rule
     model_path = Path(model_path)
     if not model_path.exists():
         raise InputError(f"model artifact missing: {model_path}")
@@ -368,7 +250,7 @@ def stage_generate(
         log.info("generate: bundle %s: %d accepted, rejected %s", bundle_id, accepted[bundle_id], rejected)
     tables.write_synthetic_csv(synthetic_out, dataset)
     if profiles_out is not None:
-        tables.write_profiles_csv(profiles_out, params_to_profile(dataset.events, dt or config.profile_dt))
+        tables.write_profiles_csv(profiles_out, params_to_profile(dataset.events, config.profile_dt))
     log.info("generate: %d events", len(dataset.events))
 
 
@@ -563,8 +445,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "bootstrap":
             fractions = _bootstrap_fractions(args.fractions)
             for flag, value in (("--reps", args.reps), ("--n-synth", args.n_synth)):
-                if not 1 <= value <= _MAX_COUNT:
-                    raise InputError(f"{flag} must be >= 1 and <= {_MAX_COUNT}, got {value}")
+                if not 1 <= value <= MAX_COUNT:
+                    raise InputError(f"{flag} must be >= 1 and <= {MAX_COUNT}, got {value}")
             dataset = tables.read_combined_csv(args.input)
             report = bootstrap_robustness(
                 dataset,
@@ -574,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 alpha=config.alpha_ks,
                 seed=config.seed,
                 n_perm=config.n_perm,
-                model_cfg=config.model_config(),
+                config=config,
             )
             doc = {
                 "alpha": report.alpha,

@@ -18,13 +18,13 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DegenerateSplit, EmptyGroup, InputError, ZeroVariance
 from .events import PARAM_NAMES, ParamTable, SourceGroup
 from .wstats import describe
 
 log = logging.getLogger(__name__)
 
-DEFAULT_DISTANCE_THRESHOLD = 0.78
 TRIM_FACTOR = 3.5
 
 CRASH_GROUPS = (SourceGroup.CISS_SC, SourceGroup.SHRP2_SC, SourceGroup.SHRP2_NSC)
@@ -291,7 +291,7 @@ def _zscore_matrix(events: ParamTable, stats, names) -> np.ndarray:
 def merge_near_crashes(
     crashes: WeightedDataset,
     near_crashes: ParamTable,
-    distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
+    distance_threshold: float = PipelineConfig.d_thd,
 ) -> Tuple[WeightedDataset, MergeResult]:
     """Attach similar near-crashes as variations of their nearest crash.
 

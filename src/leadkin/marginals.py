@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -105,28 +106,68 @@ class FittedDist:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "FittedDist":
-        if doc["family"] not in _FAMILIES:
-            raise InputError(f"unknown marginal family {doc['family']!r}")
-        names = _FAMILIES[doc["family"]].names
-        if sorted(doc["params"]) != sorted(names):
-            raise InputError(
-                f"{doc['family']} marginal has parameters {sorted(doc['params'])}, "
-                f"expected {sorted(names)}"
-            )
-        params = {k: float(v) for k, v in doc["params"].items()}
-        if not _FAMILIES[doc["family"]].admits(params):
-            raise InputError(f"{doc['family']} marginal parameters {params} are outside the family's domain")
-        affine = AffinePre(
-            shift=float(doc["affine"]["shift"]), reflect=bool(doc["affine"]["reflect"])
-        )
+    def from_json(doc, where: str = "marginal") -> "FittedDist":
+        """Decode a ``to_json`` document; a malformed one raises ``InputError``
+        naming ``where``, the part of the model at fault."""
+        doc = _checked(doc, dict, where)
+        family = _field(doc, "family", str, where)
+        if family not in _FAMILIES:
+            raise InputError(f"{where}: unknown marginal family {family!r}")
+        params = _mapping(doc, "params", float, where)
+        names = _FAMILIES[family].names
+        if sorted(params) != sorted(names):
+            raise InputError(f"{where}: {family} marginal has parameters {sorted(params)}, expected {sorted(names)}")
+        if not _FAMILIES[family].admits(params):
+            raise InputError(f"{where}: {family} marginal parameters {params} are outside the family's domain")
+        affine = _field(doc, "affine", dict, where)
+        scores = {}
+        for key in ("aic", "loglik"):  # NaN for a marginal that was never scored
+            value = doc.get(key, math.nan)
+            nan = isinstance(value, float) and math.isnan(value)
+            scores[key] = value if nan else _checked(value, float, f"{where}.{key}")
         return FittedDist(
-            family=doc["family"],
+            family=family,
             params=params,
-            affine=affine,
-            aic=float(doc.get("aic", float("nan"))),
-            loglik=float(doc.get("loglik", float("nan"))),
+            affine=AffinePre(
+                shift=_field(affine, "shift", float, f"{where}.affine"),
+                reflect=_field(affine, "reflect", bool, f"{where}.affine"),
+            ),
+            **scores,
         )
+
+
+# --- checked reading of JSON documents ------------------------------------------
+
+_REQUIRED = object()
+_KIND_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+               float: "a finite number"}
+
+
+def _checked(value, kind: type, where: str):
+    """``value`` if it is JSON of ``kind``, else ``InputError``; a ``float``
+    is any finite number, returned as a float."""
+    if kind is not float and isinstance(value, kind):
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and abs(value) <= sys.float_info.max:  # False for NaN and inf
+        return float(value)
+    raise InputError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
+
+
+def _field(doc: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """``doc[key]`` checked by ``_checked``; ``default`` when the key is
+    absent and a default is given."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise InputError(f"{where}: missing key {key!r}")
+        return default
+    return _checked(doc[key], kind, f"{where}.{key}")
+
+
+def _mapping(doc: dict, key: str, kind: type, where: str, default=_REQUIRED) -> dict:
+    """The object ``doc[key]`` with every value checked to be of ``kind``."""
+    entries = _field(doc, key, dict, where, default)
+    return {k: _checked(v, kind, f"{where}.{key}.{k}") for k, v in entries.items()}
 
 
 # --- expnormal inverse CDF ---------------------------------------------------

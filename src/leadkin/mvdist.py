@@ -12,8 +12,6 @@ else is fit independently.
 from __future__ import annotations
 
 import logging
-import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -22,11 +20,15 @@ import numpy as np
 from scipy import stats as sstats
 
 from .combine import WeightedDataset
+from .config import PipelineConfig
 from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
 from .events import PARAM_NAMES, ParamTable
 from .marginals import (
     HURDLE_FAMILIES,
     FittedDist,
+    _checked,
+    _field,
+    _mapping,
     fit_family,
     fit_univariate,
     quantile_normalize,
@@ -35,9 +37,6 @@ from .wstats import effective_sample_size
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MASS_THRESHOLD = 0.10
-DEFAULT_CORR_THRESHOLD = 0.30
-DEFAULT_ALPHA_CORR = 0.05
 _MIN_EFFECTIVE = 5.0
 _MAX_SPLIT_DEPTH = 6
 
@@ -115,7 +114,7 @@ class PointMassSpec:
 
 
 def detect_point_mass(
-    values, weights, threshold: float = DEFAULT_MASS_THRESHOLD, parameter: str = ""
+    values, weights, threshold: float = PipelineConfig.mass_threshold, parameter: str = ""
 ) -> Optional[PointMassSpec]:
     """The modal exact value, when its weighted share reaches the threshold.
 
@@ -271,14 +270,14 @@ class HurdleDist:
                 mass_value=_field(doc, "mass_value", float, where),
                 mass_probability=_field(doc, "mass_probability", float, where),
             ),
-            continuous=None if cont is None else _fitted_from_json(cont, f"{where}.continuous"),
+            continuous=None if cont is None else FittedDist.from_json(cont, f"{where}.continuous"),
         )
 
 
 def fit_hurdle(
     values,
     weights=None,
-    mass_threshold: float = DEFAULT_MASS_THRESHOLD,
+    mass_threshold: float = PipelineConfig.mass_threshold,
     parameter: str = "",
 ) -> HurdleDist:
     """Fit a hurdle model: binomial mass share plus a continuous remainder.
@@ -310,13 +309,6 @@ def fit_hurdle(
 
 
 # --- submodel bundles ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    mass_threshold: float = DEFAULT_MASS_THRESHOLD
-    corr_threshold: float = DEFAULT_CORR_THRESHOLD
-    alpha_corr: float = DEFAULT_ALPHA_CORR
 
 
 @dataclass(frozen=True)
@@ -400,25 +392,31 @@ def nearest_unit_correlation(matrix: np.ndarray) -> np.ndarray:
     return np.clip(s, -1.0, 1.0)
 
 
-def _corr_pairs(columns: Dict[str, np.ndarray], w: np.ndarray, cfg: ModelConfig):
+def _significant(x, y, w, cfg: PipelineConfig) -> bool:
+    """Whether x and y have a significant, non-weak weighted correlation;
+    False when it cannot be computed."""
+    try:
+        r, p = weighted_corr(x, y, w)
+    except (ZeroVariance, ValueError):
+        return False
+    return abs(r) >= cfg.corr_threshold and p < cfg.alpha_corr
+
+
+def _corr_pairs(columns: Dict[str, np.ndarray], w: np.ndarray, cfg: PipelineConfig):
     """Pairs (a, b) with a significant, non-weak weighted correlation."""
     names = list(columns)
-    strong = set()
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            try:
-                r, p = weighted_corr(columns[a], columns[b], w)
-            except (ZeroVariance, ValueError):
-                continue
-            if abs(r) >= cfg.corr_threshold and p < cfg.alpha_corr:
-                strong.add((a, b))
-    return strong
+    return {
+        (a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+        if _significant(columns[a], columns[b], w, cfg)
+    }
 
 
 def build_submodels(
     sub: WeightedDataset,
     label: SubdatasetLabel,
-    cfg: ModelConfig = ModelConfig(),
+    cfg: PipelineConfig = PipelineConfig(),
     total_weight: Optional[float] = None,
 ) -> List[SubmodelBundle]:
     """Build the generative model(s) for one sub-dataset.
@@ -508,16 +506,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
         for name in free:
             if name in masses:
                 continue
-            linked = False
-            for pm in pm_names:
-                try:
-                    r, p = weighted_corr(columns[name], columns[pm], w)
-                except (ZeroVariance, ValueError):
-                    continue
-                if abs(r) >= cfg.corr_threshold and p < cfg.alpha_corr:
-                    linked = True
-                    break
-            if linked:
+            if any(_significant(columns[name], columns[pm], w, cfg) for pm in pm_names):
                 residual, spec = decorrelate(columns[name], pm_matrix, w, pm_names, parameter=name)
                 columns[name] = residual
                 transforms.append(spec)
@@ -582,7 +571,7 @@ def _can_model(side: WeightedDataset) -> bool:
     return effective_sample_size(side.events.weight) >= _MIN_EFFECTIVE
 
 
-def build_all(dataset: WeightedDataset, cfg: ModelConfig = ModelConfig()) -> List[SubmodelBundle]:
+def build_all(dataset: WeightedDataset, cfg: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
     """Categorize a dataset and build bundles for every non-empty label."""
     total = dataset.total_weight
     bundles: List[SubmodelBundle] = []
@@ -645,55 +634,10 @@ def bundles_from_json(doc) -> List[SubmodelBundle]:
     return bundles
 
 
-_REQUIRED = object()
-_KIND_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
-               float: "a finite number"}
-
-
-def _checked(value, kind: type, where: str):
-    """``value`` if it is JSON of ``kind``, else ``InputError``; a ``float``
-    is any finite number, returned as a float."""
-    if kind is not float and isinstance(value, kind):
-        return value
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number and abs(value) <= sys.float_info.max:  # False for NaN and inf
-        return float(value)
-    raise InputError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
-
-
-def _field(doc: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """``doc[key]`` checked by ``_checked``; ``default`` when the key is
-    absent and a default is given."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise InputError(f"{where}: missing key {key!r}")
-        return default
-    return _checked(doc[key], kind, f"{where}.{key}")
-
-
-def _mapping(doc: dict, key: str, kind: type, where: str, default=_REQUIRED) -> dict:
-    """The object ``doc[key]`` with every value checked to be of ``kind``."""
-    entries = _field(doc, key, dict, where, default)
-    return {k: _checked(v, kind, f"{where}.{key}.{k}") for k, v in entries.items()}
-
-
 def _objects(doc: dict, key: str, where: str) -> list:
     """(object, where) for each entry of the array ``doc[key]``, empty when absent."""
     entries = _field(doc, key, list, where, default=[])
     return [(_checked(e, dict, f"{where}.{key}[{i}]"), f"{where}.{key}[{i}]") for i, e in enumerate(entries)]
-
-
-def _fitted_from_json(doc, where: str) -> FittedDist:
-    doc = _checked(doc, dict, where)
-    _field(doc, "family", str, where)
-    _mapping(doc, "params", float, where)
-    affine = _field(doc, "affine", dict, where)
-    _field(affine, "shift", float, f"{where}.affine")
-    _field(affine, "reflect", bool, f"{where}.affine")
-    for key in ("aic", "loglik"):  # NaN for a marginal that was never scored
-        if not (isinstance(doc.get(key), float) and math.isnan(doc[key])):
-            _field(doc, key, float, where, default=0.0)
-    return FittedDist.from_json(doc)
 
 
 def _bundle_from_json(item: dict, where: str) -> SubmodelBundle:
@@ -705,7 +649,7 @@ def _bundle_from_json(item: dict, where: str) -> SubmodelBundle:
         block = _field(item, "correlated", dict, where)
         w = f"{where}.correlated"
         names = tuple(_checked(n, str, f"{w}.names") for n in _field(block, "names", list, w))
-        marginals = tuple(_fitted_from_json(m, f"{w}.marginals") for m in _field(block, "marginals", list, w))
+        marginals = tuple(FittedDist.from_json(m, f"{w}.marginals") for m in _field(block, "marginals", list, w))
         sigma = [[_checked(v, float, f"{w}.sigma") for v in _checked(row, list, f"{w}.sigma")]
                  for row in _field(block, "sigma", list, w)]
         k = len(names)
@@ -716,7 +660,7 @@ def _bundle_from_json(item: dict, where: str) -> SubmodelBundle:
     for name, u in _mapping(item, "uncorrelated", dict, where).items():
         w = f"{where}.uncorrelated.{name}"
         hurdle = _field(u, "kind", str, w) == "hurdle"
-        uncorrelated[name] = HurdleDist.from_json(u, w) if hurdle else _fitted_from_json(u, w)
+        uncorrelated[name] = HurdleDist.from_json(u, w) if hurdle else FittedDist.from_json(u, w)
     bundle = SubmodelBundle(
         label=LABELS[label_id],
         splits=tuple(SplitCondition.from_json(*entry) for entry in _objects(item, "splits", where)),

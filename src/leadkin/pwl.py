@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import EmptyCandidates, FitDiverged
 from .events import (
     MODEL_T_MAX,
@@ -30,26 +31,6 @@ log = logging.getLogger(__name__)
 
 _MAX_ITER = 30
 _MIN_SAMPLES_PER_SEGMENT = 2
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for candidate fitting and model selection."""
-
-    n_b_max: int = 3
-    penalty: float = 0.006  # breakpoint-count penalty coefficient
-    epsilon: float = 1e-6  # m/s, guards zero denominators in the loss
-    steady_slope_tol: float = 0.05  # m/s^2, max |slope| of a steady-speed segment
-    max_restarts: int = 10
-    convergence_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.n_b_max < 0:
-            raise ValueError("n_b_max must be >= 0")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be > 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -380,7 +361,7 @@ def _adjusted(r2: float, n: int, n_b: int) -> float:
 
 def fit_candidates(
     profile: SpeedProfile,
-    config: FitConfig = FitConfig(),
+    config: PipelineConfig = PipelineConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> list:
     """Fit one candidate per breakpoint count, 0..n_b_max.
@@ -447,7 +428,7 @@ def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
     )
 
 
-def loss(candidate: PwlFit, profile: SpeedProfile, config: FitConfig = FitConfig()) -> float:
+def loss(candidate: PwlFit, profile: SpeedProfile, config: PipelineConfig = PipelineConfig()) -> float:
     """Selection loss: breakpoint penalty minus fit accuracy.
 
     The penalty per breakpoint grows with max(v)/(max(v) - min(v)), both
@@ -547,7 +528,7 @@ def enforce_nonnegative(fit: PwlFit) -> PwlFit:
 
 def extract_params(
     fit: PwlFit,
-    config: FitConfig = FitConfig(),
+    config: PipelineConfig = PipelineConfig(),
     event_id: str = "",
     source_group: Optional[SourceGroup] = None,
     severity: Optional[Severity] = None,
@@ -604,7 +585,7 @@ def extract_params(
 
 def fit_event(
     profile: SpeedProfile,
-    config: FitConfig = FitConfig(),
+    config: PipelineConfig = PipelineConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> PwlFit:
     """Full fitting chain for one profile: candidates, selection, repair."""

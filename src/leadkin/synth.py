@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats as sstats
 
+from .config import PipelineConfig
 from .errors import RejectionCapExceeded
 from .events import GRAVITY, MODEL_T_MIN, PARAM_NAMES, EventParams, ParamTable, SpeedProfile
 from .mvdist import SubmodelBundle, classify
@@ -99,7 +100,7 @@ def speeds_at(values: np.ndarray, s) -> np.ndarray:
     return v_c - a1 * np.clip(since_steady, 0.0, e1) - a2 * np.clip(since_steady - tau_1, 0.0, e2)
 
 
-def params_to_profile(table: ParamTable, dt: float = 0.1) -> List[SpeedProfile]:
+def params_to_profile(table: ParamTable, dt: float = PipelineConfig.profile_dt) -> List[SpeedProfile]:
     """The reconstructed profile of every row, sampled on a dt grid over [-5, 0]."""
     if dt <= 0:
         raise ValueError("dt must be positive")

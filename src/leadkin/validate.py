@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .combine import WeightedDataset
+from .config import PipelineConfig
 from .errors import EmptyInput, EmptyReps, InputError, LeadkinError
 from .events import PARAM_NAMES
-from .mvdist import ModelConfig, build_all
+from .mvdist import build_all
 from .synth import SyntheticDataset, assemble_synthetic
 from .wstats import describe
 
@@ -117,7 +118,7 @@ def weighted_ks_test(
     wx=None,
     y=None,
     wy=None,
-    n_perm: int = 2000,
+    n_perm: int = PipelineConfig.n_perm,
     seed=None,
 ) -> KsResult:
     """Two-sample weighted KS test with a permutation p-value."""
@@ -176,8 +177,8 @@ def weighted_ks_test(
 def compare_datasets(
     raw: WeightedDataset,
     synthetic: SyntheticDataset,
-    alpha: float = 0.10,
-    n_perm: int = 2000,
+    alpha: float = PipelineConfig.alpha_ks,
+    n_perm: int = PipelineConfig.n_perm,
     seed=None,
 ) -> Dict[str, dict]:
     """Per-parameter mean/SD plus weighted KS statistic and p-value."""
@@ -211,11 +212,11 @@ def bootstrap_robustness(
     fractions: Sequence[float] = (0.9, 0.8),
     reps: int = 100,
     n_synth: int = 1000,
-    alpha: float = 0.1,
+    alpha: float = PipelineConfig.alpha_ks,
     seed=None,
-    n_perm: int = 2000,
+    n_perm: int = PipelineConfig.n_perm,
     n_reference: int = 10000,
-    model_cfg: Optional[ModelConfig] = None,
+    config: PipelineConfig = PipelineConfig(),
 ) -> BootstrapReport:
     """Stability of the modeling chain under subsampling.
 
@@ -223,15 +224,15 @@ def bootstrap_robustness(
     sub-dataset model, generates a synthetic sample, and KS-tests each
     parameter against the synthetic reference built from the full dataset.
     Reported values are the proportions of reps with p > alpha; failed reps
-    are excluded from the denominator and counted separately.
+    are excluded from the denominator and counted separately.  Every model
+    is built with ``config``'s model settings.
     """
     if reps <= 0:
         raise EmptyReps("reps must be positive")
-    cfg = model_cfg or ModelConfig()
     root = np.random.SeedSequence(seed)
     ref_seed, *rep_seeds = root.spawn(1 + len(fractions) * reps)
 
-    bundles_full = build_all(dataset, cfg)
+    bundles_full = build_all(dataset, config)
     reference, _ = assemble_synthetic(bundles_full, n_reference, seed=ref_seed)
 
     n = len(dataset.events)
@@ -249,7 +250,7 @@ def bootstrap_robustness(
             idx = rng.choice(n, size=size, replace=False)
             sub = replace(dataset, events=dataset.events.take(np.sort(idx)))
             try:
-                bundles = build_all(sub, cfg)
+                bundles = build_all(sub, config)
                 syn, _ = assemble_synthetic(bundles, n_synth, seed=rng)
             except LeadkinError as exc:
                 log.warning("bootstrap rep failed (fraction %.2f): %s", fraction, exc)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from leadkin.combine import Stage, WeightedDataset
+from leadkin.config import PipelineConfig
 from leadkin.events import ParamTable, SpeedProfile
 from leadkin.marginals import FittedDist
 from leadkin.mvdist import (
@@ -22,7 +23,7 @@ from leadkin.mvdist import (
     PointMassSpec,
     SubmodelBundle,
 )
-from leadkin.pwl import FitConfig, sample_weights
+from leadkin.pwl import sample_weights
 from leadkin.synth import ConstraintSet, filter_valid, sample_submodel
 
 GRID = np.round(np.arange(-5.0, 0.01, 0.1), 10)
@@ -32,7 +33,7 @@ GRID_W = sample_weights(GRID)
 # --- fit-recovery corpus ------------------------------------------------------
 
 
-def _merge_margin_ok(edges, vs, config: FitConfig, factor: float) -> bool:
+def _merge_margin_ok(edges, vs, config: PipelineConfig, factor: float) -> bool:
     """Require that merging any adjacent segment pair costs enough R^2.
 
     An independent, fit-free identifiability check: if absorbing a kink into
@@ -56,7 +57,7 @@ def _merge_margin_ok(edges, vs, config: FitConfig, factor: float) -> bool:
 
 
 def make_recovery_profile(rng: np.random.Generator, n_b: int, noise: float = 0.05,
-                          config: FitConfig = FitConfig(), margin: float = 3.0):
+                          config: PipelineConfig = PipelineConfig(), margin: float = 3.0):
     """One noisy profile with exactly n_b identifiable breakpoints."""
     while True:
         if n_b == 0:

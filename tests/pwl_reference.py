@@ -16,12 +16,12 @@ from typing import Optional
 
 import numpy as np
 
+from leadkin.config import PipelineConfig
 from leadkin.errors import FitDiverged
 from leadkin.events import SpeedProfile
 from leadkin.pwl import (
     _MAX_ITER,
     _MIN_SAMPLES_PER_SEGMENT,
-    FitConfig,
     _breakpoint_bounds,
     _build_fit,
     _separated,
@@ -148,7 +148,7 @@ def _grid_search(t, v, w, k):
 
 def fit_candidates(
     profile: SpeedProfile,
-    config: FitConfig = FitConfig(),
+    config: PipelineConfig = PipelineConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> list:
     """Fit one candidate per breakpoint count, 0..n_b_max.

@@ -27,7 +27,7 @@ from leadkin.combine import (
 from leadkin.demo import make_demo_events
 from leadkin.events import EventParams, PARAM_NAMES, ParamTable, Severity, SourceGroup
 from leadkin.mvdist import build_all
-from leadkin.pwl import FitConfig, fit_event
+from leadkin.pwl import fit_event
 from leadkin.synth import assemble_synthetic
 from leadkin.validate import describe, weighted_ks_test
 
@@ -99,7 +99,7 @@ def test_c1_combination_algebra_oracle():
 def test_c2_fit_recovery():
     with criterion("2 fit recovery"):
         corpus = recovery_corpus(500, seed=91, noise=0.05)
-        config = FitConfig()
+        config = PipelineConfig()
         start = time.perf_counter()
         n_match = 0
         breakpoint_errors = []
@@ -126,7 +126,7 @@ def test_c3_loss_formula_oracle():
         from leadkin.pwl import PwlFit, Segment, loss, sample_weights
 
         rng = np.random.default_rng(7)
-        config = FitConfig()
+        config = PipelineConfig()
         cases = []
         for _ in range(99):
             v_lo = rng.uniform(0, 10)

@@ -416,6 +416,17 @@ def test_bad_stage_flags_exit_2(tables_dir, capsys, command, flags, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", [0, 1e-300])
+def test_generate_dt_argument_is_checked_by_the_profile_dt_rule(tmp_path, dt):
+    from leadkin import cli
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc()))
+    with pytest.raises(InputError, match="config field profile_dt must be >= 0.001"):
+        cli.stage_generate(PipelineConfig(n_synth=5), model, tmp_path / "s.csv", tmp_path / "p.csv", dt)
+    assert list(tmp_path.iterdir()) == [model]
+
+
 @pytest.mark.parametrize("fractions", ["x", "1.5", "0", "0.9,nan", "0.8,-0.2"])
 def test_bad_bootstrap_fractions_exit_2(tables_dir, capsys, fractions):
     out = tables_dir / "bootstrap.json"

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 import pwl_reference as scalar
 from groundtruth import recovery_corpus
 from leadkin import pwl
+from leadkin.config import PipelineConfig
 from leadkin.errors import EmptyCandidates
 from leadkin.events import ParamTable, SpeedProfile
 from leadkin.pwl import (
-    FitConfig,
     PwlFit,
     Segment,
     _breakpoint_bounds,
@@ -68,7 +68,7 @@ class TestSampleWeights:
 
 class TestFitCandidates:
     def test_exact_line(self):
-        cands = fit_candidates(profile(2 * GRID + 12), FitConfig())
+        cands = fit_candidates(profile(2 * GRID + 12), PipelineConfig())
         c0 = cands[0]
         assert c0.n_b == 0
         assert c0.segments[0].slope == pytest.approx(2.0, abs=1e-9)
@@ -76,7 +76,7 @@ class TestFitCandidates:
         assert c0.r_squared == pytest.approx(1.0)
 
     def test_standstill_r_squared_convention(self):
-        c0 = fit_candidates(profile(np.zeros(GRID.size)), FitConfig())[0]
+        c0 = fit_candidates(profile(np.zeros(GRID.size)), PipelineConfig())[0]
         assert c0.segments[0].slope == 0.0
         assert c0.r_squared == 1.0  # zero residual on constant data
 
@@ -84,7 +84,7 @@ class TestFitCandidates:
         rng = np.random.default_rng(0)
         v = np.full(GRID.size, 4.0)
         v[::7] += 1e-6  # constant to the fit, but not exactly
-        c0 = fit_candidates(profile(v), FitConfig())[0]
+        c0 = fit_candidates(profile(v), PipelineConfig())[0]
         assert 0.0 <= c0.r_squared <= 1.0
 
     def test_breakpoint_recovery_with_grid_oracle(self):
@@ -93,7 +93,7 @@ class TestFitCandidates:
         v = np.where(GRID <= true_b, 8.0 - 4.0 * (GRID - true_b), 8.0)
         v = v + rng.normal(0, 0.05, GRID.size)
         p = profile(v)
-        cands = fit_candidates(p, FitConfig(), np.random.default_rng(1))
+        cands = fit_candidates(p, PipelineConfig(), np.random.default_rng(1))
         c1 = [c for c in cands if c.n_b == 1][0]
 
         # oracle: brute-force scan over breakpoint locations
@@ -113,8 +113,8 @@ class TestFitCandidates:
         v = np.where(GRID <= -2.5, 6.0 - 3.0 * (GRID + 2.5), 6.0) + rng.normal(0, 0.02, GRID.size)
         p1 = profile(v)
         p2 = SpeedProfile("p", None, None, GRID, v, p1.weights * 8.0)
-        c1 = fit_candidates(p1, FitConfig(), np.random.default_rng(5))
-        c2 = fit_candidates(p2, FitConfig(), np.random.default_rng(5))
+        c1 = fit_candidates(p1, PipelineConfig(), np.random.default_rng(5))
+        c2 = fit_candidates(p2, PipelineConfig(), np.random.default_rng(5))
         for a, b in zip(c1, c2):
             assert a.breakpoints == pytest.approx(b.breakpoints, abs=1e-9)
             assert a.slopes() == pytest.approx(b.slopes(), abs=1e-9)
@@ -127,7 +127,7 @@ class TestLoss:
         assert loss(c, profile(np.linspace(10, 5, GRID.size))) == pytest.approx(-0.93)
 
     def test_standstill_penalty_is_epsilon(self):
-        cfg = FitConfig()
+        cfg = PipelineConfig()
         c = replace(fit_from_vertices([-5, -2, 0], [0, 0, 0]), r_squared=1.0)
         p = profile(np.zeros(GRID.size))
         assert loss(c, p, cfg) == pytest.approx(cfg.epsilon * 1 - 1.0)
@@ -136,7 +136,7 @@ class TestLoss:
         # max v 20, range 10, two breakpoints, r^2 0.95
         v = np.linspace(10, 20, GRID.size)
         c = replace(fit_from_vertices([-5, -3, -1, 0], [10, 14, 18, 20]), r_squared=0.95)
-        cfg = FitConfig()
+        cfg = PipelineConfig()
         expected = (1e-6 + 0.006 * 20.0 / (10.0 + 1e-6)) * 2 - 0.95
         assert loss(c, profile(v), cfg) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-0.926, abs=1e-3)
@@ -263,10 +263,10 @@ class TestSelection:
         v = np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0)
         v += rng.normal(0, 0.05, GRID.size)
         p = profile(v)
-        cands = fit_candidates(p, FitConfig(), np.random.default_rng(2))
+        cands = fit_candidates(p, PipelineConfig(), np.random.default_rng(2))
         previous = None
         for lam in (1e-4, 1e-3, 6e-3, 3e-2, 0.2, 1.0):
-            cfg = FitConfig(penalty=lam)
+            cfg = PipelineConfig(penalty=lam)
             scored = [replace(c, loss=loss(c, p, cfg)) for c in cands]
             chosen = select_best(scored).n_b
             if previous is not None:
@@ -277,7 +277,7 @@ class TestSelection:
         rng = np.random.default_rng(4)
         v = np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0)
         v += rng.normal(0, 0.05, GRID.size)
-        fit = fit_event(profile(v), FitConfig(), np.random.default_rng(0))
+        fit = fit_event(profile(v), PipelineConfig(), np.random.default_rng(0))
         assert fit.n_b == 1
         assert fit.breakpoints[0] == pytest.approx(-2.0, abs=0.1)
         assert fit.loss is not None
@@ -287,7 +287,7 @@ SQRT_W = np.sqrt(sample_weights(GRID))
 LO, HI = _breakpoint_bounds(GRID)
 DT = float(np.median(np.diff(GRID)))
 MIN_SEP = 2.5 * DT
-TOL = FitConfig().convergence_tol
+TOL = PipelineConfig().convergence_tol
 
 
 class TestSseBatch:
@@ -359,8 +359,8 @@ class TestBatchedFitMatchesScalar:
 
     def test_recovery_corpus(self):
         for i, (_, p) in enumerate(recovery_corpus(24, seed=17)):
-            new = fit_candidates(p, FitConfig(), np.random.default_rng(i))
-            old = scalar.fit_candidates(p, FitConfig(), np.random.default_rng(i))
+            new = fit_candidates(p, PipelineConfig(), np.random.default_rng(i))
+            old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(i))
             assert_same_candidates(new, old)
 
     @given(
@@ -378,8 +378,8 @@ class TestBatchedFitMatchesScalar:
         if clamp:
             v = np.maximum(v, 0.0)
         p = profile(v)
-        new = fit_candidates(p, FitConfig(), np.random.default_rng(seed))
-        old = scalar.fit_candidates(p, FitConfig(), np.random.default_rng(seed))
+        new = fit_candidates(p, PipelineConfig(), np.random.default_rng(seed))
+        old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(seed))
         assert_same_candidates(new, old)
 
     def test_lockstep_restarts_match_scalar_restarts(self):
@@ -414,8 +414,8 @@ class TestBatchedFitMatchesScalar:
         t = np.round(np.linspace(-0.7, 0.0, 8), 10)
         v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
         p = SpeedProfile("short", None, None, t, v, sample_weights(t))
-        new = fit_candidates(p, FitConfig(), np.random.default_rng(0))
-        old = scalar.fit_candidates(p, FitConfig(), np.random.default_rng(0))
+        new = fit_candidates(p, PipelineConfig(), np.random.default_rng(0))
+        old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(0))
         assert_same_candidates(new, old)
         mids = (t[:-1] + t[1:]) / 2.0
         assert new[-1].n_b == 3
