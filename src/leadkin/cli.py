@@ -173,15 +173,13 @@ def stage_combine(
     preprocessed = combine_mod.preprocess(events, counts)
     plan = combine_mod.build_plan(preprocessed)
     combined_crash = combine_mod.reweight_combine(preprocessed, plan)
-    threshold = config.d_thd
     if threshold_quantile is not None:
         threshold = combine_mod.distance_threshold_from_quantile(
             combined_crash, threshold_quantile
         )
         log.info("similarity threshold from quantile %.2f: %.4f", threshold_quantile, threshold)
-    merged, merge_result = combine_mod.merge_near_crashes(
-        combined_crash, ncs, distance_threshold=threshold
-    )
+        config = dataclasses.replace(config, d_thd=threshold)
+    merged, merge_result = combine_mod.merge_near_crashes(combined_crash, ncs, config)
     tables.write_combined_csv(combined_out, merged, merge_result)
     log.info(
         "combine: %d crashes + %d/%d near-crashes, total weight %.6f",
@@ -199,8 +197,7 @@ def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
     dataset = tables.read_combined_csv(combined_path)
     with fit_tally() as tally:
         bundles = build_all(dataset, config)
-    doc = bundles_to_json(bundles)
-    Path(model_out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tables.write_json(model_out, bundles_to_json(bundles))
     log.info(
         "model: %d bundles; %d univariate fits, %d Nelder-Mead runs, %d evaluations; "
         "chosen families by role %s; families without a fit %s",
@@ -250,7 +247,7 @@ def stage_generate(
         log.info("generate: bundle %s: %d accepted, rejected %s", bundle_id, accepted[bundle_id], rejected)
     tables.write_synthetic_csv(synthetic_out, dataset)
     if profiles_out is not None:
-        tables.write_profiles_csv(profiles_out, params_to_profile(dataset.events, config.profile_dt))
+        tables.write_profiles_csv(profiles_out, params_to_profile(dataset.events, config))
     log.info("generate: %d events", len(dataset.events))
 
 
@@ -260,9 +257,7 @@ def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report
             raise InputError(f"artifact missing: {p}")
     raw = tables.read_combined_csv(combined_path)
     synthetic = tables.read_synthetic_csv(synthetic_path)
-    report = compare_datasets(
-        raw, synthetic, alpha=config.alpha_ks, n_perm=config.n_perm, seed=config.seed
-    )
+    report = compare_datasets(raw, synthetic, config, seed=config.seed)
     ecdf_points = {}
     for name in PARAM_NAMES:
         raw_ecdf = validate_mod.weighted_ecdf(raw.events[name], raw.events.weight)
@@ -271,8 +266,7 @@ def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report
             "raw": [[float(a), float(b)] for a, b in zip(raw_ecdf.support, raw_ecdf.cumulative)],
             "synthetic": [[float(a), float(b)] for a, b in zip(syn_ecdf.support, syn_ecdf.cumulative)],
         }
-    doc = {"alpha": config.alpha_ks, "parameters": report, "ecdf": ecdf_points}
-    Path(report_out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tables.write_json(report_out, {"alpha": config.alpha_ks, "parameters": report, "ecdf": ecdf_points})
     worst = min(report.values(), key=lambda r: r["p_value"])
     log.info("validate: smallest p-value %.4f", worst["p_value"])
 
@@ -329,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="params.csv")
     p.add_argument("--counts-out", default=None)
     p.add_argument("--lambda", dest="penalty", type=float, default=None)
-    p.add_argument("--nb-max", type=int, default=None)
+    p.add_argument("--nb-max", dest="n_b_max", type=int, default=None)
 
     p = sub.add_parser("combine", parents=[common], help="combine crash sources and merge near-crashes")
     p.add_argument("--params", required=True)
@@ -353,22 +347,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[common], help="sample a synthetic dataset from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", dest="n_synth", type=int, default=None)
     p.add_argument("--output", default="synthetic.csv")
     p.add_argument("--profiles-out", default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", dest="profile_dt", type=float, default=None)
 
     p = sub.add_parser("validate", parents=[common], help="compare synthetic output against the raw dataset")
     p.add_argument("--raw", required=True)
     p.add_argument("--synthetic", required=True)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", dest="alpha_ks", type=float, default=None)
     p.add_argument("--output", default="report.json")
 
     p = sub.add_parser("bootstrap", parents=[common], help="subsampling robustness study")
     p.add_argument("--input", required=True)
     p.add_argument("--fractions", default="0.9,0.8")
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--n-synth", type=int, default=1000)
+    # the per-rep sample size, not the n_synth setting
+    p.add_argument("--n-synth", dest="rep_n_synth", type=int, default=1000)
     p.add_argument("--n-perm", type=int, default=None)
     p.add_argument("--output", default="bootstrap.json")
 
@@ -380,26 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    mapping = {
-        "seed": "seed",
-        "penalty": "penalty",
-        "nb_max": "n_b_max",
-        "d_thd": "d_thd",
-        "mass_threshold": "mass_threshold",
-        "corr_threshold": "corr_threshold",
-        "alpha_corr": "alpha_corr",
-        "alpha": "alpha_ks",
-        "n": "n_synth",
-        "dt": "profile_dt",
-        "n_perm": "n_perm",
-        "input": "input",
-        "workdir": "workdir",
+    """The config with every given flag whose destination is a field's name."""
+    updates = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(PipelineConfig)
+        if getattr(args, field.name, None) is not None
     }
-    updates = {}
-    for arg_name, cfg_name in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            updates[cfg_name] = value
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -439,34 +420,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "model":
             stage_model(config, args.input, args.output)
         elif args.command == "generate":
-            stage_generate(config, args.model, args.output, args.profiles_out, args.dt)
+            stage_generate(config, args.model, args.output, args.profiles_out)
         elif args.command == "validate":
             stage_validate(config, args.raw, args.synthetic, args.output)
         elif args.command == "bootstrap":
             fractions = _bootstrap_fractions(args.fractions)
-            for flag, value in (("--reps", args.reps), ("--n-synth", args.n_synth)):
+            for flag, value in (("--reps", args.reps), ("--n-synth", args.rep_n_synth)):
                 if not 1 <= value <= MAX_COUNT:
                     raise InputError(f"{flag} must be >= 1 and <= {MAX_COUNT}, got {value}")
             dataset = tables.read_combined_csv(args.input)
             report = bootstrap_robustness(
-                dataset,
-                fractions=fractions,
-                reps=args.reps,
-                n_synth=args.n_synth,
-                alpha=config.alpha_ks,
-                seed=config.seed,
-                n_perm=config.n_perm,
-                config=config,
+                dataset, fractions=fractions, reps=args.reps, n_synth=args.rep_n_synth, config=config
             )
-            doc = {
+            tables.write_json(args.output, {
                 "alpha": report.alpha,
                 "reps": report.reps,
                 "failures": {str(k): v for k, v in report.failures.items()},
                 "proportions": {str(k): v for k, v in report.proportions.items()},
-            }
-            Path(args.output).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            })
         elif args.command == "pipeline":
             run_pipeline(config, stage=args.stage)
     except InputError as exc:

@@ -291,9 +291,10 @@ def _zscore_matrix(events: ParamTable, stats, names) -> np.ndarray:
 def merge_near_crashes(
     crashes: WeightedDataset,
     near_crashes: ParamTable,
-    distance_threshold: float = PipelineConfig.d_thd,
+    config: PipelineConfig = PipelineConfig(),
 ) -> Tuple[WeightedDataset, MergeResult]:
-    """Attach similar near-crashes as variations of their nearest crash.
+    """Attach similar near-crashes as variations of their nearest crash, when
+    its z-score distance is at most ``config.d_thd``.
 
     Standardization statistics come from the combined crash dataset.  A
     crash hosting n near-crashes shares its weight equally among the n+1
@@ -327,7 +328,7 @@ def merge_near_crashes(
         d2 = np.square(z_crash - z_nc[k]) @ ones
         i = int(np.argmin(d2))  # crashes sorted by id; first wins ties
         d_min = float(np.sqrt(d2[i]))
-        if d_min <= distance_threshold:
+        if d_min <= config.d_thd:
             host[k] = i
             selected.append((nc_id, crash_ids[i], d_min))
 

@@ -1,10 +1,10 @@
 """The pipeline's settings: one flat, checked configuration.
 
 Each numeric setting's default and allowed range are stated here once.
-The library takes a ``PipelineConfig`` or defaults a single setting to its
-field's class attribute (``PipelineConfig.mass_threshold``), and the CLI
-builds one from a JSON file and its flags, so both reject the same values
-with the same ``InputError``.
+A library function that reads a setting takes the whole ``PipelineConfig``
+as ``config`` (default ``PipelineConfig()``), never the setting alone, and
+the CLI builds one from a JSON file and its flags, so both reject the same
+values with the same ``InputError``.
 """
 
 from __future__ import annotations

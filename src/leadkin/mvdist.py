@@ -114,9 +114,10 @@ class PointMassSpec:
 
 
 def detect_point_mass(
-    values, weights, threshold: float = PipelineConfig.mass_threshold, parameter: str = ""
+    values, weights, config: PipelineConfig = PipelineConfig(), parameter: str = ""
 ) -> Optional[PointMassSpec]:
-    """The modal exact value, when its weighted share reaches the threshold.
+    """The modal exact value, when its weighted share reaches
+    ``config.mass_threshold``.
 
     A mass must be an exact value observed at least twice; a single heavy
     event is not a point mass, just a heavy event.
@@ -129,7 +130,7 @@ def detect_point_mass(
     shares = np.bincount(inverse, weights=w) / w.sum()
     shares = np.where(counts >= 2, shares, 0.0)
     best = int(np.argmax(shares))  # ties resolve to the smaller value
-    if shares[best] >= threshold:
+    if shares[best] >= config.mass_threshold:
         return PointMassSpec(
             parameter=parameter,
             mass_value=float(uniq[best]),
@@ -277,7 +278,7 @@ class HurdleDist:
 def fit_hurdle(
     values,
     weights=None,
-    mass_threshold: float = PipelineConfig.mass_threshold,
+    config: PipelineConfig = PipelineConfig(),
     parameter: str = "",
 ) -> HurdleDist:
     """Fit a hurdle model: binomial mass share plus a continuous remainder.
@@ -288,7 +289,7 @@ def fit_hurdle(
     """
     x = np.asarray(values, dtype=float)
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    spec = detect_point_mass(x, w, threshold=mass_threshold, parameter=parameter)
+    spec = detect_point_mass(x, w, config, parameter=parameter)
     if spec is None:
         raise ValueError("no point mass detected; fit a continuous marginal instead")
     off = x != spec.mass_value
@@ -392,31 +393,31 @@ def nearest_unit_correlation(matrix: np.ndarray) -> np.ndarray:
     return np.clip(s, -1.0, 1.0)
 
 
-def _significant(x, y, w, cfg: PipelineConfig) -> bool:
+def _significant(x, y, w, config: PipelineConfig) -> bool:
     """Whether x and y have a significant, non-weak weighted correlation;
     False when it cannot be computed."""
     try:
         r, p = weighted_corr(x, y, w)
     except (ZeroVariance, ValueError):
         return False
-    return abs(r) >= cfg.corr_threshold and p < cfg.alpha_corr
+    return abs(r) >= config.corr_threshold and p < config.alpha_corr
 
 
-def _corr_pairs(columns: Dict[str, np.ndarray], w: np.ndarray, cfg: PipelineConfig):
+def _corr_pairs(columns: Dict[str, np.ndarray], w: np.ndarray, config: PipelineConfig):
     """Pairs (a, b) with a significant, non-weak weighted correlation."""
     names = list(columns)
     return {
         (a, b)
         for i, a in enumerate(names)
         for b in names[i + 1 :]
-        if _significant(columns[a], columns[b], w, cfg)
+        if _significant(columns[a], columns[b], w, config)
     }
 
 
 def build_submodels(
     sub: WeightedDataset,
     label: SubdatasetLabel,
-    cfg: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig = PipelineConfig(),
     total_weight: Optional[float] = None,
 ) -> List[SubmodelBundle]:
     """Build the generative model(s) for one sub-dataset.
@@ -429,12 +430,12 @@ def build_submodels(
         raise ModelBuildFailed(f"sub-dataset {label.id} is empty")
     total = sub.total_weight if total_weight is None else float(total_weight)
     try:
-        return _build(sub, label, cfg, total, splits=(), depth=0)
+        return _build(sub, label, config, total, splits=(), depth=0)
     except (AllFitsFailed, ZeroVariance, ValueError) as exc:
         raise ModelBuildFailed(f"sub-dataset {label.id}: {exc}") from exc
 
 
-def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
+def _build(sub, label, config, total, splits, depth) -> List[SubmodelBundle]:
     w = sub.events.weight
     matrix = sub.events.values
 
@@ -460,7 +461,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
 
     masses: Dict[str, PointMassSpec] = {}
     for name in free:
-        spec = detect_point_mass(columns[name], w, threshold=cfg.mass_threshold, parameter=name)
+        spec = detect_point_mass(columns[name], w, config, parameter=name)
         if spec is not None:
             masses[name] = spec
 
@@ -469,7 +470,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
         pm_cols = {name: columns[name] for name in masses}
         entangled = {
             name
-            for pair in _corr_pairs(pm_cols, w, cfg)
+            for pair in _corr_pairs(pm_cols, w, config)
             for name in pair
         }
         if entangled:
@@ -482,12 +483,12 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
             if _can_model(side_eq) and _can_model(side_ne):
                 out = []
                 out.extend(
-                    _build(side_eq, label, cfg, total,
+                    _build(side_eq, label, config, total,
                            splits + (SplitCondition(split_name, "eq", spec.mass_value),),
                            depth + 1)
                 )
                 out.extend(
-                    _build(side_ne, label, cfg, total,
+                    _build(side_ne, label, config, total,
                            splits + (SplitCondition(split_name, "ne", spec.mass_value),),
                            depth + 1)
                 )
@@ -506,7 +507,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
         for name in free:
             if name in masses:
                 continue
-            if any(_significant(columns[name], columns[pm], w, cfg) for pm in pm_names):
+            if any(_significant(columns[name], columns[pm], w, config) for pm in pm_names):
                 residual, spec = decorrelate(columns[name], pm_matrix, w, pm_names, parameter=name)
                 columns[name] = residual
                 transforms.append(spec)
@@ -515,7 +516,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
     plain = [name for name in free if name not in masses]
     corr_names: List[str] = []
     if len(plain) >= 2:
-        strong = _corr_pairs({n: columns[n] for n in plain}, w, cfg)
+        strong = _corr_pairs({n: columns[n] for n in plain}, w, config)
         in_pair = {name for pair in strong for name in pair}
         corr_names = [n for n in plain if n in in_pair]
 
@@ -544,9 +545,7 @@ def _build(sub, label, cfg, total, splits, depth) -> List[SubmodelBundle]:
         if name in corr_names:
             continue
         if name in masses:
-            uncorrelated[name] = fit_hurdle(
-                columns[name], w, mass_threshold=cfg.mass_threshold, parameter=name
-            )
+            uncorrelated[name] = fit_hurdle(columns[name], w, config, parameter=name)
         else:
             uncorrelated[name] = fit_univariate(columns[name], w)
 
@@ -571,12 +570,12 @@ def _can_model(side: WeightedDataset) -> bool:
     return effective_sample_size(side.events.weight) >= _MIN_EFFECTIVE
 
 
-def build_all(dataset: WeightedDataset, cfg: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
+def build_all(dataset: WeightedDataset, config: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
     """Categorize a dataset and build bundles for every non-empty label."""
     total = dataset.total_weight
     bundles: List[SubmodelBundle] = []
     for label, sub in categorize(dataset).items():
-        bundles.extend(build_submodels(sub, label, cfg, total_weight=total))
+        bundles.extend(build_submodels(sub, label, config, total_weight=total))
     return bundles
 
 

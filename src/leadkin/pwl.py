@@ -256,7 +256,7 @@ def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
     return best
 
 
-def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, dt, min_sep):
+def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep):
     """Coordinate-wise fine-grid refinement around each breakpoint.
 
     A greedy scan: each offset in turn moves breakpoint i when it lowers
@@ -266,7 +266,7 @@ def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, dt, min_sep):
     """
     if len(bks) == 0:
         return bks, sse
-    offsets = np.linspace(-1.5 * dt, 1.5 * dt, 31)
+    offsets = np.linspace(-1.5 * spacing, 1.5 * spacing, 31)
     bks = np.asarray(bks, dtype=float)
     for _ in range(2):
         moved = False
@@ -386,8 +386,8 @@ def fit_candidates(
 
     lo, hi = _breakpoint_bounds(t)
     span = hi - lo
-    dt = float(np.median(np.diff(t)))
-    min_sep = 2.5 * dt
+    spacing = float(np.median(np.diff(t)))  # s, between samples
+    min_sep = 2.5 * spacing
     for k in range(1, config.n_b_max + 1):
         if t.size < _MIN_SAMPLES_PER_SEGMENT * (k + 1):
             log.warning(
@@ -406,7 +406,7 @@ def fit_candidates(
             )
             continue
         _, bks, sse = best
-        bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, dt, min_sep)
+        bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep)
         if not _separated(bks, t):
             log.warning(
                 "event %r: %d-breakpoint fit lost separation", profile.event_id, k

@@ -100,10 +100,10 @@ def speeds_at(values: np.ndarray, s) -> np.ndarray:
     return v_c - a1 * np.clip(since_steady, 0.0, e1) - a2 * np.clip(since_steady - tau_1, 0.0, e2)
 
 
-def params_to_profile(table: ParamTable, dt: float = PipelineConfig.profile_dt) -> List[SpeedProfile]:
-    """The reconstructed profile of every row, sampled on a dt grid over [-5, 0]."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def params_to_profile(table: ParamTable, config: PipelineConfig = PipelineConfig()) -> List[SpeedProfile]:
+    """The reconstructed profile of every row, sampled every
+    ``config.profile_dt`` seconds over [-5, 0]."""
+    dt = config.profile_dt
     steps = int(np.floor(-MODEL_T_MIN / dt + 1e-9))
     grid = MODEL_T_MIN + dt * np.arange(steps + 1)
     speeds = speeds_at(table.values, -grid)

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
+from .config import MAX_COUNT
 from .errors import InputError
 from .events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup, SpeedProfile
 from .synth import SyntheticDataset
@@ -144,21 +145,36 @@ def read_params_csv(path: PathLike, only_valid: bool = True) -> ParamTable:
     return ParamTable.from_rows(r.event for r in rows if r.valid or not only_valid)
 
 
+def write_json(path: PathLike, doc) -> None:
+    """Every JSON artifact's one layout: indented, keys sorted, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_counts_json(path: PathLike, counts: GroupCounts) -> None:
-    doc = {
+    write_json(path, {
         "raw": {g.value: counts.raw_of(g) for g in SourceGroup},
         "valid": {g.value: counts.valid_of(g) for g in SourceGroup},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
+
+
+def _group_counts(doc, key: str) -> Dict[SourceGroup, int]:
+    """doc[key] read as group -> count; a count is a JSON integer in
+    [0, MAX_COUNT], and a bool, a float or a string is none."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise TypeError(f"{key} must be an object, got {type(section).__name__}")
+    counts = {}
+    for group, count in section.items():
+        if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= MAX_COUNT:
+            raise ValueError(f"{key} {group} count must be an integer in [0, {MAX_COUNT}], got {count!r}")
+        counts[SourceGroup(group)] = count
+    return counts
 
 
 def read_counts_json(path: PathLike) -> GroupCounts:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return GroupCounts(
-            raw={SourceGroup(k): int(v) for k, v in doc["raw"].items()},
-            valid={SourceGroup(k): int(v) for k, v in doc["valid"].items()},
-        )
+        return GroupCounts(raw=_group_counts(doc, "raw"), valid=_group_counts(doc, "valid"))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise InputError(f"{path}: malformed counts: {exc!r}") from None
 

@@ -113,23 +113,13 @@ def _perm_distances(positions, weights, cumulative, after, before) -> np.ndarray
     return np.where(first <= ends, gap, 0.0).max(axis=1)
 
 
-def weighted_ks_test(
-    x,
-    wx=None,
-    y=None,
-    wy=None,
-    n_perm: int = PipelineConfig.n_perm,
-    seed=None,
-) -> KsResult:
-    """Two-sample weighted KS test with a permutation p-value."""
+def weighted_ks_test(x, wx, y, wy, config: PipelineConfig = PipelineConfig(), seed=None) -> KsResult:
+    """Two-sample weighted KS test with ``config.n_perm`` permutations for
+    its p-value; a weight array of None gives unit weights."""
     x = np.asarray(x, dtype=float)
-    if y is None:
-        raise EmptyInput("second sample is required")
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise EmptyInput("both samples must be non-empty")
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
     wx = np.ones_like(x) if wx is None else np.asarray(wx, dtype=float)
     wy = np.ones_like(y) if wy is None else np.asarray(wy, dtype=float)
     if not all(np.isfinite(w).all() and (w > 0).all() for w in (wx, wy)):
@@ -159,6 +149,7 @@ def weighted_ks_test(
     index = np.arange(n)
     after = step_idx[np.searchsorted(step_idx, index, side="left")]
     before = step_idx[np.maximum(np.searchsorted(step_idx, index, side="right") - 1, 0)]
+    n_perm = config.n_perm
     rng = np.random.default_rng(seed)
     exceed = 0
     done = 0
@@ -177,11 +168,11 @@ def weighted_ks_test(
 def compare_datasets(
     raw: WeightedDataset,
     synthetic: SyntheticDataset,
-    alpha: float = PipelineConfig.alpha_ks,
-    n_perm: int = PipelineConfig.n_perm,
+    config: PipelineConfig = PipelineConfig(),
     seed=None,
 ) -> Dict[str, dict]:
-    """Per-parameter mean/SD plus weighted KS statistic and p-value."""
+    """Per-parameter mean/SD plus weighted KS statistic and p-value, each
+    test with ``config.n_perm`` permutations and judged at ``config.alpha_ks``."""
     raw_stats = describe(raw)
     syn_stats = describe(synthetic)
     rng = np.random.default_rng(seed)
@@ -192,7 +183,7 @@ def compare_datasets(
             raw.events.weight,
             synthetic.events[name],
             None,
-            n_perm=n_perm,
+            config,
             seed=rng.integers(2**63),
         )
         report[name] = {
@@ -202,7 +193,7 @@ def compare_datasets(
             "synthetic_sd": syn_stats[name][1],
             "statistic": ks.statistic,
             "p_value": ks.p_value,
-            "significant": ks.p_value < alpha,
+            "significant": ks.p_value < config.alpha_ks,
         }
     return report
 
@@ -212,9 +203,6 @@ def bootstrap_robustness(
     fractions: Sequence[float] = (0.9, 0.8),
     reps: int = 100,
     n_synth: int = 1000,
-    alpha: float = PipelineConfig.alpha_ks,
-    seed=None,
-    n_perm: int = PipelineConfig.n_perm,
     n_reference: int = 10000,
     config: PipelineConfig = PipelineConfig(),
 ) -> BootstrapReport:
@@ -223,13 +211,14 @@ def bootstrap_robustness(
     Each rep subsamples the dataset without replacement, rebuilds every
     sub-dataset model, generates a synthetic sample, and KS-tests each
     parameter against the synthetic reference built from the full dataset.
-    Reported values are the proportions of reps with p > alpha; failed reps
-    are excluded from the denominator and counted separately.  Every model
-    is built with ``config``'s model settings.
+    Reported values are the proportions of reps with p > ``config.alpha_ks``;
+    failed reps are excluded from the denominator and counted separately.
+    The models, the KS tests and the random streams (from ``config.seed``)
+    all take their settings from ``config``.
     """
     if reps <= 0:
         raise EmptyReps("reps must be positive")
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(config.seed)
     ref_seed, *rep_seeds = root.spawn(1 + len(fractions) * reps)
 
     bundles_full = build_all(dataset, config)
@@ -256,23 +245,14 @@ def bootstrap_robustness(
                 log.warning("bootstrap rep failed (fraction %.2f): %s", fraction, exc)
                 failed += 1
                 continue
-            p_values = {}
-            for name in PARAM_NAMES:
-                ks = weighted_ks_test(
-                    syn.events[name],
-                    None,
-                    reference.events[name],
-                    None,
-                    n_perm=n_perm,
-                    seed=rng.integers(2**63),
-                )
-                p_values[name] = ks.p_value
-            outcomes.append(p_values)
+            # the synthetic sample's unit weights test as no weights do
+            report = compare_datasets(syn, reference, config, seed=rng)
+            outcomes.append({name: report[name]["p_value"] for name in PARAM_NAMES})
         per_rep[fraction] = outcomes
         failures[fraction] = failed
         if outcomes:
             proportions[fraction] = {
-                name: float(np.mean([o[name] > alpha for o in outcomes]))
+                name: float(np.mean([o[name] > config.alpha_ks for o in outcomes]))
                 for name in PARAM_NAMES
             }
         else:
@@ -282,5 +262,5 @@ def bootstrap_robustness(
         reps=reps,
         failures=failures,
         per_rep=per_rep,
-        alpha=alpha,
+        alpha=config.alpha_ks,
     )

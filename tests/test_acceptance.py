@@ -160,7 +160,7 @@ def test_c4_round_trip_distribution_fidelity(distribution_corpus, full_synthetic
         for name in PARAM_NAMES:
             result = weighted_ks_test(
                 raw.events[name], raw.events.weight, synthetic.events[name], None,
-                n_perm=2000, seed=rng.integers(2**63),
+                config=PipelineConfig(n_perm=2000), seed=rng.integers(2**63),
             )
             assert result.p_value >= 0.10, f"{name}: p={result.p_value:.4f} D={result.statistic:.4f}"
             for k in (0, 1):  # mean and SD within 15% relative
@@ -180,10 +180,8 @@ def test_c5_bootstrap_robustness(distribution_corpus):
             fractions=(0.9, 0.8),
             reps=20,
             n_synth=1000,
-            alpha=0.1,
-            seed=909,
-            n_perm=200,
             n_reference=10000,
+            config=PipelineConfig(alpha_ks=0.1, seed=909, n_perm=200),
         )
         elapsed = time.perf_counter() - start
         for fraction in (0.9, 0.8):
@@ -229,7 +227,7 @@ def test_c6_merge_weight_conservation():
                         severity=Severity.NONE,
                     )
                 )
-            merged, result = merge_near_crashes(dataset, ParamTable.from_rows(ncs), distance_threshold=0.78)
+            merged, result = merge_near_crashes(dataset, ParamTable.from_rows(ncs), config=PipelineConfig(d_thd=0.78))
 
             assert abs(merged.total_weight - dataset.total_weight) < 1e-9
             original = {e.event_id: e.weight for e in crashes}
@@ -249,7 +247,7 @@ def test_c7_ks_null_calibration():
             rng = np.random.default_rng(31_000 + trial)
             a = rng.normal(size=200)
             b = rng.normal(size=200)
-            result = weighted_ks_test(a, None, b, None, n_perm=500, seed=trial)
+            result = weighted_ks_test(a, None, b, None, config=PipelineConfig(n_perm=500), seed=trial)
             rejections += result.p_value < 0.10
         rate = rejections / 100
         assert 0.04 <= rate <= 0.18, f"null rejection rate {rate}"
@@ -283,7 +281,7 @@ def test_c8_published_dataset_reproduction():
         for j, name in enumerate(PARAM_NAMES):
             result = weighted_ks_test(
                 dataset.events[name], dataset.events.weight, synthetic.events[name], None,
-                n_perm=2000, seed=j,
+                config=PipelineConfig(n_perm=2000), seed=j,
             )
             assert result.p_value > 0.10
 

@@ -19,6 +19,7 @@ from leadkin.combine import (
     trim_cutpoint,
     trim_weights,
 )
+from leadkin.config import PipelineConfig
 from leadkin.errors import EmptyGroup
 from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 
@@ -237,7 +238,7 @@ class TestMergeNearCrashes:
         crashes = crash_dataset(rng)
         host = list(crashes.events)[0]
         nc = near_crash_like(host, "nc-0", 0.01, rng)
-        merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), distance_threshold=0.78)
+        merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), config=PipelineConfig(d_thd=0.78))
         assert result.attachment_counts == {host.event_id: 1}
         by_id = {e.event_id: e for e in merged.events}
         assert by_id[host.event_id].weight == pytest.approx(host.weight / 2)
@@ -251,7 +252,7 @@ class TestMergeNearCrashes:
             "nc-far", 50.0, 5.0, 5.0, 10.0, 10.0, 10.0,
             weight=1.0, source_group=SourceGroup.SHRP2_NC, severity=Severity.NONE,
         )
-        merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), distance_threshold=0.78)
+        merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), config=PipelineConfig(d_thd=0.78))
         assert result.selected == ()
         assert merged.total_weight == pytest.approx(crashes.total_weight, abs=1e-12)
         assert len(merged.events) == len(crashes.events)
@@ -261,7 +262,7 @@ class TestMergeNearCrashes:
         crashes = crash_dataset(rng, n=5)
         host = list(crashes.events)[2]
         ncs = ParamTable.from_rows(near_crash_like(host, f"nc-{k}", 0.005, rng) for k in range(3))
-        merged, result = merge_near_crashes(crashes, ncs, distance_threshold=0.78)
+        merged, result = merge_near_crashes(crashes, ncs, config=PipelineConfig(d_thd=0.78))
         assert result.attachment_counts[host.event_id] == 3
         group = [e.weight for e in merged.events if e.event_id == host.event_id]
         group += [e.weight for e in merged.events if e.event_id.startswith("nc-")]
@@ -293,14 +294,14 @@ class TestMergeNearCrashes:
             for k in range(int(rng.integers(30, int(1.5 * n_crash)))):
                 host = hosts[int(rng.integers(0, n_crash))]
                 ncs.append(near_crash_like(host, f"nc-{k}", float(rng.uniform(0, 0.3)), rng))
-            merged, _ = merge_near_crashes(crashes, ParamTable.from_rows(ncs), distance_threshold=0.78)
+            merged, _ = merge_near_crashes(crashes, ParamTable.from_rows(ncs), config=PipelineConfig(d_thd=0.78))
             for name in PARAM_NAMES:
                 result = weighted_ks_test(
                     crashes.events[name],
                     crashes.events.weight,
                     merged.events[name],
                     merged.events.weight,
-                    n_perm=1,
+                    config=PipelineConfig(n_perm=1),
                     seed=0,
                 )
                 assert result.statistic < 0.1

@@ -48,24 +48,25 @@ def test_model_rejects_the_settings_the_cli_rejects():
         mvdist.build_all(corpus, PipelineConfig(mass_threshold=-1))
 
 
-# --- every default stated once ------------------------------------------------------
+# --- every setting reaches the library through config ------------------------------
 
-# library parameter name -> the PipelineConfig field whose default it takes; a
-# library seed is a generator's seed (None for fresh entropy), not the pipeline's
-_SETTING_OF = {
-    **{f.name: f.name for f in dataclasses.fields(PipelineConfig) if f.name != "seed"},
-    "threshold": "mass_threshold",
-    "distance_threshold": "d_thd",
-    "alpha": "alpha_ks",
-    "dt": "profile_dt",
+# a field's name, or a name a single setting was passed under before it had one home
+_SETTING_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)} | {
+    "threshold", "distance_threshold", "alpha", "dt",
 }
-# a parameter that shares a field's name but is a setting of its own
-_OWN_SETTINGS = {
-    ("leadkin.validate", "bootstrap_robustness", "n_synth"),  # the bootstrap's per-rep size, --n-synth
+# parameters named like a setting that are not one
+_NOT_SETTINGS = {
+    # a generator's seed (None for fresh entropy), not the pipeline's seed
+    ("leadkin.demo", "make_demo_events", "seed"),
+    ("leadkin.synth", "sample_submodel", "seed"),
+    ("leadkin.synth", "assemble_synthetic", "seed"),
+    ("leadkin.validate", "weighted_ks_test", "seed"),
+    ("leadkin.validate", "compare_datasets", "seed"),
+    ("leadkin.validate", "bootstrap_robustness", "n_synth"),  # the per-rep size, bootstrap --n-synth
+    ("leadkin.cli", "stage_generate", "dt"),  # replaces config.profile_dt, through its rule
 }
-_CONFIG_PARAMETERS = ("config", "cfg")
 
-# the functions whose defaults were restated before the settings had one home
+# the functions that took a setting on its own before it had one home
 _LIBRARY = [
     pwl.fit_candidates,
     pwl.loss,
@@ -91,26 +92,20 @@ def _package_functions():
                 yield fn
 
 
-def _setting_defaults(fn):
-    """(parameter, default, expected) for each parameter of fn that defaults a setting."""
-    for name, parameter in inspect.signature(fn).parameters.items():
-        if parameter.default is inspect.Parameter.empty or parameter.default is None:
-            continue
-        if name in _CONFIG_PARAMETERS:
-            yield name, parameter.default, PipelineConfig()
-        elif name in _SETTING_OF and (fn.__module__, fn.__name__, name) not in _OWN_SETTINGS:
-            yield name, parameter.default, getattr(PipelineConfig, _SETTING_OF[name])
-
-
-def test_library_defaults_are_the_config_defaults():
-    """A default must be the field's class attribute itself: a literal
-    restated in another module is another object, even when it is equal."""
-    checked = set()
+def test_settings_reach_the_library_only_through_config():
+    """No function takes a setting on its own, so every setting passes the
+    field's rule; a config the caller may leave out is PipelineConfig()."""
+    loose, exempt, defaulted = [], set(), set()
     for fn in _package_functions():
-        for name, default, expected in _setting_defaults(fn):
-            where = f"{fn.__module__}.{fn.__name__}({name}=...)"
-            assert default == expected, where
-            if not isinstance(expected, PipelineConfig):
-                assert default is expected, f"{where} restates the default of PipelineConfig.{_SETTING_OF[name]}"
-            checked.add(fn)
-    assert set(_LIBRARY) <= checked
+        for name, parameter in inspect.signature(fn).parameters.items():
+            key = (fn.__module__, fn.__name__, name)
+            if key in _NOT_SETTINGS:
+                exempt.add(key)
+            elif name in _SETTING_NAMES:
+                loose.append(f"{fn.__module__}.{fn.__name__}({name})")
+            if name == "config" and parameter.default is not inspect.Parameter.empty:
+                assert parameter.default == PipelineConfig(), f"{fn.__module__}.{fn.__name__}"
+                defaulted.add(fn)
+    assert loose == []
+    assert exempt == _NOT_SETTINGS  # no stale exception
+    assert set(_LIBRARY) <= defaulted

@@ -4,6 +4,7 @@ from scipy.stats import pearsonr
 
 from groundtruth import ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
+from leadkin.config import PipelineConfig
 from leadkin.errors import ZeroVariance
 from leadkin.events import EventParams, ParamTable
 from leadkin.mvdist import (
@@ -126,7 +127,7 @@ class TestDetectPointMass:
 
     def test_threshold_boundary_inclusive(self):
         x = np.concatenate([np.zeros(10), np.linspace(1, 5, 90)])
-        spec = detect_point_mass(x, np.ones_like(x), threshold=0.10)
+        spec = detect_point_mass(x, np.ones_like(x), config=PipelineConfig(mass_threshold=0.10))
         assert spec is not None and spec.mass_probability == pytest.approx(0.10)
 
     def test_single_heavy_event_is_not_a_mass(self):

@@ -252,7 +252,7 @@ class TestExtractParams:
     def test_reconstruction_consistency(self):
         fit = fit_from_vertices([-5, -3, -1, 0], [7, 11, 5, 5])
         params = extract_params(fit)
-        [rebuilt] = params_to_profile(ParamTable.from_rows([params]), dt=0.05)
+        [rebuilt] = params_to_profile(ParamTable.from_rows([params]), config=PipelineConfig(profile_dt=0.05))
         predicted = fit.predict(rebuilt.times)
         assert np.abs(rebuilt.speeds - predicted).max() < 1e-9
 

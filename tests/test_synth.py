@@ -8,7 +8,8 @@ from scipy.stats import spearmanr
 
 import profile_reference as polyline
 from groundtruth import ground_truth_bundles
-from leadkin.errors import RejectionCapExceeded
+from leadkin.config import PipelineConfig
+from leadkin.errors import InputError, RejectionCapExceeded
 from leadkin.events import GRAVITY, PARAM_NAMES, EventParams, ParamTable
 from leadkin.marginals import FittedDist
 from leadkin.mvdist import (
@@ -304,7 +305,7 @@ class TestAssemble:
 
 
 def profile_of(vector, dt):
-    [profile] = params_to_profile(ParamTable.from_rows([row(vector)]), dt=dt)
+    [profile] = params_to_profile(ParamTable.from_rows([row(vector)]), config=PipelineConfig(profile_dt=dt))
     return profile
 
 
@@ -345,7 +346,7 @@ class TestParamsToProfile:
             [[5, -3, 2, 1, 2, 2], [8, 0, 0, 5, 0, 0]], event_id=["a", "b"],
             source_group=[None, "SHRP2_nc"], severity=["None", None],
         )
-        profiles = params_to_profile(table, dt=0.25)
+        profiles = params_to_profile(table, config=PipelineConfig(profile_dt=0.25))
         assert [(p.event_id, p.source_group, p.severity) for p in profiles] == [
             ("a", None, "None"), ("b", "SHRP2_nc", None)
         ]
@@ -356,11 +357,12 @@ class TestParamsToProfile:
             assert np.allclose(p.speeds, reference.speeds, rtol=0, atol=1e-12)
 
     def test_empty_table(self):
-        assert params_to_profile(ParamTable.from_rows([]), dt=0.1) == []
+        assert params_to_profile(ParamTable.from_rows([]), config=PipelineConfig(profile_dt=0.1)) == []
 
     def test_non_positive_dt_raises(self):
-        with pytest.raises(ValueError):
-            params_to_profile(ParamTable.from_rows([row([8, 0, 0, 5, 0, 0])]), dt=0.0)
+        table = ParamTable.from_rows([row([8, 0, 0, 5, 0, 0])])
+        with pytest.raises(InputError, match="config field profile_dt must be >= 0.001, got 0.0"):
+            params_to_profile(table, config=PipelineConfig(profile_dt=0.0))
 
 
 # --- the closed form against the per-row polyline ----------------------------------

@@ -227,9 +227,24 @@ def test_any_corrupted_cell_is_an_input_error(tmp_path_factory, name, data):
         READERS[name](path)
 
 
-@pytest.mark.parametrize("text", ["", "{", '{"raw": {"NOPE": 1}, "valid": {}}', '{"raw": {}}'])
+@pytest.mark.parametrize(
+    "text", ["", "{", '{"raw": {"NOPE": 1}, "valid": {}}', '{"raw": {}}', '{"raw": [1], "valid": {}}']
+)
 def test_malformed_counts_sidecar_is_an_input_error(tmp_path, text):
     path = tmp_path / "params.counts.json"
     path.write_text(text)
     with pytest.raises(InputError):
+        read_counts_json(path)
+
+
+@pytest.mark.parametrize(
+    "count",
+    ["2.7", '"3"', "true", "-4", "1e300", "1" + "0" * 400],
+    ids=["fraction", "string", "bool", "negative", "float-1e300", "integer-1e400"],
+)
+def test_counts_sidecar_takes_only_non_negative_integers(tmp_path, count):
+    # the raw counts set the SHRP2 group weights, so a bad one must not be rounded or cast
+    path = tmp_path / "params.counts.json"
+    path.write_text(f'{{"raw": {{"SHRP2_sc": {count}}}, "valid": {{"SHRP2_sc": 1}}}}')
+    with pytest.raises(InputError, match=rf"{path.name}: malformed counts: .*raw SHRP2_sc count must be an integer"):
         read_counts_json(path)

@@ -8,6 +8,7 @@ from groundtruth import ground_truth_corpus
 from leadkin.errors import EmptyInput, EmptyReps, InputError
 from leadkin.events import ParamTable
 from leadkin.combine import Stage, WeightedDataset
+from leadkin.config import PipelineConfig
 from leadkin.validate import (
     bootstrap_robustness,
     describe,
@@ -49,13 +50,13 @@ class TestWeightedEcdf:
 class TestWeightedKs:
     def test_identical_samples(self):
         x = np.random.default_rng(0).normal(size=100)
-        result = weighted_ks_test(x, None, x.copy(), None, n_perm=100, seed=1)
+        result = weighted_ks_test(x, None, x.copy(), None, config=PipelineConfig(n_perm=100), seed=1)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
 
     def test_disjoint_supports(self):
         result = weighted_ks_test(
-            np.arange(10.0), None, np.arange(10.0) + 100.0, None, n_perm=100, seed=1
+            np.arange(10.0), None, np.arange(10.0) + 100.0, None, config=PipelineConfig(n_perm=100), seed=1
         )
         assert result.statistic == 1.0
         assert result.p_value < 0.05
@@ -64,16 +65,16 @@ class TestWeightedKs:
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=80), rng.normal(0.5, 1, 60)
         wx, wy = rng.uniform(0.5, 2, 80), rng.uniform(0.5, 2, 60)
-        a = weighted_ks_test(x, wx, y, wy, n_perm=10, seed=0)
-        b = weighted_ks_test(y, wy, x, wx, n_perm=10, seed=0)
+        a = weighted_ks_test(x, wx, y, wy, config=PipelineConfig(n_perm=10), seed=0)
+        b = weighted_ks_test(y, wy, x, wx, config=PipelineConfig(n_perm=10), seed=0)
         assert a.statistic == b.statistic
 
     def test_weight_scale_invariance_power_of_two(self):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=70), rng.normal(0.3, 1, 90)
         wx, wy = rng.uniform(0.5, 2, 70), rng.uniform(0.5, 2, 90)
-        a = weighted_ks_test(x, wx, y, wy, n_perm=200, seed=9)
-        b = weighted_ks_test(x, wx * 4.0, y, wy, n_perm=200, seed=9)
+        a = weighted_ks_test(x, wx, y, wy, config=PipelineConfig(n_perm=200), seed=9)
+        b = weighted_ks_test(x, wx * 4.0, y, wy, config=PipelineConfig(n_perm=200), seed=9)
         assert a.statistic == b.statistic
         assert a.p_value == b.p_value
 
@@ -81,8 +82,8 @@ class TestWeightedKs:
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=70), rng.normal(0.3, 1, 90)
         wx, wy = rng.uniform(0.5, 2, 70), rng.uniform(0.5, 2, 90)
-        a = weighted_ks_test(x, wx, y, wy, n_perm=200, seed=9)
-        b = weighted_ks_test(x, wx * 13.7, y, wy * 0.003, n_perm=200, seed=9)
+        a = weighted_ks_test(x, wx, y, wy, config=PipelineConfig(n_perm=200), seed=9)
+        b = weighted_ks_test(x, wx * 13.7, y, wy * 0.003, config=PipelineConfig(n_perm=200), seed=9)
         assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
         assert a.p_value == b.p_value
 
@@ -91,7 +92,7 @@ class TestWeightedKs:
         for trial in range(60):
             rng = np.random.default_rng(500 + trial)
             a, b = rng.normal(size=200), rng.normal(size=200)
-            res = weighted_ks_test(a, None, b, None, n_perm=300, seed=trial)
+            res = weighted_ks_test(a, None, b, None, config=PipelineConfig(n_perm=300), seed=trial)
             rejections += res.p_value < 0.10
         assert 0.02 <= rejections / 60 <= 0.20
 
@@ -102,13 +103,13 @@ class TestWeightedKs:
     @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
     def test_negative_or_non_finite_weight_raises(self, bad):
         with pytest.raises(InputError, match="finite and positive"):
-            weighted_ks_test([1.0, 2.0], [1.0, bad], [0.5, 3.0], None, n_perm=10)
+            weighted_ks_test([1.0, 2.0], [1.0, bad], [0.5, 3.0], None, config=PipelineConfig(n_perm=10))
 
     @pytest.mark.parametrize("wx, wy", [([1.0, 0.0, 2.0], None), (None, [0.0, 3.0])])
     def test_zero_weight_raises(self, wx, wy):
         # a permutation could leave a sample with no weight, and a NaN distance
         with pytest.raises(InputError, match="finite and positive"):
-            weighted_ks_test([1.0, 2.0, 3.0], wx, [0.5, 3.0], wy, n_perm=10)
+            weighted_ks_test([1.0, 2.0, 3.0], wx, [0.5, 3.0], wy, config=PipelineConfig(n_perm=10))
 
 
 def _sample(draw, size, tied):
@@ -144,7 +145,9 @@ def test_ks_matches_full_cumsum_reference(case):
     and p-value of the full-cumsum version (either sample the smaller,
     weights on neither, one or both sides, ties, one-element samples,
     n_perm not a multiple of the 256-permutation chunk)."""
-    assert weighted_ks_test(**case) == ks_reference.weighted_ks_test(**case)
+    config = PipelineConfig(n_perm=case["n_perm"])
+    new = weighted_ks_test(case["x"], case["wx"], case["y"], case["wy"], config=config, seed=case["seed"])
+    assert new == ks_reference.weighted_ks_test(**case)
 
 
 @pytest.mark.parametrize("sizes", [(36, 2000), (1000, 3000), (500, 80)])
@@ -154,7 +157,7 @@ def test_ks_matches_reference_at_pipeline_sizes(sizes):
     y = np.round(rng.gamma(2.1, 1.0, sizes[1]), 2)
     wx = rng.uniform(0.2, 3.0, sizes[0])
     for args in ((x, wx, y, None), (y, None, x, wx), (x, None, y, None)):
-        assert weighted_ks_test(*args, n_perm=600, seed=5) == ks_reference.weighted_ks_test(
+        assert weighted_ks_test(*args, config=PipelineConfig(n_perm=600), seed=5) == ks_reference.weighted_ks_test(
             *args, n_perm=600, seed=5
         )
 
@@ -213,10 +216,8 @@ class TestBootstrap:
             fractions=(0.9,),
             reps=4,
             n_synth=400,
-            alpha=0.1,
-            seed=5,
-            n_perm=100,
             n_reference=2000,
+            config=PipelineConfig(alpha_ks=0.1, seed=5, n_perm=100),
         )
         assert report.reps == 4
         assert set(report.proportions[0.9].keys()) == {
@@ -226,3 +227,20 @@ class TestBootstrap:
         assert done + report.failures[0.9] == 4
         for value in report.proportions[0.9].values():
             assert 0.0 <= value <= 1.0
+
+    def test_alpha_permutations_and_seed_come_from_the_config(self):
+        ds = ground_truth_corpus(seed=321, counts=(45, 60, 45))
+        config = PipelineConfig(alpha_ks=0.05, seed=5, n_perm=100)
+        runs = [
+            bootstrap_robustness(ds, fractions=(0.9,), reps=2, n_synth=400, n_reference=2000, config=config)
+            for _ in range(2)
+        ]
+        report = runs[0]
+        assert report.alpha == 0.05
+        assert report.per_rep == runs[1].per_rep  # seeded by config.seed
+        outcomes = report.per_rep[0.9]
+        assert outcomes
+        for name, share in report.proportions[0.9].items():
+            assert share == np.mean([rep[name] > 0.05 for rep in outcomes])
+            # p = (1 + exceed) / (1 + n_perm) with n_perm = 100
+            assert all(round(rep[name] * 101, 6).is_integer() for rep in outcomes)
