@@ -28,13 +28,13 @@ import numpy as np
 from . import combine as combine_mod
 from . import ingest, pwl, tables
 from . import validate as validate_mod
-from .config import MAX_COUNT, PipelineConfig
-from .errors import InputError, LeadkinError, NumericalError
+from .config import PipelineConfig
+from .errors import BadArgument, InputError, LeadkinError, NumericalError
 from .events import PARAM_NAMES, SourceGroup
 from .marginals import fit_tally
 from .mvdist import build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
-from .validate import bootstrap_robustness, compare_datasets
+from .validate import bootstrap_robustness, check_bootstrap_args, compare_datasets
 
 log = logging.getLogger(__name__)
 
@@ -385,16 +385,14 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
 
 
 def _bootstrap_fractions(text: str) -> Tuple[float, ...]:
-    """The comma-separated resampling fractions, each a number in (0, 1]."""
+    """The comma-separated resampling fractions, as numbers; their range is
+    checked by ``check_bootstrap_args``."""
     fractions = []
     for item in text.split(","):
         try:
-            value = float(item)
+            fractions.append(float(item))
         except ValueError:
             raise InputError(f"--fractions: {item.strip()!r} is not a number") from None
-        if not 0.0 < value <= 1.0:  # also rejects NaN
-            raise InputError(f"--fractions: each fraction must be in (0, 1], got {item.strip()}")
-        fractions.append(value)
     return tuple(fractions)
 
 
@@ -425,9 +423,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             stage_validate(config, args.raw, args.synthetic, args.output)
         elif args.command == "bootstrap":
             fractions = _bootstrap_fractions(args.fractions)
-            for flag, value in (("--reps", args.reps), ("--n-synth", args.rep_n_synth)):
-                if not 1 <= value <= MAX_COUNT:
-                    raise InputError(f"{flag} must be >= 1 and <= {MAX_COUNT}, got {value}")
+            try:
+                check_bootstrap_args(fractions, args.reps, args.rep_n_synth)
+            except BadArgument as exc:  # name the parameter by its command-line flag
+                raise InputError(f"--{exc.name.replace('_', '-')} {exc.problem}") from None
             dataset = tables.read_combined_csv(args.input)
             report = bootstrap_robustness(
                 dataset, fractions=fractions, reps=args.reps, n_synth=args.rep_n_synth, config=config

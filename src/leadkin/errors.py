@@ -107,5 +107,14 @@ class EmptyInput(InputError):
     """An operation received an empty sample or zero total weight."""
 
 
-class EmptyReps(InputError):
+class BadArgument(InputError):
+    """An argument outside its domain; ``name`` is the parameter's name."""
+
+    def __init__(self, name: str, problem: str):
+        super().__init__(f"{name} {problem}")
+        self.name = name
+        self.problem = problem
+
+
+class EmptyReps(BadArgument):
     """Bootstrap called with no repetitions."""

@@ -9,16 +9,15 @@ comparable across families.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-import operator
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special, stats
@@ -71,18 +70,19 @@ class FittedDist:
     def k(self) -> int:
         return len(_FAMILIES[self.family].names)
 
-    def _dist(self):
-        return _FAMILIES[self.family].freeze(self.params)
+    def _scipy(self, method: str, y) -> np.ndarray:
+        """The family's scipy ``method`` at y, without freezing a distribution."""
+        spec = _FAMILIES[self.family]
+        loc, scale = self.params.get("loc", 0.0), self.params["scale"]
+        return getattr(spec.dist, method)(y, *spec.shapes(self.params), loc=loc, scale=scale)
 
     def logpdf(self, x) -> np.ndarray:
-        return self._dist().logpdf(self.affine.forward(x))
+        return self._scipy("logpdf", self.affine.forward(x))
 
     def cdf(self, x) -> np.ndarray:
-        y = self.affine.forward(x)
-        if self.affine.reflect:
-            # y = -x - shift is decreasing in x
-            return 1.0 - self._dist().cdf(y)
-        return self._dist().cdf(y)
+        p = self._scipy("cdf", self.affine.forward(x))
+        # y = -x - shift is decreasing in x
+        return 1.0 - p if self.affine.reflect else p
 
     def ppf(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -90,7 +90,7 @@ class FittedDist:
         if self.family == "expnormal":
             y = _expnormal_ppf(q, **self.params)
         else:
-            y = self._dist().ppf(q)
+            y = self._scipy("ppf", q)
         return self.affine.inverse(y)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -274,12 +274,13 @@ def _expnormal_ppf(q: np.ndarray, k: float, loc: float, scale: float) -> np.ndar
 
 # --- Nelder-Mead ---------------------------------------------------------------
 #
-# scipy.optimize.minimize(method="Nelder-Mead") spends as long on numpy calls
-# over 3-element arrays as on the likelihoods themselves.  _nelder_mead
-# repeats scipy 1.17's non-adaptive algorithm (Nelder & Mead 1965) step for
-# step on Python floats: the same initial simplex, coefficients, centroid
-# summation order, vertex order and stop rule, so every fit ends on the same
-# bits.  The tests use scipy itself as the oracle.
+# _nelder_mead repeats scipy 1.17's non-adaptive algorithm (Nelder & Mead
+# 1965) step for step: the same initial simplex, coefficients, centroid
+# summation order, vertex order and stop rule, so every run ends on the same
+# bits as scipy.optimize.minimize.  It runs a batch of minimizations in
+# lockstep and scores each step's trial points of every run in one call, so
+# a model's runs cost one loop of array operations, not one Python call per
+# evaluation.  The tests use scipy itself as the oracle.
 
 _NM_MAXITER = 400
 _NM_XATOL = 1e-6
@@ -322,90 +323,93 @@ def fit_tally() -> Iterator[FitTally]:
 
 
 def _ordered(sim, fsim):
-    """The vertices and values sorted by value, in np.argsort's order.
+    """Each run's vertices (runs, m, n) and values (runs, m) sorted by value,
+    in np.argsort's order: its order of ties (the 1e12 infeasible plateau)
+    and NaN differs from a stable sort on hosts with a SIMD sort."""
+    order = np.argsort(fsim, axis=1)
+    runs = np.arange(len(fsim))[:, None]
+    return sim[runs, order], fsim[runs, order]
 
-    Distinct values have only one order.  Ties (the 1e12 infeasible plateau)
-    and NaN go through np.argsort itself, whose order of tied values differs
-    from a stable sort on hosts with a SIMD sort.
+
+def _nelder_mead(evaluate, x0) -> List[_Simplex]:
+    """Minimize from every row of x0 (runs, n) exactly as scipy's Nelder-Mead
+    does with maxiter 400, xatol 1e-6, fatol 1e-9 and no evaluation cap.
+
+    ``evaluate(rows, points)`` gives the objective (len(rows), q) at points
+    (len(rows), q, n) of the runs ``rows``, an increasing index array.  The
+    runs take their steps together; a finished run leaves the batch.
     """
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    ranked = [fsim[i] for i in order]
-    # strictly increasing means distinct and free of NaN, for which a comparison is False
-    if not all(a < b for a, b in zip(ranked, ranked[1:])):
-        order = np.argsort(fsim).tolist()
-        ranked = [fsim[i] for i in order]
-    return [sim[i] for i in order], ranked
-
-
-def _nelder_mead(fun, x0) -> _Simplex:
-    """Minimize fun from x0 exactly as scipy's Nelder-Mead does with
-    maxiter 400, xatol 1e-6, fatol 1e-9 and no evaluation cap."""
-    nfev = 0
-
-    def f(vertex):
-        nonlocal nfev
-        nfev += 1
-        return float(fun(np.array(vertex)))
-
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        vertex = list(x0)
-        vertex[k] = (1 + _NM_NONZDELT) * vertex[k] if vertex[k] != 0 else _NM_ZDELT
-        sim.append(vertex)
-    fsim = [f(vertex) for vertex in sim]
+    x0 = np.asarray(x0, dtype=float)
+    size, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    axis = np.arange(n)
+    sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + _NM_NONZDELT) * x0, _NM_ZDELT)
+    rows = np.arange(size)
+    fsim = evaluate(rows, sim)
+    nfev = np.full(size, n + 1)
     # scipy sorts twice before the first step, and the second sort can move ties
     sim, fsim = _ordered(*_ordered(sim, fsim))
-
+    out: List[_Simplex] = [None] * size
     nit = 1
-    while nit < _NM_MAXITER:
-        best = sim[0]
-        if all(abs(a - b) <= _NM_XATOL for v in sim[1:] for a, b in zip(v, best)) and all(
-            abs(fsim[0] - fv) <= _NM_FATOL for fv in fsim[1:]
-        ):
-            break
+    while True:
+        converged = (np.abs(sim[:, 1:] - sim[:, :1]) <= _NM_XATOL).all(axis=(1, 2)) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]) <= _NM_FATOL
+        ).all(axis=1)
+        done = converged | (nit >= _NM_MAXITER)
+        for i in np.flatnonzero(done):
+            out[rows[i]] = _Simplex(sim[i, 0].copy(), float(np.min(fsim[i])), int(nfev[i]), nit)
+        if done.all():
+            return out
+        if done.any():
+            rows, sim, fsim, nfev = (v[~done] for v in (rows, sim, fsim, nfev))
+
         # centroid summed vertex by vertex, ((r0 + r1) + r2) / n, as np.add.reduce does
-        xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
-        worst = sim[-1]
-        xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
-        fxr = f(xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
-            fxc = f(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
-            fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = [b + _SIGMA * (v - b) for b, v in zip(sim[0], sim[j])]
-                fsim[j] = f(sim[j])
+        xbar = sim[:, 0]
+        for j in range(1, n):
+            xbar = xbar + sim[:, j]
+        xbar = xbar / n
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = evaluate(rows, xr[:, None, :])[:, 0]
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~(expand | reflect) & (fxr < fsim[:, -1])
+        inside = ~(expand | reflect | outside)  # also where fxr is NaN
+        # the expansion, outside-contraction or inside-contraction point
+        xt = np.where(
+            expand[:, None],
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst, (1 - _PSI) * xbar + _PSI * worst),
+        )
+        fxt = np.full_like(fxr, np.nan)
+        trial = np.flatnonzero(~reflect)
+        fxt[trial] = evaluate(rows[trial], xt[trial, None, :])[:, 0]
+        take_t = (expand & (fxt < fxr)) | (outside & (fxt <= fxr)) | (inside & (fxt < fsim[:, -1]))
+        take_r = reflect | (expand & ~take_t)
+        shrink = np.flatnonzero((outside | inside) & ~take_t)
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take_t, -1], fsim[take_t, -1] = xt[take_t], fxt[take_t]
+        nfev += 1 + ~reflect
+        if shrink.size:
+            best = sim[shrink, :1]
+            sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
+            fsim[shrink, 1:] = evaluate(rows[shrink], sim[shrink, 1:])
+            nfev[shrink] += n
         nit += 1
         sim, fsim = _ordered(sim, fsim)
-    return _Simplex(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev, nit=nit)
 
 
 # --- weighted MLE per family -------------------------------------------------
 #
-# Inner-loop likelihoods use explicit log-pdf formulas (scipy.special) to
-# avoid frozen-distribution construction overhead inside the optimizer.
+# A family fit by Nelder-Mead gives its starts, the map from its search
+# coordinates to its parameters, and a vectorized log-density: parameter
+# columns (rows, q, 1) against data rows (rows, 1, L).  A point with a
+# parameter beyond the family's limit, or a non-finite log-density, scores
+# 1e12.
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_INFEASIBLE = 1e12
+_NUMERICAL = (ArithmeticError, ValueError, np.linalg.LinAlgError, NumericalError)
 
 
 def _moments(y: np.ndarray, w: np.ndarray) -> Tuple[float, float]:
@@ -418,181 +422,143 @@ def _norm_logpdf(z):
     return -0.5 * np.square(z) - _LOG_SQRT_2PI
 
 
-def _finite3(a, b, c) -> bool:
-    """np.isfinite([a, b, c]).all() for three scalars, without the array."""
-    return math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+def _columns(theta):
+    """The columns (rows, q, 1) of points theta (rows, q, d)."""
+    return theta[..., None].transpose(2, 0, 1, 3)
 
 
-def _nll(logpdf, y, w):
-    def fun(theta):
-        lp = logpdf(theta, y)
-        if lp is None or not np.isfinite(lp).all():
-            return 1e12
-        return -float(np.dot(w, lp))
+def _exp_at(*axes):
+    """The parameters of search coordinates theta (..., d) whose ``axes``
+    are logarithms of them."""
 
-    return fun
+    logs = list(axes)
 
+    def natural(theta):
+        params = np.array(theta, dtype=float)
+        params[..., logs] = np.exp(theta[..., logs])
+        return params
 
-def _minimize(fun, starts) -> Optional[_Simplex]:
-    """Best Nelder-Mead result over the starts; None when none is finite."""
-    best = None
-    tally = _TALLY.get()
-    for x0 in starts:
-        res = _nelder_mead(fun, x0)
-        if tally is not None:
-            tally.nm_runs += 1
-            tally.nm_nfev += res.nfev
-        if not np.isfinite(res.fun):
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    return best
+    return natural
 
 
-def _fit_normal(y, w):
+def _normal(y, w):
     mean, var = _moments(y, w)
     if var <= 1e-18:
         return None
     return {"loc": mean, "scale": float(np.sqrt(var))}
 
 
-def _fit_exponential(y, w):
+def _exponential(y, w):
     mean = float(np.dot(w, y) / w.sum())
     if mean <= 0:
         return None
     return {"scale": mean}
 
 
-def _fit_gamma(y, w):
+def _gamma_start(y, w):
+    """Moment estimates of shape and scale, and the mean; None off (0, inf)."""
     if (y <= 0).any():
         return None
     mean, var = _moments(y, w)
-    shape0 = max(mean * mean / var, 1e-3)
-    scale0 = max(var / mean, 1e-9)
-    log_y = np.log(y)
+    return max(mean * mean / var, 1e-3), max(var / mean, 1e-9), mean
 
-    def logpdf(theta, y):
-        shape, scale = np.exp(theta)
-        if not (np.isfinite(shape) and np.isfinite(scale)) or shape > 1e6:
-            return None
-        return (
-            (shape - 1.0) * log_y
-            - y / scale
-            - special.gammaln(shape)
-            - shape * np.log(scale)
-        )
 
-    res = _minimize(_nll(logpdf, y, w), [np.log([shape0, scale0]), np.log([1.0, mean])])
-    if res is None:
+def _gamma_starts(y, w):
+    start = _gamma_start(y, w)
+    if start is None:
         return None
-    shape, scale = np.exp(res.x)
-    return {"shape": float(shape), "scale": float(scale)}
+    shape0, scale0, mean = start
+    return [np.log([shape0, scale0]), np.log([1.0, mean])]
 
 
-def _fit_gengamma(y, w):
-    if (y <= 0).any():
+def _gamma_logpdf(theta, params, y, log_y):
+    shape, scale = _columns(params)
+    return (shape - 1.0) * log_y - y / scale - special.gammaln(shape) - shape * np.log(scale)
+
+
+def _gengamma_starts(y, w):
+    start = _gamma_start(y, w)
+    if start is None:
         return None
-    mean, var = _moments(y, w)
-    shape0 = max(mean * mean / var, 1e-3)
-    scale0 = max(var / mean, 1e-9)
-    log_y = np.log(y)
-
-    def logpdf(theta, y):
-        a, c, scale = np.exp(theta)
-        if not _finite3(a, c, scale) or a > 1e6 or c > 50:
-            return None
-        log_t = log_y - np.log(scale)
-        return (
-            np.log(c)
-            + (c * a - 1.0) * log_t
-            - np.exp(np.clip(c * log_t, -700, 700))
-            - special.gammaln(a)
-            - np.log(scale)
-        )
-
-    starts = [
-        np.log([shape0, 1.0, scale0]),
-        np.log([shape0, 0.6, scale0]),
-        np.log([shape0, 1.8, scale0]),
-    ]
-    res = _minimize(_nll(logpdf, y, w), starts)
-    if res is None:
-        return None
-    a, c, scale = np.exp(res.x)
-    return {"a": float(a), "c": float(c), "scale": float(scale)}
+    shape0, scale0, _ = start
+    return [np.log([shape0, c, scale0]) for c in (1.0, 0.6, 1.8)]
 
 
-def _fit_skewnormal(y, w):
+def _gengamma_logpdf(theta, params, y, log_y):
+    a, c, scale = _columns(params)
+    log_t = log_y - np.log(scale)
+    return (
+        np.log(c)
+        + (c * a - 1.0) * log_t
+        - np.exp(np.clip(c * log_t, -700, 700))
+        - special.gammaln(a)
+        - np.log(scale)
+    )
+
+
+def _mean_sd(y, w) -> Optional[Tuple[float, float]]:
+    """The weighted mean and SD; None for an SD of 1e-9 or less."""
     mean, var = _moments(y, w)
     sd = float(np.sqrt(var))
-    if sd <= 1e-9:
+    return None if sd <= 1e-9 else (mean, sd)
+
+
+def _skewnormal_starts(y, w):
+    moments = _mean_sd(y, w)
+    if moments is None:
         return None
-
-    def logpdf(theta, y):
-        a, loc, log_scale = theta
-        scale = np.exp(log_scale)
-        if not _finite3(a, loc, scale) or abs(a) > 100:
-            return None
-        z = (y - loc) / scale
-        return np.log(2.0) + _norm_logpdf(z) + special.log_ndtr(a * z) - log_scale
-
-    starts = [
+    mean, sd = moments
+    return [
         np.array([0.0, mean, np.log(sd)]),
         np.array([2.0, mean - sd, np.log(sd)]),
         np.array([-2.0, mean + sd, np.log(sd)]),
     ]
-    res = _minimize(_nll(logpdf, y, w), starts)
-    if res is None:
+
+
+def _skewnormal_logpdf(theta, params, y):
+    a, loc, scale = _columns(params)
+    z = (y - loc) / scale
+    return np.log(2.0) + _norm_logpdf(z) + special.log_ndtr(a * z) - theta[..., 2:]
+
+
+def _expnormal_starts(y, w):
+    moments = _mean_sd(y, w)
+    if moments is None:
         return None
-    a, loc, log_scale = res.x
-    return {"a": float(a), "loc": float(loc), "scale": float(np.exp(log_scale))}
-
-
-def _fit_expnormal(y, w):
-    mean, var = _moments(y, w)
-    sd = float(np.sqrt(var))
-    if sd <= 1e-9:
-        return None
-
-    def logpdf(theta, y):
-        log_k, loc, log_scale = theta
-        k = np.exp(log_k)
-        scale = np.exp(log_scale)
-        if not _finite3(k, loc, scale) or k > 1e4:
-            return None
-        z = (y - loc) / scale
-        inv_k = 1.0 / k
-        return (
-            -log_k
-            + 0.5 * inv_k * inv_k
-            - z * inv_k
-            + special.log_ndtr(z - inv_k)
-            - log_scale
-        )
-
-    starts = [
+    mean, sd = moments
+    return [
         np.array([np.log(0.05), mean, np.log(sd)]),
         np.array([np.log(1.0), mean - 0.7 * sd, np.log(0.7 * sd)]),
         np.array([np.log(3.0), mean - sd, np.log(0.4 * sd)]),
     ]
-    res = _minimize(_nll(logpdf, y, w), starts)
-    if res is None:
-        return None
-    log_k, loc, log_scale = res.x
-    return {"k": float(np.exp(log_k)), "loc": float(loc), "scale": float(np.exp(log_scale))}
+
+
+def _expnormal_logpdf(theta, params, y):
+    k, loc, scale = _columns(params)
+    z = (y - loc) / scale
+    inv_k = 1.0 / k
+    return -theta[..., :1] + 0.5 * inv_k * inv_k - z * inv_k + special.log_ndtr(z - inv_k) - theta[..., 2:]
+
+
+_MAX = sys.float_info.max  # a parameter limit that only excludes inf and NaN
 
 
 class _Family(NamedTuple):
     dist: object  # scipy.stats distribution
     names: Tuple[str, ...]  # shape parameters first, then loc (if free) and scale
     positive: bool  # support is (0, inf): fit through an AffinePre on signed data
-    fit: Callable  # (y, w) -> params dict, or None when the family cannot fit
+    # (y, w) -> the parameters in closed form (a dict) or the Nelder-Mead
+    # starts (a list); None when the family cannot fit
+    start: Callable
+    # Nelder-Mead only: the search coordinates theta (..., d) -> the
+    # parameters in ``names`` order; the largest |parameter| of a feasible
+    # point; and (theta, parameters, y[, log y]) -> the log-densities
+    natural: Optional[Callable] = None
+    limits: Tuple[float, ...] = ()
+    logpdf: Optional[Callable] = None
 
     def shapes(self, params: Mapping[str, float]) -> list:
         return [params[n] for n in self.names if n not in ("loc", "scale")]
-
-    def freeze(self, params: Mapping[str, float]):
-        return self.dist(*self.shapes(params), loc=params.get("loc", 0.0), scale=params["scale"])
 
     def admits(self, params: Mapping[str, float]) -> bool:
         """scale > 0 and the shapes within scipy's domain for the family."""
@@ -600,13 +566,86 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = {
-    "normal": _Family(stats.norm, ("loc", "scale"), False, _fit_normal),
-    "skewnormal": _Family(stats.skewnorm, ("a", "loc", "scale"), False, _fit_skewnormal),
-    "expnormal": _Family(stats.exponnorm, ("k", "loc", "scale"), False, _fit_expnormal),
-    "gamma": _Family(stats.gamma, ("shape", "scale"), True, _fit_gamma),
-    "gengamma": _Family(stats.gengamma, ("a", "c", "scale"), True, _fit_gengamma),
-    "exponential": _Family(stats.expon, ("scale",), True, _fit_exponential),
+    "normal": _Family(stats.norm, ("loc", "scale"), False, _normal),
+    "skewnormal": _Family(stats.skewnorm, ("a", "loc", "scale"), False, _skewnormal_starts,
+                          _exp_at(2), (100, _MAX, _MAX), _skewnormal_logpdf),
+    "expnormal": _Family(stats.exponnorm, ("k", "loc", "scale"), False, _expnormal_starts,
+                         _exp_at(0, 2), (1e4, _MAX, _MAX), _expnormal_logpdf),
+    "gamma": _Family(stats.gamma, ("shape", "scale"), True, _gamma_starts,
+                     np.exp, (1e6, _MAX), _gamma_logpdf),
+    "gengamma": _Family(stats.gengamma, ("a", "c", "scale"), True, _gengamma_starts,
+                        np.exp, (1e6, 50, _MAX), _gengamma_logpdf),
+    "exponential": _Family(stats.expon, ("scale",), True, _exponential),
 }
+
+
+def _likelihood(runs):
+    """``evaluate`` for _nelder_mead over runs (family, y, w, x0) sorted by
+    family and sample size.
+
+    Each family scores its rows in one call, padded to its longest sample.
+    Each run's weighted sum is np.vecdot over a block of rows of its own
+    length, which sums as np.dot does; the padding never enters a dot,
+    where it would change the blocking and so the rounding.
+    """
+    keys = [(run[0], run[1].size) for run in runs]
+    firsts = [i for i in range(len(runs)) if i == 0 or keys[i] != keys[i - 1]]
+    bounds = np.array(firsts + [len(runs)])  # block b holds rows bounds[b]:bounds[b + 1]
+    families = []
+    for family, blocks in itertools.groupby(range(len(firsts)), key=lambda b: keys[firsts[b]][0]):
+        blocks = list(blocks)
+        rows = runs[bounds[blocks[0]]:bounds[blocks[-1] + 1]]
+        spec = _FAMILIES[family]
+        y = np.ones((len(rows), 1, rows[-1][1].size))
+        w = np.zeros_like(y)
+        padding = np.ones(y.shape, dtype=bool)
+        for i, (_, yi, wi, _) in enumerate(rows):
+            y[i, 0, : yi.size], w[i, 0, : wi.size], padding[i, 0, : yi.size] = yi, wi, False
+        data = (y, np.log(y)) if spec.positive else (y,)
+        families.append((spec, np.array(spec.limits), blocks[0], blocks[-1] + 1, data, w, padding))
+
+    def evaluate(rows, points):
+        values = np.empty(points.shape[:2])
+        cut = np.searchsorted(rows, bounds)
+        with np.errstate(all="ignore"):  # infeasible points may overflow; they are masked
+            for spec, limits, b0, b1, data, w, padding in families:
+                lo, hi = cut[b0], cut[b1]
+                if lo == hi:
+                    continue
+                block = rows[lo:hi] - bounds[b0]
+                theta = points[lo:hi]
+                params = spec.natural(theta)
+                lp = spec.logpdf(theta, params, *(d[block] for d in data))
+                feasible = (np.abs(params) <= limits).all(axis=-1) & (np.isfinite(lp) | padding[block]).all(axis=-1)
+                w_rows = w[block]
+                dots = np.empty(theta.shape[:2])
+                for b in range(b0, b1):
+                    i, j, size = cut[b] - lo, cut[b + 1] - lo, keys[bounds[b]][1]
+                    if i < j:
+                        dots[i:j] = np.vecdot(w_rows[i:j, :, :size], lp[i:j, :, :size])
+                values[lo:hi] = np.where(feasible, -dots, _INFEASIBLE)
+        return values
+
+    return evaluate
+
+
+def _minimize(runs) -> List[_Simplex]:
+    """Nelder-Mead for each run (family, y, w, x0) on the family's weighted
+    negative log-likelihood: one lockstep batch per dimension, its rows sorted
+    by family and sample size."""
+    out: List[_Simplex] = [None] * len(runs)
+    order = sorted(range(len(runs)), key=lambda i: (runs[i][3].size, runs[i][0], runs[i][1].size))
+    for _, batch in itertools.groupby(order, key=lambda i: runs[i][3].size):
+        batch = list(batch)
+        sorted_runs = [runs[i] for i in batch]
+        results = _nelder_mead(_likelihood(sorted_runs), np.array([run[3] for run in sorted_runs]))
+        for i, res in zip(batch, results):
+            out[i] = res
+    tally = _TALLY.get()
+    if tally is not None:
+        tally.nm_runs += len(runs)
+        tally.nm_nfev += sum(res.nfev for res in out)
+    return out
 
 
 def _affine_for(values: np.ndarray, weights: np.ndarray) -> AffinePre:
@@ -619,30 +658,139 @@ def _affine_for(values: np.ndarray, weights: np.ndarray) -> AffinePre:
     return AffinePre(shift=shift, reflect=reflect)
 
 
-def fit_family(family: str, values, weights) -> Optional[FittedDist]:
-    """Weighted MLE for one family; None when the family cannot fit."""
-    x = np.asarray(values, dtype=float)
-    w = normalize_to_effective(weights)
+class _Job(NamedTuple):
+    """One family's weighted MLE on one sample, up to its Nelder-Mead runs."""
+
+    family: str
+    x: np.ndarray  # the sample
+    w: np.ndarray  # its weights, normalized to the effective sample size
+    affine: AffinePre
+    y: np.ndarray  # the sample the family sees, affine.forward(x)
+    start: object  # the family's start(y, w)
+
+
+def _job(family: str, x: np.ndarray, weights) -> _Job:
     spec = _FAMILIES[family]
-    affine = AffinePre()
-    if spec.positive and x.min() <= 0:
-        affine = _affine_for(x, w)
+    w = normalize_to_effective(weights)
+    affine = _affine_for(x, w) if spec.positive and x.min() <= 0 else AffinePre()
     y = affine.forward(x)
-    params = spec.fit(y, w)
+    return _Job(family, x, w, affine, y, spec.start(y, w))
+
+
+def _scored(job: _Job, results: Sequence[_Simplex]) -> Optional[FittedDist]:
+    """The job's fit from its closed form or its best finite Nelder-Mead
+    result, with its log-likelihood and AIC; None when there is none."""
+    spec = _FAMILIES[job.family]
+    params = job.start
+    if isinstance(params, list):
+        best = None
+        for res in results:
+            if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
+                best = res
+        params = None if best is None else dict(zip(spec.names, map(float, spec.natural(best.x))))
     if params is None:
         return None
-    fitted = FittedDist(family=family, params=params, affine=affine)
-    lp = fitted.logpdf(x)
+    fitted = FittedDist(family=job.family, params=params, affine=job.affine)
+    lp = fitted.logpdf(job.x)
     if not np.isfinite(lp).all():
         return None
-    loglik = float(np.dot(w, lp))
-    return FittedDist(
-        family=family,
-        params=params,
-        affine=affine,
-        aic=2 * fitted.k - 2 * loglik,
-        loglik=loglik,
-    )
+    loglik = float(np.dot(job.w, lp))
+    return FittedDist(job.family, params, job.affine, aic=2 * fitted.k - 2 * loglik, loglik=loglik)
+
+
+def _fit_families(tasks: Sequence[Tuple[str, np.ndarray, np.ndarray]]) -> list:
+    """The weighted MLE of each (family, values, weights): a FittedDist, None
+    when the family cannot fit, or the numerical error that stopped it.  All
+    the Nelder-Mead runs go into one batch; any other error propagates."""
+    jobs = []
+    for family, x, weights in tasks:
+        try:
+            jobs.append(_job(family, x, weights))
+        except _NUMERICAL as exc:
+            jobs.append(exc)
+    searched = [job for job in jobs if isinstance(job, _Job) and isinstance(job.start, list)]
+    results = iter(_minimize([(job.family, job.y, job.w, x0) for job in searched for x0 in job.start]))
+    outcomes = []
+    for job in jobs:
+        if isinstance(job, _Job):
+            runs = [next(results) for _ in job.start] if isinstance(job.start, list) else []
+            try:
+                job = _scored(job, runs)
+            except _NUMERICAL as exc:
+                job = exc
+        outcomes.append(job)
+    return outcomes
+
+
+def fit_family(family: str, values, weights) -> Optional[FittedDist]:
+    """Weighted MLE for one family; None when the family cannot fit."""
+    [outcome] = _fit_families([(family, np.asarray(values, dtype=float), weights)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class FitRequest(NamedTuple):
+    """A univariate fit: the lowest-AIC family of ``families`` for
+    ``values``, with unit weights when ``weights`` is None."""
+
+    values: object
+    weights: object = None
+    families: Sequence[str] = CONTINUOUS_FAMILIES
+
+
+def _checked_sample(request: FitRequest):
+    """The request's values and weights as arrays, or the AllFitsFailed that
+    rules the sample out."""
+    x = np.asarray(request.values, dtype=float)
+    w = np.ones_like(x) if request.weights is None else np.asarray(request.weights, dtype=float)
+    if effective_sample_size(w) < 5:
+        return AllFitsFailed("need at least 5 effective samples")
+    if not np.isfinite(x).all():
+        return AllFitsFailed("values must be finite")
+    if weighted_var_mle(x, w) <= 0.0:
+        return AllFitsFailed("zero variance: data is constant")
+    return x, w
+
+
+def fit_many(requests: Sequence[FitRequest]) -> list:
+    """What fit_univariate gives for each request, with the Nelder-Mead runs
+    of them all in one batch: the chosen FittedDist, or the AllFitsFailed
+    that fit_univariate would raise."""
+    tally = _TALLY.get()
+    samples = [_checked_sample(request) for request in requests]
+    tasks = []
+    for request, sample in zip(requests, samples):
+        if isinstance(sample, tuple):
+            if tally is not None:
+                tally.univariate_fits += 1
+            tasks.extend((family, *sample) for family in request.families)
+    outcomes = iter(_fit_families(tasks))
+    chosen = []
+    for request, sample in zip(requests, samples):
+        if not isinstance(sample, tuple):
+            chosen.append(sample)
+            continue
+        fits = []
+        failed = 0
+        for family in request.families:
+            fitted = next(outcomes)
+            if isinstance(fitted, Exception):
+                # a numerical blow-up counts as a failed family; anything else is a bug
+                log.debug("family %s failed", family, exc_info=fitted)
+                failed += 1
+                fitted = None
+            if fitted is not None and np.isfinite(fitted.aic):
+                fits.append(fitted)
+            elif tally is not None:
+                tally.failed[family] += 1
+        if failed:
+            log.info("%d of %d families failed with a numerical error", failed, len(request.families))
+        if fits:
+            chosen.append(min(fits, key=lambda f: f.aic))
+        else:
+            chosen.append(AllFitsFailed(f"no family among {request.families} produced a finite fit"))
+    return chosen
 
 
 def fit_univariate(
@@ -651,39 +799,10 @@ def fit_univariate(
     families: Sequence[str] = CONTINUOUS_FAMILIES,
 ) -> FittedDist:
     """Fit every candidate family and keep the lowest-AIC one."""
-    x = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.ones_like(x)
-    w = np.asarray(weights, dtype=float)
-    if effective_sample_size(w) < 5:
-        raise AllFitsFailed("need at least 5 effective samples")
-    if not np.isfinite(x).all():
-        raise AllFitsFailed("values must be finite")
-    if weighted_var_mle(x, w) <= 0.0:
-        raise AllFitsFailed("zero variance: data is constant")
-
-    tally = _TALLY.get()
-    if tally is not None:
-        tally.univariate_fits += 1
-    fits = []
-    failed = 0
-    for family in families:
-        try:
-            fitted = fit_family(family, x, w)
-        except (ArithmeticError, ValueError, np.linalg.LinAlgError, NumericalError):
-            # a numerical blow-up counts as a failed family; anything else is a bug
-            log.debug("family %s failed", family, exc_info=True)
-            failed += 1
-            fitted = None
-        if fitted is not None and np.isfinite(fitted.aic):
-            fits.append(fitted)
-        elif tally is not None:
-            tally.failed[family] += 1
-    if failed:
-        log.info("%d of %d families failed with a numerical error", failed, len(families))
-    if not fits:
-        raise AllFitsFailed(f"no family among {families} produced a finite fit")
-    return min(fits, key=lambda f: f.aic)
+    [outcome] = fit_many([FitRequest(values, weights, families)])
+    if isinstance(outcome, AllFitsFailed):
+        raise outcome
+    return outcome
 
 
 def quantile_normalize(values, dist: FittedDist) -> np.ndarray:

@@ -12,9 +12,9 @@ else is fit independently.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as sstats
@@ -25,12 +25,14 @@ from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
 from .events import PARAM_NAMES, ParamTable
 from .marginals import (
     HURDLE_FAMILIES,
+    FitRequest,
     FittedDist,
     _checked,
     _field,
     _mapping,
     fit_family,
-    fit_univariate,
+    fit_many,
+    fit_univariate,  # not called here since fits are batched; perfbench's tracer wraps this name
     quantile_normalize,
 )
 from .wstats import effective_sample_size
@@ -275,6 +277,49 @@ class HurdleDist:
         )
 
 
+class _Marginal(NamedTuple):
+    """A marginal a bundle needs: the lowest-AIC family for ``values``, or
+    with ``mass`` set a hurdle whose ``values`` are the non-mass samples."""
+
+    name: str
+    values: np.ndarray
+    weights: np.ndarray
+    mass: Optional[PointMassSpec] = None
+
+    @property
+    def request(self) -> Optional[FitRequest]:
+        """The fit to make; None for a hurdle with no non-mass sample or too
+        few, which gets no AIC choice."""
+        if self.mass is None:
+            return FitRequest(self.values, self.weights)
+        if self.values.size and effective_sample_size(self.weights) >= _MIN_EFFECTIVE:
+            return FitRequest(self.values, self.weights, HURDLE_FAMILIES)
+        return None
+
+    def finish(self, outcomes: Iterator):
+        """The fitted marginal, taking the request's outcome from ``outcomes``;
+        raises the AllFitsFailed of a request with no fit."""
+        if self.request is not None:
+            fitted = next(outcomes)
+            if isinstance(fitted, AllFitsFailed):
+                raise fitted
+            return fitted if self.mass is None else HurdleDist(mass=self.mass, continuous=fitted)
+        if not self.values.size:
+            return HurdleDist(mass=self.mass, continuous=None)
+        log.warning("parameter %s: too few non-mass samples, falling back to exponential", self.name or "?")
+        return HurdleDist(mass=self.mass, continuous=fit_family("exponential", self.values, self.weights))
+
+
+def _hurdle(name: str, x: np.ndarray, w: np.ndarray, spec: PointMassSpec) -> _Marginal:
+    off = x != spec.mass_value
+    return _Marginal(name, x[off], w[off], spec)
+
+
+def _fit_all(marginals: Sequence[_Marginal]) -> Iterator:
+    """The outcomes of the marginals' requests, in order, from one batch."""
+    return iter(fit_many([m.request for m in marginals if m.request is not None]))
+
+
 def fit_hurdle(
     values,
     weights=None,
@@ -292,21 +337,8 @@ def fit_hurdle(
     spec = detect_point_mass(x, w, config, parameter=parameter)
     if spec is None:
         raise ValueError("no point mass detected; fit a continuous marginal instead")
-    off = x != spec.mass_value
-    x_off, w_off = x[off], w[off]
-    if x_off.size == 0:
-        return HurdleDist(mass=spec, continuous=None)
-    if effective_sample_size(w_off) < _MIN_EFFECTIVE:
-        log.warning(
-            "parameter %s: too few non-mass samples, falling back to exponential",
-            parameter or "?",
-        )
-        fitted = fit_family("exponential", x_off, w_off)
-        if fitted is None:
-            return HurdleDist(mass=spec, continuous=None)
-        return HurdleDist(mass=spec, continuous=fitted)
-    continuous = fit_univariate(x_off, w_off, families=HURDLE_FAMILIES)
-    return HurdleDist(mass=spec, continuous=continuous)
+    hurdle = _hurdle(parameter, x, w, spec)
+    return hurdle.finish(_fit_all([hurdle]))
 
 
 # --- submodel bundles ----------------------------------------------------------
@@ -429,13 +461,89 @@ def build_submodels(
     if not len(sub.events):
         raise ModelBuildFailed(f"sub-dataset {label.id} is empty")
     total = sub.total_weight if total_weight is None else float(total_weight)
-    try:
-        return _build(sub, label, config, total, splits=(), depth=0)
-    except (AllFitsFailed, ZeroVariance, ValueError) as exc:
+    return _build({label: sub}, config, total)
+
+
+def build_all(dataset: WeightedDataset, config: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
+    """Categorize a dataset and build bundles for every non-empty label."""
+    return _build(categorize(dataset), config, dataset.total_weight)
+
+
+_BUILD_ERRORS = (AllFitsFailed, ZeroVariance, ValueError)
+
+
+def _build(subs: Mapping[SubdatasetLabel, WeightedDataset], config, total) -> List[SubmodelBundle]:
+    """Plan every sub-dataset's bundles, make all their fits in one batch,
+    then assemble the bundles.
+
+    A failure raises the ModelBuildFailed that building the sub-datasets one
+    by one, in order, raises first: the plans made before a planning failure
+    are assembled first, and no later sub-dataset is planned.
+    """
+    plans: List[_Plan] = []
+    failure = None
+    for label, sub in subs.items():
+        try:
+            for plan in _plan(sub, label, config, total, splits=(), depth=0):
+                plans.append(plan)
+        except _BUILD_ERRORS as exc:
+            failure = (label, exc)
+            break
+    outcomes = _fit_all([m for plan in plans for m in plan.marginals])
+    bundles = []
+    for plan in plans:
+        try:
+            bundles.append(plan.assemble(outcomes))
+        except _BUILD_ERRORS as exc:
+            raise ModelBuildFailed(f"sub-dataset {plan.bundle.label.id}: {exc}") from exc
+    if failure is not None:
+        label, exc = failure
         raise ModelBuildFailed(f"sub-dataset {label.id}: {exc}") from exc
+    return bundles
 
 
-def _build(sub, label, config, total, splits, depth) -> List[SubmodelBundle]:
+@dataclass(frozen=True)
+class _Plan:
+    """A bundle before its marginals are fit.  ``bundle`` has no correlated
+    block or uncorrelated marginals yet; ``marginals`` lists them in the
+    order they are fit, the ``n_correlated`` correlated ones first."""
+
+    bundle: SubmodelBundle
+    marginals: Tuple[_Marginal, ...]
+    n_correlated: int
+
+    def assemble(self, outcomes: Iterator) -> SubmodelBundle:
+        """The bundle, its fits taken in order from ``outcomes``."""
+        k = self.n_correlated
+        correlated = _copula(self.marginals[:k], outcomes) if k else None
+        uncorrelated = {m.name: m.finish(outcomes) for m in self.marginals[k:]}
+        return replace(self.bundle, correlated=correlated, uncorrelated=uncorrelated)
+
+
+def _copula(marginals: Sequence[_Marginal], outcomes: Iterator) -> CorrelatedBlock:
+    """The Gaussian copula over the quantile-normalized correlated marginals."""
+    fitted, z_cols = [], []
+    for m in marginals:
+        fitted.append(m.finish(outcomes))
+        z_cols.append(quantile_normalize(m.values, fitted[-1]))
+    w = marginals[0].weights
+    k = len(marginals)
+    sigma = np.eye(k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            r, _ = weighted_corr(z_cols[i], z_cols[j], w)
+            sigma[i, j] = sigma[j, i] = r
+    return CorrelatedBlock(
+        names=tuple(m.name for m in marginals),
+        marginals=tuple(fitted),
+        sigma=nearest_unit_correlation(sigma),
+    )
+
+
+def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
+    """The plans of a sub-dataset's bundles, in order: constants, copies,
+    point masses, splits, decorrelation and the correlated names, which
+    need no fit."""
     w = sub.events.weight
     matrix = sub.events.values
 
@@ -481,18 +589,10 @@ def _build(sub, label, config, total, splits, depth) -> List[SubmodelBundle]:
             spec = masses[split_name]
             side_eq, side_ne = split_on_point_mass(sub, spec)
             if _can_model(side_eq) and _can_model(side_ne):
-                out = []
-                out.extend(
-                    _build(side_eq, label, config, total,
-                           splits + (SplitCondition(split_name, "eq", spec.mass_value),),
-                           depth + 1)
-                )
-                out.extend(
-                    _build(side_ne, label, config, total,
-                           splits + (SplitCondition(split_name, "ne", spec.mass_value),),
-                           depth + 1)
-                )
-                return out
+                for side, op in ((side_eq, "eq"), (side_ne, "ne")):
+                    condition = SplitCondition(split_name, op, spec.mass_value)
+                    yield from _plan(side, label, config, total, splits + (condition,), depth + 1)
+                return
             log.warning(
                 "%s: degenerate split on %s skipped (a side is too small)",
                 label.id,
@@ -520,63 +620,30 @@ def _build(sub, label, config, total, splits, depth) -> List[SubmodelBundle]:
         in_pair = {name for pair in strong for name in pair}
         corr_names = [n for n in plain if n in in_pair]
 
-    correlated = None
-    if corr_names:
-        marginals = []
-        z_cols = []
-        for name in corr_names:
-            fitted = fit_univariate(columns[name], w)
-            marginals.append(fitted)
-            z_cols.append(quantile_normalize(columns[name], fitted))
-        k = len(corr_names)
-        sigma = np.eye(k)
-        for i in range(k):
-            for j in range(i + 1, k):
-                r, _ = weighted_corr(z_cols[i], z_cols[j], w)
-                sigma[i, j] = sigma[j, i] = r
-        correlated = CorrelatedBlock(
-            names=tuple(corr_names),
-            marginals=tuple(marginals),
-            sigma=nearest_unit_correlation(sigma),
-        )
-
-    uncorrelated: Dict[str, object] = {}
+    marginals = [_Marginal(name, columns[name], w) for name in corr_names]
     for name in free:
-        if name in corr_names:
-            continue
         if name in masses:
-            uncorrelated[name] = fit_hurdle(columns[name], w, config, parameter=name)
-        else:
-            uncorrelated[name] = fit_univariate(columns[name], w)
-
-    return [
-        SubmodelBundle(
-            label=label,
-            splits=splits,
-            constants=constants,
-            copies=copies,
-            transforms=tuple(transforms),
-            correlated=correlated,
-            uncorrelated=uncorrelated,
-            train_weight_share=float(w.sum() / total) if total > 0 else 0.0,
-            train_weight=float(w.sum()),
-        )
-    ]
+            marginals.append(_hurdle(name, columns[name], w, masses[name]))
+        elif name not in corr_names:
+            marginals.append(_Marginal(name, columns[name], w))
+    bundle = SubmodelBundle(
+        label=label,
+        splits=splits,
+        constants=constants,
+        copies=copies,
+        transforms=tuple(transforms),
+        correlated=None,
+        uncorrelated={},
+        train_weight_share=float(w.sum() / total) if total > 0 else 0.0,
+        train_weight=float(w.sum()),
+    )
+    yield _Plan(bundle, tuple(marginals), len(corr_names))
 
 
 def _can_model(side: WeightedDataset) -> bool:
     if not len(side.events):
         return False
     return effective_sample_size(side.events.weight) >= _MIN_EFFECTIVE
-
-
-def build_all(dataset: WeightedDataset, config: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
-    """Categorize a dataset and build bundles for every non-empty label."""
-    total = dataset.total_weight
-    bundles: List[SubmodelBundle] = []
-    for label, sub in categorize(dataset).items():
-        bundles.extend(build_submodels(sub, label, config, total_weight=total))
-    return bundles
 
 
 # --- persistence ----------------------------------------------------------------

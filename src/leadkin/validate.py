@@ -10,14 +10,15 @@ recomputed for each permutation.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .combine import WeightedDataset
-from .config import PipelineConfig
-from .errors import EmptyInput, EmptyReps, InputError, LeadkinError
+from .config import MAX_COUNT, PipelineConfig
+from .errors import BadArgument, EmptyInput, EmptyReps, InputError, LeadkinError
 from .events import PARAM_NAMES
 from .mvdist import build_all
 from .synth import SyntheticDataset, assemble_synthetic
@@ -113,6 +114,13 @@ def _perm_distances(positions, weights, cumulative, after, before) -> np.ndarray
     return np.where(first <= ends, gap, 0.0).max(axis=1)
 
 
+def _permutation_positions(rng: np.random.Generator, n: int, m: int, rows: int) -> np.ndarray:
+    """The sorted positions, among n pooled values, that the smaller sample
+    (m values) takes in each of ``rows`` label permutations: m positions
+    drawn without replacement per row, not a shuffle of all n labels."""
+    return np.sort(np.stack([rng.choice(n, m, replace=False) for _ in range(rows)]), axis=1)
+
+
 def weighted_ks_test(x, wx, y, wy, config: PipelineConfig = PipelineConfig(), seed=None) -> KsResult:
     """Two-sample weighted KS test with ``config.n_perm`` permutations for
     its p-value; a weight array of None gives unit weights."""
@@ -143,7 +151,6 @@ def weighted_ks_test(x, wx, y, wy, config: PipelineConfig = PipelineConfig(), se
     observed = _ks_distance(weights * labels, weights * ~labels, step_idx)
 
     # each permutation is scored from the positions of the smaller sample
-    x_small = x.size <= y.size
     m = min(x.size, y.size)
     cumulative = np.cumsum(weights)
     index = np.arange(n)
@@ -155,8 +162,7 @@ def weighted_ks_test(x, wx, y, wy, config: PipelineConfig = PipelineConfig(), se
     done = 0
     while done < n_perm:
         chunk = min(_PERM_CHUNK, n_perm - done)
-        perm_labels = rng.permuted(np.tile(labels, (chunk, 1)), axis=1)
-        positions = np.nonzero(perm_labels if x_small else ~perm_labels)[1].reshape(chunk, m)
+        positions = _permutation_positions(rng, n, m, chunk)
         d = _perm_distances(positions, weights, cumulative, after, before)
         exceed += int((d >= observed - 1e-12).sum())
         done += chunk
@@ -198,6 +204,21 @@ def compare_datasets(
     return report
 
 
+def check_bootstrap_args(fractions: Sequence[float], reps: int, n_synth: int) -> None:
+    """Raise BadArgument, naming the parameter, unless every fraction is a
+    number in (0, 1] and reps and n_synth are integers in [1, MAX_COUNT];
+    EmptyReps for fewer than one rep."""
+    for fraction in fractions:
+        if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real) or not 0.0 < fraction <= 1.0:
+            raise BadArgument("fractions", f"must each be a number in (0, 1], got {fraction!r}")
+    for name, value in (("reps", reps), ("n_synth", n_synth)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise BadArgument(name, f"must be an integer, got {value!r}")
+        if not 1 <= value <= MAX_COUNT:
+            error = EmptyReps if name == "reps" and value < 1 else BadArgument
+            raise error(name, f"must be >= 1 and <= {MAX_COUNT}, got {value}")
+
+
 def bootstrap_robustness(
     dataset: WeightedDataset,
     fractions: Sequence[float] = (0.9, 0.8),
@@ -213,11 +234,12 @@ def bootstrap_robustness(
     parameter against the synthetic reference built from the full dataset.
     Reported values are the proportions of reps with p > ``config.alpha_ks``;
     failed reps are excluded from the denominator and counted separately.
+    Arguments outside their domain raise before any work, by
+    :func:`check_bootstrap_args`.
     The models, the KS tests and the random streams (from ``config.seed``)
     all take their settings from ``config``.
     """
-    if reps <= 0:
-        raise EmptyReps("reps must be positive")
+    check_bootstrap_args(fractions, reps, n_synth)
     root = np.random.SeedSequence(config.seed)
     ref_seed, *rep_seeds = root.spawn(1 + len(fractions) * reps)
 

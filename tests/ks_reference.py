@@ -1,9 +1,11 @@
 """Test-only oracle: the weighted KS test before smaller-sample scoring.
 
-``weighted_ks_test`` is kept here verbatim from the version of
-``leadkin.validate`` that built two (chunk, N) cumulative sums for every
-permutation, so the faster scoring can be checked against it.  The
-helpers that did not change are imported from the package.
+``weighted_ks_test`` is kept here from the version of ``leadkin.validate``
+that built two (chunk, N) cumulative sums for every permutation, so the
+faster scoring can be checked against it.  It takes the package's draws
+of each permutation (the smaller sample's positions) and turns them back
+into full label rows.  The helpers that did not change are imported from
+the package.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from leadkin.errors import EmptyInput
-from leadkin.validate import KsResult, _ks_distance
+from leadkin.validate import KsResult, _ks_distance, _permutation_positions
 
 _PERM_CHUNK = 256
 
@@ -53,12 +55,15 @@ def weighted_ks_test(
 
     observed = _ks_distance(weights * labels, weights * ~labels, step_idx)
 
+    x_small = x.size <= y.size
     rng = np.random.default_rng(seed)
     exceed = 0
     done = 0
     while done < n_perm:
         chunk = min(_PERM_CHUNK, n_perm - done)
-        perm_labels = rng.permuted(np.tile(labels, (chunk, 1)), axis=1)
+        small = np.zeros((chunk, n), dtype=bool)
+        np.put_along_axis(small, _permutation_positions(rng, n, min(x.size, y.size), chunk), True, axis=1)
+        perm_labels = small if x_small else ~small
         w1 = weights * perm_labels
         w2 = weights * ~perm_labels
         c1 = np.cumsum(w1, axis=1) / w1.sum(axis=1, keepdims=True)

@@ -314,28 +314,28 @@ def test_model_logs_summary(tmp_path, caplog, monkeypatch):
     combined, model = tmp_path / "combined.csv", tmp_path / "model.json"
     write_combined_csv(combined, ground_truth_corpus(counts=(30, 40, 30)))
     evaluations, runs, fits = [0], [0], [0]
-    nll, nelder_mead, fit_univariate = marginals._nll, marginals._nelder_mead, mvdist.fit_univariate
+    likelihood, nelder_mead, fit_many = marginals._likelihood, marginals._nelder_mead, mvdist.fit_many
 
-    def counted_nll(*args):
-        fun = nll(*args)
+    def counted_likelihood(*args):
+        evaluate = likelihood(*args)
 
-        def counted(theta):
-            evaluations[0] += 1
-            return fun(theta)
+        def counted(rows, points):
+            evaluations[0] += points.shape[0] * points.shape[1]
+            return evaluate(rows, points)
 
         return counted
 
-    def counted_nelder_mead(fun, x0):
-        runs[0] += 1
-        return nelder_mead(fun, x0)
+    def counted_nelder_mead(evaluate, x0):
+        runs[0] += len(x0)
+        return nelder_mead(evaluate, x0)
 
-    def counted_fit_univariate(*args, **kwargs):
-        fits[0] += 1
-        return fit_univariate(*args, **kwargs)
+    def counted_fit_many(requests):
+        fits[0] += len(requests)
+        return fit_many(requests)
 
-    monkeypatch.setattr(marginals, "_nll", counted_nll)
+    monkeypatch.setattr(marginals, "_likelihood", counted_likelihood)
     monkeypatch.setattr(marginals, "_nelder_mead", counted_nelder_mead)
-    monkeypatch.setattr(mvdist, "fit_univariate", counted_fit_univariate)
+    monkeypatch.setattr(mvdist, "fit_many", counted_fit_many)
     with caplog.at_level("INFO", logger="leadkin.cli"):
         assert main(["model", "--input", str(combined), "--output", str(model)]) == 0
     [summary] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("model: ")]

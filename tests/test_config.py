@@ -63,6 +63,7 @@ _NOT_SETTINGS = {
     ("leadkin.validate", "weighted_ks_test", "seed"),
     ("leadkin.validate", "compare_datasets", "seed"),
     ("leadkin.validate", "bootstrap_robustness", "n_synth"),  # the per-rep size, bootstrap --n-synth
+    ("leadkin.validate", "check_bootstrap_args", "n_synth"),  # bootstrap_robustness's, checked
     ("leadkin.cli", "stage_generate", "dt"),  # replaces config.profile_dt, through its rule
 }
 

@@ -83,7 +83,7 @@ class TestFitUnivariate:
         def broken(y, w):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setitem(marginals._FAMILIES, "skewnormal", marginals._FAMILIES["skewnormal"]._replace(fit=broken))
+        monkeypatch.setitem(marginals._FAMILIES, "skewnormal", marginals._FAMILIES["skewnormal"]._replace(start=broken))
         with pytest.raises(TypeError, match="not a numerical failure"):
             fit_univariate(np.random.default_rng(15).normal(size=200))
 
@@ -91,7 +91,7 @@ class TestFitUnivariate:
         def diverged(y, w):
             raise FloatingPointError("overflow")
 
-        monkeypatch.setitem(marginals._FAMILIES, "skewnormal", marginals._FAMILIES["skewnormal"]._replace(fit=diverged))
+        monkeypatch.setitem(marginals._FAMILIES, "skewnormal", marginals._FAMILIES["skewnormal"]._replace(start=diverged))
         with caplog.at_level("INFO", logger="leadkin.marginals"):
             fitted = fit_univariate(np.random.default_rng(15).normal(size=200))
         assert fitted.family != "skewnormal"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import pearsonr
@@ -5,7 +7,8 @@ from scipy.stats import pearsonr
 from groundtruth import ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
-from leadkin.errors import ZeroVariance
+from leadkin import marginals
+from leadkin.errors import ModelBuildFailed, ZeroVariance
 from leadkin.events import EventParams, ParamTable
 from leadkin.mvdist import (
     LABELS,
@@ -33,6 +36,42 @@ def ev(vector, event_id="e", weight=1.0):
 
 def dataset(events):
     return WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_INCIDENT)
+
+
+def entangled_masses(n=80, seed=9, steady=0.0):
+    """Decreasing-pattern events whose point masses v_c == 0 and
+    tau_s == ``steady`` are entangled, so their sub-dataset splits."""
+    rng = np.random.default_rng(seed)
+    events = []
+    for i in range(n):
+        stopped = rng.random() < 0.5
+        if stopped:  # tau_s > 0 goes with v_c == 0
+            vec = [0.0, rng.normal(-3, 0.3), rng.normal(1, 0.2),
+                   rng.gamma(2, 0.5) + 0.1, rng.gamma(2, 0.5) + 0.5, rng.gamma(2, 0.4) + 0.3]
+        else:
+            vec = [rng.gamma(2, 1.5) + 0.5, rng.normal(-3, 0.3), rng.normal(1, 0.2),
+                   steady, rng.gamma(2, 0.5) + 0.5, rng.gamma(2, 0.4) + 0.3]
+        events.append(ev(vec, event_id=f"e{i}"))
+    return events
+
+
+def steady_pattern(n, seed):
+    """Constant-acceleration (S2) events with no point mass."""
+    rng = np.random.default_rng(seed)
+    return [
+        ev([rng.gamma(3, 2), a, a, 0.0, rng.gamma(2, 1) + 0.5, rng.gamma(2, 0.5) + 0.2], event_id=f"s{seed}-{i}")
+        for i, a in enumerate(rng.normal(-2, 0.5, n))
+    ]
+
+
+def decreasing_pattern(n, seed):
+    """Decreasing-pattern events without a steady phase (S6), no point mass."""
+    rng = np.random.default_rng(seed)
+    return [
+        ev([rng.gamma(3, 2), rng.normal(-3, 0.3), rng.normal(1, 0.2), 0.0, rng.gamma(2, 1) + 0.5,
+            rng.gamma(2, 0.5) + 0.2], event_id=f"d{seed}-{i}")
+        for i in range(n)
+    ]
 
 
 def label(vector):
@@ -278,18 +317,7 @@ class TestBuildSubmodels:
                 assert set(roles) == {"v_c", "a1", "a2", "tau_s", "tau_1", "tau_2"}
 
     def test_split_on_correlated_point_masses(self):
-        rng = np.random.default_rng(9)
-        events = []
-        for i in range(80):
-            stopped = rng.random() < 0.5
-            if stopped:  # tau_s > 0 goes with v_c == 0
-                vec = [0.0, rng.normal(-3, 0.3), rng.normal(1, 0.2),
-                       rng.gamma(2, 0.5) + 0.1, rng.gamma(2, 0.5) + 0.5, rng.gamma(2, 0.4) + 0.3]
-            else:
-                vec = [rng.gamma(2, 1.5) + 0.5, rng.normal(-3, 0.3), rng.normal(1, 0.2),
-                       0.0, rng.gamma(2, 0.5) + 0.5, rng.gamma(2, 0.4) + 0.3]
-            events.append(ev(vec, event_id=f"e{i}"))
-        bundles = build_submodels(dataset(events), LABELS["S6"])
+        bundles = build_submodels(dataset(entangled_masses()), LABELS["S6"])
         assert len(bundles) == 2
         split_params = {b.splits[0].parameter for b in bundles}
         assert len(split_params) == 1  # both sides split on the same parameter
@@ -297,6 +325,43 @@ class TestBuildSubmodels:
         ops = sorted(b.splits[0].op for b in bundles)
         assert ops == ["eq", "ne"]
         assert sum(b.train_weight_share for b in bundles) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("corpus", ["ground-truth", "split"])
+    def test_build_all_equals_the_per_label_builds(self, corpus):
+        """build_all fits every label's marginals in one batch; its model is
+        the per-label builds' model, byte for byte."""
+        if corpus == "ground-truth":
+            ds = ground_truth_corpus(seed=31, counts=(40, 60, 40))
+        else:  # a split S7 next to a plain S2
+            ds = dataset(entangled_masses(steady=0.05) + steady_pattern(40, seed=4))
+        labels = categorize(ds)
+        assert len(labels) > 1
+        one_by_one = [
+            bundle for label, sub in labels.items()
+            for bundle in build_submodels(sub, label, total_weight=ds.total_weight)
+        ]
+        assert len(one_by_one) > len(labels) or corpus == "ground-truth"
+        assert json.dumps(bundles_to_json(build_all(ds))) == json.dumps(bundles_to_json(one_by_one))
+
+    @pytest.mark.parametrize("failing", [("S2", "S6"), ("S6", "S2")], ids=["fit-first", "plan-first"])
+    def test_first_failing_sub_dataset_decides_the_error(self, monkeypatch, failing):
+        """With the fits of one sub-dataset failing and another too small to
+        plan, build_all raises the error of the one first in label order."""
+        no_fit, too_small = failing
+        for name, spec in marginals._FAMILIES.items():
+            monkeypatch.setitem(marginals._FAMILIES, name, spec._replace(start=lambda y, w: None))
+        events = {"S2": steady_pattern, "S6": decreasing_pattern}
+        ds = dataset(events[no_fit](40, seed=5) + events[too_small](3, seed=6))
+        one_by_one = []
+        for label, sub in categorize(ds).items():
+            with pytest.raises(ModelBuildFailed) as raised:
+                build_submodels(sub, label, total_weight=ds.total_weight)
+            one_by_one.append(str(raised.value))
+        with pytest.raises(ModelBuildFailed) as raised:
+            build_all(ds)
+        assert str(raised.value) == one_by_one[0]
+        expected = "no family among" if no_fit == "S2" else "need at least 5 effective samples"
+        assert str(raised.value).startswith(f"sub-dataset S2: {expected}")
 
     def test_round_trip_recovers_structure(self):
         ds = ground_truth_corpus(seed=2024, counts=(90, 120, 90))

@@ -209,6 +209,20 @@ class TestBootstrap:
         with pytest.raises(EmptyReps):
             bootstrap_robustness(ds, reps=0)
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"fractions": (1.5,)}, r"fractions must each be a number in \(0, 1\], got 1.5"),
+            ({"n_synth": 2.5}, "n_synth must be an integer, got 2.5"),
+            ({"n_synth": 0}, "n_synth must be >= 1"),
+        ],
+        ids=["fraction-above-1", "fractional-n_synth", "zero-n_synth"],
+    )
+    def test_arguments_outside_their_domain_raise_input_error(self, arguments, message):
+        ds = ground_truth_corpus(seed=1, counts=(20, 30, 20))
+        with pytest.raises(InputError, match=f"^{message}"):
+            bootstrap_robustness(ds, **{"reps": 1, "n_reference": 200, **arguments})
+
     def test_stable_corpus_smoke(self):
         ds = ground_truth_corpus(seed=321, counts=(45, 60, 45))
         report = bootstrap_robustness(
