@@ -30,7 +30,7 @@ from . import ingest, pwl, tables
 from . import validate as validate_mod
 from .config import PipelineConfig
 from .errors import BadArgument, InputError, LeadkinError, NumericalError
-from .events import PARAM_NAMES, SourceGroup
+from .events import PARAM_NAMES, ParamTable, SourceGroup
 from .marginals import fit_tally
 from .mvdist import build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
@@ -108,26 +108,18 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     began = time.perf_counter()
     workers, fitted = _fit_all(config, [profile for _, profile in windowed])
     fit_s = time.perf_counter() - began
-    rows = []
-    valid_groups: List[Optional[SourceGroup]] = []
-    n_b_hist: Counter = Counter()
-    repairs = 0
-    for (event, profile), (fit, _) in zip(windowed, fitted):
-        params = pwl.extract_params(
-            fit,
-            config,
-            event_id=event.event_id,
-            source_group=event.source_group,
-            severity=event.severity,
-            native_weight=event.native_weight,
-        )
-        valid = ingest.validate_event(profile, fit)
-        rows.append({"event": params, "r2": fit.r_squared, "n_b": fit.n_b, "valid": valid})
-        n_b_hist[fit.n_b] += 1
-        repairs += fit.modified_for_nonnegativity
-        if valid:
-            valid_groups.append(params.source_group)
-    tables.write_params_csv(params_out, rows)
+    events = [event for event, _ in windowed]
+    fits = [fit for fit, _ in fitted]
+    valid = [ingest.validate_event(profile, fit) for (_, profile), fit in zip(windowed, fits)]
+    table = ParamTable(
+        np.reshape([pwl.extract_params(fit, config) for fit in fits], (-1, len(PARAM_NAMES))),
+        event_id=[event.event_id for event in events],
+        source_group=[event.source_group for event in events],
+        severity=[event.severity for event in events],
+        native_weight=[event.native_weight for event in events],
+    )
+    tables.write_params_csv(params_out, table, [fit.r_squared for fit in fits], [fit.n_b for fit in fits], valid)
+    valid_groups = [event.source_group for event, ok in zip(events, valid) if ok]
     counts = combine_mod.GroupCounts.from_groups(valid_groups, raw_counts=raw_counts)
     if counts_out is None:
         counts_out = Path(params_out).with_suffix(".counts.json")
@@ -135,11 +127,11 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     log.info(
         "fit: %d events, %d valid, %d invalid; n_b histogram %s; "
         "%d non-negativity repairs; skipped %s",
-        len(rows),
+        len(fits),
         len(valid_groups),
-        len(rows) - len(valid_groups),
-        dict(sorted(n_b_hist.items())),
-        repairs,
+        len(fits) - len(valid_groups),
+        dict(sorted(Counter(fit.n_b for fit in fits).items())),
+        sum(fit.modified_for_nonnegativity for fit in fits),
         dict(sorted(skipped.items())),
     )
     fit_ms = [1e3 * seconds for _, seconds in fitted]

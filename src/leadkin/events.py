@@ -69,15 +69,15 @@ class SpeedProfile:
 
 @dataclass(frozen=True)
 class EventParams:
-    """One parameter row: the six-parameter description of a lead-vehicle
-    speed profile, with its weight and its source group and severity.
+    """A view of one ``ParamTable`` row: the six-parameter description of a
+    lead-vehicle speed profile, with its weight, source group and severity.
 
     Counted backward from time zero: an optional steady-speed phase of
     duration ``tau_s`` at speed ``v_c``, a constant-acceleration phase
     (``a1``, ``tau_1``) and an earlier constant-acceleration phase
     (``a2``, ``tau_2``).  Absent phases follow the zero-duration defaults
     (``tau_s = 0``; ``tau_1 = 0`` with ``a1 = 0``; ``tau_2 = 0`` with
-    ``a2 = a1``).  Collections of rows are kept in a ``ParamTable``.
+    ``a2 = a1``).  Only a ``ParamTable`` holds the data, by column.
     """
 
     event_id: str

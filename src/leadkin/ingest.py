@@ -56,7 +56,7 @@ def load_events(path: Union[str, Path]) -> list:
     path = Path(path)
     order = []
     rows = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in REQUIRED_COLUMNS if c not in header]

@@ -12,20 +12,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import EmptyCandidates, FitDiverged
-from .events import (
-    MODEL_T_MAX,
-    MODEL_T_MIN,
-    EventParams,
-    Severity,
-    SourceGroup,
-    SpeedProfile,
-)
+from .events import MODEL_T_MAX, MODEL_T_MIN, SpeedProfile
 
 log = logging.getLogger(__name__)
 
@@ -526,16 +519,9 @@ def enforce_nonnegative(fit: PwlFit) -> PwlFit:
     )
 
 
-def extract_params(
-    fit: PwlFit,
-    config: PipelineConfig = PipelineConfig(),
-    event_id: str = "",
-    source_group: Optional[SourceGroup] = None,
-    severity: Optional[Severity] = None,
-    weight: float = 1.0,
-    native_weight: Optional[float] = None,
-) -> EventParams:
-    """Reduce a repaired fit to the six-parameter event description.
+def extract_params(fit: PwlFit, config: PipelineConfig = PipelineConfig()) -> Tuple[float, ...]:
+    """Reduce a repaired fit to the six-parameter event description, in
+    ``PARAM_NAMES`` order.
 
     The final segment counts as the steady-speed phase when its |slope| is
     within ``steady_slope_tol``; at most the three (with steady phase) or
@@ -568,19 +554,7 @@ def extract_params(
         a2 = a1
         tau_2 = 0.0
 
-    return EventParams(
-        event_id=event_id,
-        v_c=v_c,
-        a1=float(a1),
-        a2=float(a2),
-        tau_s=float(tau_s),
-        tau_1=float(tau_1),
-        tau_2=float(tau_2),
-        weight=weight,
-        source_group=source_group,
-        severity=severity,
-        native_weight=native_weight,
-    )
+    return v_c, float(a1), float(a2), float(tau_s), float(tau_1), float(tau_2)
 
 
 def fit_event(

@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from .config import MAX_COUNT
 from .errors import InputError
-from .events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup, SpeedProfile
+from .events import PARAM_NAMES, ParamTable, Severity, SourceGroup, SpeedProfile
 from .synth import SyntheticDataset
 
 PathLike = Union[str, Path]
@@ -32,37 +34,18 @@ SYNTHETIC_HEADER = ["event_id", *PARAM_NAMES, "weight", "bundle"]
 _ALIASES = {"vc": "v_c", "taus": "tau_s", "tau1": "tau_1", "tau2": "tau_2", "w": "weight"}
 
 
-class _Row(NamedTuple):
-    event: EventParams
-    stage: Optional[Stage]
-    bundle: str
-    valid: bool
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, Enum):
-        return value.value
-    return str(value)
-
-
-def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    # csv writes a Python float as its repr, a str Enum as its value and None as ""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _param_cells(e: EventParams) -> List[str]:
-    return [repr(float(getattr(e, name))) for name in PARAM_NAMES]
-
-
-def _event_cells(e: EventParams) -> List[str]:
-    """The leading event_id, group, severity and parameter cells of a row."""
-    return [e.event_id, _fmt(e.source_group), _fmt(e.severity), *_param_cells(e)]
+def _event_columns(table: ParamTable) -> List[list]:
+    """The event_id, group, severity and parameter columns as Python values."""
+    return [table.event_id.tolist(), table.source_group.tolist(), table.severity.tolist(),
+            *table.values.T.tolist()]
 
 
 def _number(text: str, name: str) -> float:
@@ -75,6 +58,16 @@ def _number(text: str, name: str) -> float:
     return value
 
 
+def _weight(text: str) -> Optional[float]:
+    """A positive weight; None for an empty cell."""
+    if not text:
+        return None
+    value = _number(text, "weight")
+    if value <= 0:
+        raise InputError(f"non-positive weight {text!r}")
+    return value
+
+
 def _member(kind, text: str, name: str):
     """The enum member spelled ``text``; None for an empty cell."""
     try:
@@ -83,33 +76,49 @@ def _member(kind, text: str, name: str):
         raise InputError(f"unknown {name} {text!r}") from None
 
 
-def _parse_row(cell: Dict[str, str], index: int, native_weight: bool) -> _Row:
-    valid = cell.get("valid", "")
-    if valid not in ("", "0", "1"):
-        raise InputError(f"valid flag {valid!r} is neither 0 nor 1")
-    weight = _number(cell["weight"], "weight") if cell.get("weight") else None
-    if weight is not None and weight <= 0:
-        raise InputError(f"non-positive weight {cell['weight']!r}")
-    event = EventParams(
-        event_id=cell.get("event_id") or f"row-{index}",
-        **{name: _number(cell[name], name) for name in PARAM_NAMES},
-        weight=1.0 if weight is None else weight,
-        source_group=_member(SourceGroup, cell.get("group"), "group"),
-        severity=_member(Severity, cell.get("severity"), "severity"),
-        native_weight=weight if native_weight else None,
-    )
-    return _Row(event, _member(Stage, cell.get("stage"), "stage"), cell.get("bundle", ""), valid != "0")
+def _flag(text: str) -> bool:
+    if text not in ("", "0", "1"):
+        raise InputError(f"valid flag {text!r} is neither 0 nor 1")
+    return text != "0"
 
 
-def _read_rows(path: PathLike, native_weight: bool = False) -> List[_Row]:
-    """Parse and validate every row of a parameter table.
+# column -> cell parser, in the order the cells of one row are checked
+_PARSERS = {
+    "valid": _flag,
+    "weight": _weight,
+    **{name: partial(_number, name=name) for name in PARAM_NAMES},
+    "group": partial(_member, SourceGroup, name="group"),
+    "severity": partial(_member, Severity, name="severity"),
+    "stage": partial(_member, Stage, name="stage"),
+    "event_id": str,
+    "bundle": str,
+}
+
+
+def _parse_column(cells: Sequence[str], parse, bad: list) -> list:
+    """Every stripped cell through ``parse``, up to the first it rejects,
+    which is appended to ``bad`` as (row index, message)."""
+    values = []
+    for index, text in enumerate(cells):
+        try:
+            values.append(parse(text.strip()))
+        except InputError as exc:
+            bad.append((index, str(exc)))
+            break
+    return values
+
+
+def _read_table(path: PathLike, native_weight: bool = False) -> Tuple[ParamTable, Dict[str, list]]:
+    """Parse and validate a parameter table column by column.
 
     Header names are matched case-insensitively after stripping and resolved
     through ``_ALIASES``; columns the table does not use are ignored.  A
     missing ``event_id`` becomes ``row-<index>``, a missing weight 1.0.
     ``native_weight`` also records the weight column as the native weight.
+    Returns the table and every parsed column by name.  Of several malformed
+    cells, the error names the first line holding one.
     """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = [_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in next(reader, [])]
         missing = [p for p in PARAM_NAMES if p not in header]
@@ -118,31 +127,43 @@ def _read_rows(path: PathLike, native_weight: bool = False) -> List[_Row]:
         duplicated = sorted({n for n in header if n and header.count(n) > 1})
         if duplicated:
             raise InputError(f"{path}: duplicate columns: {', '.join(duplicated)}")
-        rows = []
-        for index, cells in enumerate(filter(None, reader)):  # blank lines carry no row
-            try:
-                if len(cells) != len(header):
-                    raise InputError(f"{len(cells)} cells for {len(header)} columns")
-                cell = {name: text.strip() for name, text in zip(header, cells)}
-                rows.append(_parse_row(cell, index, native_weight))
-            except InputError as exc:
-                raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
-    return rows
+        rows, lines = [], []
+        for cells in filter(None, reader):  # blank lines carry no row
+            rows.append(cells)
+            lines.append(reader.line_num)
+    n = next((i for i, cells in enumerate(rows) if len(cells) != len(header)), len(rows))
+    bad = [(n, f"{len(rows[n])} cells for {len(header)} columns")] if n < len(rows) else []
+    by_name = dict(zip(header, zip(*rows[:n])))
+    columns = {name: _parse_column(by_name.get(name, ("",) * n), parse, bad) for name, parse in _PARSERS.items()}
+    if bad:
+        index, message = min(bad, key=lambda b: b[0])  # of one line, the cell checked first
+        raise InputError(f"{path}: line {lines[index]}: {message}")
+    weight = columns["weight"]
+    table = ParamTable(
+        np.column_stack([columns[name] for name in PARAM_NAMES]),
+        [1.0 if w is None else w for w in weight],
+        [event_id or f"row-{index}" for index, event_id in enumerate(columns["event_id"])],
+        columns["group"],
+        columns["severity"],
+        weight if native_weight else None,
+    )
+    return table, columns
 
 
-def write_params_csv(path: PathLike, rows: Sequence[dict]) -> None:
-    """Rows carry: event (EventParams), r2, n_b, valid."""
-    _write_csv(path, PARAMS_HEADER, (
-        [*_event_cells(row["event"]), _fmt(row.get("r2")), _fmt(row.get("n_b")),
-         _fmt(row["event"].native_weight), "1" if row.get("valid", True) else "0"]
-        for row in rows
+def write_params_csv(path: PathLike, table: ParamTable, r2: Sequence[float], n_b: Sequence[int],
+                     valid: Sequence[bool]) -> None:
+    """One row per event of ``table``, with its fit's r2 and breakpoint
+    count, its native weight and its valid flag from the parallel columns."""
+    _write_csv(path, PARAMS_HEADER, zip(
+        *_event_columns(table), np.asarray(r2, dtype=float).tolist(), np.asarray(n_b, dtype=int).tolist(),
+        table.native_weight.tolist(), ["1" if ok else "0" for ok in valid], strict=True,
     ))
 
 
 def read_params_csv(path: PathLike, only_valid: bool = True) -> ParamTable:
     """Read a parameter table; tolerates the minimal published format."""
-    rows = _read_rows(path, native_weight=True)
-    return ParamTable.from_rows(r.event for r in rows if r.valid or not only_valid)
+    table, columns = _read_table(path, native_weight=True)
+    return table.take(np.array(columns["valid"], dtype=bool)) if only_valid else table
 
 
 def write_json(path: PathLike, doc) -> None:
@@ -185,37 +206,38 @@ def write_combined_csv(
     merge: Optional[MergeResult] = None,
 ) -> None:
     attached_to = {nc_id: crash_id for nc_id, crash_id, _ in merge.selected} if merge else {}
-    _write_csv(path, COMBINED_HEADER, (
-        [*_event_cells(e), _fmt(e.weight), dataset.stage.value, attached_to.get(e.event_id, "")]
-        for e in dataset.events
+    event_id = dataset.events.event_id.tolist()
+    _write_csv(path, COMBINED_HEADER, zip(
+        *_event_columns(dataset.events), dataset.events.weight.tolist(),
+        [dataset.stage.value] * len(event_id), [attached_to.get(e, "") for e in event_id],
     ))
 
 
 def read_combined_csv(path: PathLike) -> WeightedDataset:
-    rows = _read_rows(path)
-    if not rows:
+    table, columns = _read_table(path)
+    if not len(table):
         raise InputError(f"{path}: no events")
-    stages = {r.stage for r in rows if r.stage is not None}
+    stages = set(columns["stage"]) - {None}
     if len(stages) > 1:
         raise InputError(f"{path}: mixed stages: {', '.join(sorted(s.value for s in stages))}")
     stage = stages.pop() if stages else Stage.COMBINED_INCIDENT
-    return WeightedDataset(events=ParamTable.from_rows(r.event for r in rows), stage=stage)
+    return WeightedDataset(events=table, stage=stage)
 
 
 def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset) -> None:
-    _write_csv(path, SYNTHETIC_HEADER, (
-        [e.event_id, *_param_cells(e), _fmt(e.weight), bundle]
-        for e, bundle in zip(dataset.events, dataset.bundle_ids, strict=True)
+    table = dataset.events
+    _write_csv(path, SYNTHETIC_HEADER, zip(
+        table.event_id.tolist(), *table.values.T.tolist(), table.weight.tolist(), dataset.bundle_ids,
+        strict=True,
     ))
 
 
 def read_synthetic_csv(path: PathLike) -> SyntheticDataset:
-    rows = _read_rows(path)
-    return SyntheticDataset(ParamTable.from_rows(r.event for r in rows), tuple(r.bundle for r in rows))
+    table, columns = _read_table(path)
+    return SyntheticDataset(table, tuple(columns["bundle"]))
 
 
 def write_profiles_csv(path: PathLike, profiles: Iterable[SpeedProfile]) -> None:
-    # csv writes a float as str(), which is its repr
     _write_csv(path, ["event_id", "t", "v"], (
         (profile.event_id, t, v)
         for profile in profiles

@@ -19,7 +19,13 @@ from leadkin.errors import InputError
 from leadkin.events import EventParams, ParamTable, Severity, SourceGroup
 from leadkin.mvdist import bundles_to_json
 from leadkin.synth import SyntheticDataset
-from leadkin.tables import read_synthetic_csv, write_combined_csv, write_params_csv, write_synthetic_csv
+from leadkin.tables import (
+    read_combined_csv,
+    read_synthetic_csv,
+    write_combined_csv,
+    write_params_csv,
+    write_synthetic_csv,
+)
 
 ARTIFACTS = ("params.csv", "combined.csv", "model.json", "synthetic.csv", "report.json")
 
@@ -50,6 +56,25 @@ class TestPipeline:
             assert p.exists() and p.stat().st_size > 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert set(report["parameters"]) == {"v_c", "a1", "a2", "tau_s", "tau_1", "tau_2"}
+
+    def test_tables_read_back_to_the_same_bytes(self, demo_csv, tmp_path):
+        """Writing what was read reproduces the artifact's text; combined.csv's
+        attached_to column is written for inspection and not read back."""
+        for stage in ("fit", "combine", "model", "generate"):
+            run_pipeline(fast_config(demo_csv, tmp_path), stage)
+        synthetic, again = tmp_path / "synthetic.csv", tmp_path / "again.csv"
+        write_synthetic_csv(again, read_synthetic_csv(synthetic))
+        assert again.read_bytes() == synthetic.read_bytes()
+
+        def cells_but_attached_to(path):
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            drop = rows[0].index("attached_to")
+            return [row[:drop] + row[drop + 1:] for row in rows]
+
+        combined = tmp_path / "combined.csv"
+        write_combined_csv(again, read_combined_csv(combined))
+        assert cells_but_attached_to(again) == cells_but_attached_to(combined)
 
     def test_single_stage_requires_upstream_artifacts(self, demo_csv, tmp_path):
         config = fast_config(demo_csv, tmp_path / "out")
@@ -128,7 +153,7 @@ def tables_dir(tmp_path):
                     source_group=SourceGroup.SHRP2_NSC, severity=Severity.NON_SEVERE)
         for i in range(3)
     ]
-    write_params_csv(tmp_path / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    write_params_csv(tmp_path / "params.csv", ParamTable.from_rows(events), [0.9] * 3, [1] * 3, [True] * 3)
     table = ParamTable.from_rows(events)
     write_combined_csv(tmp_path / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))
     write_synthetic_csv(
@@ -731,7 +756,7 @@ def cli_inputs(tmp_path_factory):
                     source_group=SourceGroup.SHRP2_NSC, severity=Severity.NON_SEVERE)
         for i in range(3)
     ]
-    write_params_csv(root / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    write_params_csv(root / "params.csv", ParamTable.from_rows(events), [0.9] * 3, [1] * 3, [True] * 3)
     (root / "counts.json").write_text(json.dumps({"SHRP2_nsc": 3}), encoding="utf-8")
     table = ParamTable.from_rows(events)
     write_combined_csv(root / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))

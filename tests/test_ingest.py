@@ -46,6 +46,18 @@ class TestLoadEvents:
         path.write_text("event_id,group,severity,t,v\n", encoding="utf-8")
         assert ingest.load_events(path) == []
 
+    @pytest.mark.parametrize("header", ["event_id,group,severity,t,v,weight", "t,v,event_id,group,severity"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, header):
+        t = grid(-4.6, 0.0)
+        columns = header.split(",")
+        cells = {"event_id": "E17", "group": "SHRP2_nc", "severity": "None", "weight": ""}
+        rows = [",".join({**cells, "t": str(ti), "v": "5.0"}[c] for c in columns) for ti in t]
+        path = tmp_path / "events.csv"
+        path.write_text("\ufeff" + header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        (event,) = ingest.load_events(path)
+        assert event.event_id == "E17"
+        assert event.times.size == t.size
+
     def test_nan_speed_reports_line_number(self, tmp_path):
         path = tmp_path / "events.csv"
         write_csv(path, ["a,SHRP2_nc,None,-1.0,2.0,", "a,SHRP2_nc,None,-0.9,NaN,"])

@@ -9,7 +9,7 @@ from groundtruth import recovery_corpus
 from leadkin import pwl
 from leadkin.config import PipelineConfig
 from leadkin.errors import EmptyCandidates
-from leadkin.events import ParamTable, SpeedProfile
+from leadkin.events import EventParams, ParamTable, SpeedProfile
 from leadkin.pwl import (
     PwlFit,
     Segment,
@@ -214,7 +214,7 @@ class TestExtractParams:
         fit = fit_from_vertices([-5, -3, -1, 0], [1, 5, 5 - 3 * -2, 5])
         # slopes: (5-1)/2 = 2 on [-5,-3]; then -3 on [-3,-1]; flat at 5 on [-1,0]
         fit = fit_from_vertices([-5, -3, -1, 0], [7, 11, 5, 5])
-        params = extract_params(fit)
+        params = EventParams("", *extract_params(fit))
         assert params.v_c == pytest.approx(5.0)
         assert params.a1 == pytest.approx(-3.0)
         assert params.a2 == pytest.approx(2.0)
@@ -223,7 +223,7 @@ class TestExtractParams:
         assert params.tau_2 == pytest.approx(2.0)
 
     def test_constant_speed(self):
-        params = extract_params(fit_from_vertices([-5, 0], [8, 8]))
+        params = EventParams("", *extract_params(fit_from_vertices([-5, 0], [8, 8])))
         assert (
             params.v_c,
             params.a1,
@@ -234,7 +234,7 @@ class TestExtractParams:
         ) == (8, 0, 0, 5, 0, 0)
 
     def test_single_braking_line(self):
-        params = extract_params(fit_from_vertices([-5, 0], [11, 1]))
+        params = EventParams("", *extract_params(fit_from_vertices([-5, 0], [11, 1])))
         assert params.v_c == pytest.approx(1.0)
         assert params.a1 == pytest.approx(-2.0)
         assert params.a2 == pytest.approx(-2.0)
@@ -244,14 +244,14 @@ class TestExtractParams:
 
     def test_four_segments_drops_earliest(self):
         fit = fit_from_vertices([-5, -4, -2.5, -1, 0], [3, 7, 2, 6, 6])
-        params = extract_params(fit)
+        params = EventParams("", *extract_params(fit))
         assert params.tau_s == pytest.approx(1.0)
         assert params.tau_1 == pytest.approx(1.5)
         assert params.tau_2 == pytest.approx(1.5)
 
     def test_reconstruction_consistency(self):
         fit = fit_from_vertices([-5, -3, -1, 0], [7, 11, 5, 5])
-        params = extract_params(fit)
+        params = EventParams("", *extract_params(fit))
         [rebuilt] = params_to_profile(ParamTable.from_rows([params]), config=PipelineConfig(profile_dt=0.05))
         predicted = fit.predict(rebuilt.times)
         assert np.abs(rebuilt.speeds - predicted).max() < 1e-9

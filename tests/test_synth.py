@@ -329,7 +329,7 @@ class TestParamsToProfile:
         vs = speeds_at(np.array([vec]), s)[0]
         from test_pwl import fit_from_vertices
 
-        params = extract_params(fit_from_vertices(-s, vs))
+        params = EventParams("", *extract_params(fit_from_vertices(-s, vs)))
         assert np.allclose([getattr(params, name) for name in PARAM_NAMES], vec, atol=1e-9)
 
     def test_truncation_beyond_window(self):

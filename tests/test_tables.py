@@ -34,8 +34,7 @@ class TestParamsCsv:
     def test_round_trip_preserves_values(self, tmp_path):
         path = tmp_path / "params.csv"
         events = [sample_event(i) for i in range(3)]
-        rows = [{"event": e, "r2": 0.99, "n_b": 1, "valid": i != 1} for i, e in enumerate(events)]
-        write_params_csv(path, rows)
+        write_params_csv(path, ParamTable.from_rows(events), [0.99] * 3, [1] * 3, [i != 1 for i in range(3)])
         back = read_params_csv(path)
         assert back.event_id.tolist() == ["e0", "e2"]  # invalid row dropped
         assert back["v_c"][0] == events[0].v_c
@@ -52,6 +51,20 @@ class TestParamsCsv:
         assert event.v_c == 2.5
         assert event.weight == 1.25
         assert event.source_group is None
+
+    @pytest.mark.parametrize(
+        "text, event_id",
+        [
+            ("event_id,v_c,a1,a2,tau_s,tau_1,tau_2,weight\nE17,2.5,-1.0,-1.0,0.0,5.0,0.0,1.25\n", "E17"),
+            ("vc,a1,a2,taus,tau1,tau2,weight\n2.5,-1.0,-1.0,0.0,5.0,0.0,1.25\n", "row-0"),
+        ],
+        ids=["named", "published"],
+    )
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text, event_id):
+        path = tmp_path / "params.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8")  # as spreadsheet programs save CSV
+        (event,) = read_params_csv(path)
+        assert (event.event_id, event.v_c, event.weight) == (event_id, 2.5, 1.25)
 
     def test_missing_parameter_column(self, tmp_path):
         path = tmp_path / "broken.csv"
@@ -129,7 +142,9 @@ def params_events(draw):
 @given(rows=st.lists(st.tuples(params_events(), st.booleans()), max_size=8))
 def test_params_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("params") / "params.csv"
-    write_params_csv(path, [{"event": e, "r2": 0.5, "n_b": 2, "valid": ok} for e, ok in rows])
+    write_params_csv(
+        path, ParamTable.from_rows(e for e, _ in rows), [0.5] * len(rows), [2] * len(rows), [ok for _, ok in rows]
+    )
     assert list(read_params_csv(path, only_valid=False)) == [e for e, _ in rows]
     assert list(read_params_csv(path)) == [e for e, ok in rows if ok]
 
@@ -186,7 +201,7 @@ CORRUPT = {
 
 def _write_tables(directory):
     events = [sample_event(i, weight=0.5 + i) for i in range(3)]
-    write_params_csv(directory / "params.csv", [{"event": e, "r2": 0.9, "n_b": 1} for e in events])
+    write_params_csv(directory / "params.csv", ParamTable.from_rows(events), [0.9] * 3, [1] * 3, [True] * 3)
     table = ParamTable.from_rows(events)
     write_combined_csv(
         directory / "combined.csv", WeightedDataset(events=table, stage=Stage.COMBINED_INCIDENT)
