@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import logging
 import math
 import multiprocessing
@@ -31,6 +30,7 @@ from . import validate as validate_mod
 from .config import PipelineConfig
 from .errors import BadArgument, InputError, LeadkinError, NumericalError
 from .events import PARAM_NAMES, ParamTable, SourceGroup
+from .jsonio import read_json, write_json
 from .marginals import fit_tally
 from .mvdist import build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
@@ -189,7 +189,7 @@ def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
     dataset = tables.read_combined_csv(combined_path)
     with fit_tally() as tally:
         bundles = build_all(dataset, config)
-    tables.write_json(model_out, bundles_to_json(bundles))
+    write_json(model_out, bundles_to_json(bundles))
     log.info(
         "model: %d bundles; %d univariate fits, %d Nelder-Mead runs, %d evaluations; "
         "chosen families by role %s; families without a fit %s",
@@ -224,13 +224,9 @@ def stage_generate(
 ) -> None:
     if dt is not None:
         config = dataclasses.replace(config, profile_dt=dt)  # checked by the profile_dt rule
-    model_path = Path(model_path)
-    if not model_path.exists():
-        raise InputError(f"model artifact missing: {model_path}")
+    doc = read_json(model_path, "model artifact")
     try:
-        bundles = bundles_from_json(json.loads(model_path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model artifact {model_path} is not valid JSON: {exc}") from None
+        bundles = bundles_from_json(doc)
     except InputError as exc:
         raise InputError(f"model artifact {model_path}: {exc}") from None
     dataset, rejections = assemble_synthetic(bundles, config.n_synth, seed=config.seed)
@@ -258,7 +254,7 @@ def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report
             "raw": [[float(a), float(b)] for a, b in zip(raw_ecdf.support, raw_ecdf.cumulative)],
             "synthetic": [[float(a), float(b)] for a, b in zip(syn_ecdf.support, syn_ecdf.cumulative)],
         }
-    tables.write_json(report_out, {"alpha": config.alpha_ks, "parameters": report, "ecdf": ecdf_points})
+    write_json(report_out, {"alpha": config.alpha_ks, "parameters": report, "ecdf": ecdf_points})
     worst = min(report.values(), key=lambda r: r["p_value"])
     log.info("validate: smallest p-value %.4f", worst["p_value"])
 
@@ -423,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = bootstrap_robustness(
                 dataset, fractions=fractions, reps=args.reps, n_synth=args.rep_n_synth, config=config
             )
-            tables.write_json(args.output, {
+            write_json(args.output, {
                 "alpha": report.alpha,
                 "reps": report.reps,
                 "failures": {str(k): v for k, v in report.failures.items()},
@@ -434,7 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable input, unwritable output
+    except OSError as exc:  # unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -284,8 +284,17 @@ def reweight_combine(dataset: WeightedDataset, plan: CombinePlan) -> WeightedDat
 # --- near-crash merging -----------------------------------------------------
 
 
-def _zscore_matrix(events: ParamTable, stats, names) -> np.ndarray:
-    return np.column_stack([(events[name] - stats[name][0]) / stats[name][1] for name in names])
+def _crash_zscores(crashes: ParamTable) -> Callable[[ParamTable], np.ndarray]:
+    """A table's z-score matrix on the crashes' weighted mean and SD, over
+    the parameters that vary across the crashes."""
+    stats = describe(crashes)
+    usable = [name for name in PARAM_NAMES if stats[name][1] > 0]
+    skipped = [name for name in PARAM_NAMES if name not in usable]
+    if skipped:
+        log.warning("distance skips zero-variance parameters: %s", ", ".join(skipped))
+    if not usable:
+        raise ZeroVariance("every parameter is constant across crashes")
+    return lambda events: np.column_stack([(events[name] - stats[name][0]) / stats[name][1] for name in usable])
 
 
 def merge_near_crashes(
@@ -307,20 +316,13 @@ def merge_near_crashes(
     if crashes.stage is not Stage.COMBINED_CRASH:
         raise InputError("merge_near_crashes requires a CombinedCrash dataset")
 
-    stats = describe(crashes.events)
-    usable = [name for name in PARAM_NAMES if stats[name][1] > 0]
-    skipped = [name for name in PARAM_NAMES if name not in usable]
-    if skipped:
-        log.warning("distance skips zero-variance parameters: %s", ", ".join(skipped))
-    if not usable:
-        raise ZeroVariance("every parameter is constant across crashes")
-
+    zscores = _crash_zscores(crashes.events)
     ids = crashes.events.event_id
     sorted_crashes = crashes.events.take(sorted(range(len(ids)), key=ids.__getitem__))
     crash_ids = sorted_crashes.event_id.tolist()
-    z_crash = _zscore_matrix(sorted_crashes, stats, usable)
-    z_nc = _zscore_matrix(near_crashes, stats, usable)
-    ones = np.ones(len(usable))  # a dot product sums in another order than .sum(axis=1)
+    z_crash = zscores(sorted_crashes)
+    z_nc = zscores(near_crashes)
+    ones = np.ones(z_crash.shape[1])  # a dot product sums in another order than .sum(axis=1)
 
     selected = []
     host = np.full(len(near_crashes), -1)  # index into sorted_crashes, -1 when not attached
@@ -366,11 +368,7 @@ def distance_threshold_from_quantile(
     Approximates picking the elbow of the minimum-distance CDF when a new
     corpus ships without a calibrated threshold.
     """
-    stats = describe(crashes.events)
-    usable = [name for name in PARAM_NAMES if stats[name][1] > 0]
-    if not usable:
-        raise ZeroVariance("every parameter is constant across crashes")
-    z = _zscore_matrix(crashes.events, stats, usable)
+    z = _crash_zscores(crashes.events)(crashes.events)
     n = z.shape[0]
     if n < 2:
         raise InputError("need at least two crashes")

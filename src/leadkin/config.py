@@ -10,14 +10,13 @@ values with the same ``InputError``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InputError
+from .jsonio import _checked, read_json
 
 
 class _Rule(NamedTuple):
@@ -101,9 +100,8 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
     @staticmethod
-    def from_json(doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
+    def from_json(doc) -> "PipelineConfig":
+        doc = _checked(doc, dict, "config")
         known = {f.name for f in dataclasses.fields(PipelineConfig)}
         unknown = set(doc) - known
         if unknown:
@@ -112,10 +110,4 @@ class PipelineConfig:
 
     @staticmethod
     def load(path) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise InputError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {path} is not valid JSON: {exc}") from None
-        return PipelineConfig.from_json(doc)
+        return PipelineConfig.from_json(read_json(path, "config file"))

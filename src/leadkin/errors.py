@@ -17,6 +17,13 @@ class NumericalError(LeadkinError):
     """A numerical procedure failed (fit, model build, sampling)."""
 
 
+class Undecodable(InputError):
+    """An input file that is not UTF-8 text; ``source`` names the file."""
+
+    def __init__(self, source, exc: UnicodeDecodeError):
+        super().__init__(f"{source}: not UTF-8 text ({exc.reason})")
+
+
 # --- ingest ---------------------------------------------------------------
 
 class MalformedRow(InputError):

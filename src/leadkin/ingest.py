@@ -21,6 +21,7 @@ from .errors import (
     EmptyWindow,
     InvalidSampleRate,
     MalformedRow,
+    Undecodable,
     UnknownGroup,
 )
 from .events import (
@@ -56,48 +57,51 @@ def load_events(path: Union[str, Path]) -> list:
     path = Path(path)
     order = []
     rows = {}
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
-        has_weight = "weight" in header
-        for line_no, row in enumerate(reader, start=2):
-            event_id = (row["event_id"] or "").strip()
-            if not event_id:
-                raise MalformedRow(line_no, "empty event_id")
-            try:
-                group = SourceGroup(row["group"].strip())
-            except (ValueError, AttributeError):
-                raise UnknownGroup(line_no, str(row.get("group"))) from None
-            try:
-                severity = Severity(row["severity"].strip())
-            except (ValueError, AttributeError):
-                raise MalformedRow(line_no, f"unknown severity {row.get('severity')!r}") from None
-            t = _parse_float(row["t"], line_no, "t")
-            v = _parse_float(row["v"], line_no, "v")
-            if v < 0:
-                raise MalformedRow(line_no, f"negative speed {v!r}")
-            weight = None
-            if has_weight and (row.get("weight") or "").strip():
-                weight = _parse_float(row["weight"], line_no, "weight")
-                if weight <= 0:
-                    raise MalformedRow(line_no, f"non-positive weight {weight!r}")
-            if event_id not in rows:
-                order.append(event_id)
-                rows[event_id] = {
-                    "group": group,
-                    "severity": severity,
-                    "t": [],
-                    "v": [],
-                    "weight": weight,
-                }
-            bucket = rows[event_id]
-            bucket["t"].append(t)
-            bucket["v"].append(v)
-            if bucket["weight"] is None and weight is not None:
-                bucket["weight"] = weight
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
+            has_weight = "weight" in header
+            for line_no, row in enumerate(reader, start=2):
+                event_id = (row["event_id"] or "").strip()
+                if not event_id:
+                    raise MalformedRow(line_no, "empty event_id")
+                try:
+                    group = SourceGroup(row["group"].strip())
+                except (ValueError, AttributeError):
+                    raise UnknownGroup(line_no, str(row.get("group"))) from None
+                try:
+                    severity = Severity(row["severity"].strip())
+                except (ValueError, AttributeError):
+                    raise MalformedRow(line_no, f"unknown severity {row.get('severity')!r}") from None
+                t = _parse_float(row["t"], line_no, "t")
+                v = _parse_float(row["v"], line_no, "v")
+                if v < 0:
+                    raise MalformedRow(line_no, f"negative speed {v!r}")
+                weight = None
+                if has_weight and (row.get("weight") or "").strip():
+                    weight = _parse_float(row["weight"], line_no, "weight")
+                    if weight <= 0:
+                        raise MalformedRow(line_no, f"non-positive weight {weight!r}")
+                if event_id not in rows:
+                    order.append(event_id)
+                    rows[event_id] = {
+                        "group": group,
+                        "severity": severity,
+                        "t": [],
+                        "v": [],
+                        "weight": weight,
+                    }
+                bucket = rows[event_id]
+                bucket["t"].append(t)
+                bucket["v"].append(v)
+                if bucket["weight"] is None and weight is not None:
+                    bucket["weight"] = weight
+    except UnicodeDecodeError as exc:
+        raise Undecodable(path, exc) from None
 
     events = []
     for event_id in order:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import special, stats
 
 from .errors import AllFitsFailed, InputError, NumericalError
+from .jsonio import _checked, _field, _mapping
 from .wstats import effective_sample_size, normalize_to_effective, weighted_var_mle
 
 log = logging.getLogger(__name__)
@@ -134,40 +135,6 @@ class FittedDist:
             ),
             **scores,
         )
-
-
-# --- checked reading of JSON documents ------------------------------------------
-
-_REQUIRED = object()
-_KIND_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
-               float: "a finite number"}
-
-
-def _checked(value, kind: type, where: str):
-    """``value`` if it is JSON of ``kind``, else ``InputError``; a ``float``
-    is any finite number, returned as a float."""
-    if kind is not float and isinstance(value, kind):
-        return value
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number and abs(value) <= sys.float_info.max:  # False for NaN and inf
-        return float(value)
-    raise InputError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
-
-
-def _field(doc: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """``doc[key]`` checked by ``_checked``; ``default`` when the key is
-    absent and a default is given."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise InputError(f"{where}: missing key {key!r}")
-        return default
-    return _checked(doc[key], kind, f"{where}.{key}")
-
-
-def _mapping(doc: dict, key: str, kind: type, where: str, default=_REQUIRED) -> dict:
-    """The object ``doc[key]`` with every value checked to be of ``kind``."""
-    entries = _field(doc, key, dict, where, default)
-    return {k: _checked(v, kind, f"{where}.{key}.{k}") for k, v in entries.items()}
 
 
 # --- expnormal inverse CDF ---------------------------------------------------

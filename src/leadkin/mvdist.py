@@ -23,13 +23,11 @@ from .combine import WeightedDataset
 from .config import PipelineConfig
 from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
 from .events import PARAM_NAMES, ParamTable
+from .jsonio import _checked, _field, _mapping, _objects
 from .marginals import (
     HURDLE_FAMILIES,
     FitRequest,
     FittedDist,
-    _checked,
-    _field,
-    _mapping,
     fit_family,
     fit_many,
     fit_univariate,  # not called here since fits are batched; perfbench's tracer wraps this name
@@ -288,11 +286,11 @@ class _Marginal(NamedTuple):
 
     @property
     def request(self) -> Optional[FitRequest]:
-        """The fit to make; None for a hurdle with no non-mass sample or too
-        few, which gets no AIC choice."""
+        """The fit to make; None for a hurdle with too few non-mass samples,
+        which gets no AIC choice."""
         if self.mass is None:
             return FitRequest(self.values, self.weights)
-        if self.values.size and effective_sample_size(self.weights) >= _MIN_EFFECTIVE:
+        if effective_sample_size(self.weights) >= _MIN_EFFECTIVE:
             return FitRequest(self.values, self.weights, HURDLE_FAMILIES)
         return None
 
@@ -304,41 +302,8 @@ class _Marginal(NamedTuple):
             if isinstance(fitted, AllFitsFailed):
                 raise fitted
             return fitted if self.mass is None else HurdleDist(mass=self.mass, continuous=fitted)
-        if not self.values.size:
-            return HurdleDist(mass=self.mass, continuous=None)
         log.warning("parameter %s: too few non-mass samples, falling back to exponential", self.name or "?")
         return HurdleDist(mass=self.mass, continuous=fit_family("exponential", self.values, self.weights))
-
-
-def _hurdle(name: str, x: np.ndarray, w: np.ndarray, spec: PointMassSpec) -> _Marginal:
-    off = x != spec.mass_value
-    return _Marginal(name, x[off], w[off], spec)
-
-
-def _fit_all(marginals: Sequence[_Marginal]) -> Iterator:
-    """The outcomes of the marginals' requests, in order, from one batch."""
-    return iter(fit_many([m.request for m in marginals if m.request is not None]))
-
-
-def fit_hurdle(
-    values,
-    weights=None,
-    config: PipelineConfig = PipelineConfig(),
-    parameter: str = "",
-) -> HurdleDist:
-    """Fit a hurdle model: binomial mass share plus a continuous remainder.
-
-    The continuous part is selected by AIC among gamma, generalized gamma
-    and exponential; with fewer than 5 effective non-mass samples it falls
-    back to a plain exponential fit.
-    """
-    x = np.asarray(values, dtype=float)
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    spec = detect_point_mass(x, w, config, parameter=parameter)
-    if spec is None:
-        raise ValueError("no point mass detected; fit a continuous marginal instead")
-    hurdle = _hurdle(parameter, x, w, spec)
-    return hurdle.finish(_fit_all([hurdle]))
 
 
 # --- submodel bundles ----------------------------------------------------------
@@ -489,7 +454,8 @@ def _build(subs: Mapping[SubdatasetLabel, WeightedDataset], config, total) -> Li
         except _BUILD_ERRORS as exc:
             failure = (label, exc)
             break
-    outcomes = _fit_all([m for plan in plans for m in plan.marginals])
+    requests = [m.request for plan in plans for m in plan.marginals]
+    outcomes = iter(fit_many([r for r in requests if r is not None]))  # one batch, in order
     bundles = []
     for plan in plans:
         try:
@@ -623,7 +589,8 @@ def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
     marginals = [_Marginal(name, columns[name], w) for name in corr_names]
     for name in free:
         if name in masses:
-            marginals.append(_hurdle(name, columns[name], w, masses[name]))
+            off = columns[name] != masses[name].mass_value
+            marginals.append(_Marginal(name, columns[name][off], w[off], masses[name]))
         elif name not in corr_names:
             marginals.append(_Marginal(name, columns[name], w))
     bundle = SubmodelBundle(
@@ -698,12 +665,6 @@ def bundles_from_json(doc) -> List[SubmodelBundle]:
     if not shares or min(shares) < 0 or abs(sum(shares) - 1.0) > 1e-6:
         raise InputError(f"bundle weight shares must be non-negative and sum to 1, got {shares}")
     return bundles
-
-
-def _objects(doc: dict, key: str, where: str) -> list:
-    """(object, where) for each entry of the array ``doc[key]``, empty when absent."""
-    entries = _field(doc, key, list, where, default=[])
-    return [(_checked(e, dict, f"{where}.{key}[{i}]"), f"{where}.{key}[{i}]") for i, e in enumerate(entries)]
 
 
 def _bundle_from_json(item: dict, where: str) -> SubmodelBundle:

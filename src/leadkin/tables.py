@@ -1,6 +1,6 @@
-"""CSV serialization for stage artifacts.
+"""CSV serialization for stage artifacts, and the counts sidecar beside them.
 
-Every stage writes plain CSV so artifacts stay independently inspectable.
+Every table is plain CSV so artifacts stay independently inspectable.
 The parameter table (params, combined and synthetic CSVs) has one reader:
 columns resolve through ``_ALIASES``, so the minimal published format (six
 parameters plus a weight column) reads as well, and every malformed cell
@@ -10,7 +10,6 @@ raises ``InputError`` naming its file and line.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from functools import partial
 from pathlib import Path
@@ -20,8 +19,9 @@ import numpy as np
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from .config import MAX_COUNT
-from .errors import InputError
+from .errors import InputError, Undecodable
 from .events import PARAM_NAMES, ParamTable, Severity, SourceGroup, SpeedProfile
+from .jsonio import _checked, _field, read_json, write_json
 from .synth import SyntheticDataset
 
 PathLike = Union[str, Path]
@@ -118,19 +118,22 @@ def _read_table(path: PathLike, native_weight: bool = False) -> Tuple[ParamTable
     Returns the table and every parsed column by name.  Of several malformed
     cells, the error names the first line holding one.
     """
-    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = [_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in next(reader, [])]
-        missing = [p for p in PARAM_NAMES if p not in header]
-        if missing:
-            raise InputError(f"{path}: missing parameter columns: {', '.join(missing)}")
-        duplicated = sorted({n for n in header if n and header.count(n) > 1})
-        if duplicated:
-            raise InputError(f"{path}: duplicate columns: {', '.join(duplicated)}")
-        rows, lines = [], []
-        for cells in filter(None, reader):  # blank lines carry no row
-            rows.append(cells)
-            lines.append(reader.line_num)
+    try:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in next(reader, [])]
+            rows, lines = [], []
+            for cells in filter(None, reader):  # blank lines carry no row
+                rows.append(cells)
+                lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise Undecodable(path, exc) from None
+    missing = [p for p in PARAM_NAMES if p not in header]
+    if missing:
+        raise InputError(f"{path}: missing parameter columns: {', '.join(missing)}")
+    duplicated = sorted({n for n in header if n and header.count(n) > 1})
+    if duplicated:
+        raise InputError(f"{path}: duplicate columns: {', '.join(duplicated)}")
     n = next((i for i, cells in enumerate(rows) if len(cells) != len(header)), len(rows))
     bad = [(n, f"{len(rows[n])} cells for {len(header)} columns")] if n < len(rows) else []
     by_name = dict(zip(header, zip(*rows[:n])))
@@ -166,11 +169,6 @@ def read_params_csv(path: PathLike, only_valid: bool = True) -> ParamTable:
     return table.take(np.array(columns["valid"], dtype=bool)) if only_valid else table
 
 
-def write_json(path: PathLike, doc) -> None:
-    """Every JSON artifact's one layout: indented, keys sorted, a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def write_counts_json(path: PathLike, counts: GroupCounts) -> None:
     write_json(path, {
         "raw": {g.value: counts.raw_of(g) for g in SourceGroup},
@@ -178,26 +176,23 @@ def write_counts_json(path: PathLike, counts: GroupCounts) -> None:
     })
 
 
-def _group_counts(doc, key: str) -> Dict[SourceGroup, int]:
-    """doc[key] read as group -> count; a count is a JSON integer in
-    [0, MAX_COUNT], and a bool, a float or a string is none."""
-    section = doc[key]
-    if not isinstance(section, dict):
-        raise TypeError(f"{key} must be an object, got {type(section).__name__}")
-    counts = {}
-    for group, count in section.items():
-        if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= MAX_COUNT:
-            raise ValueError(f"{key} {group} count must be an integer in [0, {MAX_COUNT}], got {count!r}")
-        counts[SourceGroup(group)] = count
-    return counts
-
-
 def read_counts_json(path: PathLike) -> GroupCounts:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return GroupCounts(raw=_group_counts(doc, "raw"), valid=_group_counts(doc, "valid"))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
-        raise InputError(f"{path}: malformed counts: {exc!r}") from None
+    """The counts sidecar; a count is a JSON integer in [0, MAX_COUNT], and
+    a bool, a float or a string is none."""
+    where = f"{path}: malformed counts"
+    doc = _checked(read_json(path, "counts sidecar"), dict, where)
+    groups = {g.value: g for g in SourceGroup}
+    sections = {}
+    for key in ("raw", "valid"):
+        sections[key] = {}
+        for group, count in _field(doc, key, dict, where).items():
+            if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= MAX_COUNT:
+                raise InputError(f"{where}: {key} {group} count must be an integer in [0, {MAX_COUNT}], "
+                                 f"got {count!r:.60}")
+            if group not in groups:
+                raise InputError(f"{where}: {key}: unknown group {group!r}")
+            sections[key][groups[group]] = count
+    return GroupCounts(**sections)
 
 
 def write_combined_csv(

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import io
@@ -811,3 +812,52 @@ def test_main_keeps_the_exit_code_contract_for_any_arguments(cli_inputs, tmp_pat
         assert main(argv) in (0, 2, 3)
     finally:
         os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def demo_params(demo_csv, tmp_path_factory):
+    params = tmp_path_factory.mktemp("fit") / "params.csv"
+    assert main(["fit", "--input", str(demo_csv), "--output", str(params)]) == 0
+    return params
+
+
+@pytest.mark.parametrize("kind", ["counts", "model", "config"])
+def test_json_input_with_a_byte_order_mark_gives_the_same_bytes(demo_params, tmp_path, kind):
+    """A counts sidecar, model or config saved with a UTF-8 BOM reads as the
+    same document without one."""
+    plain = {"counts": demo_params.with_suffix(".counts.json"), "model": tmp_path / "model.json",
+             "config": tmp_path / "config.json"}
+    plain["model"].write_text(json.dumps(_model_doc()), encoding="utf-8")
+    plain["config"].write_text(json.dumps({"n_synth": 60, "seed": 3, "d_thd": 0.5}), encoding="utf-8")
+    bom = dict(plain, **{kind: tmp_path / f"bom-{plain[kind].name}"})
+    bom[kind].write_bytes(codecs.BOM_UTF8 + plain[kind].read_bytes())
+
+    def run(inputs, out):
+        if kind == "counts":
+            argv = ["combine", "--params", str(demo_params), "--counts", str(inputs["counts"])]
+        else:
+            argv = ["--config", str(inputs["config"]), "generate", "--model", str(inputs["model"])]
+        assert main([*argv, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    assert run(bom, tmp_path / "bom.csv") == run(plain, tmp_path / "plain.csv")
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("events", ["fit", "--input", "{bad}", "--output", "{d}/p.csv"]),
+        ("params", ["combine", "--params", "{bad}", "--output", "{d}/c.csv"]),
+        ("counts", ["combine", "--params", "{ok}/params.csv", "--counts", "{bad}", "--output", "{d}/c.csv"]),
+        ("model", ["generate", "--model", "{bad}", "--output", "{d}/s.csv"]),
+        ("config", ["--config", "{bad}", "generate", "--model", "{ok}/model.json", "--output", "{d}/s.csv"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_undecodable_input_exits_2_naming_the_file(cli_inputs, tmp_path, capsys, kind, argv):
+    good = cli_inputs[kind][0]
+    data = good.read_bytes()
+    bad = tmp_path / good.name
+    bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    assert main([arg.format(bad=bad, ok=good.parent, d=tmp_path) for arg in argv]) == 2
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err

@@ -76,7 +76,6 @@ _LIBRARY = [
     mvdist.build_all,
     mvdist.build_submodels,
     mvdist.detect_point_mass,
-    mvdist.fit_hurdle,
     combine.merge_near_crashes,
     validate.compare_datasets,
     validate.bootstrap_robustness,

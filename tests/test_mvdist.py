@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import pearsonr
 
-from groundtruth import ground_truth_corpus
+from groundtruth import ground_truth_bundles, ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
 from leadkin import marginals
@@ -21,7 +21,6 @@ from leadkin.mvdist import (
     classify,
     decorrelate,
     detect_point_mass,
-    fit_hurdle,
     nearest_unit_correlation,
     split_on_point_mass,
     weighted_corr,
@@ -240,11 +239,19 @@ class TestSplitOnPointMass:
         assert len(at.events) == 4 and len(off.events) == 3
 
 
+def v_c_hurdle(x):
+    """The v_c marginal built for an S6 dataset in which only v_c varies,
+    taking the values ``x``."""
+    events = [ev([v, -3.0, 1.0, 0.0, 2.0, 1.0], event_id=f"h{i}") for i, v in enumerate(x)]
+    (bundle,) = build_submodels(dataset(events), LABELS["S6"])
+    return bundle.uncorrelated["v_c"]
+
+
 class TestFitHurdle:
     def test_half_zeros_exponential(self):
         rng = np.random.default_rng(6)
         x = np.where(rng.random(4000) < 0.5, 0.0, rng.exponential(1.0, 4000))
-        h = fit_hurdle(x, np.ones_like(x))
+        h = v_c_hurdle(x)
         assert h.mass.mass_probability == pytest.approx(0.5, abs=0.02)
         assert h.continuous is not None
         # analytic MLE rate of the positive part
@@ -253,21 +260,24 @@ class TestFitHurdle:
         implied_mean = np.trapezoid(grid * np.exp(h.continuous.logpdf(grid)), grid)
         assert implied_mean == pytest.approx(positives.mean(), abs=0.06)
 
-    def test_all_mass(self):
-        h = fit_hurdle(np.zeros(30), np.ones(30))
-        assert h.mass.mass_probability == 1.0
-        assert h.continuous is None
+    def test_hurdle_without_continuous_part_decodes_and_samples(self):
+        doc = bundles_to_json(ground_truth_bundles())
+        s4 = next(b for b in doc["bundles"] if b["label"]["id"] == "S4")
+        s4["uncorrelated"]["tau_s"]["continuous"] = None
+        (bundle,) = [b for b in bundles_from_json(doc) if b.label.id == "S4"]
+        assert bundle.uncorrelated["tau_s"].continuous is None
+        assert (sample_submodel(bundle, 200, seed=np.random.default_rng(3))["tau_s"] == 0.0).all()
 
     def test_too_few_continuous_falls_back_to_exponential(self):
         x = np.concatenate([np.zeros(30), [1.0, 2.0, 1.5]])
-        h = fit_hurdle(x, np.ones_like(x))
+        h = v_c_hurdle(x)
         assert h.continuous is not None
         assert h.continuous.family == "exponential"
 
     def test_sampling_respects_mass(self):
         rng = np.random.default_rng(7)
         x = np.where(rng.random(2000) < 0.3, 0.0, rng.gamma(2, 1, 2000))
-        h = fit_hurdle(x, np.ones_like(x))
+        h = v_c_hurdle(x)
         draws = h.sample(np.random.default_rng(1), 20000)
         assert (draws == 0.0).mean() == pytest.approx(h.mass.mass_probability, abs=0.02)
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadkin.combine import MergeResult, Stage, WeightedDataset
+from leadkin.combine import GroupCounts, MergeResult, Stage, WeightedDataset
+from leadkin.config import MAX_COUNT
 from leadkin.errors import InputError
 from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 from leadkin.synth import SyntheticDataset
@@ -263,3 +265,33 @@ def test_counts_sidecar_takes_only_non_negative_integers(tmp_path, count):
     path.write_text(f'{{"raw": {{"SHRP2_sc": {count}}}, "valid": {{"SHRP2_sc": 1}}}}')
     with pytest.raises(InputError, match=rf"{path.name}: malformed counts: .*raw SHRP2_sc count must be an integer"):
         read_counts_json(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_SECTION = st.dictionaries(
+    st.sampled_from([g.value for g in SourceGroup] + ["", "NOPE", "ciss_sc"]),
+    st.one_of(st.integers(-2, MAX_COUNT + 2), st.sampled_from([0, 1, MAX_COUNT]), _JSON),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(
+    st.fixed_dictionaries({"raw": _SECTION, "valid": _SECTION}),
+    st.dictionaries(st.sampled_from(["raw", "valid", "other"]), st.one_of(_SECTION, _JSON), max_size=3),
+    _JSON,
+))
+def test_random_counts_document_is_counts_or_an_input_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("counts") / "params.counts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        counts = read_counts_json(path)
+    except InputError:
+        return
+    assert isinstance(counts, GroupCounts)
+    assert {g.value: n for g, n in counts.raw.items()} == doc["raw"]
+    assert {g.value: n for g, n in counts.valid.items()} == doc["valid"]
