@@ -50,7 +50,7 @@ def event_rng(master_seed: int, event_id: str) -> np.random.Generator:
 # --- stages --------------------------------------------------------------------
 
 
-_FIT_CHUNK = 4  # events per task sent to a fit worker
+_FIT_CHUNK = 16  # most events in one batch sent to a fit worker
 
 
 def _usable_cpus() -> int:
@@ -59,33 +59,42 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _fit_profile(config: PipelineConfig, profile) -> Tuple[pwl.PwlFit, float]:
-    """One event's fit and its elapsed seconds; the generator depends only on
-    the seed and the event id, so the fit is the same in any process."""
+def _fit_batch(config: PipelineConfig, profiles: list) -> Tuple[List[pwl.PwlFit], float]:
+    """One batch's fits and its elapsed seconds.  Each event's generator
+    depends only on the seed and the event id, and its fit never on the
+    other events of the batch, so a fit is the same in any batch and any
+    process."""
     began = time.perf_counter()
-    fit = pwl.fit_event(profile, config, rng=event_rng(config.seed, profile.event_id))
-    return fit, time.perf_counter() - began
+    fits = pwl.fit_events(profiles, config, [event_rng(config.seed, p.event_id) for p in profiles])
+    return fits, time.perf_counter() - began
 
 
-def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, list]:
-    """(worker count, [(fit, seconds)] in input order).
+def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, List[pwl.PwlFit], List[float]]:
+    """(worker count, fits in input order, seconds of each batch).
 
-    Fits run in forked workers, one per usable CPU and at most one per
-    profile, or in this process when that is one or fork is unavailable.
-    Forked, not spawned: a worker starts with the parent's imported modules
-    and state, where a spawned one would import numpy and scipy again on
-    every call.  The pool forks every worker before it starts its own
-    threads.  Only errors with the default constructor (``FitDiverged``,
-    ``EmptyCandidates``) can be raised here, so each reaches the caller as
-    itself; ``with`` joins every worker whether the map returns or raises.
+    The profiles are cut, in order, into batches of at most ``_FIT_CHUNK``
+    events, the same number of batches for each worker and sizes that
+    differ by at most one.  Batches run in forked workers, one per usable
+    CPU and at most one per profile, or in this process when that is one
+    or fork is unavailable.  Forked, not spawned: a worker starts with the
+    parent's imported modules and state, where a spawned one would import
+    numpy and scipy again on every call.  The pool forks every worker
+    before it starts its own threads.  Only errors with the default
+    constructor (``FitDiverged``, ``EmptyCandidates``) can be raised here,
+    so each reaches the caller as itself; ``with`` joins every worker
+    whether the map returns or raises.
     """
-    fit = partial(_fit_profile, config)
-    workers = min(_usable_cpus(), len(profiles))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return 1, list(map(fit, profiles))
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return workers, list(pool.map(fit, profiles, chunksize=_FIT_CHUNK))
+    n = len(profiles)
+    workers = max(min(_usable_cpus(), n), 1)
+    n_batches = workers * math.ceil(n / (workers * _FIT_CHUNK))
+    batches = [profiles[i * n // n_batches : (i + 1) * n // n_batches] for i in range(n_batches)]
+    fit = partial(_fit_batch, config)
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        workers, done = 1, list(map(fit, batches))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            done = list(pool.map(fit, batches))
+    return workers, [f for fits, _ in done for f in fits], [seconds for _, seconds in done]
 
 
 def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -> None:
@@ -106,10 +115,9 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
             continue
         windowed.append((event, profile))
     began = time.perf_counter()
-    workers, fitted = _fit_all(config, [profile for _, profile in windowed])
+    workers, fits, batch_s = _fit_all(config, [profile for _, profile in windowed])
     fit_s = time.perf_counter() - began
     events = [event for event, _ in windowed]
-    fits = [fit for fit, _ in fitted]
     valid = [ingest.validate_event(profile, fit) for (_, profile), fit in zip(windowed, fits)]
     table = ParamTable(
         np.reshape([pwl.extract_params(fit, config) for fit in fits], (-1, len(PARAM_NAMES))),
@@ -134,10 +142,12 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
         sum(fit.modified_for_nonnegativity for fit in fits),
         dict(sorted(skipped.items())),
     )
-    fit_ms = [1e3 * seconds for _, seconds in fitted]
-    p50, p90 = np.percentile(fit_ms, [50, 90]) if fit_ms else (math.nan, math.nan)
+    p50, p90 = np.percentile(batch_s, [50, 90]) if batch_s else (math.nan, math.nan)
     # its own prefix: the summary above stays the one line that starts "fit: "
-    log.info("fit timing: %d workers, %.2f s; per-event fit ms p50 %.1f p90 %.1f", workers, fit_s, p50, p90)
+    log.info(
+        "fit timing: %d workers, %d batches, %.2f s; per-batch fit s p50 %.3f p90 %.3f",
+        workers, len(batch_s), fit_s, p50, p90,
+    )
 
 
 def stage_combine(

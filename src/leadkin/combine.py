@@ -169,13 +169,16 @@ def preprocess(events: ParamTable, counts: GroupCounts) -> WeightedDataset:
     """
     rows = {g: np.flatnonzero(in_groups(events, g)) for g in CRASH_GROUPS}
     for group in CRASH_GROUPS:
-        if not rows[group].size:
+        n = rows[group].size
+        if not n:
             raise EmptyGroup(group.value)
-        expected = counts.valid_of(group)
-        if expected and expected != rows[group].size:
+        # a group missing from the counts is unknown; one that is given must agree
+        valid, raw = counts.valid.get(group), counts.raw.get(group)
+        if valid is not None and valid != n:
+            raise InputError(f"valid count mismatch for {group.value}: counts say {valid}, got {n} events")
+        if raw is not None and raw < n:
             raise InputError(
-                f"valid count mismatch for {group.value}: counts say {expected}, "
-                f"got {rows[group].size} events"
+                f"raw count below the valid count for {group.value}: counts say {raw}, got {n} valid events"
             )
 
     ciss = events.take(rows[SourceGroup.CISS_SC])

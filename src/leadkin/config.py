@@ -110,4 +110,8 @@ class PipelineConfig:
 
     @staticmethod
     def load(path) -> "PipelineConfig":
-        return PipelineConfig.from_json(read_json(path, "config file"))
+        doc = read_json(path, "config file")
+        try:
+            return PipelineConfig.from_json(doc)
+        except InputError as exc:
+            raise InputError(f"config file {path}: {exc}") from None

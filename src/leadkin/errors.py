@@ -27,8 +27,10 @@ class Undecodable(InputError):
 # --- ingest ---------------------------------------------------------------
 
 class MalformedRow(InputError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A bad row of an input file; ``source`` names the file."""
+
+    def __init__(self, source, line_no: int, message: str):
+        super().__init__(f"{source}: line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -39,9 +41,9 @@ class DuplicateTimestamp(InputError):
         self.t = t
 
 
-class UnknownGroup(InputError):
-    def __init__(self, line_no: int, label: str):
-        super().__init__(f"line {line_no}: unknown group label {label!r}")
+class UnknownGroup(MalformedRow):
+    def __init__(self, source, line_no: int, label: str):
+        super().__init__(source, line_no, f"unknown group label {label!r}")
         self.label = label
 
 

@@ -42,13 +42,13 @@ MIN_VALID_DURATION = 3.0  # s
 _T_TOL = 1e-9
 
 
-def _parse_float(raw: str, line_no: int, column: str) -> float:
+def _parse_float(raw: str, path: Path, line_no: int, column: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise MalformedRow(line_no, f"non-numeric {column} value {raw!r}") from None
+        raise MalformedRow(path, line_no, f"non-numeric {column} value {raw!r}") from None
     if not math.isfinite(value):
-        raise MalformedRow(line_no, f"non-finite {column} value {raw!r}")
+        raise MalformedRow(path, line_no, f"non-finite {column} value {raw!r}")
     return value
 
 
@@ -63,29 +63,29 @@ def load_events(path: Union[str, Path]) -> list:
             header = reader.fieldnames or []
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
-                raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
+                raise MalformedRow(path, 1, f"missing required columns: {', '.join(missing)}")
             has_weight = "weight" in header
             for line_no, row in enumerate(reader, start=2):
                 event_id = (row["event_id"] or "").strip()
                 if not event_id:
-                    raise MalformedRow(line_no, "empty event_id")
+                    raise MalformedRow(path, line_no, "empty event_id")
                 try:
                     group = SourceGroup(row["group"].strip())
                 except (ValueError, AttributeError):
-                    raise UnknownGroup(line_no, str(row.get("group"))) from None
+                    raise UnknownGroup(path, line_no, str(row.get("group"))) from None
                 try:
                     severity = Severity(row["severity"].strip())
                 except (ValueError, AttributeError):
-                    raise MalformedRow(line_no, f"unknown severity {row.get('severity')!r}") from None
-                t = _parse_float(row["t"], line_no, "t")
-                v = _parse_float(row["v"], line_no, "v")
+                    raise MalformedRow(path, line_no, f"unknown severity {row.get('severity')!r}") from None
+                t = _parse_float(row["t"], path, line_no, "t")
+                v = _parse_float(row["v"], path, line_no, "v")
                 if v < 0:
-                    raise MalformedRow(line_no, f"negative speed {v!r}")
+                    raise MalformedRow(path, line_no, f"negative speed {v!r}")
                 weight = None
                 if has_weight and (row.get("weight") or "").strip():
-                    weight = _parse_float(row["weight"], line_no, "weight")
+                    weight = _parse_float(row["weight"], path, line_no, "weight")
                     if weight <= 0:
-                        raise MalformedRow(line_no, f"non-positive weight {weight!r}")
+                        raise MalformedRow(path, line_no, f"non-positive weight {weight!r}")
                 if event_id not in rows:
                     order.append(event_id)
                     rows[event_id] = {

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import PipelineConfig
 from .errors import EmptyCandidates, FitDiverged
@@ -91,28 +92,52 @@ def sample_weights(times) -> np.ndarray:
 # --- weighted segmented least squares --------------------------------------
 
 
-def _design(t: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
-    cols = [np.ones_like(t), t]
-    for b in breakpoints:
-        cols.append(np.maximum(t - b, 0.0))
-    return np.column_stack(cols)
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_rows(a, b) -> np.ndarray:
+    """Minimum-norm least-squares solution of each matrix of the (B, n, p)
+    stack a against the matching row of b, (B, n) or one shared (n,).
+
+    One call of the ``gelsd`` gufunc that ``np.linalg.lstsq`` wraps, with
+    its rcond and its error hook: each row is bit for bit
+    ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``, and a failed SVD raises
+    ``LinAlgError``.
+    """
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    return x[..., 0]
+
+
+def _weighted_designs(t, sqrt_w, bks) -> np.ndarray:
+    """(B, n, 2 + k) stack of designs, columns 1, t and max(t - b_i, 0) each
+    scaled by sqrt_w, one per row of the (B, k) bks.
+
+    t and sqrt_w are one profile's (n,) samples or (B, n), a profile per
+    row, as for every stacked solve below.
+    """
+    X = np.empty((bks.shape[0], t.shape[-1], 2 + bks.shape[1]))
+    X[:, :, 0] = sqrt_w
+    X[:, :, 1] = t * sqrt_w
+    X[:, :, 2:] = np.maximum(t[..., :, None] - bks[:, None, :], 0.0) * sqrt_w[..., :, None]
+    return X
+
+
+def _wls_rows(t, v, sqrt_w, bks):
+    """Weighted least squares at each row of a (B, k) stack of breakpoint
+    vectors; returns (coef, sse_w), (B, 2 + k) and (B,)."""
+    X = _weighted_designs(t, np.ones_like(t), bks)  # unweighted: the residual is v - X coef
+    coef = _lstsq_rows(X * sqrt_w[..., :, None], v * sqrt_w)
+    resid = v - (X @ coef[:, :, None])[:, :, 0]
+    return coef, np.vecdot(sqrt_w * resid, sqrt_w * resid)
 
 
 def _wls(t, v, sqrt_w, breakpoints):
     """Weighted least squares at fixed breakpoints; returns (coef, sse_w)."""
-    X = _design(t, breakpoints)
-    coef, *_ = np.linalg.lstsq(X * sqrt_w[:, None], v * sqrt_w, rcond=None)
-    resid = v - X @ coef
-    return coef, float(np.dot(sqrt_w * resid, sqrt_w * resid))
-
-
-def _weighted_designs(t, sqrt_w, bks) -> np.ndarray:
-    """(B, n, 2 + k) stack of ``_design`` rows scaled by sqrt_w, one per row of bks."""
-    X = np.empty((bks.shape[0], t.size, 2 + bks.shape[1]))
-    X[:, :, 0] = sqrt_w
-    X[:, :, 1] = t * sqrt_w
-    X[:, :, 2:] = np.maximum(t[:, None] - bks[:, None, :], 0.0) * sqrt_w[:, None]
-    return X
+    coef, sse = _wls_rows(t, v, sqrt_w, np.asarray(breakpoints, dtype=float)[None, :])
+    return coef[0], float(sse[0])
 
 
 def _sse_batch(t, v, sqrt_w, bks) -> np.ndarray:
@@ -126,11 +151,12 @@ def _sse_batch(t, v, sqrt_w, bks) -> np.ndarray:
     bks = np.asarray(bks, dtype=float)
     yw = v * sqrt_w
     q, r = np.linalg.qr(_weighted_designs(t, sqrt_w, bks))
-    resid = yw - (q @ (yw @ q)[:, :, None])[:, :, 0]
+    resid = yw - (q @ (yw[..., None, :] @ q).transpose(0, 2, 1))[:, :, 0]
     sse = np.einsum("bn,bn->b", resid, resid)
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     for row in np.flatnonzero((diag <= 1e-10 * diag.max(axis=1, keepdims=True)).any(axis=1)):
-        sse[row] = _wls(t, v, sqrt_w, bks[row])[1]
+        t_row, v_row, w_row = (np.broadcast_to(a, resid.shape)[row] for a in (t, v, sqrt_w))
+        sse[row] = _wls(t_row, v_row, w_row, bks[row])[1]
     return sse
 
 
@@ -141,21 +167,20 @@ def _directions(t, v, sqrt_w, bks) -> np.ndarray:
     each indicator coefficient to its slope-change coefficient estimates
     how far that breakpoint should move.  Rows where a slope change
     vanished (|gamma| < 1e-12) come back as NaN.  Each row is its own
-    lstsq solve: the ratio is ill-conditioned when a slope change is
-    small, and a stacked QR solve there sends restarts down other paths.
+    minimum-norm ``gelsd`` solve, stacked in one gufunc call: the ratio is
+    ill-conditioned when a slope change is small, and a stacked QR solve
+    there sends restarts down other paths.
     """
     k = bks.shape[1]
-    yw = v * sqrt_w
     X = np.concatenate(
-        [_weighted_designs(t, sqrt_w, bks), (t[:, None] > bks[:, None, :]) * sqrt_w[:, None]],
+        [_weighted_designs(t, sqrt_w, bks), (t[..., :, None] > bks[:, None, :]) * sqrt_w[..., :, None]],
         axis=2,
     )
+    coef = _lstsq_rows(X, v * sqrt_w)
+    gamma = coef[:, 2 : 2 + k]
+    moving = ~(np.abs(gamma) < 1e-12).any(axis=1)
     delta = np.full(bks.shape, np.nan)
-    for row, X_row in enumerate(X):
-        coef, *_ = np.linalg.lstsq(X_row, yw, rcond=None)
-        gamma = coef[2 : 2 + k]
-        if not np.any(np.abs(gamma) < 1e-12):
-            delta[row] = coef[2 + k :] / gamma
+    delta[moving] = coef[moving, 2 + k :] / gamma[moving]
     return delta
 
 
@@ -176,42 +201,44 @@ def _breakpoint_bounds(t: np.ndarray):
 def _project_separated(bks, lo, hi, min_sep):
     """Sort each row of a (M, k) stack and push its breakpoints apart to at
     least min_sep inside [lo, hi]; returns the rows and a mask of those
-    that fit."""
+    that fit.  lo, hi and min_sep are scalars or one per row."""
     out = np.sort(np.asarray(bks, dtype=float), axis=1)
     k = out.shape[1]
-    if lo + (k - 1) * min_sep > hi:
-        return out, np.zeros(len(out), dtype=bool)
+    room = ~(lo + (k - 1) * min_sep > hi)
     out[:, 0] = np.maximum(out[:, 0], lo)
     for i in range(1, k):
         out[:, i] = np.maximum(out[:, i], out[:, i - 1] + min_sep)
     out[:, -1] = np.minimum(out[:, -1], hi)
     for i in range(k - 2, -1, -1):
         out[:, i] = np.minimum(out[:, i], out[:, i + 1] - min_sep)
-    return out, out[:, 0] >= lo - 1e-12
+    return out, room & (out[:, 0] >= lo - 1e-12)
 
 
 _STEPS = np.array([1.0, 0.5, 0.25, 0.1])
 
 
-def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
-    """Breakpoint refinement by iterative linearization, restarts in lockstep.
+def _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol) -> dict:
+    """Breakpoint refinement by iterative linearization, every restart of
+    every profile in lockstep.
 
-    Each iteration moves the breakpoints by the ``_directions`` estimate.
-    A shrinking-step line search keeps the updates from oscillating around
-    sharp kinks; breakpoints are projected back onto the minimum-separation
-    set after every step.
+    Row i of the (R, k) ``inits`` is one start for the profile whose
+    samples are row i of the (R, n) t, v and sqrt_w, with the limits lo[i],
+    hi[i] and min_sep[i]; owner[i] names that profile.  Each iteration moves
+    the breakpoints by the ``_directions`` estimate.  A shrinking-step line
+    search keeps the updates from oscillating around sharp kinks;
+    breakpoints are projected back onto the minimum-separation set after
+    every step.
 
-    All rows of ``inits`` advance together: each iteration scores every
-    step of every active restart in one stacked solve.  A restart stops when
-    a slope change vanishes, no step is admissible, the best step does not
-    lower its SSE, the decrease is below ``tol``, or after ``_MAX_ITER``
-    iterations.  Returns (coef, bks, sse) of the restart with the lowest
-    final SSE, or None when no start is admissible.
+    Each iteration scores every step of every active row in one stacked
+    solve.  A row stops when a slope change vanishes, no step is
+    admissible, the best step does not lower its SSE, the decrease is below
+    ``tol``, or after ``_MAX_ITER`` iterations.  Rows never mix, so a
+    profile's result does not depend on the others in the stack.  Returns
+    {owner: (coef, bks, sse)} of each owner's restart with the lowest final
+    SSE; an owner with no admissible start is missing.
     """
     bks, ok = _project_separated(inits, lo, hi, min_sep)
-    bks = bks[ok]
-    if not len(bks):
-        return None
+    t, v, sqrt_w, lo, hi, min_sep, owner, bks = (a[ok] for a in (t, v, sqrt_w, lo, hi, min_sep, owner, bks))
     k = bks.shape[1]
     best_bks = bks.copy()
     best_sse = _sse_batch(t, v, sqrt_w, bks)
@@ -219,15 +246,17 @@ def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
     for _ in range(_MAX_ITER):
         if not len(active):
             break
-        delta = _directions(t, v, sqrt_w, bks[active])
+        delta = _directions(t[active], v[active], sqrt_w[active], bks[active])
         # a vanished slope change stops the restart at its best point so far
         moving = ~np.isnan(delta[:, 0])
         active, delta = active[moving], delta[moving]
         trial = bks[active][:, None, :] - _STEPS[:, None] * delta[:, None, :]
-        cand, ok = _project_separated(trial.reshape(-1, k), lo, hi, min_sep)
+        rows = np.repeat(active, _STEPS.size)
+        cand, ok = _project_separated(trial.reshape(-1, k), lo[rows], hi[rows], min_sep[rows])
         sse = np.full(len(cand), np.inf)
         if ok.any():
-            sse[ok] = _sse_batch(t, v, sqrt_w, cand[ok])
+            at = rows[ok]
+            sse[ok] = _sse_batch(t[at], v[at], sqrt_w[at], cand[ok])
         sse = sse.reshape(len(active), _STEPS.size)
         cand = cand.reshape(len(active), _STEPS.size, k)
         stepped = ok.reshape(sse.shape).any(axis=1)
@@ -241,12 +270,21 @@ def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
         best_sse[active[lower]] = new_sse[lower]
         active = active[lower & (old_sse - new_sse > tol * (old_sse + tol))]
 
-    best = None
-    for row in best_bks:
-        coef, sse = _wls(t, v, sqrt_w, row)
-        if best is None or sse < best[2]:
-            best = (coef, row, sse)
+    best = {}
+    coef, sse = _wls_rows(t, v, sqrt_w, best_bks)
+    for row, i in enumerate(owner.tolist()):
+        if i not in best or sse[row] < best[i][2]:
+            best[i] = (coef[row], best_bks[row], float(sse[row]))
     return best
+
+
+def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
+    """(coef, bks, sse) of the best of one profile's restarts, or None when
+    no start is admissible: ``_refine_rows`` on a stack of one profile."""
+    rows = len(inits)
+    stacked = (np.broadcast_to(a, (rows, t.size)) for a in (t, v, sqrt_w))
+    limits = (np.full(rows, x) for x in (lo, hi, min_sep))
+    return _refine_rows(*stacked, inits, *limits, np.zeros(rows, dtype=int), tol).get(0)
 
 
 def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep):
@@ -352,6 +390,101 @@ def _adjusted(r2: float, n: int, n_b: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
+class _ProfileFit:
+    """One profile's samples and breakpoint limits, its starts, and the best
+    refined restart of each breakpoint count.
+
+    The starts of every count are drawn from the profile's own generator
+    here, in k order.  Refinement, the grid search and the polish never
+    draw, so the stream is the same whichever profiles are fit with it.
+    """
+
+    def __init__(self, profile: SpeedProfile, config: PipelineConfig, rng: np.random.Generator):
+        self.event_id = profile.event_id
+        self.t = np.asarray(profile.times, dtype=float)
+        self.v = np.asarray(profile.speeds, dtype=float)
+        self.w = np.asarray(profile.weights, dtype=float)
+        if self.t.size < 2:
+            raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
+        self.sqrt_w = np.sqrt(self.w)
+        self.starts = {}  # k -> (restarts, k) starts; none for a k with too few samples
+        self.best = {}  # k -> (coef, bks, sse) of the best refined start, if one was admissible
+        if not self.has_room:
+            return
+        self.lo, self.hi = _breakpoint_bounds(self.t)
+        span = self.hi - self.lo
+        self.spacing = float(np.median(np.diff(self.t)))  # s, between samples
+        self.min_sep = 2.5 * self.spacing
+        for k in range(1, config.n_b_max + 1):
+            if self.t.size >= _MIN_SAMPLES_PER_SEGMENT * (k + 1):
+                even = self.lo + span * np.arange(1, k + 1) / (k + 1)
+                draws = rng.uniform(self.lo, self.hi, size=(max(config.max_restarts - 1, 0), k))
+                self.starts[k] = np.vstack([even, draws])
+
+    @property
+    def has_room(self) -> bool:
+        """Whether any breakpoint fits between the end segments."""
+        return self.t.size >= 2 * _MIN_SAMPLES_PER_SEGMENT
+
+    def candidates(self, n_b_max: int) -> list:
+        t, v, w, sqrt_w = self.t, self.v, self.w, self.sqrt_w
+        coef, sse = _wls(t, v, sqrt_w, np.empty(0))
+        candidates = [_build_fit(coef, np.empty(0), v, w, sse, t.size)]
+        if not self.has_room:
+            return candidates
+        for k in range(1, n_b_max + 1):
+            if k not in self.starts:
+                log.warning("event %r: too few samples for %d breakpoints", self.event_id, k)
+                continue
+            best = self.best.get(k)
+            if best is None:
+                best = _grid_search(t, v, sqrt_w, k)
+            if best is None:
+                log.warning("event %r: no converged fit with %d breakpoints", self.event_id, k)
+                continue
+            _, bks, sse = best
+            bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, self.lo, self.hi, self.spacing, self.min_sep)
+            if not _separated(bks, t):
+                log.warning("event %r: %d-breakpoint fit lost separation", self.event_id, k)
+                continue
+            coef, sse = _wls(t, v, sqrt_w, bks)
+            candidates.append(_build_fit(coef, bks, v, w, sse, t.size))
+        return candidates
+
+
+def _refine_all(fits: Sequence[_ProfileFit], k: int, tol: float) -> None:
+    """Refine the k-breakpoint starts of every profile that has them, one
+    ``_refine_rows`` stack per sample count, into each profile's ``best``."""
+    by_size = {}
+    for fit in fits:
+        if k in fit.starts:
+            by_size.setdefault(fit.t.size, []).append(fit)
+    for group in by_size.values():
+        owner = np.repeat(np.arange(len(group)), [len(fit.starts[k]) for fit in group])
+        t, v, sqrt_w, lo, hi, min_sep = (
+            np.array([getattr(fit, name) for fit in group])[owner]
+            for name in ("t", "v", "sqrt_w", "lo", "hi", "min_sep")
+        )
+        inits = np.concatenate([fit.starts[k] for fit in group])
+        for i, result in _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol).items():
+            group[i].best[k] = result
+
+
+def _fit_all_candidates(profiles, config: PipelineConfig, rngs) -> list:
+    """The candidates of every profile, one list each; see ``fit_candidates``.
+
+    Every restart of every profile for one breakpoint count is refined in
+    one lockstep stack per sample count, so a batch costs a few stacked
+    solves per iteration instead of a few per profile; the greedy polish
+    and the grid-search fallback run per profile.
+    """
+    rngs = [None] * len(profiles) if rngs is None else rngs
+    fits = [_ProfileFit(p, config, rng or np.random.default_rng(0)) for p, rng in zip(profiles, rngs)]
+    for k in range(1, config.n_b_max + 1):
+        _refine_all(fits, k, config.convergence_tol)
+    return [fit.candidates(config.n_b_max) for fit in fits]
+
+
 def fit_candidates(
     profile: SpeedProfile,
     config: PipelineConfig = PipelineConfig(),
@@ -363,51 +496,7 @@ def fit_candidates(
     count.  Counts that cannot converge are dropped with a warning; the
     zero-breakpoint candidate always exists.
     """
-    rng = rng or np.random.default_rng(0)
-    t = np.asarray(profile.times, dtype=float)
-    v = np.asarray(profile.speeds, dtype=float)
-    w = np.asarray(profile.weights, dtype=float)
-    if t.size < 2:
-        raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
-    sqrt_w = np.sqrt(w)
-
-    candidates = []
-    coef, sse = _wls(t, v, sqrt_w, np.empty(0))
-    candidates.append(_build_fit(coef, np.empty(0), v, w, sse, t.size))
-    if t.size < 2 * _MIN_SAMPLES_PER_SEGMENT:
-        return candidates  # no room for any breakpoint
-
-    lo, hi = _breakpoint_bounds(t)
-    span = hi - lo
-    spacing = float(np.median(np.diff(t)))  # s, between samples
-    min_sep = 2.5 * spacing
-    for k in range(1, config.n_b_max + 1):
-        if t.size < _MIN_SAMPLES_PER_SEGMENT * (k + 1):
-            log.warning(
-                "event %r: too few samples for %d breakpoints", profile.event_id, k
-            )
-            continue
-        even = lo + span * np.arange(1, k + 1) / (k + 1)
-        draws = rng.uniform(lo, hi, size=(max(config.max_restarts - 1, 0), k))
-        inits = np.vstack([even, draws])
-        best = _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, config.convergence_tol)
-        if best is None:
-            best = _grid_search(t, v, sqrt_w, k)
-        if best is None:
-            log.warning(
-                "event %r: no converged fit with %d breakpoints", profile.event_id, k
-            )
-            continue
-        _, bks, sse = best
-        bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep)
-        if not _separated(bks, t):
-            log.warning(
-                "event %r: %d-breakpoint fit lost separation", profile.event_id, k
-            )
-            continue
-        coef, sse = _wls(t, v, sqrt_w, bks)
-        candidates.append(_build_fit(coef, bks, v, w, sse, t.size))
-    return candidates
+    return _fit_all_candidates([profile], config, [rng])[0]
 
 
 def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
@@ -557,12 +646,28 @@ def extract_params(fit: PwlFit, config: PipelineConfig = PipelineConfig()) -> Tu
     return v_c, float(a1), float(a2), float(tau_s), float(tau_1), float(tau_2)
 
 
+def fit_events(
+    profiles: Sequence[SpeedProfile],
+    config: PipelineConfig = PipelineConfig(),
+    rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
+) -> list:
+    """Full fitting chain for each profile: candidates, selection, repair.
+
+    ``rngs`` holds one generator per profile (each ``default_rng(0)`` when
+    left out).  A profile's fit depends only on the profile and its own
+    generator, never on the others in the list.
+    """
+    fits = []
+    for profile, candidates in zip(profiles, _fit_all_candidates(profiles, config, rngs)):
+        scored = [replace(c, loss=loss(c, profile, config)) for c in candidates]
+        fits.append(enforce_nonnegative(select_best(scored)))
+    return fits
+
+
 def fit_event(
     profile: SpeedProfile,
     config: PipelineConfig = PipelineConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> PwlFit:
-    """Full fitting chain for one profile: candidates, selection, repair."""
-    candidates = fit_candidates(profile, config, rng)
-    scored = [replace(c, loss=loss(c, profile, config)) for c in candidates]
-    return enforce_nonnegative(select_best(scored))
+    """Full fitting chain for one profile: ``fit_events`` on a list of one."""
+    return fit_events([profile], config, [rng])[0]

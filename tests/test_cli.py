@@ -644,7 +644,9 @@ def test_fit_artifacts_do_not_depend_on_the_worker_count(demo_csv, tmp_path, mon
     assert len(timing) == 2
     for workers, line in zip((1, 2), timing):
         match = re.fullmatch(
-            rf"fit timing: {workers} workers, (\d+\.\d\d) s; per-event fit ms p50 (\d+\.\d) p90 (\d+\.\d)", line
+            rf"fit timing: {workers} workers, \d+ batches, (\d+\.\d\d) s; "
+            rf"per-batch fit s p50 (\d+\.\d{{3}}) p90 (\d+\.\d{{3}})",
+            line,
         )
         assert match, line
         seconds, p50, p90 = map(float, match.groups())
@@ -658,14 +660,15 @@ def test_fit_diverged_in_a_worker_exits_3(demo_csv, tmp_path, monkeypatch, capsy
     from leadkin import cli, pwl
     from leadkin.errors import FitDiverged
 
-    fit_event = pwl.fit_event
+    fit_events = pwl.fit_events
 
-    def diverges_once(profile, *args, **kwargs):
-        if profile.event_id == "SHRP2_nc-005":
-            raise FitDiverged(f"event {profile.event_id!r}: no restart converged")
-        return fit_event(profile, *args, **kwargs)
+    def diverges_once(profiles, *args, **kwargs):
+        for profile in profiles:
+            if profile.event_id == "SHRP2_nc-005":
+                raise FitDiverged(f"event {profile.event_id!r}: no restart converged")
+        return fit_events(profiles, *args, **kwargs)
 
-    monkeypatch.setattr(pwl, "fit_event", diverges_once)
+    monkeypatch.setattr(pwl, "fit_events", diverges_once)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     params = tmp_path / "params.csv"
     assert main(["fit", "--input", str(demo_csv), "--output", str(params)]) == 3
@@ -861,3 +864,39 @@ def test_undecodable_input_exits_2_naming_the_file(cli_inputs, tmp_path, capsys,
     bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
     assert main([arg.format(bad=bad, ok=good.parent, d=tmp_path) for arg in argv]) == 2
     assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, count, message",
+    [
+        ("raw", 7, "raw count below the valid count for SHRP2_sc: counts say 7, got 8 valid events"),
+        ("valid", 0, "valid count mismatch for SHRP2_sc: counts say 0, got 8 events"),
+    ],
+)
+def test_counts_that_contradict_the_table_exit_2(demo_params, tmp_path, capsys, section, count, message):
+    doc = json.loads(demo_params.with_suffix(".counts.json").read_text(encoding="utf-8"))
+    assert doc["valid"]["SHRP2_sc"] == 8
+    doc[section]["SHRP2_sc"] = count
+    counts, out = tmp_path / "counts.json", tmp_path / "combined.csv"
+    counts.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["combine", "--params", str(demo_params), "--counts", str(counts), "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rejected_config_document_names_its_file(tables_dir, capsys):
+    config = tables_dir / "config.json"
+    config.write_text(json.dumps({"no_such_knob": 1}), encoding="utf-8")
+    argv = ["--config", str(config), "validate", "--raw", str(tables_dir / "combined.csv"),
+            "--synthetic", str(tables_dir / "synthetic.csv"), "--output", str(tables_dir / "r.json")]
+    assert main(argv) == 2
+    assert f"error: config file {config}: unknown config keys: no_such_knob" in capsys.readouterr().err
+
+
+def test_malformed_event_row_names_its_file(demo_csv, tmp_path, capsys):
+    header, first, *rest = demo_csv.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), first.split(",")), t="x")
+    events = tmp_path / "events.csv"
+    events.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n", encoding="utf-8")
+    assert main(["fit", "--input", str(events), "--output", str(tmp_path / "params.csv")]) == 2
+    assert f"error: {events}: line 2: non-numeric t value 'x'" in capsys.readouterr().err

@@ -420,3 +420,142 @@ class TestBatchedFitMatchesScalar:
         mids = (t[:-1] + t[1:]) / 2.0
         assert new[-1].n_b == 3
         assert new[-1].breakpoints == pytest.approx(mids[[1, 3, 5]], abs=1e-12)
+
+
+def _direction_designs(t, v, sqrt_w, bks):
+    """The weighted designs, with jump indicator columns, and the targets
+    that ``_directions`` solves, one per row of bks."""
+    X = np.concatenate(
+        [pwl._weighted_designs(t, sqrt_w, bks), (t[:, None] > bks[:, None, :]) * sqrt_w[:, None]], axis=2
+    )
+    return X, np.broadcast_to(v * sqrt_w, X.shape[:2])
+
+
+class TestStackedLstsq:
+    """``_lstsq_rows`` calls the private gufunc behind ``np.linalg.lstsq``;
+    every row must be bit for bit the public call's answer, so a numpy that
+    changes the gufunc fails here first."""
+
+    @staticmethod
+    def assert_rows_are_lstsq(a, b):
+        x = pwl._lstsq_rows(a, b)
+        assert x.shape == a.shape[:1] + a.shape[2:]
+        for a_row, b_row, x_row in zip(a, np.broadcast_to(b, a.shape[:2]), x):
+            assert x_row.tobytes() == np.linalg.lstsq(a_row, b_row, rcond=None)[0].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_random_designs(self, k):
+        rng = np.random.default_rng(k)
+        self.assert_rows_are_lstsq(rng.normal(size=(12, 51, 2 + 2 * k)), rng.normal(size=(12, 51)))
+        v = recovery_corpus(1, seed=k)[0][1].speeds
+        self.assert_rows_are_lstsq(*_direction_designs(GRID, v, SQRT_W, rng.uniform(LO, HI, size=(12, k))))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_duplicated_column(self, k):
+        rng = np.random.default_rng(10 + k)
+        v = recovery_corpus(1, seed=k)[0][1].speeds
+        a, b = _direction_designs(GRID, v, SQRT_W, rng.uniform(LO, HI, size=(12, k)))
+        a[:, :, -1] = a[:, :, 2]  # rank deficient
+        assert np.linalg.matrix_rank(a[0]) < a.shape[2]
+        self.assert_rows_are_lstsq(a, b)
+        a = rng.normal(size=(12, 51, 2 + 2 * k))
+        a[:, :, -1] = a[:, :, 0]
+        self.assert_rows_are_lstsq(a, rng.normal(size=(12, 51)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_zero_weight_rows(self, k):
+        rng = np.random.default_rng(20 + k)
+        sqrt_w = SQRT_W.copy()
+        sqrt_w[::4] = 0.0
+        v = recovery_corpus(1, seed=k)[0][1].speeds
+        self.assert_rows_are_lstsq(*_direction_designs(GRID, v, sqrt_w, rng.uniform(LO, HI, size=(12, k))))
+
+    def test_shared_right_hand_side(self):
+        rng = np.random.default_rng(30)
+        self.assert_rows_are_lstsq(rng.normal(size=(6, 51, 4)), rng.normal(size=51))
+
+    def test_nan_raises_like_lstsq(self):
+        rng = np.random.default_rng(40)
+        a, b = rng.normal(size=(5, 51, 4)), rng.normal(size=(5, 51))
+        a[3, 7, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(a[3], b[3], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError):
+            pwl._lstsq_rows(a, b)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    def test_wls_rows_are_one_lstsq_each(self, k):
+        """The row-wise residual and SSE are the one-row forms, bit for bit."""
+        rng = np.random.default_rng(50 + k)
+        for _, p in recovery_corpus(3, seed=k):
+            bks = np.sort(rng.uniform(LO, HI, size=(8, k)), axis=1)
+            coef, sse = pwl._wls_rows(GRID, p.speeds, SQRT_W, bks)
+            for row, b in enumerate(bks):
+                X = np.column_stack([np.ones_like(GRID), GRID, *(np.maximum(GRID - x, 0.0) for x in b)])
+                c = np.linalg.lstsq(X * SQRT_W[:, None], p.speeds * SQRT_W, rcond=None)[0]
+                resid = p.speeds - X @ c
+                assert coef[row].tobytes() == c.tobytes()
+                assert sse[row] == np.dot(SQRT_W * resid, SQRT_W * resid)
+
+
+class TestBatchIndependence:
+    """A profile's fit does not depend on the other profiles fit with it."""
+
+    @staticmethod
+    def mixed_batch():
+        crash = GRID[:48]  # a crash record, cut at -0.3 s
+        short = np.round(np.linspace(-0.6, 0.0, 7), 10)  # room for 1 and 2 breakpoints, not 3
+        tight = np.round(np.linspace(-0.7, 0.0, 8), 10)  # k = 3 only from the grid search
+        profiles = [
+            SpeedProfile(f"rec-{i}", None, None, p.times, p.speeds, p.weights)
+            for i, (_, p) in enumerate(recovery_corpus(4, seed=31))
+        ]
+        v = np.where(crash <= -2.0, 9.0 + 3.0 * (crash + 2.0), 9.0) + np.random.default_rng(1).normal(0, 0.05, 48)
+        profiles.append(SpeedProfile("crash", None, None, crash, v, sample_weights(crash)))
+        profiles.append(SpeedProfile("short", None, None, short, 6.0 - 2.0 * short, sample_weights(short)))
+        tight_v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
+        profiles.append(SpeedProfile("tight", None, None, tight, tight_v, sample_weights(tight)))
+        profiles.append(SpeedProfile("steady", None, None, GRID, np.full(GRID.size, 8.0), sample_weights(GRID)))
+        return profiles
+
+    @staticmethod
+    def rngs(profiles):
+        from leadkin.cli import event_rng
+
+        return [event_rng(3, p.event_id) for p in profiles]
+
+    def test_batch_mixes_the_cases(self, monkeypatch, caplog):
+        profiles = {p.event_id: p for p in self.mixed_batch()}
+        assert {p.times.size for p in profiles.values()} == {7, 8, 48, 51}
+        searched, stopped = [], []
+        grid_search, directions = pwl._grid_search, pwl._directions
+
+        def spy_grid_search(t, v, sqrt_w, k):
+            searched.append((t.size, k))
+            return grid_search(t, v, sqrt_w, k)
+
+        def spy_directions(t, v, sqrt_w, bks):
+            delta = directions(t, v, sqrt_w, bks)
+            stopped.append(np.isnan(delta[:, 0]).any())
+            return delta
+
+        monkeypatch.setattr(pwl, "_grid_search", spy_grid_search)
+        monkeypatch.setattr(pwl, "_directions", spy_directions)
+        fit_event(profiles["tight"], PipelineConfig(), self.rngs([profiles["tight"]])[0])
+        assert (8, 3) in searched
+        stopped.clear()
+        fit_event(profiles["steady"], PipelineConfig(), self.rngs([profiles["steady"]])[0])
+        assert stopped and all(stopped)
+        with caplog.at_level("WARNING", logger="leadkin.pwl"):
+            assert [c.n_b for c in fit_candidates(profiles["short"], PipelineConfig())] == [0, 1, 2]
+        assert "event 'short': too few samples for 3 breakpoints" in caplog.text
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_any_order_gives_the_fits_of_each_profile_alone(self, order):
+        profiles = self.mixed_batch()
+        alone = {p.event_id: fit_event(p, PipelineConfig(), rng) for p, rng in zip(profiles, self.rngs(profiles))}
+        shuffled = [profiles[i] for i in np.random.default_rng(order).permutation(len(profiles))]
+        batch = pwl.fit_events(shuffled, PipelineConfig(), self.rngs(shuffled))
+        assert batch == [alone[p.event_id] for p in shuffled]
+        cands = pwl._fit_all_candidates(shuffled, PipelineConfig(), self.rngs(shuffled))
+        assert cands == [fit_candidates(p, PipelineConfig(), rng) for p, rng in zip(shuffled, self.rngs(shuffled))]
