@@ -10,7 +10,9 @@ raises ``InputError`` naming its file and line.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import operator
 from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -233,8 +235,28 @@ def read_synthetic_csv(path: PathLike) -> SyntheticDataset:
 
 
 def write_profiles_csv(path: PathLike, profiles: Iterable[SpeedProfile]) -> None:
-    _write_csv(path, ["event_id", "t", "v"], (
-        (profile.event_id, t, v)
-        for profile in profiles
-        for t, v in zip(profile.times.tolist(), profile.speeds.tolist())
-    ))
+    """One (event_id, t, v) row per sample, consuming ``profiles`` in one pass.
+
+    The bytes are ``csv.writer``'s, without its per-row cost: every number
+    is written as its repr, as csv writes a float; each distinct time grid
+    is formatted once, keyed by its dtype and bytes; each event id is quoted
+    once, by a csv.writer; and the lines of one profile are joined and
+    written together.
+    """
+    cell = io.StringIO()
+    quote = csv.writer(cell)
+    stamps: Dict[bytes, List[str]] = {}  # grid -> its "t," cells
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("event_id,t,v\r\n")
+        for profile in profiles:
+            times = profile.times
+            key = times.dtype.str.encode() + times.tobytes()
+            if key not in stamps:
+                stamps[key] = [repr(t) + "," for t in times.tolist()]
+            cell.seek(0)
+            cell.truncate()
+            quote.writerow((profile.event_id, "", ""))
+            prefix = cell.getvalue()[:-3]  # the id cell and its comma
+            lines = list(map(operator.add, stamps[key], map(repr, profile.speeds.tolist())))
+            if lines:
+                fh.write(prefix + ("\r\n" + prefix).join(lines) + "\r\n")

@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from leadkin.combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from leadkin.config import MAX_COUNT
 from leadkin.errors import InputError
-from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
+from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup, SpeedProfile
 from leadkin.synth import SyntheticDataset
 from leadkin.tables import (
     read_combined_csv,
@@ -19,6 +21,7 @@ from leadkin.tables import (
     read_synthetic_csv,
     write_combined_csv,
     write_params_csv,
+    write_profiles_csv,
     write_synthetic_csv,
 )
 
@@ -295,3 +298,70 @@ def test_random_counts_document_is_counts_or_an_input_error(tmp_path_factory, do
     assert isinstance(counts, GroupCounts)
     assert {g.value: n for g, n in counts.raw.items()} == doc["raw"]
     assert {g.value: n for g, n in counts.valid.items()} == doc["valid"]
+
+
+def _profile(event_id, times, speeds):
+    times = np.asarray(times, dtype=float)
+    return SpeedProfile(event_id, None, None, times, np.asarray(speeds, dtype=float), np.ones_like(times))
+
+
+def _csv_writer_bytes(profiles) -> bytes:
+    """What ``csv.writer`` writes for the rows of ``profiles``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["event_id", "t", "v"])
+    for p in profiles:
+        writer.writerows((p.event_id, t, v) for t, v in zip(p.times.tolist(), p.speeds.tolist()))
+    return buf.getvalue().encode("utf-8")
+
+
+class TestProfilesCsv:
+    GRID = np.arange(-5.0, 0.05, 0.1)
+
+    def check(self, tmp_path, profiles, make_input=list):
+        path = tmp_path / "profiles.csv"
+        write_profiles_csv(path, make_input(profiles))
+        assert path.read_bytes() == _csv_writer_bytes(profiles)
+
+    @pytest.mark.parametrize("event_id", [
+        "plain", "a,b", 'say "hi"', '"', "cr\rlf\n", "line\nbreak", " lead", "trail ", "véhicule-ß-東",
+        "", " ", ",", '",\r\n',
+    ])
+    def test_event_ids_quoted_as_csv_writer(self, tmp_path, event_id):
+        profiles = [_profile(event_id, self.GRID, np.linspace(1.0, 2.0, self.GRID.size)),
+                    _profile("next", self.GRID, np.zeros(self.GRID.size))]
+        self.check(tmp_path, profiles)
+        rows = list(csv.reader(io.StringIO((tmp_path / "profiles.csv").read_bytes().decode("utf-8"), newline="")))
+        assert [r[0] for r in rows[1:]] == [event_id] * self.GRID.size + ["next"] * self.GRID.size
+
+    def test_empty_id_is_an_empty_cell(self, tmp_path):
+        write_profiles_csv(tmp_path / "p.csv", [_profile("", [0.0], [1.5])])
+        assert (tmp_path / "p.csv").read_bytes() == b"event_id,t,v\r\n,0.0,1.5\r\n"
+
+    def test_two_time_grids_in_one_call(self, tmp_path):
+        coarse = np.arange(-5.0, 0.05, 0.25)
+        profiles = [_profile("a", self.GRID, np.sin(self.GRID)), _profile("b", coarse, np.cos(coarse)),
+                    _profile("c", self.GRID.copy(), np.cos(self.GRID)), _profile("d", coarse[3:], coarse[3:] ** 2)]
+        self.check(tmp_path, profiles)
+
+    def test_same_bytes_on_another_grid_object(self, tmp_path):
+        # grids are keyed by value: equal values written twice, a changed one anew
+        grid = self.GRID.copy()
+        first = _profile("a", grid, np.ones(grid.size))
+        shifted = _profile("b", grid + 0.5, np.ones(grid.size))
+        self.check(tmp_path, [first, shifted, _profile("c", grid.copy(), np.ones(grid.size))])
+
+    def test_one_pass_generator(self, tmp_path):
+        profiles = [_profile(f"e{i}", self.GRID, np.full(self.GRID.size, float(i))) for i in range(5)]
+        self.check(tmp_path, profiles, make_input=lambda ps: (p for p in ps))
+
+    def test_empty_iterable_writes_the_header(self, tmp_path):
+        self.check(tmp_path, [])
+        assert (tmp_path / "profiles.csv").read_bytes() == b"event_id,t,v\r\n"
+
+    def test_special_speeds(self, tmp_path):
+        speeds = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+        self.check(tmp_path, [_profile("s", np.arange(len(speeds)) * 0.1, speeds)])
+
+    def test_a_profile_without_samples_writes_no_row(self, tmp_path):
+        self.check(tmp_path, [_profile("none", [], []), _profile("one", [0.0], [2.0])])
