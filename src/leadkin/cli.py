@@ -239,14 +239,22 @@ def stage_generate(
         bundles = bundles_from_json(doc)
     except InputError as exc:
         raise InputError(f"model artifact {model_path}: {exc}") from None
+    began = time.perf_counter()
     dataset, rejections = assemble_synthetic(bundles, config.n_synth, seed=config.seed)
+    sample_s = time.perf_counter() - began
     accepted = Counter(dataset.bundle_ids)
     for bundle_id, rejected in rejections.items():
         log.info("generate: bundle %s: %d accepted, rejected %s", bundle_id, accepted[bundle_id], rejected)
+    began = time.perf_counter()
     tables.write_synthetic_csv(synthetic_out, dataset)
+    profile_rows = 0
     if profiles_out is not None:
-        tables.write_profiles_csv(profiles_out, params_to_profile(dataset.events, config))
+        profiles = params_to_profile(dataset.events, config)
+        profile_rows = sum(len(p.times) for p in profiles)
+        tables.write_profiles_csv(profiles_out, profiles)
     log.info("generate: %d events", len(dataset.events))
+    log.info("generate timing: sample %.3f s, write %.3f s; %d synthetic rows, %d profile rows",
+             sample_s, time.perf_counter() - began, len(dataset.events), profile_rows)
 
 
 def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report_out) -> None:

@@ -35,8 +35,8 @@ class MalformedRow(InputError):
 
 
 class DuplicateTimestamp(InputError):
-    def __init__(self, event_id: str, t: float):
-        super().__init__(f"event {event_id!r}: duplicate timestamp t={t}")
+    def __init__(self, source, event_id: str, t: float):
+        super().__init__(f"{source}: event {event_id!r}: duplicate timestamp t={t}")
         self.event_id = event_id
         self.t = t
 
@@ -48,10 +48,8 @@ class UnknownGroup(MalformedRow):
 
 
 class InvalidSampleRate(InputError):
-    def __init__(self, event_id: str, rate: float):
-        super().__init__(
-            f"event {event_id!r}: sample rate {rate:.3g} Hz below the 5 Hz minimum"
-        )
+    def __init__(self, source, event_id: str, rate: float):
+        super().__init__(f"{source}: event {event_id!r}: sample rate {rate:.3g} Hz below the 5 Hz minimum")
         self.event_id = event_id
         self.rate = rate
 

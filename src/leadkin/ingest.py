@@ -112,10 +112,10 @@ def load_events(path: Union[str, Path]) -> list:
         t, v = t[idx], v[idx]
         dups = np.flatnonzero(np.diff(t) == 0.0)
         if dups.size:
-            raise DuplicateTimestamp(event_id, float(t[dups[0]]))
+            raise DuplicateTimestamp(path, event_id, float(t[dups[0]]))
         rate = _sample_rate(t)
         if t.size >= 2 and rate < MIN_SAMPLE_RATE - 1e-9:
-            raise InvalidSampleRate(event_id, rate)
+            raise InvalidSampleRate(path, event_id, rate)
         events.append(
             RawEvent(
                 event_id=event_id,

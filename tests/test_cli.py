@@ -242,6 +242,28 @@ def test_generate_logs_rejection_tallies(tmp_path, caplog):
     assert all("'physical': " in line and "'categorization': " in line for line in lines)
 
 
+@pytest.mark.parametrize("profiles", [False, True], ids=["table only", "with profiles"])
+def test_generate_logs_its_timing(tmp_path, caplog, profiles):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc()))
+    argv = ["generate", "--model", str(model), "--n", "50", "--output", str(tmp_path / "s.csv")]
+    if profiles:
+        argv += ["--profiles-out", str(tmp_path / "p.csv"), "--dt", "0.5"]
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        assert main(argv) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[-2] == "generate: 50 events"
+    match = re.fullmatch(
+        r"generate timing: sample (\d+\.\d{3}) s, write (\d+\.\d{3}) s; 50 synthetic rows, (\d+) profile rows",
+        messages[-1],
+    )
+    assert match, messages[-1]
+    rows = int(match[3])
+    assert rows == (50 * 11 if profiles else 0)
+    if profiles:
+        assert len((tmp_path / "p.csv").read_bytes().splitlines()) == 1 + rows
+
+
 def test_well_formed_model_generates(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(_model_doc()))
@@ -900,3 +922,15 @@ def test_malformed_event_row_names_its_file(demo_csv, tmp_path, capsys):
     events.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n", encoding="utf-8")
     assert main(["fit", "--input", str(events), "--output", str(tmp_path / "params.csv")]) == 2
     assert f"error: {events}: line 2: non-numeric t value 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([-1.0, -1.0, -0.5], "event 'a': duplicate timestamp t=-1.0"),
+    ([-5.0, -4.0, -3.0], "event 'a': sample rate 1 Hz below the 5 Hz minimum"),
+], ids=["duplicate timestamp", "sample rate"])
+def test_event_level_ingest_error_names_its_file(tmp_path, capsys, samples, message):
+    events = tmp_path / "events.csv"
+    events.write_text("event_id,group,severity,t,v\n" + "".join(f"a,SHRP2_nc,None,{t},10.0\n" for t in samples),
+                      encoding="utf-8")
+    assert main(["fit", "--input", str(events), "--output", str(tmp_path / "params.csv")]) == 2
+    assert f"error: {events}: {message}" in capsys.readouterr().err
