@@ -166,10 +166,10 @@ def _invert(target: np.ndarray, sign: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
     ``terms(x, sign)`` gives the cdf or sf at x, the sum of the magnitudes of
     the terms it is computed from (its rounding level) and the pdf.  Solving
-    log cdf = log target below the median and log sf = log target above it
-    keeps the upper tail's precision.  Both are log-concave for the families
-    here, so Newton started at the lower end (cdf) or the upper end (sf)
-    approaches the root from one side.  A step that leaves the bracket or
+    log cdf = log target for the lower quantiles and log sf = log target for
+    the upper ones keeps the upper tail's precision.  Both are log-concave
+    for the families here, so Newton started at the lower end (cdf) or the
+    upper end (sf) approaches the root from one side.  A step that leaves the bracket or
     does not halve the step before last bisects instead, which guarantees
     progress once rounding dominates.  The iteration stops when a step is
     within 4 eps of max(1, |x|) plus the rounding level of the evaluated
@@ -239,10 +239,11 @@ def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
                    lambda x, sign: _expnormal_terms(x, k, sign))
 
 
-# Below the median of a skew normal of shape a > 0, Phi(x) - 2 T(x, a) cancels
-# once a |x| grows: at a = 100 and a x = -3 the cdf is 1e-7 of Phi(x).  There
-# t^2 = a^2 + 2 v / x^2 turns the cdf (1/pi) int_a^inf exp(-x^2 (1 + t^2) / 2)
-# / (1 + t^2) dt, whose integrand is positive, into
+# Below zero, the cdf Phi(x) - 2 T(x, a) of a skew normal of shape a > 0
+# cancels more as a |x| grows: at a = 100 and a x = -3 it is 6e-6 of Phi(x).
+# There t^2 = a^2 + 2 v / x^2 turns the same cdf written as
+# (1/pi) int_a^inf exp(-x^2 (1 + t^2) / 2) / (1 + t^2) dt, whose integrand
+# is positive, into
 #
 #     exp(-x^2 / 2 - D) / (2 pi a D) int_0^inf exp(-v) dv
 #         / (sqrt(1 + v / D) (1 + 1 / a^2 + v / D)),     D = (a x)^2 / 2,
