@@ -9,6 +9,7 @@ comparable across families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -252,7 +253,13 @@ def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
 # relative from D = 4.5 up.  Below that the difference loses at most 2e-12
 # relative for a <= 100, the shape's fit bound.
 _THIN_AX = 3.0
-_LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(24)
+
+
+@functools.cache
+def _laguerre_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """The 24-point Gauss-Laguerre nodes and weights, made on first use: an
+    eigenvalue solve at import would load LAPACK pages every run keeps."""
+    return np.polynomial.laguerre.laggauss(24)
 
 
 def _skewnormal_terms(x, a, sign):
@@ -265,8 +272,9 @@ def _skewnormal_terms(x, a, sign):
     if thin.any():
         xt = x[thin]
         d = 0.5 * np.square(a * xt)
-        ratio = _LAGUERRE_V / d[:, None]
-        integral = (_LAGUERRE_W / (np.sqrt(1.0 + ratio) * (1.0 + 1.0 / a**2 + ratio))).sum(axis=1)
+        nodes, weights = _laguerre_rule()
+        ratio = nodes / d[:, None]
+        integral = (weights / (np.sqrt(1.0 + ratio) * (1.0 + 1.0 / a**2 + ratio))).sum(axis=1)
         prob[thin] = magnitude[thin] = np.exp(-0.5 * np.square(xt) - d) / (2.0 * np.pi * a * d) * integral
     pdf = np.sqrt(2.0 / np.pi) * np.exp(-0.5 * np.square(x)) * special.ndtr(a * x)
     return prob, magnitude, pdf
