@@ -242,7 +242,7 @@ def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
 
 # Below zero, the cdf Phi(x) - 2 T(x, a) of a skew normal of shape a > 0
 # cancels more as a |x| grows: at a = 100 and a x = -3 it is 6e-6 of Phi(x).
-# There t^2 = a^2 + 2 v / x^2 turns the same cdf written as
+# From a |x| >= 3 on, t^2 = a^2 + 2 v / x^2 turns the same cdf written as
 # (1/pi) int_a^inf exp(-x^2 (1 + t^2) / 2) / (1 + t^2) dt, whose integrand
 # is positive, into
 #
