@@ -35,7 +35,6 @@ from .mvdist import (
     SubdatasetLabel,
     SubmodelBundle,
     build_all,
-    build_submodels,
     categorize,
     classify,
 )

@@ -98,9 +98,6 @@ def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, List[pwl.PwlF
 
 
 def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -> None:
-    input_path = Path(input_path)
-    if not input_path.exists():
-        raise InputError(f"input file not found: {input_path}")
     events = ingest.load_events(input_path)
     raw_counts: Dict[SourceGroup, int] = {}
     skipped: Counter = Counter()
@@ -159,12 +156,9 @@ def stage_combine(
 ) -> None:
     if threshold_quantile is not None and not 0.0 <= threshold_quantile <= 1.0:  # also rejects NaN
         raise InputError(f"similarity threshold quantile must be in [0, 1], got {threshold_quantile}")
-    params_path = Path(params_path)
-    if not params_path.exists():
-        raise InputError(f"parameter table not found: {params_path}")
     events = tables.read_params_csv(params_path)
     if counts_path is None:
-        sidecar = params_path.with_suffix(".counts.json")
+        sidecar = Path(params_path).with_suffix(".counts.json")
         counts_path = sidecar if sidecar.exists() else None
     if counts_path is not None:
         counts = tables.read_counts_json(counts_path)
@@ -193,9 +187,6 @@ def stage_combine(
 
 
 def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
-    combined_path = Path(combined_path)
-    if not combined_path.exists():
-        raise InputError(f"combined dataset not found: {combined_path}")
     dataset = tables.read_combined_csv(combined_path)
     with fit_tally() as tally:
         bundles = build_all(dataset, config)
@@ -258,9 +249,6 @@ def stage_generate(
 
 
 def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report_out) -> None:
-    for p in (combined_path, synthetic_path):
-        if not Path(p).exists():
-            raise InputError(f"artifact missing: {p}")
     raw = tables.read_combined_csv(combined_path)
     synthetic = tables.read_synthetic_csv(synthetic_path)
     report = compare_datasets(raw, synthetic, config, seed=config.seed)

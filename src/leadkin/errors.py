@@ -27,7 +27,7 @@ class Undecodable(InputError):
 # --- ingest ---------------------------------------------------------------
 
 class MalformedRow(InputError):
-    """A bad row of an input file; ``source`` names the file."""
+    """A bad row of a CSV input; ``source`` names the file."""
 
     def __init__(self, source, line_no: int, message: str):
         super().__init__(f"{source}: line {line_no}: {message}")
@@ -39,12 +39,6 @@ class DuplicateTimestamp(InputError):
         super().__init__(f"{source}: event {event_id!r}: duplicate timestamp t={t}")
         self.event_id = event_id
         self.t = t
-
-
-class UnknownGroup(MalformedRow):
-    def __init__(self, source, line_no: int, label: str):
-        super().__init__(source, line_no, f"unknown group label {label!r}")
-        self.label = label
 
 
 class InvalidSampleRate(InputError):

@@ -2,28 +2,21 @@
 
 Input CSV schema (header required, UTF-8, '.' decimal point):
     event_id, group, severity, t, v[, weight]
-with one row per sample.  ``group`` is one of CISS_sc, SHRP2_sc, SHRP2_nsc,
-SHRP2_nc; ``weight`` is the native survey weight and only meaningful for
-CISS events.
+with one row per sample, read by ``tables.read_columns``.  ``group`` is one
+of CISS_sc, SHRP2_sc, SHRP2_nsc, SHRP2_nc; ``weight`` is the native survey
+weight and only meaningful for CISS events.  Every row of an event gives
+the same group and severity, and the same weight where it gives one.
 """
 
 from __future__ import annotations
 
-import csv
-import math
+from functools import partial
 from pathlib import Path
-from typing import Union
+from typing import Dict, List, Union
 
 import numpy as np
 
-from .errors import (
-    DuplicateTimestamp,
-    EmptyWindow,
-    InvalidSampleRate,
-    MalformedRow,
-    Undecodable,
-    UnknownGroup,
-)
+from .errors import DuplicateTimestamp, EmptyWindow, InputError, InvalidSampleRate
 from .events import (
     CRASH_T_CUTOFF,
     GRAVITY,
@@ -35,6 +28,7 @@ from .events import (
     SpeedProfile,
 )
 from .pwl import PwlFit, sample_weights
+from .tables import _member, _number, _weight, read_columns
 
 REQUIRED_COLUMNS = ("event_id", "group", "severity", "t", "v")
 MIN_SAMPLE_RATE = 5.0  # Hz
@@ -42,74 +36,57 @@ MIN_VALID_DURATION = 3.0  # s
 _T_TOL = 1e-9
 
 
-def _parse_float(raw: str, path: Path, line_no: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise MalformedRow(path, line_no, f"non-numeric {column} value {raw!r}") from None
-    if not math.isfinite(value):
-        raise MalformedRow(path, line_no, f"non-finite {column} value {raw!r}")
+def _filled(kind, text: str, name: str):
+    """The ``kind`` spelled ``text``; an empty cell is malformed."""
+    if not text:
+        raise InputError(f"empty {name}")
+    return _member(kind, text, name)
+
+
+def _speed(text: str) -> float:
+    value = _number(text, "v")
+    if value < 0:
+        raise InputError(f"negative speed {text!r}")
     return value
 
 
-def load_events(path: Union[str, Path]) -> list:
-    """Read raw events from CSV, grouped by event_id with sorted samples."""
-    path = Path(path)
-    order = []
-    rows = {}
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in REQUIRED_COLUMNS if c not in header]
-            if missing:
-                raise MalformedRow(path, 1, f"missing required columns: {', '.join(missing)}")
-            has_weight = "weight" in header
-            for line_no, row in enumerate(reader, start=2):
-                event_id = (row["event_id"] or "").strip()
-                if not event_id:
-                    raise MalformedRow(path, line_no, "empty event_id")
-                try:
-                    group = SourceGroup(row["group"].strip())
-                except (ValueError, AttributeError):
-                    raise UnknownGroup(path, line_no, str(row.get("group"))) from None
-                try:
-                    severity = Severity(row["severity"].strip())
-                except (ValueError, AttributeError):
-                    raise MalformedRow(path, line_no, f"unknown severity {row.get('severity')!r}") from None
-                t = _parse_float(row["t"], path, line_no, "t")
-                v = _parse_float(row["v"], path, line_no, "v")
-                if v < 0:
-                    raise MalformedRow(path, line_no, f"negative speed {v!r}")
-                weight = None
-                if has_weight and (row.get("weight") or "").strip():
-                    weight = _parse_float(row["weight"], path, line_no, "weight")
-                    if weight <= 0:
-                        raise MalformedRow(path, line_no, f"non-positive weight {weight!r}")
-                if event_id not in rows:
-                    order.append(event_id)
-                    rows[event_id] = {
-                        "group": group,
-                        "severity": severity,
-                        "t": [],
-                        "v": [],
-                        "weight": weight,
-                    }
-                bucket = rows[event_id]
-                bucket["t"].append(t)
-                bucket["v"].append(v)
-                if bucket["weight"] is None and weight is not None:
-                    bucket["weight"] = weight
-    except UnicodeDecodeError as exc:
-        raise Undecodable(path, exc) from None
+# column -> cell parser, in the order the cells of one row are checked
+_PARSERS = {
+    "event_id": partial(_filled, str, name="event_id"),
+    "group": partial(_filled, SourceGroup, name="group"),
+    "severity": partial(_filled, Severity, name="severity"),
+    "t": partial(_number, name="t"),
+    "v": _speed,
+    "weight": _weight,
+}
 
+
+def _agreed(path, event_ids: List[str], column: list, name: str) -> dict:
+    """event id -> the one value its rows give in ``column``, empty cells
+    aside; rows of one event that disagree raise ``InputError``."""
+    agreed = {}
+    for event_id, value in dict.fromkeys(zip(event_ids, column)):
+        if value is not None and agreed.setdefault(event_id, value) != value:
+            raise InputError(f"{path}: event {event_id!r}: rows disagree on {name}")
+    return agreed
+
+
+def load_events(path: Union[str, Path]) -> list:
+    """Read raw events from CSV, in order of first appearance, each with
+    its samples stable-sorted by time."""
+    columns = read_columns(path, _PARSERS, REQUIRED_COLUMNS)  # each column popped when used, to free it
+    event_ids = columns.pop("event_id")
+    group, severity, weight = (_agreed(path, event_ids, columns.pop(name), name)
+                               for name in ("group", "severity", "weight"))
+    position: Dict[str, int] = {}  # event id -> its place in order of first appearance
+    codes = np.array([position.setdefault(event_id, len(position)) for event_id in event_ids], dtype=int)
+    times = np.array(columns.pop("t"), dtype=float)
+    order = np.lexsort((times, codes))  # by event, then by time; ties keep file order
+    times, speeds = times[order], np.array(columns.pop("v"), dtype=float)[order]
+    ends = np.cumsum(np.bincount(codes, minlength=len(position))).tolist()
     events = []
-    for event_id in order:
-        bucket = rows[event_id]
-        t = np.asarray(bucket["t"], dtype=float)
-        v = np.asarray(bucket["v"], dtype=float)
-        idx = np.argsort(t, kind="stable")
-        t, v = t[idx], v[idx]
+    for event_id, start, end in zip(position, [0, *ends], ends):
+        t, v = times[start:end], speeds[start:end]
         dups = np.flatnonzero(np.diff(t) == 0.0)
         if dups.size:
             raise DuplicateTimestamp(path, event_id, float(t[dups[0]]))
@@ -119,12 +96,12 @@ def load_events(path: Union[str, Path]) -> list:
         events.append(
             RawEvent(
                 event_id=event_id,
-                source_group=bucket["group"],
-                severity=bucket["severity"],
+                source_group=group[event_id],
+                severity=severity[event_id],
                 times=t,
                 speeds=v,
                 sample_rate=rate,
-                native_weight=bucket["weight"],
+                native_weight=weight.get(event_id),
             )
         )
     return events

@@ -411,24 +411,6 @@ def _corr_pairs(columns: Dict[str, np.ndarray], w: np.ndarray, config: PipelineC
     }
 
 
-def build_submodels(
-    sub: WeightedDataset,
-    label: SubdatasetLabel,
-    config: PipelineConfig = PipelineConfig(),
-    total_weight: Optional[float] = None,
-) -> List[SubmodelBundle]:
-    """Build the generative model(s) for one sub-dataset.
-
-    Returns more than one bundle only when two point-mass parameters are
-    significantly and non-weakly correlated, in which case the data is split
-    on the heavier mass and each side modeled from scratch.
-    """
-    if not len(sub.events):
-        raise ModelBuildFailed(f"sub-dataset {label.id} is empty")
-    total = sub.total_weight if total_weight is None else float(total_weight)
-    return _build({label: sub}, config, total)
-
-
 def build_all(dataset: WeightedDataset, config: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
     """Categorize a dataset and build bundles for every non-empty label."""
     return _build(categorize(dataset), config, dataset.total_weight)

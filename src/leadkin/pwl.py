@@ -278,15 +278,6 @@ def _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol) -> dict:
     return best
 
 
-def _refine_restarts(t, v, sqrt_w, inits, lo, hi, min_sep, tol):
-    """(coef, bks, sse) of the best of one profile's restarts, or None when
-    no start is admissible: ``_refine_rows`` on a stack of one profile."""
-    rows = len(inits)
-    stacked = (np.broadcast_to(a, (rows, t.size)) for a in (t, v, sqrt_w))
-    limits = (np.full(rows, x) for x in (lo, hi, min_sep))
-    return _refine_rows(*stacked, inits, *limits, np.zeros(rows, dtype=int), tol).get(0)
-
-
 def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep):
     """Coordinate-wise fine-grid refinement around each breakpoint.
 
@@ -470,33 +461,27 @@ def _refine_all(fits: Sequence[_ProfileFit], k: int, tol: float) -> None:
             group[i].best[k] = result
 
 
-def _fit_all_candidates(profiles, config: PipelineConfig, rngs) -> list:
-    """The candidates of every profile, one list each; see ``fit_candidates``.
+def fit_candidates(
+    profiles: Sequence[SpeedProfile],
+    config: PipelineConfig = PipelineConfig(),
+    rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
+) -> list:
+    """The candidates of every profile, one list each: one candidate per
+    breakpoint count, 0..n_b_max.
 
-    Every restart of every profile for one breakpoint count is refined in
-    one lockstep stack per sample count, so a batch costs a few stacked
-    solves per iteration instead of a few per profile; the greedy polish
-    and the grid-search fallback run per profile.
+    Each candidate minimizes the weighted squared error for its breakpoint
+    count.  Counts that cannot converge are dropped with a warning; the
+    zero-breakpoint candidate always exists.  Every restart of every
+    profile for one breakpoint count is refined in one lockstep stack per
+    sample count, so a batch costs a few stacked solves per iteration
+    instead of a few per profile; the greedy polish and the grid-search
+    fallback run per profile.
     """
     rngs = [None] * len(profiles) if rngs is None else rngs
     fits = [_ProfileFit(p, config, rng or np.random.default_rng(0)) for p, rng in zip(profiles, rngs)]
     for k in range(1, config.n_b_max + 1):
         _refine_all(fits, k, config.convergence_tol)
     return [fit.candidates(config.n_b_max) for fit in fits]
-
-
-def fit_candidates(
-    profile: SpeedProfile,
-    config: PipelineConfig = PipelineConfig(),
-    rng: Optional[np.random.Generator] = None,
-) -> list:
-    """Fit one candidate per breakpoint count, 0..n_b_max.
-
-    Each candidate minimizes the weighted squared error for its breakpoint
-    count.  Counts that cannot converge are dropped with a warning; the
-    zero-breakpoint candidate always exists.
-    """
-    return _fit_all_candidates([profile], config, [rng])[0]
 
 
 def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
@@ -658,7 +643,7 @@ def fit_events(
     generator, never on the others in the list.
     """
     fits = []
-    for profile, candidates in zip(profiles, _fit_all_candidates(profiles, config, rngs)):
+    for profile, candidates in zip(profiles, fit_candidates(profiles, config, rngs)):
         scored = [replace(c, loss=loss(c, profile, config)) for c in candidates]
         fits.append(enforce_nonnegative(select_best(scored)))
     return fits

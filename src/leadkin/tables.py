@@ -1,10 +1,11 @@
 """CSV serialization for stage artifacts, and the counts sidecar beside them.
 
 Every table is plain CSV so artifacts stay independently inspectable.
-The parameter table (params, combined and synthetic CSVs) has one reader:
-columns resolve through ``_ALIASES``, so the minimal published format (six
-parameters plus a weight column) reads as well, and every malformed cell
-raises ``InputError`` naming its file and line.
+Every CSV input (raw events, and the params, combined and synthetic
+tables) has one reader, ``read_columns``: columns resolve through
+``_ALIASES``, so the minimal published format (six parameters plus a weight
+column) reads as well, and every malformed cell raises ``InputError``
+naming its file and line.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import io
 import math
 import operator
 from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
 from .config import MAX_COUNT
-from .errors import InputError, Undecodable
+from .errors import InputError, MalformedRow, Undecodable
 from .events import PARAM_NAMES, ParamTable, Severity, SourceGroup, SpeedProfile
 from .jsonio import _checked, _field, read_json, write_json
 from .synth import SyntheticDataset
@@ -98,51 +100,81 @@ _PARSERS = {
 
 
 def _parse_column(cells: Sequence[str], parse, bad: list) -> list:
-    """Every stripped cell through ``parse``, up to the first it rejects,
-    which is appended to ``bad`` as (row index, message)."""
-    values = []
-    for index, text in enumerate(cells):
+    """Every cell through ``parse``, stripped, up to the first it rejects,
+    which is appended to ``bad`` as (row index, message).
+
+    Each distinct text is parsed once per call, in order of first
+    appearance: ids, labels and time grids repeat on every row.  A rejected text is first
+    rejected where it first appears, so the first bad row is still found.
+    """
+    parsed = {}
+    for text in dict.fromkeys(cells):
         try:
-            values.append(parse(text.strip()))
+            parsed[text] = parse(text.strip())
         except InputError as exc:
+            index = cells.index(text)
             bad.append((index, str(exc)))
+            cells = cells[:index]
             break
-    return values
+    return list(map(parsed.__getitem__, cells))
 
 
-def _read_table(path: PathLike, native_weight: bool = False) -> Tuple[ParamTable, Dict[str, list]]:
-    """Parse and validate a parameter table column by column.
+_CHUNK_ROWS = 128  # rows held as text at once; their parsed cells take less memory
 
-    Header names are matched case-insensitively after stripping and resolved
-    through ``_ALIASES``; columns the table does not use are ignored.  A
-    missing ``event_id`` becomes ``row-<index>``, a missing weight 1.0.
-    ``native_weight`` also records the weight column as the native weight.
-    Returns the table and every parsed column by name.  Of several malformed
-    cells, the error names the first line holding one.
+
+def read_columns(path: PathLike, parsers: Dict[str, Callable[[str], object]],
+                 required: Sequence[str]) -> Dict[str, list]:
+    """Every column named in ``parsers``, parsed cell by cell, by name.
+
+    The one CSV reader of the package.  Header names are matched
+    case-insensitively after stripping and resolved through ``_ALIASES``;
+    each ``required`` column must be present, no column may appear twice,
+    and columns without a parser are ignored.  An absent column reads as
+    empty cells.  Blank lines are skipped, and every other row must have a
+    cell per column.  A missing file, bytes that are not UTF-8 and a
+    malformed row raise ``InputError`` naming the file; of several
+    malformed cells, the error names the first line holding one, and of
+    one line the cell whose parser comes first.  Rows are parsed
+    ``_CHUNK_ROWS`` at a time, column by column.
     """
     try:
         with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in next(reader, [])]
-            rows, lines = [], []
-            for cells in filter(None, reader):  # blank lines carry no row
-                rows.append(cells)
-                lines.append(reader.line_num)
+            missing = [name for name in required if name not in header]
+            if missing:
+                raise InputError(f"{path}: missing columns: {', '.join(missing)}")
+            duplicated = sorted({n for n in header if n and header.count(n) > 1})
+            if duplicated:
+                raise InputError(f"{path}: duplicate columns: {', '.join(duplicated)}")
+            columns = {name: [] for name in parsers}
+            numbered = ((reader.line_num, cells) for cells in reader if cells)  # blank lines carry no row
+            while chunk := list(islice(numbered, _CHUNK_ROWS)):
+                lines, rows = zip(*chunk)
+                n = next((i for i, cells in enumerate(rows) if len(cells) != len(header)), len(rows))
+                bad = [(n, f"{len(rows[n])} cells for {len(header)} columns")] if n < len(rows) else []
+                by_name = dict(zip(header, zip(*rows[:n])))
+                for name, parse in parsers.items():
+                    columns[name] += _parse_column(by_name.get(name, ("",) * n), parse, bad)
+                if bad:
+                    index, message = min(bad, key=lambda b: b[0])  # of one line, the cell checked first
+                    raise MalformedRow(path, lines[index], message)
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
         raise Undecodable(path, exc) from None
-    missing = [p for p in PARAM_NAMES if p not in header]
-    if missing:
-        raise InputError(f"{path}: missing parameter columns: {', '.join(missing)}")
-    duplicated = sorted({n for n in header if n and header.count(n) > 1})
-    if duplicated:
-        raise InputError(f"{path}: duplicate columns: {', '.join(duplicated)}")
-    n = next((i for i, cells in enumerate(rows) if len(cells) != len(header)), len(rows))
-    bad = [(n, f"{len(rows[n])} cells for {len(header)} columns")] if n < len(rows) else []
-    by_name = dict(zip(header, zip(*rows[:n])))
-    columns = {name: _parse_column(by_name.get(name, ("",) * n), parse, bad) for name, parse in _PARSERS.items()}
-    if bad:
-        index, message = min(bad, key=lambda b: b[0])  # of one line, the cell checked first
-        raise InputError(f"{path}: line {lines[index]}: {message}")
+    except csv.Error as exc:  # a cell past csv's field size limit
+        raise MalformedRow(path, reader.line_num, str(exc)) from None
+    return columns
+
+
+def _read_table(path: PathLike, native_weight: bool = False) -> Tuple[ParamTable, Dict[str, list]]:
+    """A parameter table and every parsed column by name.
+
+    A missing ``event_id`` becomes ``row-<index>``, a missing weight 1.0.
+    ``native_weight`` also records the weight column as the native weight.
+    """
+    columns = read_columns(path, _PARSERS, PARAM_NAMES)
     weight = columns["weight"]
     table = ParamTable(
         np.column_stack([columns[name] for name in PARAM_NAMES]),

@@ -82,9 +82,10 @@ class TestPipeline:
         rc = main(["pipeline", "--input", str(demo_csv), "--workdir", str(tmp_path / "out"), "--stage", "generate"])
         assert rc == 2  # model artifact missing
 
-    def test_missing_input_exit_code(self, tmp_path):
+    def test_missing_input_exit_code(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "params.csv")])
         assert rc == 2
+        assert f"error: {tmp_path / 'nope.csv'}: no such file" in capsys.readouterr().err
 
     def test_config_round_trip(self, tmp_path):
         config = PipelineConfig(seed=9, d_thd=0.5, n_synth=123)
@@ -921,7 +922,7 @@ def test_malformed_event_row_names_its_file(demo_csv, tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n", encoding="utf-8")
     assert main(["fit", "--input", str(events), "--output", str(tmp_path / "params.csv")]) == 2
-    assert f"error: {events}: line 2: non-numeric t value 'x'" in capsys.readouterr().err
+    assert f"error: {events}: line 2: non-numeric t 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples, message", [

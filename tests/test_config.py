@@ -74,7 +74,6 @@ _LIBRARY = [
     pwl.extract_params,
     pwl.fit_event,
     mvdist.build_all,
-    mvdist.build_submodels,
     mvdist.detect_point_mass,
     combine.merge_near_crashes,
     validate.compare_datasets,

@@ -7,9 +7,9 @@ from leadkin import ingest
 from leadkin.errors import (
     DuplicateTimestamp,
     EmptyWindow,
+    InputError,
     InvalidSampleRate,
     MalformedRow,
-    UnknownGroup,
 )
 from leadkin.events import RawEvent, Severity, SourceGroup, SpeedProfile
 from leadkin.pwl import PwlFit, Segment, sample_weights
@@ -65,10 +65,59 @@ class TestLoadEvents:
             ingest.load_events(path)
         assert "line 3" in str(err.value)
 
+    def test_blank_line_keeps_the_line_number(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_csv(path, ["a,SHRP2_nc,None,-1.0,2.0,", "", "a,SHRP2_nc,None,-0.9,x,"])
+        with pytest.raises(MalformedRow, match="line 4: non-numeric v 'x'"):
+            ingest.load_events(path)
+
+    @pytest.mark.parametrize("row, cells", [("a,SHRP2_nc,None,-0.9,2.0", 5), ("a,SHRP2_nc,None,-0.9,2.0,,7", 7)],
+                             ids=["short", "extra"])
+    def test_row_with_a_wrong_cell_count(self, tmp_path, row, cells):
+        path = tmp_path / "events.csv"
+        write_csv(path, ["a,SHRP2_nc,None,-1.0,2.0,", row])
+        with pytest.raises(MalformedRow, match=f"line 3: {cells} cells for 6 columns"):
+            ingest.load_events(path)
+
+    @pytest.mark.parametrize("second, field", [
+        ("a,CISS_sc,Severe,-0.9,2.0,", "group"),
+        ("a,SHRP2_nc,NonSevere,-0.9,2.0,", "severity"),
+        ("a,SHRP2_nc,None,-0.9,2.0,3.5", "weight"),
+    ], ids=["group", "severity", "weight"])
+    def test_rows_of_one_event_must_agree(self, tmp_path, second, field):
+        path = tmp_path / "events.csv"
+        write_csv(path, ["a,SHRP2_nc,None,-1.0,2.0,2.5", "b,SHRP2_nc,None,-1.0,2.0,", second])
+        with pytest.raises(InputError, match=f"{path}: event 'a': rows disagree on {field}$"):
+            ingest.load_events(path)
+
+    def test_weight_given_on_some_rows_only(self, tmp_path):
+        t = grid(-5.0, -0.3)
+        rows = sample_rows("a", "CISS_sc", "Severe", t, np.full(t.size, 3.0))
+        rows[3] += "42.5"
+        path = tmp_path / "events.csv"
+        write_csv(path, rows)
+        (event,) = ingest.load_events(path)
+        assert event.native_weight == 42.5
+
+    def test_cell_past_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_csv(path, ["a,SHRP2_nc,None,-1.0,2.0,", "a,SHRP2_nc,None,-0.9," + "1" * 200_000 + ","])
+        with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
+            ingest.load_events(path)
+
+    def test_header_case_is_ignored(self, tmp_path):
+        t = grid(-4.6, 0.0)
+        path = tmp_path / "events.csv"
+        write_csv(path, sample_rows("a", "CISS_sc", "Severe", t, np.full(t.size, 5.0), "2.0"),
+                  header="Event_ID,Group,Severity,T,V,Weight")
+        (event,) = ingest.load_events(path)
+        assert (event.event_id, event.source_group, event.native_weight) == ("a", SourceGroup.CISS_SC, 2.0)
+        assert event.times.size == t.size
+
     def test_unknown_group(self, tmp_path):
         path = tmp_path / "events.csv"
         write_csv(path, ["a,NOPE,None,-1.0,2.0,"])
-        with pytest.raises(UnknownGroup):
+        with pytest.raises(MalformedRow, match="unknown group"):
             ingest.load_events(path)
 
     def test_duplicate_timestamp(self, tmp_path):

@@ -7,14 +7,13 @@ from scipy.stats import pearsonr
 from groundtruth import ground_truth_bundles, ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
-from leadkin import marginals
+from leadkin import marginals, mvdist
 from leadkin.errors import ModelBuildFailed, ZeroVariance
 from leadkin.events import EventParams, ParamTable
 from leadkin.mvdist import (
     LABELS,
     HurdleDist,
     build_all,
-    build_submodels,
     bundles_from_json,
     bundles_to_json,
     categorize,
@@ -35,6 +34,12 @@ def ev(vector, event_id="e", weight=1.0):
 
 def dataset(events):
     return WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_INCIDENT)
+
+
+def build_label(sub, label, total_weight=None):
+    """The bundles of one sub-dataset, from the model build's batch call."""
+    total = sub.total_weight if total_weight is None else total_weight
+    return mvdist._build({label: sub}, PipelineConfig(), total)
 
 
 def entangled_masses(n=80, seed=9, steady=0.0):
@@ -243,7 +248,7 @@ def v_c_hurdle(x):
     """The v_c marginal built for an S6 dataset in which only v_c varies,
     taking the values ``x``."""
     events = [ev([v, -3.0, 1.0, 0.0, 2.0, 1.0], event_id=f"h{i}") for i, v in enumerate(x)]
-    (bundle,) = build_submodels(dataset(events), LABELS["S6"])
+    (bundle,) = build_label(dataset(events), LABELS["S6"])
     return bundle.uncorrelated["v_c"]
 
 
@@ -298,7 +303,7 @@ class TestNearestUnitCorrelation:
 class TestBuildSubmodels:
     def test_standstill_bundle_is_all_constant(self):
         events = [ev([0, 0, 0, 5, 0, 0], event_id=f"s{i}") for i in range(6)]
-        (bundle,) = build_submodels(dataset(events), LABELS["S1"])
+        (bundle,) = build_label(dataset(events), LABELS["S1"])
         assert bundle.constants == {
             "v_c": 0.0, "a1": 0.0, "a2": 0.0, "tau_s": 5.0, "tau_1": 0.0, "tau_2": 0.0
         }
@@ -313,7 +318,7 @@ class TestBuildSubmodels:
             for i in range(200)
         ]
         # v_c and tau_1 carry the correlated pair; a1 constant -1, a2 constant -2
-        (bundle,) = build_submodels(dataset(events), LABELS["S6"])
+        (bundle,) = build_label(dataset(events), LABELS["S6"])
         assert bundle.correlated is not None
         assert set(bundle.correlated.names) == {"v_c", "tau_1"}
         off_diag = bundle.correlated.sigma[0, 1]
@@ -322,12 +327,12 @@ class TestBuildSubmodels:
     def test_roles_partition_parameters(self):
         ds = ground_truth_corpus(seed=77, counts=(40, 60, 40))
         for label, sub in categorize(ds).items():
-            for bundle in build_submodels(sub, label):
+            for bundle in build_label(sub, label):
                 roles = bundle.roles()
                 assert set(roles) == {"v_c", "a1", "a2", "tau_s", "tau_1", "tau_2"}
 
     def test_split_on_correlated_point_masses(self):
-        bundles = build_submodels(dataset(entangled_masses()), LABELS["S6"])
+        bundles = build_label(dataset(entangled_masses()), LABELS["S6"])
         assert len(bundles) == 2
         split_params = {b.splits[0].parameter for b in bundles}
         assert len(split_params) == 1  # both sides split on the same parameter
@@ -348,7 +353,7 @@ class TestBuildSubmodels:
         assert len(labels) > 1
         one_by_one = [
             bundle for label, sub in labels.items()
-            for bundle in build_submodels(sub, label, total_weight=ds.total_weight)
+            for bundle in build_label(sub, label, total_weight=ds.total_weight)
         ]
         assert len(one_by_one) > len(labels) or corpus == "ground-truth"
         assert json.dumps(bundles_to_json(build_all(ds))) == json.dumps(bundles_to_json(one_by_one))
@@ -365,7 +370,7 @@ class TestBuildSubmodels:
         one_by_one = []
         for label, sub in categorize(ds).items():
             with pytest.raises(ModelBuildFailed) as raised:
-                build_submodels(sub, label, total_weight=ds.total_weight)
+                build_label(sub, label, total_weight=ds.total_weight)
             one_by_one.append(str(raised.value))
         with pytest.raises(ModelBuildFailed) as raised:
             build_all(ds)

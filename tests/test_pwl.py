@@ -68,7 +68,7 @@ class TestSampleWeights:
 
 class TestFitCandidates:
     def test_exact_line(self):
-        cands = fit_candidates(profile(2 * GRID + 12), PipelineConfig())
+        cands = fit_candidates([profile(2 * GRID + 12)], PipelineConfig())[0]
         c0 = cands[0]
         assert c0.n_b == 0
         assert c0.segments[0].slope == pytest.approx(2.0, abs=1e-9)
@@ -76,7 +76,7 @@ class TestFitCandidates:
         assert c0.r_squared == pytest.approx(1.0)
 
     def test_standstill_r_squared_convention(self):
-        c0 = fit_candidates(profile(np.zeros(GRID.size)), PipelineConfig())[0]
+        c0 = fit_candidates([profile(np.zeros(GRID.size))], PipelineConfig())[0][0]
         assert c0.segments[0].slope == 0.0
         assert c0.r_squared == 1.0  # zero residual on constant data
 
@@ -84,7 +84,7 @@ class TestFitCandidates:
         rng = np.random.default_rng(0)
         v = np.full(GRID.size, 4.0)
         v[::7] += 1e-6  # constant to the fit, but not exactly
-        c0 = fit_candidates(profile(v), PipelineConfig())[0]
+        c0 = fit_candidates([profile(v)], PipelineConfig())[0][0]
         assert 0.0 <= c0.r_squared <= 1.0
 
     def test_breakpoint_recovery_with_grid_oracle(self):
@@ -93,7 +93,7 @@ class TestFitCandidates:
         v = np.where(GRID <= true_b, 8.0 - 4.0 * (GRID - true_b), 8.0)
         v = v + rng.normal(0, 0.05, GRID.size)
         p = profile(v)
-        cands = fit_candidates(p, PipelineConfig(), np.random.default_rng(1))
+        cands = fit_candidates([p], PipelineConfig(), [np.random.default_rng(1)])[0]
         c1 = [c for c in cands if c.n_b == 1][0]
 
         # oracle: brute-force scan over breakpoint locations
@@ -113,8 +113,8 @@ class TestFitCandidates:
         v = np.where(GRID <= -2.5, 6.0 - 3.0 * (GRID + 2.5), 6.0) + rng.normal(0, 0.02, GRID.size)
         p1 = profile(v)
         p2 = SpeedProfile("p", None, None, GRID, v, p1.weights * 8.0)
-        c1 = fit_candidates(p1, PipelineConfig(), np.random.default_rng(5))
-        c2 = fit_candidates(p2, PipelineConfig(), np.random.default_rng(5))
+        c1 = fit_candidates([p1], PipelineConfig(), [np.random.default_rng(5)])[0]
+        c2 = fit_candidates([p2], PipelineConfig(), [np.random.default_rng(5)])[0]
         for a, b in zip(c1, c2):
             assert a.breakpoints == pytest.approx(b.breakpoints, abs=1e-9)
             assert a.slopes() == pytest.approx(b.slopes(), abs=1e-9)
@@ -263,7 +263,7 @@ class TestSelection:
         v = np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0)
         v += rng.normal(0, 0.05, GRID.size)
         p = profile(v)
-        cands = fit_candidates(p, PipelineConfig(), np.random.default_rng(2))
+        cands = fit_candidates([p], PipelineConfig(), [np.random.default_rng(2)])[0]
         previous = None
         for lam in (1e-4, 1e-3, 6e-3, 3e-2, 0.2, 1.0):
             cfg = PipelineConfig(penalty=lam)
@@ -359,7 +359,7 @@ class TestBatchedFitMatchesScalar:
 
     def test_recovery_corpus(self):
         for i, (_, p) in enumerate(recovery_corpus(24, seed=17)):
-            new = fit_candidates(p, PipelineConfig(), np.random.default_rng(i))
+            new = fit_candidates([p], PipelineConfig(), [np.random.default_rng(i)])[0]
             old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(i))
             assert_same_candidates(new, old)
 
@@ -378,7 +378,7 @@ class TestBatchedFitMatchesScalar:
         if clamp:
             v = np.maximum(v, 0.0)
         p = profile(v)
-        new = fit_candidates(p, PipelineConfig(), np.random.default_rng(seed))
+        new = fit_candidates([p], PipelineConfig(), [np.random.default_rng(seed)])[0]
         old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(seed))
         assert_same_candidates(new, old)
 
@@ -391,9 +391,9 @@ class TestBatchedFitMatchesScalar:
                     scalar._iterate_breakpoints(GRID, p.speeds, p.weights, x, TOL) for x in inits
                 ]
                 _, old_bks, old_sse = min(runs, key=lambda run: run[2])
-                _, bks, sse = pwl._refine_restarts(
-                    GRID, p.speeds, SQRT_W, inits, LO, HI, MIN_SEP, TOL
-                )
+                stacked = (np.broadcast_to(a, (len(inits), GRID.size)) for a in (GRID, p.speeds, SQRT_W))
+                limits = (np.full(len(inits), x) for x in (LO, HI, MIN_SEP))
+                _, bks, sse = pwl._refine_rows(*stacked, inits, *limits, np.zeros(len(inits), dtype=int), TOL)[0]
                 assert bks == pytest.approx(old_bks, abs=1e-11)
                 assert sse == pytest.approx(old_sse, rel=1e-12)
 
@@ -414,7 +414,7 @@ class TestBatchedFitMatchesScalar:
         t = np.round(np.linspace(-0.7, 0.0, 8), 10)
         v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
         p = SpeedProfile("short", None, None, t, v, sample_weights(t))
-        new = fit_candidates(p, PipelineConfig(), np.random.default_rng(0))
+        new = fit_candidates([p], PipelineConfig(), [np.random.default_rng(0)])[0]
         old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(0))
         assert_same_candidates(new, old)
         mids = (t[:-1] + t[1:]) / 2.0
@@ -547,7 +547,7 @@ class TestBatchIndependence:
         fit_event(profiles["steady"], PipelineConfig(), self.rngs([profiles["steady"]])[0])
         assert stopped and all(stopped)
         with caplog.at_level("WARNING", logger="leadkin.pwl"):
-            assert [c.n_b for c in fit_candidates(profiles["short"], PipelineConfig())] == [0, 1, 2]
+            assert [c.n_b for c in fit_candidates([profiles["short"]], PipelineConfig())[0]] == [0, 1, 2]
         assert "event 'short': too few samples for 3 breakpoints" in caplog.text
 
     @pytest.mark.parametrize("order", range(4))
@@ -557,5 +557,5 @@ class TestBatchIndependence:
         shuffled = [profiles[i] for i in np.random.default_rng(order).permutation(len(profiles))]
         batch = pwl.fit_events(shuffled, PipelineConfig(), self.rngs(shuffled))
         assert batch == [alone[p.event_id] for p in shuffled]
-        cands = pwl._fit_all_candidates(shuffled, PipelineConfig(), self.rngs(shuffled))
-        assert cands == [fit_candidates(p, PipelineConfig(), rng) for p, rng in zip(shuffled, self.rngs(shuffled))]
+        cands = fit_candidates(shuffled, PipelineConfig(), self.rngs(shuffled))
+        assert cands == [fit_candidates([p], PipelineConfig(), [rng])[0] for p, rng in zip(shuffled, self.rngs(shuffled))]
