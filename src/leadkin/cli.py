@@ -79,9 +79,9 @@ def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, List[pwl.PwlF
     or fork is unavailable.  Forked, not spawned: a worker starts with the
     parent's imported modules and state, where a spawned one would import
     numpy and scipy again on every call.  The pool forks every worker
-    before it starts its own threads.  Only errors with the default
-    constructor (``FitDiverged``, ``EmptyCandidates``) can be raised here,
-    so each reaches the caller as itself; ``with`` joins every worker
+    before it starts its own threads.  Only an error with the default
+    constructor (``FitDiverged``) can be raised here, so it reaches the
+    caller as itself; ``with`` joins every worker
     whether the map returns or raises.
     """
     n = len(profiles)

@@ -49,8 +49,11 @@ class InvalidSampleRate(InputError):
 
 
 class EmptyWindow(InputError):
-    def __init__(self, event_id: str):
-        super().__init__(f"event {event_id!r}: no samples left inside the modeling window")
+    """Fewer than the two samples a line needs inside the modeling window."""
+
+    def __init__(self, event_id: str, n_samples: int):
+        left = "no samples" if n_samples == 0 else f"only {n_samples} sample"
+        super().__init__(f"event {event_id!r}: {left} left inside the modeling window")
         self.event_id = event_id
 
 
@@ -58,10 +61,6 @@ class EmptyWindow(InputError):
 
 class FitDiverged(NumericalError):
     """No restart converged for a breakpoint count."""
-
-
-class EmptyCandidates(NumericalError):
-    """Model selection received no candidate fits."""
 
 
 # --- combination ----------------------------------------------------------
@@ -81,6 +80,10 @@ class ZeroVariance(NumericalError):
 
 
 # --- distribution modeling ------------------------------------------------
+
+class TooFewSamples(NumericalError):
+    """A weighted statistic has fewer effective samples than it needs."""
+
 
 class AllFitsFailed(NumericalError):
     """Every candidate distribution family failed to fit."""

@@ -117,12 +117,14 @@ def window_event(event: RawEvent) -> SpeedProfile:
     """Restrict samples to the modeling window and attach fit weights.
 
     Crashes keep [-5, -0.3] s (the last samples before impact are dropped),
-    near-crashes keep [-5, 0] s.
+    near-crashes keep [-5, 0] s.  A window with fewer than two samples
+    raises ``EmptyWindow``.
     """
     t_hi = CRASH_T_CUTOFF if event.is_crash else MODEL_T_MAX
     mask = (event.times >= MODEL_T_MIN - _T_TOL) & (event.times <= t_hi + _T_TOL)
-    if not mask.any():
-        raise EmptyWindow(event.event_id)
+    n_samples = int(mask.sum())
+    if n_samples < 2:  # a line needs two
+        raise EmptyWindow(event.event_id, n_samples)
     t = event.times[mask]
     v = event.speeds[mask]
     return SpeedProfile(

@@ -34,8 +34,9 @@ SHIFT_MARGIN = 1e-6  # gap kept between the support edge and the data minimum
 CONTINUOUS_FAMILIES = ("normal", "skewnormal", "expnormal", "gamma")
 HURDLE_FAMILIES = ("gamma", "gengamma", "exponential")
 
-_CLIP_LO = 1e-10
+_CLIP_LO = 1e-10  # bounds of the probabilities mapped to normal scores and back
 _CLIP_HI = 1.0 - 1e-10
+_MIN_EFFECTIVE = 5.0  # fewest effective samples a marginal is fit or a point mass sought on
 
 
 @dataclass(frozen=True)
@@ -798,8 +799,8 @@ def _checked_sample(request: FitRequest):
     rules the sample out."""
     x = np.asarray(request.values, dtype=float)
     w = np.ones_like(x) if request.weights is None else np.asarray(request.weights, dtype=float)
-    if effective_sample_size(w) < 5:
-        return AllFitsFailed("need at least 5 effective samples")
+    if effective_sample_size(w) < _MIN_EFFECTIVE:
+        return AllFitsFailed(f"need at least {_MIN_EFFECTIVE:g} effective samples")
     if not np.isfinite(x).all():
         return AllFitsFailed("values must be finite")
     if weighted_var_mle(x, w) <= 0.0:

@@ -21,11 +21,12 @@ from scipy import stats as sstats
 
 from .combine import WeightedDataset
 from .config import PipelineConfig
-from .errors import AllFitsFailed, InputError, ModelBuildFailed, ZeroVariance
+from .errors import AllFitsFailed, InputError, ModelBuildFailed, TooFewSamples, ZeroVariance
 from .events import PARAM_NAMES, ParamTable
 from .jsonio import _checked, _field, _mapping, _objects
 from .marginals import (
     HURDLE_FAMILIES,
+    _MIN_EFFECTIVE,
     FitRequest,
     FittedDist,
     fit_family,
@@ -37,7 +38,6 @@ from .wstats import effective_sample_size
 
 log = logging.getLogger(__name__)
 
-_MIN_EFFECTIVE = 5.0
 _MAX_SPLIT_DEPTH = 6
 
 
@@ -125,7 +125,7 @@ def detect_point_mass(
     x = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if effective_sample_size(w) < _MIN_EFFECTIVE:
-        raise ValueError("need at least 5 effective samples")
+        raise TooFewSamples(f"need at least {_MIN_EFFECTIVE:g} effective samples")
     uniq, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     shares = np.bincount(inverse, weights=w) / w.sum()
     shares = np.where(counts >= 2, shares, 0.0)
@@ -146,7 +146,7 @@ def weighted_corr(x, y, w) -> Tuple[float, float]:
     w = np.asarray(w, dtype=float)
     n_eff = effective_sample_size(w)
     if n_eff < 3:
-        raise ValueError("need at least 3 effective samples")
+        raise TooFewSamples("need at least 3 effective samples")
     s = w.sum()
     mx = np.dot(w, x) / s
     my = np.dot(w, y) / s
@@ -156,9 +156,7 @@ def weighted_corr(x, y, w) -> Tuple[float, float]:
         raise ZeroVariance("correlation requires nonzero variance in both variables")
     r = float(np.dot(w, (x - mx) * (y - my)) / np.sqrt(vx * vy))
     r = float(np.clip(r, -1.0, 1.0))
-    df = n_eff - 2.0
-    if df <= 0:
-        return r, 1.0
+    df = n_eff - 2.0  # >= 1
     if abs(r) >= 1.0:
         return r, 0.0
     t = abs(r) * np.sqrt(df / (1.0 - r * r))
@@ -395,7 +393,7 @@ def _significant(x, y, w, config: PipelineConfig) -> bool:
     False when it cannot be computed."""
     try:
         r, p = weighted_corr(x, y, w)
-    except (ZeroVariance, ValueError):
+    except (ZeroVariance, TooFewSamples):
         return False
     return abs(r) >= config.corr_threshold and p < config.alpha_corr
 
@@ -416,7 +414,7 @@ def build_all(dataset: WeightedDataset, config: PipelineConfig = PipelineConfig(
     return _build(categorize(dataset), config, dataset.total_weight)
 
 
-_BUILD_ERRORS = (AllFitsFailed, ZeroVariance, ValueError)
+_BUILD_ERRORS = (AllFitsFailed, ZeroVariance, TooFewSamples, np.linalg.LinAlgError)
 
 
 def _build(subs: Mapping[SubdatasetLabel, WeightedDataset], config, total) -> List[SubmodelBundle]:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .config import PipelineConfig
-from .errors import EmptyCandidates, FitDiverged
+from .errors import FitDiverged
 from .events import MODEL_T_MAX, MODEL_T_MIN, SpeedProfile
 
 log = logging.getLogger(__name__)
@@ -53,7 +53,6 @@ class PwlFit:
     r_squared: float
     r_squared_adj: float
     n_samples: int
-    loss: Optional[float] = None
     modified_for_nonnegativity: bool = False
 
     @property
@@ -234,8 +233,8 @@ def _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol) -> dict:
     admissible, the best step does not lower its SSE, the decrease is below
     ``tol``, or after ``_MAX_ITER`` iterations.  Rows never mix, so a
     profile's result does not depend on the others in the stack.  Returns
-    {owner: (coef, bks, sse)} of each owner's restart with the lowest final
-    SSE; an owner with no admissible start is missing.
+    {owner: (bks, sse)} of each owner's restart with the lowest final SSE;
+    an owner with no admissible start is missing.
     """
     bks, ok = _project_separated(inits, lo, hi, min_sep)
     t, v, sqrt_w, lo, hi, min_sep, owner, bks = (a[ok] for a in (t, v, sqrt_w, lo, hi, min_sep, owner, bks))
@@ -271,10 +270,10 @@ def _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol) -> dict:
         active = active[lower & (old_sse - new_sse > tol * (old_sse + tol))]
 
     best = {}
-    coef, sse = _wls_rows(t, v, sqrt_w, best_bks)
+    _, sse = _wls_rows(t, v, sqrt_w, best_bks)
     for row, i in enumerate(owner.tolist()):
-        if i not in best or sse[row] < best[i][2]:
-            best[i] = (coef[row], best_bks[row], float(sse[row]))
+        if i not in best or sse[row] < best[i][1]:
+            best[i] = (best_bks[row], float(sse[row]))
     return best
 
 
@@ -286,8 +285,6 @@ def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep):
     in one stacked solve; the first that improves is taken, and only the
     later offsets are scored again from the new position.
     """
-    if len(bks) == 0:
-        return bks, sse
     offsets = np.linspace(-1.5 * spacing, 1.5 * spacing, 31)
     bks = np.asarray(bks, dtype=float)
     for _ in range(2):
@@ -320,7 +317,8 @@ _GRID_CHUNK = 4096  # combinations scored per stacked solve
 
 
 def _grid_search(t, v, sqrt_w, k):
-    """Exhaustive search over sample-midpoint breakpoints (fallback)."""
+    """Exhaustive search over sample-midpoint breakpoints (fallback);
+    (bks, sse) of the best combination, or None when none is admissible."""
     mids = (t[:-1] + t[1:]) / 2.0
     combos = itertools.combinations(range(len(mids)), k)
     best = None
@@ -338,8 +336,7 @@ def _grid_search(t, v, sqrt_w, k):
             best = (mids[idx[j]], sse[j])
     if best is None:
         return None
-    coef, sse = _wls(t, v, sqrt_w, best[0])
-    return coef, best[0], sse
+    return best[0], _wls(t, v, sqrt_w, best[0])[1]  # the lstsq SSE, as _refine_rows gives
 
 
 def _segments_from_coef(coef, breakpoints) -> tuple:
@@ -399,7 +396,7 @@ class _ProfileFit:
             raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
         self.sqrt_w = np.sqrt(self.w)
         self.starts = {}  # k -> (restarts, k) starts; none for a k with too few samples
-        self.best = {}  # k -> (coef, bks, sse) of the best refined start, if one was admissible
+        self.best = {}  # k -> (bks, sse) of the best refined start, if one was admissible
         if not self.has_room:
             return
         self.lo, self.hi = _breakpoint_bounds(self.t)
@@ -433,8 +430,7 @@ class _ProfileFit:
             if best is None:
                 log.warning("event %r: no converged fit with %d breakpoints", self.event_id, k)
                 continue
-            _, bks, sse = best
-            bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, self.lo, self.hi, self.spacing, self.min_sep)
+            bks, sse = _polish_breakpoints(t, v, sqrt_w, *best, self.lo, self.hi, self.spacing, self.min_sep)
             if not _separated(bks, t):
                 log.warning("event %r: %d-breakpoint fit lost separation", self.event_id, k)
                 continue
@@ -509,16 +505,6 @@ def loss(candidate: PwlFit, profile: SpeedProfile, config: PipelineConfig = Pipe
     return per_bp * candidate.n_b - candidate.r_squared
 
 
-def select_best(candidates: Sequence[PwlFit]) -> PwlFit:
-    """Minimum-loss candidate; ties go to the smaller breakpoint count."""
-    if not candidates:
-        raise EmptyCandidates("no candidate fits to select from")
-    for c in candidates:
-        if c.loss is None:
-            raise ValueError("candidates must have loss computed before selection")
-    return min(candidates, key=lambda c: (c.loss, c.n_b))
-
-
 def _segments_from_vertices(ts, vs) -> tuple:
     segments = []
     for i in range(len(ts) - 1):
@@ -568,17 +554,14 @@ def enforce_nonnegative(fit: PwlFit) -> PwlFit:
             ts = [ts[0], tc] + ts[i + 1 :]
             vs = [0.0, 0.0] + vs[i + 1 :]
 
-    # end side, mirrored
+    # end side, mirrored; vs[0] >= 0 now, so the scan stops at j >= 1
     if vs[-1] < 0.0:
         j = len(vs) - 1
-        while j - 1 >= 0 and vs[j - 1] < 0.0:
+        while vs[j - 1] < 0.0:
             j -= 1
-        if j == 0:
-            ts, vs = [ts[0], ts[-1]], [0.0, 0.0]
-        else:
-            tc = _cross(ts[j - 1], vs[j - 1], ts[j], vs[j])
-            ts = ts[:j] + [tc, ts[-1]]
-            vs = vs[:j] + [0.0, 0.0]
+        tc = _cross(ts[j - 1], vs[j - 1], ts[j], vs[j])
+        ts = ts[:j] + [tc, ts[-1]]
+        vs = vs[:j] + [0.0, 0.0]
 
     # interior breakpoints: clamp to zero, lines reconnect implicitly
     vs = [max(v, 0.0) for v in vs]
@@ -638,15 +621,15 @@ def fit_events(
 ) -> list:
     """Full fitting chain for each profile: candidates, selection, repair.
 
-    ``rngs`` holds one generator per profile (each ``default_rng(0)`` when
-    left out).  A profile's fit depends only on the profile and its own
-    generator, never on the others in the list.
+    The chosen candidate has the least ``loss``; a tie goes to the fewer
+    breakpoints.  ``rngs`` holds one generator per profile (each
+    ``default_rng(0)`` when left out).  A profile's fit depends only on the
+    profile and its own generator, never on the others in the list.
     """
-    fits = []
-    for profile, candidates in zip(profiles, fit_candidates(profiles, config, rngs)):
-        scored = [replace(c, loss=loss(c, profile, config)) for c in candidates]
-        fits.append(enforce_nonnegative(select_best(scored)))
-    return fits
+    return [
+        enforce_nonnegative(min(candidates, key=lambda c: (loss(c, profile, config), c.n_b)))
+        for profile, candidates in zip(profiles, fit_candidates(profiles, config, rngs))
+    ]
 
 
 def fit_event(

@@ -20,6 +20,7 @@ from scipy import stats as sstats
 from .config import PipelineConfig
 from .errors import RejectionCapExceeded
 from .events import GRAVITY, MODEL_T_MIN, PARAM_NAMES, EventParams, ParamTable, SpeedProfile
+from .marginals import _CLIP_HI, _CLIP_LO
 from .mvdist import SubmodelBundle, classify
 from .pwl import sample_weights
 
@@ -139,7 +140,7 @@ def sample_submodel(
         block = bundle.correlated
         z = rng.standard_normal((n, len(block.names))) @ _copula_factor(block.sigma).T
         for j, name in enumerate(block.names):
-            u = np.clip(sstats.norm.cdf(z[:, j]), 1e-10, 1.0 - 1e-10)
+            u = np.clip(sstats.norm.cdf(z[:, j]), _CLIP_LO, _CLIP_HI)
             columns[name] = np.asarray(block.marginals[j].ppf(u), dtype=float)
 
     for name in PARAM_NAMES:

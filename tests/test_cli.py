@@ -354,6 +354,26 @@ def test_fit_logs_summary(demo_csv, tmp_path, caplog):
     )
 
 
+def test_fit_skips_an_event_with_one_sample_in_the_window(demo_csv, tmp_path, caplog):
+    """An event sampled at 10 Hz up to -5.1 s and once more at -1.0 s has
+    one sample in the window: it is skipped, still counted as raw, and the
+    run exits 0."""
+    ts = [*np.round(np.arange(-9.0, -5.05, 0.1), 10), -1.0]
+    rows = [f"b,SHRP2_nc,None,{t:.1f},10.0," for t in ts]
+    events = tmp_path / "events.csv"
+    events.write_text(demo_csv.read_text(encoding="utf-8") + "\n".join(rows) + "\n", encoding="utf-8")
+    params = tmp_path / "params.csv"
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        assert main(["fit", "--input", str(events), "--output", str(params)]) == 0
+    assert "skipping event b: event 'b': only 1 sample left inside the modeling window" in caplog.text
+    [summary] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit: ")]
+    assert summary.startswith("fit: 52 events, ") and summary.endswith("skipped {'EmptyWindow': 1}")
+    ids = [row["event_id"] for row in csv.DictReader(params.open(encoding="utf-8"))]
+    assert len(ids) == 52 and "b" not in ids
+    counts = json.loads((tmp_path / "params.counts.json").read_text(encoding="utf-8"))
+    assert counts["raw"]["SHRP2_nc"] == counts["valid"]["SHRP2_nc"] + 1
+
+
 def test_model_logs_summary(tmp_path, caplog, monkeypatch):
     from collections import Counter
 

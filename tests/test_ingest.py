@@ -179,8 +179,19 @@ class TestWindowEvent:
     def test_crash_with_samples_only_after_cutoff(self):
         t = grid(-0.2, 0.0)
         event = raw_event(t, np.full(t.size, 5.0), Severity.NON_SEVERE, SourceGroup.SHRP2_NSC)
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(EmptyWindow, match="'x': no samples left inside the modeling window"):
             ingest.window_event(event)
+
+    def test_one_sample_in_window(self):
+        # 10 Hz up to -5.1 s, then one sample at -1.0 s: too few for a line
+        t = np.append(grid(-9.0, -5.1), -1.0)
+        with pytest.raises(EmptyWindow, match="'x': only 1 sample left inside the modeling window"):
+            ingest.window_event(raw_event(t, np.full(t.size, 5.0)))
+
+    def test_two_samples_in_window(self):
+        t = np.append(grid(-9.0, -5.1), [-1.0, -0.9])
+        profile = ingest.window_event(raw_event(t, np.full(t.size, 5.0)))
+        assert profile.times.tolist() == [-1.0, -0.9]
 
     def test_weights_attached(self):
         t = grid(-5.0, 0.0)

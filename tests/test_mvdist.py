@@ -8,7 +8,7 @@ from groundtruth import ground_truth_bundles, ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
 from leadkin import marginals, mvdist
-from leadkin.errors import ModelBuildFailed, ZeroVariance
+from leadkin.errors import ModelBuildFailed, NumericalError, TooFewSamples, ZeroVariance
 from leadkin.events import EventParams, ParamTable
 from leadkin.mvdist import (
     LABELS,
@@ -205,6 +205,38 @@ class TestWeightedCorr:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             weighted_corr(np.ones(10), np.arange(10.0), np.ones(10))
+
+
+class TestNarrowCatches:
+    """Too few effective samples and zero variance read as "not correlated"
+    or a failed build; any other ValueError is a bug and propagates."""
+
+    def test_too_few_effective_samples_is_a_numerical_error(self):
+        assert issubclass(TooFewSamples, NumericalError) and not issubclass(TooFewSamples, ValueError)
+        with pytest.raises(TooFewSamples, match="need at least 3 effective samples"):
+            weighted_corr(np.arange(2.0), np.arange(2.0), np.ones(2))
+        with pytest.raises(TooFewSamples, match="need at least 5 effective samples"):
+            detect_point_mass(np.arange(4.0), np.ones(4))
+
+    def test_uncomputable_correlation_is_not_significant(self):
+        assert not mvdist._significant(np.arange(2.0), np.arange(2.0), np.ones(2), PipelineConfig())
+        assert not mvdist._significant(np.ones(10), np.arange(10.0), np.ones(10), PipelineConfig())
+
+    def test_shape_bug_propagates(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=50)
+        y = x + rng.normal(0, 0.1, 50)
+        assert mvdist._significant(x, y, np.ones(50), PipelineConfig())
+        with pytest.raises(ValueError):
+            mvdist._significant(x, y[:40], np.ones(50), PipelineConfig())
+
+    def test_value_error_in_planning_propagates(self, monkeypatch):
+        def shape_bug(*args, **kwargs):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(mvdist, "detect_point_mass", shape_bug)
+        with pytest.raises(ValueError, match="shape bug"):
+            build_all(ground_truth_corpus(seed=31, counts=(40, 60, 40)))
 
 
 class TestDecorrelate:

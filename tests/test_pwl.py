@@ -8,7 +8,6 @@ import pwl_reference as scalar
 from groundtruth import recovery_corpus
 from leadkin import pwl
 from leadkin.config import PipelineConfig
-from leadkin.errors import EmptyCandidates
 from leadkin.events import EventParams, ParamTable, SpeedProfile
 from leadkin.pwl import (
     PwlFit,
@@ -23,7 +22,6 @@ from leadkin.pwl import (
     fit_event,
     loss,
     sample_weights,
-    select_best,
 )
 from leadkin.synth import params_to_profile
 
@@ -142,30 +140,38 @@ class TestLoss:
         assert expected == pytest.approx(-0.926, abs=1e-3)
 
 
-class TestSelectBest:
-    def scored(self, losses):
-        out = []
-        for i, L in enumerate(losses):
-            ts = np.linspace(-5, 0, i + 2)
-            c = fit_from_vertices(ts, np.linspace(10, 5, i + 2))
-            out.append(replace(c, loss=L))
-        return out
+class TestFitEventsSelection:
+    """``fit_events`` keeps the least-loss candidate, the fewer breakpoints
+    on a tie; ``pwl.loss`` is replaced by a table of losses by n_b."""
 
-    def test_argmin(self):
-        cands = self.scored([-0.99, -0.95, -0.90, -0.85])
-        assert select_best(cands).n_b == 0
+    @staticmethod
+    def chosen(monkeypatch, losses, p):
+        monkeypatch.setattr(pwl, "loss", lambda c, profile, config: losses[c.n_b])
+        [fit] = pwl.fit_events([p], PipelineConfig(), [np.random.default_rng(2)])
+        [cands] = fit_candidates([p], PipelineConfig(), [np.random.default_rng(2)])
+        assert fit in cands
+        return fit.n_b
 
-    def test_tie_prefers_fewer_breakpoints(self):
-        cands = self.scored([-0.5, -0.95, -0.95, -0.85])
-        assert select_best(cands).n_b == 1
+    @pytest.fixture
+    def sloped(self):
+        rng = np.random.default_rng(9)
+        v = np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0) + rng.normal(0, 0.05, GRID.size)
+        p = profile(v)
+        assert [c.n_b for c in fit_candidates([p], PipelineConfig(), [np.random.default_rng(2)])[0]] == [0, 1, 2, 3]
+        return p
 
-    def test_single_candidate(self):
-        cands = self.scored([-0.7])
-        assert select_best(cands) is cands[0]
+    def test_least_loss_wins(self, monkeypatch, sloped):
+        assert self.chosen(monkeypatch, [-0.99, -0.95, -0.90, -0.85], sloped) == 0
+        assert self.chosen(monkeypatch, [-0.5, -0.9, -0.95, -0.85], sloped) == 2
 
-    def test_empty(self):
-        with pytest.raises(EmptyCandidates):
-            select_best([])
+    def test_tie_prefers_fewer_breakpoints(self, monkeypatch, sloped):
+        assert self.chosen(monkeypatch, [-0.5, -0.95, -0.95, -0.85], sloped) == 1
+        assert self.chosen(monkeypatch, [0.0] * 4, sloped) == 0
+
+    def test_single_candidate(self, monkeypatch):
+        t = np.array([-0.2, -0.1, 0.0])  # no room for a breakpoint
+        p = SpeedProfile("p", None, None, t, np.array([5.0, 4.0, 3.5]), sample_weights(t))
+        assert self.chosen(monkeypatch, [-0.7], p) == 0
 
 
 class TestEnforceNonnegative:
@@ -267,8 +273,9 @@ class TestSelection:
         previous = None
         for lam in (1e-4, 1e-3, 6e-3, 3e-2, 0.2, 1.0):
             cfg = PipelineConfig(penalty=lam)
-            scored = [replace(c, loss=loss(c, p, cfg)) for c in cands]
-            chosen = select_best(scored).n_b
+            [fit] = pwl.fit_events([p], cfg, [np.random.default_rng(2)])
+            assert fit in cands
+            chosen = fit.n_b
             if previous is not None:
                 assert chosen <= previous
             previous = chosen
@@ -280,7 +287,6 @@ class TestSelection:
         fit = fit_event(profile(v), PipelineConfig(), np.random.default_rng(0))
         assert fit.n_b == 1
         assert fit.breakpoints[0] == pytest.approx(-2.0, abs=0.1)
-        assert fit.loss is not None
 
 
 SQRT_W = np.sqrt(sample_weights(GRID))
@@ -393,7 +399,7 @@ class TestBatchedFitMatchesScalar:
                 _, old_bks, old_sse = min(runs, key=lambda run: run[2])
                 stacked = (np.broadcast_to(a, (len(inits), GRID.size)) for a in (GRID, p.speeds, SQRT_W))
                 limits = (np.full(len(inits), x) for x in (LO, HI, MIN_SEP))
-                _, bks, sse = pwl._refine_rows(*stacked, inits, *limits, np.zeros(len(inits), dtype=int), TOL)[0]
+                bks, sse = pwl._refine_rows(*stacked, inits, *limits, np.zeros(len(inits), dtype=int), TOL)[0]
                 assert bks == pytest.approx(old_bks, abs=1e-11)
                 assert sse == pytest.approx(old_sse, rel=1e-12)
 
