@@ -464,7 +464,7 @@ def _nelder_mead(evaluate, x0) -> List[_Simplex]:
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _INFEASIBLE = 1e12
-_NUMERICAL = (ArithmeticError, ValueError, np.linalg.LinAlgError, NumericalError)
+_NUMERICAL = (ArithmeticError, np.linalg.LinAlgError, NumericalError)
 
 
 def _moments(y: np.ndarray, w: np.ndarray) -> Tuple[float, float]:

@@ -110,24 +110,31 @@ def _lstsq_rows(a, b) -> np.ndarray:
     return x[..., 0]
 
 
-def _weighted_designs(t, sqrt_w, bks) -> np.ndarray:
-    """(B, n, 2 + k) stack of designs, columns 1, t and max(t - b_i, 0) each
-    scaled by sqrt_w, one per row of the (B, k) bks.
+def _weighted_designs(t, sqrt_w, bks, extra=0) -> np.ndarray:
+    """(B, n, 2 + k + extra) stack of designs, columns 1, t and
+    max(t - b_i, 0) each scaled by sqrt_w, one per row of the (B, k) bks,
+    then ``extra`` unset columns for the caller to fill.
 
     t and sqrt_w are one profile's (n,) samples or (B, n), a profile per
-    row, as for every stacked solve below.
+    row, as for every stacked solve below.  Each design is stored column
+    by column, a transposed (B, 2 + k + extra, n) array, so the hinge
+    columns broadcast along the sample axis and LAPACK copies each column
+    in one piece.
     """
-    X = np.empty((bks.shape[0], t.shape[-1], 2 + bks.shape[1]))
-    X[:, :, 0] = sqrt_w
-    X[:, :, 1] = t * sqrt_w
-    X[:, :, 2:] = np.maximum(t[..., :, None] - bks[:, None, :], 0.0) * sqrt_w[..., :, None]
-    return X
+    k = bks.shape[1]
+    X = np.empty((bks.shape[0], 2 + k + extra, t.shape[-1]))
+    X[:, 0] = sqrt_w
+    X[:, 1] = t * sqrt_w
+    X[:, 2 : 2 + k] = np.maximum(t[..., None, :] - bks[:, :, None], 0.0) * sqrt_w[..., None, :]
+    return X.mT
 
 
 def _wls_rows(t, v, sqrt_w, bks):
     """Weighted least squares at each row of a (B, k) stack of breakpoint
     vectors; returns (coef, sse_w), (B, 2 + k) and (B,)."""
-    X = _weighted_designs(t, np.ones_like(t), bks)  # unweighted: the residual is v - X coef
+    # unweighted, so the residual is v - X coef; row-major, so that product
+    # rounds as the one-row matmul does
+    X = np.ascontiguousarray(_weighted_designs(t, np.ones_like(t), bks))
     coef = _lstsq_rows(X * sqrt_w[..., :, None], v * sqrt_w)
     resid = v - (X @ coef[:, :, None])[:, :, 0]
     return coef, np.vecdot(sqrt_w * resid, sqrt_w * resid)
@@ -139,22 +146,32 @@ def _wls(t, v, sqrt_w, breakpoints):
     return coef[0], float(sse[0])
 
 
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def _sse_batch(t, v, sqrt_w, bks) -> np.ndarray:
     """Weighted SSE at each row of a (B, k) stack of breakpoint vectors.
 
-    One stacked QR of the weighted designs; each SSE is the squared norm of
-    the explicit residual yw - Q (Q^T yw).  A row whose R has a diagonal
-    entry at or below 1e-10 * max|diag R| is rank deficient and is solved
-    again by ``_wls`` (the minimum-norm lstsq solution).
+    One stacked Householder QR of the augmented designs [X | yw], the
+    ``qr_r_raw`` gufunc that ``np.linalg.qr`` wraps, with its error hook;
+    Q is never formed.  The last diagonal entry of R is the norm of yw's
+    part outside the span of X (Golub & Van Loan, Matrix Computations,
+    5.3), so its square is the SSE.  Rows need n > 2 + k samples.  A row
+    whose R of X has a diagonal entry at or below 1e-10 * max|diag R| is
+    rank deficient and is solved again by ``_wls`` (the minimum-norm lstsq
+    solution).
     """
     bks = np.asarray(bks, dtype=float)
-    yw = v * sqrt_w
-    q, r = np.linalg.qr(_weighted_designs(t, sqrt_w, bks))
-    resid = yw - (q @ (yw[..., None, :] @ q).transpose(0, 2, 1))[:, :, 0]
-    sse = np.einsum("bn,bn->b", resid, resid)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    p = 2 + bks.shape[1]
+    a = _weighted_designs(t, sqrt_w, bks, extra=1)
+    a[:, :, p] = v * sqrt_w
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        _umath_linalg.qr_r_raw(a, signature="d->d")  # R into a's upper triangle
+    sse = a[:, p, p] ** 2
+    diag = np.abs(np.diagonal(a[:, :p, :p], axis1=1, axis2=2))
     for row in np.flatnonzero((diag <= 1e-10 * diag.max(axis=1, keepdims=True)).any(axis=1)):
-        t_row, v_row, w_row = (np.broadcast_to(a, resid.shape)[row] for a in (t, v, sqrt_w))
+        t_row, v_row, w_row = (np.broadcast_to(x, a.shape[:2])[row] for x in (t, v, sqrt_w))
         sse[row] = _wls(t_row, v_row, w_row, bks[row])[1]
     return sse
 
@@ -171,10 +188,8 @@ def _directions(t, v, sqrt_w, bks) -> np.ndarray:
     there sends restarts down other paths.
     """
     k = bks.shape[1]
-    X = np.concatenate(
-        [_weighted_designs(t, sqrt_w, bks), (t[..., :, None] > bks[:, None, :]) * sqrt_w[..., :, None]],
-        axis=2,
-    )
+    X = _weighted_designs(t, sqrt_w, bks, extra=k)
+    X.mT[:, 2 + k :] = (t[..., None, :] > bks[:, :, None]) * sqrt_w[..., None, :]
     coef = _lstsq_rows(X, v * sqrt_w)
     gamma = coef[:, 2 : 2 + k]
     moving = ~(np.abs(gamma) < 1e-12).any(axis=1)

@@ -87,6 +87,14 @@ class TestFitUnivariate:
         with pytest.raises(TypeError, match="not a numerical failure"):
             fit_univariate(np.random.default_rng(15).normal(size=200))
 
+    def test_value_error_in_a_family_fitter_propagates(self, monkeypatch):
+        def broken(y, w):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setitem(marginals._FAMILIES, "gamma", marginals._FAMILIES["gamma"]._replace(start=broken))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            fit_univariate(np.random.default_rng(16).gamma(2.0, 1.5, size=200))
+
     def test_numerical_failure_skips_the_family_and_is_counted(self, monkeypatch, caplog):
         def diverged(y, w):
             raise FloatingPointError("overflow")

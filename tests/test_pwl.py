@@ -306,10 +306,10 @@ class TestSseBatch:
     """
 
     @staticmethod
-    def assert_matches_lstsq(v, bks):
+    def assert_matches_lstsq(v, bks, t=GRID, sqrt_w=SQRT_W):
         bks = np.asarray(bks, dtype=float)
-        sse = _sse_batch(GRID, v, SQRT_W, bks)
-        ref = np.array([_wls(GRID, v, SQRT_W, b)[1] for b in bks])
+        sse = _sse_batch(t, v, sqrt_w, bks)
+        ref = np.array([_wls(t, v, sqrt_w, b)[1] for b in bks])
         assert np.all(np.abs(sse - ref) <= np.maximum(1e-12 * ref, 1e-20)), (sse, ref)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -335,6 +335,30 @@ class TestSseBatch:
         stack = np.random.default_rng(k).uniform(LO, HI, size=(10, k))
         self.assert_matches_lstsq(np.full(GRID.size, 8.0), stack)
 
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_short_profiles(self, n, k):
+        """[X | yw] has 3 + k columns, up to n - 1 of the n rows."""
+        t = np.round(np.linspace(-0.1 * (n - 1), 0.0, n), 10)
+        sqrt_w = np.sqrt(sample_weights(t))
+        lo, hi = _breakpoint_bounds(t)
+        rng = np.random.default_rng(10 * n + k)
+        for _ in range(4):
+            v = 9.0 - 3.0 * np.maximum(t + 0.3, 0.0) + rng.normal(0.0, 0.05, n)
+            self.assert_matches_lstsq(v, np.sort(rng.uniform(lo, hi, size=(40, k)), axis=1), t, sqrt_w)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_piecewise_linear(self, k):
+        """A profile on the design's own polyline scores at the floor."""
+        rng = np.random.default_rng(60 + k)
+        for _ in range(5):
+            bks = np.sort(rng.uniform(LO, HI, k))
+            coef = rng.uniform(-3.0, 3.0, 2 + k) + np.r_[10.0, np.zeros(1 + k)]
+            v = np.column_stack([np.ones_like(GRID), GRID, *(np.maximum(GRID - b, 0.0) for b in bks)]) @ coef
+            stack = np.vstack([bks, np.sort(rng.uniform(LO, HI, size=(5, k)), axis=1)])
+            assert _sse_batch(GRID, v, SQRT_W, stack)[0] <= 1e-20
+            self.assert_matches_lstsq(v, stack)
+
     def test_rank_deficient_rows_are_solved_by_wls(self, monkeypatch):
         solved = []
 
@@ -350,6 +374,77 @@ class TestSseBatch:
         assert sse[1] == _wls(GRID, v, SQRT_W, stack[1])[1]
         assert sse[2] == _wls(GRID, v, SQRT_W, stack[2])[1]
         self.assert_matches_lstsq(v, stack[:1])
+
+    def test_rank_deficient_row_of_a_short_profile(self, monkeypatch):
+        t = np.round(np.linspace(-0.7, 0.0, 8), 10)
+        sqrt_w = np.sqrt(sample_weights(t))
+        v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
+        solved = []
+
+        def spy(t, v, sqrt_w, bks):
+            solved.append(tuple(bks))
+            return _wls(t, v, sqrt_w, bks)
+
+        monkeypatch.setattr(pwl, "_wls", spy)
+        stack = np.array([[-0.55, -0.35, -0.15], [-0.55, -0.35, 0.05], [-0.65, -0.45, -0.25]])  # the middle: empty hinge
+        sse = _sse_batch(t, v, sqrt_w, stack)
+        assert solved == [(-0.55, -0.35, 0.05)]
+        assert sse[1] == _wls(t, v, sqrt_w, stack[1])[1]
+        self.assert_matches_lstsq(v, stack[[0, 2]], t, sqrt_w)
+
+
+def column_stack_design(t, sqrt_w, bks):
+    """One weighted design, column by column, as one-row code builds it."""
+    return np.column_stack([sqrt_w, t * sqrt_w, *(np.maximum(t - b, 0.0) * sqrt_w for b in bks)])
+
+
+class TestDesigns:
+    """The stacked design builders against one-row forms, byte for byte."""
+
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_weighted_designs_are_column_stacks(self, k, extra):
+        rng = np.random.default_rng(70 + k)
+        bks = rng.uniform(LO, HI, size=(9, k))
+        shared = pwl._weighted_designs(GRID, SQRT_W, bks, extra)
+        t = GRID + rng.uniform(0.0, 0.05, size=(9, GRID.size))
+        sqrt_w = SQRT_W * rng.uniform(0.5, 2.0, size=(9, GRID.size))
+        stacked = pwl._weighted_designs(t, sqrt_w, bks, extra)
+        assert shared.shape == stacked.shape == (9, GRID.size, 2 + k + extra)
+        for row, b in enumerate(bks):
+            assert np.ascontiguousarray(shared[row, :, : 2 + k]).tobytes() == column_stack_design(GRID, SQRT_W, b).tobytes()
+            assert np.ascontiguousarray(stacked[row, :, : 2 + k]).tobytes() == (
+                column_stack_design(t[row], sqrt_w[row], b).tobytes()
+            )
+
+    @staticmethod
+    def one_row_directions(t, v, sqrt_w, b):
+        """The jump-augmented one-row lstsq and its coefficient ratios."""
+        X = np.column_stack([column_stack_design(t, sqrt_w, b), *((t > x) * sqrt_w for x in b)])
+        coef = np.linalg.lstsq(X, v * sqrt_w, rcond=None)[0]
+        gamma = coef[2 : 2 + len(b)]
+        return np.full(len(b), np.nan) if (np.abs(gamma) < 1e-12).any() else coef[2 + len(b) :] / gamma
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_directions_are_one_lstsq_each(self, k):
+        rng = np.random.default_rng(80 + k)
+        near_line = 8.0 - 0.5 * GRID + 1e-3 * np.maximum(GRID + 2.0, 0.0)  # slope change barely there
+        speeds = [p.speeds for _, p in recovery_corpus(4, seed=k)] + [near_line, np.full(GRID.size, 8.0)]
+        for v in speeds:
+            bks = np.sort(rng.uniform(LO, HI, size=(12, k)), axis=1)
+            delta = pwl._directions(GRID, v, SQRT_W, bks)
+            for row, b in enumerate(bks):
+                assert delta[row].tobytes() == self.one_row_directions(GRID, v, SQRT_W, b).tobytes()
+
+    def test_directions_of_a_stack_of_profiles(self):
+        rng = np.random.default_rng(90)
+        profiles = [p for _, p in recovery_corpus(8, seed=9)]
+        v = np.array([p.speeds for p in profiles])
+        bks = np.sort(rng.uniform(LO, HI, size=(8, 2)), axis=1)
+        t, sqrt_w = (np.broadcast_to(x, v.shape) for x in (GRID, SQRT_W))
+        delta = pwl._directions(t, v, sqrt_w, bks)
+        for row, b in enumerate(bks):
+            assert delta[row].tobytes() == self.one_row_directions(GRID, v[row], SQRT_W, b).tobytes()
 
 
 def assert_same_candidates(new, old):
