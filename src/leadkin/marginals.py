@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import AllFitsFailed, InputError, NumericalError
 from .jsonio import _checked, _field, _mapping
-from .wstats import effective_sample_size, normalize_to_effective, weighted_var_mle
+from .wstats import effective_sample_size, normalize_to_effective, weighted_mean, weighted_var_mle
 
 log = logging.getLogger(__name__)
 
@@ -73,28 +73,50 @@ class FittedDist:
     def k(self) -> int:
         return len(_FAMILIES[self.family].names)
 
-    def _scipy(self, method: str, y) -> np.ndarray:
-        """The family's scipy ``method`` at y, without freezing a distribution."""
+    def _standard(self, x):
+        """The family row, the shapes, loc and scale, and the standard
+        variable z = (y - loc) / scale at y = affine.forward(x)."""
         spec = _FAMILIES[self.family]
-        loc, scale = self.params.get("loc", 0.0), self.params["scale"]
-        return getattr(spec.dist, method)(y, *spec.shapes(self.params), loc=loc, scale=scale)
+        shapes, loc, scale = spec.split(self.params)
+        return spec, shapes, scale, (self.affine.forward(x) - loc) / scale
 
     def logpdf(self, x) -> np.ndarray:
-        return self._scipy("logpdf", self.affine.forward(x))
+        spec, shapes, scale, z = self._standard(x)
+        lp = np.where(np.isnan(z), np.nan, -np.inf)
+        inside = z >= spec.lower
+        lp[inside] = spec.logpdf(z[inside], *shapes) - np.log(scale)
+        return lp
 
     def cdf(self, x) -> np.ndarray:
-        p = self._scipy("cdf", self.affine.forward(x))
+        spec, shapes, _, z = self._standard(x)
+        p = np.where(np.isnan(z), np.nan, np.where(z < np.inf, 0.0, 1.0))
+        inside = (z > spec.lower) & (z < np.inf)
+        p[inside] = spec.cdf(z[inside], *shapes)
         # y = -x - shift is decreasing in x
         return 1.0 - p if self.affine.reflect else p
 
     def ppf(self, u) -> np.ndarray:
+        """Quantiles at u: loc + scale times the family's standard quantile,
+        mapped back through the affine; the support's ends at 0 and 1.
+        Parameters outside the family's domain, or a NaN quantile of some
+        u in (0, 1) (u itself NaN, or a Newton inverse that did not
+        converge), raise ``NumericalError``."""
+        spec = _FAMILIES[self.family]
+        shapes, loc, scale = spec.split(self.params)
+        if not (np.isfinite(list(self.params.values())).all() and spec.admits(self.params)):
+            raise NumericalError(f"{self.family} ppf with {dict(self.params)}: invalid parameters")
         u = np.asarray(u, dtype=float)
-        q = 1.0 - u if self.affine.reflect else u
-        if self.family in _STANDARD_PPF:
-            y = _standard_ppf(self.family, q, self.params)
-        else:
-            y = self._scipy("ppf", q)
-        return self.affine.inverse(y)
+        flat = (1.0 - u if self.affine.reflect else u).ravel()
+        x = np.where(flat == 0.0, spec.lower, np.where(flat == 1.0, np.inf, np.nan))
+        inside = (flat > 0.0) & (flat < 1.0)
+        x[inside] = spec.ppf(flat[inside], *shapes)
+        failed = int(np.isnan(x).sum())
+        if failed:
+            raise NumericalError(
+                f"{self.family} ppf with {dict(self.params)}: "
+                f"no finite quantile for {failed} of {flat.size} values (not converged, or NaN)"
+            )
+        return self.affine.inverse((loc + scale * x).reshape(u.shape))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.ppf(rng.random(n))
@@ -139,13 +161,21 @@ class FittedDist:
         )
 
 
-# --- vectorized inverse CDFs ---------------------------------------------------
+# --- standard forms --------------------------------------------------------------
 #
-# scipy's exponnorm and skewnorm have no closed-form ppf: exponnorm runs one
-# scalar brentq per draw and skewnorm Boost's scalar root finder.  Both
-# families' cdf and sf are instead written below as vectorized sums of two
-# terms, with the pdf beside them, and ``_invert`` runs one safeguarded Newton
-# iteration over every draw at once.
+# Each family's row in _FAMILIES carries its standard form (loc 0, scale 1):
+# the log-density on the support, the cdf inside it and the quantile of each
+# q in (0, 1), all on scipy.special; FittedDist applies loc, scale and the
+# affine around them.  Every log-density, and the normal, gamma, generalized
+# gamma and exponential cdf and quantile, repeat the operations of scipy's
+# distributions in their order and give scipy's bits; only the generalized
+# gamma's z^c at c = 2, 1/2 or -1, a square, root or reciprocal in numpy,
+# may round otherwise than scipy's power.
+#
+# The expnormal and the skew normal have no closed-form quantile.  Their cdf
+# and sf are written below as vectorized sums of two terms, with the pdf
+# beside them, and ``_invert`` runs one safeguarded Newton iteration over
+# every draw at once.
 #
 # The standard EMG X = Z + k E (Z standard normal, E standard exponential) has
 # cdf Phi(x) - T(x) and sf Phi(-x) + T(x) with the tail term
@@ -205,15 +235,39 @@ def _invert(target: np.ndarray, sign: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return out
 
 
+_SERIES_K = 10.0  # k from which the near cdf's erfcx difference takes a Taylor series
+_SERIES_TERMS = 16
+
+
+def _erfcx_drop(u, e, h):
+    """erfcx(u) - erfcx(u + h) for e = erfcx(u), from the Taylor series at u
+    to the 16th power of h.  The derivatives follow E' = 2 u E - 2/sqrt(pi)
+    and E^(n) = 2 u E^(n-1) + 2 (n - 1) E^(n-2).  For h <= 0.071 (k >= 10)
+    the last term is below 1e-16 of the sum from u = -3.7, the end of the
+    near range, up to u = 27, past which exp(-x^2/2) underflows."""
+    prev, cur = e, 2.0 * u * e - 2.0 / np.sqrt(np.pi)
+    power = h
+    drop = -cur * h
+    for n in range(2, _SERIES_TERMS + 1):
+        prev, cur = cur, 2.0 * u * cur + 2.0 * (n - 1) * prev
+        power = power * h / n
+        drop = drop - cur * power
+    return drop
+
+
 def _expnormal_terms(x, k, sign):
     """Standard EMG cdf (sign +1) or sf (sign -1) at x, the sum of the
     magnitudes of its two terms Phi(sign x) and T(x), and the pdf.
 
     While x - 1/k <= 5 both terms are written as exp(-x^2/2)/2 times an
     erfcx, and the common factor is applied after their difference, so the
-    lower-tail cancellation at large k only sees erfcx's own rounding (the
-    log_ndtr form of T loses up to 7e-7 relative at k = 1e-5).  Beyond that
-    erfcx(-(x - 1/k)/sqrt 2) overflows and T takes the log form.
+    lower-tail cancellation only sees erfcx's own rounding (the log_ndtr
+    form of T loses up to 7e-7 relative at k = 1e-5).  From k = 10 on the
+    two erfcx of the cdf lie within 1/(k sqrt 2) of each other and that
+    rounding grows as k (1e-11 relative at k = 1e4), so their difference
+    takes its Taylor series.  Beyond x - 1/k = 5, erfcx(-(x - 1/k)/sqrt 2)
+    overflows and T takes the log form; the cdf is then written
+    -expm1(log T) - Phi(-x), which takes 1 - T without cancelling.
     """
     d = x - 1.0 / k
     factor, a, b = np.ones_like(x), np.empty_like(x), np.empty_like(x)
@@ -223,8 +277,16 @@ def _expnormal_terms(x, k, sign):
     b[near] = special.erfcx(-d[near] * _SQRT1_2)
     far = ~near
     a[far] = special.ndtr(sign[far] * x[far])
-    b[far] = np.exp(special.log_ndtr(d[far]) - (d[far] + 0.5 / k) / k)
-    return factor * (a - sign * b), factor * (a + b), factor * b / k
+    log_t = special.log_ndtr(d[far]) - (d[far] + 0.5 / k) / k
+    b[far] = np.exp(log_t)
+    diff = a - sign * b
+    cdf = sign > 0
+    far_cdf = far & cdf
+    diff[far_cdf] = -special.expm1(log_t[far_cdf[far]]) - special.ndtr(-x[far_cdf])
+    if k >= _SERIES_K:
+        series = near & cdf
+        diff[series] = _erfcx_drop(-x[series] * _SQRT1_2, a[series], _SQRT1_2 / k)
+    return factor * diff, factor * (a + b), factor * b / k
 
 
 def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
@@ -241,6 +303,23 @@ def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
                    lambda x, sign: _expnormal_terms(x, k, sign))
 
 
+def _standard_expnormal_logpdf(z, k):
+    inv_k = 1.0 / k
+    return inv_k * (0.5 * inv_k - z) + special.log_ndtr(z - inv_k) - np.log(k)
+
+
+def _standard_expnormal_cdf(z, k):
+    """The standard EMG cdf at z, its upper half 1 - sf as the quantile
+    solves it: far above the mode at small k the cdf form's erfcx overflows
+    where its factor underflows."""
+    ones = np.ones_like(z)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN where the sf takes over
+        p = _expnormal_terms(z, k, ones)[0]
+    upper = ~(p <= 0.5)  # also where the cdf form is NaN
+    p[upper] = 1.0 - _expnormal_terms(z[upper], k, -ones[upper])[0]
+    return p
+
+
 # Below zero, the cdf Phi(x) - 2 T(x, a) of a skew normal of shape a > 0
 # cancels more as a |x| grows: at a = 100 and a x = -3 it is 6e-6 of Phi(x).
 # From a |x| >= 3 on, t^2 = a^2 + 2 v / x^2 turns the same cdf written as
@@ -251,8 +330,9 @@ def _standard_expnormal_ppf(q: np.ndarray, k: float) -> np.ndarray:
 #         / (sqrt(1 + v / D) (1 + 1 / a^2 + v / D)),     D = (a x)^2 / 2,
 #
 # and the integral takes a 24-point Gauss-Laguerre rule, accurate to 2e-14
-# relative from D = 4.5 up.  Below that the difference loses at most 2e-12
-# relative for a <= 100, the shape's fit bound.
+# relative from D = 4.5 up.  Below that the difference loses up to 1.3e-11
+# relative for a <= 100, the shape's fit bound (at a x = -2.87, the worst of
+# 500 points of a scan against 50-digit mpmath).
 _THIN_AX = 3.0
 
 
@@ -303,28 +383,35 @@ def _standard_skewnormal_ppf(q: np.ndarray, a: float) -> np.ndarray:
     return -x if a < 0 else x
 
 
-_STANDARD_PPF = {"expnormal": _standard_expnormal_ppf, "skewnormal": _standard_skewnormal_ppf}
+def _standard_skewnormal_logpdf(z, a):
+    if a == 0:
+        return _norm_logpdf(z)
+    return np.log(2.0) + _norm_logpdf(z) + special.log_ndtr(a * z)
 
 
-def _standard_ppf(family: str, q: np.ndarray, params: Mapping[str, float]) -> np.ndarray:
-    """Quantiles of a fitted expnormal or skew normal: loc + scale times the
-    standard quantile of its shape; -inf and +inf at q = 0 and 1, as scipy's
-    ppf gives.  A non-finite quantile of some q in (0, 1) raises
-    ``NumericalError``."""
-    shape, loc, scale = (params[name] for name in _FAMILIES[family].names)
-    if not (np.isfinite([shape, loc, scale]).all() and _FAMILIES[family].admits(params)):
-        raise NumericalError(f"{family} ppf with {dict(params)}: invalid parameters")
-    flat = q.ravel()
-    x = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
-    inside = (flat > 0.0) & (flat < 1.0)
-    x[inside] = _STANDARD_PPF[family](flat[inside], shape)
-    failed = int(np.isnan(x).sum())
-    if failed:
-        raise NumericalError(
-            f"{family} ppf with {dict(params)}: "
-            f"no finite quantile for {failed} of {flat.size} values (not converged, or NaN)"
-        )
-    return (loc + scale * x).reshape(q.shape)
+def _standard_skewnormal_cdf(z, a):
+    """The standard skew-normal cdf at z; for a < 0 the sf of -z at |a|."""
+    sign = np.full_like(z, 1.0 if a >= 0 else -1.0)
+    return _skewnormal_terms(sign * z, abs(a), sign)[0]
+
+
+# The generalized gamma's cdf and quantile are the gamma's at z^c: the lower
+# regularized incomplete gamma function for c > 0, the upper one for c < 0,
+# where z^c decreases in z.
+
+
+def _standard_gengamma_logpdf(z, a, c):
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 with c < 0, replaced below
+        lp = np.log(abs(c)) + special.xlogy(c * a - 1, z) - z**c - special.gammaln(a)
+    return lp if c > 0 else np.where(z != 0, lp, -np.inf)
+
+
+def _standard_gengamma_cdf(z, a, c):
+    return (special.gammainc if c > 0 else special.gammaincc)(a, z**c)
+
+
+def _standard_gengamma_ppf(q, a, c):
+    return (special.gammaincinv if c > 0 else special.gammainccinv)(a, q) ** (1.0 / c)
 
 
 # --- Nelder-Mead ---------------------------------------------------------------
@@ -468,9 +555,7 @@ _NUMERICAL = (ArithmeticError, np.linalg.LinAlgError, NumericalError)
 
 
 def _moments(y: np.ndarray, w: np.ndarray) -> Tuple[float, float]:
-    mean = float(np.dot(w, y) / w.sum())
-    var = float(np.dot(w, np.square(y - mean)) / w.sum())
-    return mean, max(var, 1e-12)
+    return weighted_mean(y, w), max(weighted_var_mle(y, w), 1e-12)
 
 
 def _norm_logpdf(z):
@@ -504,7 +589,7 @@ def _normal(y, w):
 
 
 def _exponential(y, w):
-    mean = float(np.dot(w, y) / w.sum())
+    mean = weighted_mean(y, w)
     if mean <= 0:
         return None
     return {"scale": mean}
@@ -599,9 +684,15 @@ _MAX = sys.float_info.max  # a parameter limit that only excludes inf and NaN
 
 
 class _Family(NamedTuple):
-    dist: object  # scipy.stats distribution
     names: Tuple[str, ...]  # shape parameters first, then loc (if free) and scale
     positive: bool  # support is (0, inf): fit through an AffinePre on signed data
+    # the standard form (loc 0, scale 1): the rule the shapes must meet, and
+    # the log-density on the support, the cdf inside it and the quantile of
+    # q in (0, 1), each a function of z or q followed by the shapes
+    domain: Callable
+    logpdf: Callable
+    cdf: Callable
+    ppf: Callable
     # (y, w) -> the parameters in closed form (a dict) or the Nelder-Mead
     # starts (a list); None when the family cannot fit
     start: Callable
@@ -610,27 +701,42 @@ class _Family(NamedTuple):
     # point; and (theta, parameters, y[, log y]) -> the log-densities
     natural: Optional[Callable] = None
     limits: Tuple[float, ...] = ()
-    logpdf: Optional[Callable] = None
+    search_logpdf: Optional[Callable] = None
 
-    def shapes(self, params: Mapping[str, float]) -> list:
-        return [params[n] for n in self.names if n not in ("loc", "scale")]
+    @property
+    def lower(self) -> float:
+        """The lower end of the standard support."""
+        return 0.0 if self.positive else -np.inf
+
+    def split(self, params: Mapping[str, float]) -> Tuple[list, float, float]:
+        """The shapes in ``names`` order, loc (0 when not free) and scale."""
+        shapes = [params[n] for n in self.names if n not in ("loc", "scale")]
+        return shapes, params.get("loc", 0.0), params["scale"]
 
     def admits(self, params: Mapping[str, float]) -> bool:
-        """scale > 0 and the shapes within scipy's domain for the family."""
-        return params["scale"] > 0 and bool(self.dist._argcheck(*self.shapes(params)))
+        """scale > 0 and the shapes within the family's domain."""
+        shapes, _, scale = self.split(params)
+        return scale > 0 and bool(self.domain(*shapes))
 
 
 _FAMILIES = {
-    "normal": _Family(stats.norm, ("loc", "scale"), False, _normal),
-    "skewnormal": _Family(stats.skewnorm, ("a", "loc", "scale"), False, _skewnormal_starts,
-                          _exp_at(2), (100, _MAX, _MAX), _skewnormal_logpdf),
-    "expnormal": _Family(stats.exponnorm, ("k", "loc", "scale"), False, _expnormal_starts,
-                         _exp_at(0, 2), (1e4, _MAX, _MAX), _expnormal_logpdf),
-    "gamma": _Family(stats.gamma, ("shape", "scale"), True, _gamma_starts,
-                     np.exp, (1e6, _MAX), _gamma_logpdf),
-    "gengamma": _Family(stats.gengamma, ("a", "c", "scale"), True, _gengamma_starts,
-                        np.exp, (1e6, 50, _MAX), _gengamma_logpdf),
-    "exponential": _Family(stats.expon, ("scale",), True, _exponential),
+    "normal": _Family(("loc", "scale"), False, lambda: True,
+                      _norm_logpdf, special.ndtr, special.ndtri, _normal),
+    "skewnormal": _Family(("a", "loc", "scale"), False, math.isfinite,
+                          _standard_skewnormal_logpdf, _standard_skewnormal_cdf, _standard_skewnormal_ppf,
+                          _skewnormal_starts, _exp_at(2), (100, _MAX, _MAX), _skewnormal_logpdf),
+    "expnormal": _Family(("k", "loc", "scale"), False, lambda k: k > 0,
+                         _standard_expnormal_logpdf, _standard_expnormal_cdf, _standard_expnormal_ppf,
+                         _expnormal_starts, _exp_at(0, 2), (1e4, _MAX, _MAX), _expnormal_logpdf),
+    "gamma": _Family(("shape", "scale"), True, lambda a: a > 0,
+                     lambda z, a: special.xlogy(a - 1.0, z) - z - special.gammaln(a),
+                     lambda z, a: special.gammainc(a, z), lambda q, a: special.gammaincinv(a, q),
+                     _gamma_starts, np.exp, (1e6, _MAX), _gamma_logpdf),
+    "gengamma": _Family(("a", "c", "scale"), True, lambda a, c: a > 0 and c != 0,
+                        _standard_gengamma_logpdf, _standard_gengamma_cdf, _standard_gengamma_ppf,
+                        _gengamma_starts, np.exp, (1e6, 50, _MAX), _gengamma_logpdf),
+    "exponential": _Family(("scale",), True, lambda: True,
+                           np.negative, lambda z: -special.expm1(-z), lambda q: -special.log1p(-q), _exponential),
 }
 
 
@@ -670,7 +776,7 @@ def _likelihood(runs):
                 block = rows[lo:hi] - bounds[b0]
                 theta = points[lo:hi]
                 params = spec.natural(theta)
-                lp = spec.logpdf(theta, params, *(d[block] for d in data))
+                lp = spec.search_logpdf(theta, params, *(d[block] for d in data))
                 feasible = (np.abs(params) <= limits).all(axis=-1) & (np.isfinite(lp) | padding[block]).all(axis=-1)
                 w_rows = w[block]
                 dots = np.empty(theta.shape[:2])
@@ -705,7 +811,7 @@ def _minimize(runs) -> List[_Simplex]:
 
 def _affine_for(values: np.ndarray, weights: np.ndarray) -> AffinePre:
     """Pre-transformation for positive-support families on signed data."""
-    reflect = bool(np.dot(weights, values) / weights.sum() < 0)
+    reflect = weighted_mean(values, weights) < 0
     y = -values if reflect else values
     shift = 0.0
     if y.min() <= 0:
@@ -863,5 +969,5 @@ def fit_univariate(
 def quantile_normalize(values, dist: FittedDist) -> np.ndarray:
     """Map data through the fitted CDF onto the standard normal scale."""
     u = np.clip(dist.cdf(values), _CLIP_LO, _CLIP_HI)
-    return stats.norm.ppf(u)
+    return special.ndtri(u)
 

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
 
 from .combine import WeightedDataset
 from .config import PipelineConfig
@@ -160,7 +160,7 @@ def weighted_corr(x, y, w) -> Tuple[float, float]:
     if abs(r) >= 1.0:
         return r, 0.0
     t = abs(r) * np.sqrt(df / (1.0 - r * r))
-    p = float(2.0 * sstats.t.sf(t, df))
+    p = float(2.0 * special.stdtr(df, -t))  # twice the t distribution's sf at t
     return r, min(p, 1.0)
 
 

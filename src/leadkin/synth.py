@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
 
 from .config import PipelineConfig
 from .errors import RejectionCapExceeded
@@ -140,7 +140,7 @@ def sample_submodel(
         block = bundle.correlated
         z = rng.standard_normal((n, len(block.names))) @ _copula_factor(block.sigma).T
         for j, name in enumerate(block.names):
-            u = np.clip(sstats.norm.cdf(z[:, j]), _CLIP_LO, _CLIP_HI)
+            u = np.clip(special.ndtr(z[:, j]), _CLIP_LO, _CLIP_HI)
             columns[name] = np.asarray(block.marginals[j].ppf(u), dtype=float)
 
     for name in PARAM_NAMES:

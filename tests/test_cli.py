@@ -6,6 +6,9 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -755,6 +758,18 @@ def test_marginal_outside_its_family_domain_is_an_input_error(family, params):
         FittedDist.from_json(doc)
     doc["params"] = {**params, **{k: 1.0 for k in ("scale", "k", "shape", "c") if k in params}}
     assert FittedDist.from_json(doc).family == family
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """The program runs on scipy.special alone; importing scipy.stats as
+    well costs about half a second and 45 MB, so a stray import shows here."""
+    import leadkin
+
+    src = str(Path(leadkin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, leadkin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- the exit-code contract through main -------------------------------------------

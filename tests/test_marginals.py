@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,3 +374,178 @@ class TestSkewnormalPpf:
         u, y = u[checked], y[checked]
         back = np.where(u <= 0.5, reference.cdf(y) / u, reference.sf(y) / (1.0 - u))
         assert np.abs(back - 1.0).max(initial=0.0) <= 1e-9
+
+
+# The cdf of each family's standard form (loc 0, scale 1) at the points
+# below, near its quantiles of CDF_U, computed once with 50-digit mpmath
+# (not a dependency of this package):
+#
+#     mp.mp.dps = 50
+#     normal       mp.ncdf(x)
+#     skewnormal   cdf(x, a) as for SKEWNORMAL_REFERENCE, or sf(-x, -a) for a < 0
+#     expnormal    mp.ncdf(x) - tail(x), with tail(x) as for EXPNORMAL_REFERENCE
+#     gamma        mp.gammainc(a, 0, x, regularized=True)
+#     gengamma     mp.gammainc(a, 0, x**c, regularized=True) for c > 0,
+#                  mp.gammainc(a, x**c, mp.inf, regularized=True) for c < 0
+#     exponential  -mp.expm1(-x)
+#
+# with x and the shapes mp.mpf of the doubles below.  The points are the
+# package's quantiles at CDF_U, rounded to 4 significant digits.
+CDF_U = (1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10)
+CDF_REFERENCE = {
+    ('normal', ()): (
+        (-6.361, -4.753, -3.09, -1.282, 0.0, 1.282, 3.09, 4.753, 6.361),
+        (1.0022222246427048e-10, 1.002101739975321e-06, 0.0010007824766140108, 0.09992132311338286, 0.5, 0.9000786768866171, 0.9989992175233859, 0.9999989978982601, 0.9999999998997777),
+    ),
+    ('skewnormal', (-20.0,)): (
+        (-6.467, -4.892, -3.291, -1.645, -0.6745, -0.1256, 0.07828, 0.1852, 0.2769),
+        (9.996764959823931e-11, 9.98164447389199e-07, 0.0009983191327637795, 0.09996981107824272, 0.4999934857273983, 0.8999722963711322, 0.9989998150292562, 0.9999990024944939, 0.9999999999001817),
+    ),
+    ('skewnormal', (0.5,)): (
+        (-5.484, -4.022, -2.502, -0.8376, 0.3531, 1.556, 3.279, 4.891, 6.467),
+        (1.0009423237612845e-10, 1.0000957993946717e-06, 0.001001467765665834, 0.09999541046087035, 0.5000037547981057, 0.8999920347807402, 0.9989991527275679, 0.9999990024553895, 0.9999999999000807),
+    ),
+    ('skewnormal', (5.0,)): (
+        (-1.133, -0.7902, -0.4138, 0.08051, 0.6745, 1.645, 3.291, 4.892, 6.467),
+        (9.929850012110706e-11, 9.994243158468133e-07, 0.0010000793972917243, 0.099998493333386, 0.5000183495752528, 0.9000301889217572, 0.9990016808672362, 0.9999990018355526, 0.9999999999000323),
+    ),
+    ('skewnormal', (100.0,)): (
+        (-0.05264, -0.03304, -0.007762, 0.1257, 0.6745, 1.645, 3.291, 4.892, 6.467),
+        (1.0007778122697286e-10, 9.995087666171179e-07, 0.0009999158026925035, 0.10003059813234277, 0.5000065142726017, 0.9000301889217572, 0.9990016808672362, 0.9999990018355526, 0.9999999999000323),
+    ),
+    ('expnormal', (0.001,)): (
+        (-6.36, -4.752, -3.089, -1.281, 0.001, 1.283, 3.091, 4.754, 6.362),
+        (1.0022428944474674e-10, 1.0021134879166858e-06, 0.0010007876729284596, 0.09992143550543302, 0.5000000001329803, 0.9000785644193192, 0.9989992123078695, 0.9999989978864408, 0.9999999998997757),
+    ),
+    ('expnormal', (0.5,)): (
+        (-6.137, -4.499, -2.791, -0.9039, 0.4729, 1.932, 4.452, 7.908, 12.51),
+        (1.0002872212889443e-10, 9.9794752682139e-07, 0.0009988267652155081, 0.10000701826588587, 0.5000117399640068, 0.8999976560617052, 0.9989991139106872, 0.9999990004893227, 0.9999999998994132),
+    ),
+    ('expnormal', (50.0,)): (
+        (-5.425, -3.538, -1.252, 5.278, 34.67, 115.1, 345.4, 690.8, 1151.0),
+        (1.0022663181335562e-10, 1.0001369877034513e-06, 0.0009991392469837778, 0.09999953614087172, 0.5000264090225663, 0.8999214598739782, 0.9990000447200179, 0.9999990002894001, 0.999999999899393),
+    ),
+    ('expnormal', (10000.0,)): (
+        (-4.425, -1.938, 10.01, 1054.0, 6931.0, 23030.0, 69080.0, 138200.0, 230300.0),
+        (9.994605609215446e-11, 1.0009025486131025e-06, 0.001000494171627825, 0.10003553070658726, 0.4999764066633993, 0.900041481594602, 0.9990002446860773, 0.9999990044793746, 0.999999999900414),
+    ),
+    ('gamma', (0.3,)): (
+        (3.236e-34, 6.973e-21, 6.973e-11, 0.0003237, 0.07313, 0.8848, 4.619, 10.98, 19.81),
+        (9.999591915006152e-11, 1.0000129461651103e-06, 0.0010000129461490183, 0.09999771876958893, 0.49999779809297495, 0.8999983804564448, 0.999000072246479, 0.9999989948659194, 0.999999999900347),
+    ),
+    ('gamma', (4.0,)): (
+        (0.007009, 0.07099, 0.4286, 1.745, 3.672, 6.681, 13.06, 21.35, 31.7),
+        (9.999495902841317e-11, 9.99867176216182e-07, 0.0010004067122284606, 0.10003563754051968, 0.4999872543178806, 0.9000135269782948, 0.9989982306381906, 0.99999899960404, 0.9999999999000924),
+    ),
+    ('gamma', (300.0,)): (
+        (202.6, 224.7, 249.3, 278.0, 299.7, 322.4, 356.4, 389.6, 423.7),
+        (9.949103137594349e-11, 9.85994922258717e-07, 0.0009974854295220234, 0.09970186072596979, 0.5007667145700184, 0.8999978477120588, 0.9990024978243858, 0.999998989779185, 0.9999999999012474),
+    ),
+    ('gengamma', (2.0, 1.5)): (
+        (0.0005848, 0.0126, 0.1273, 0.6564, 1.412, 2.473, 4.401, 6.53, 8.851),
+        (9.999723731769543e-11, 9.992454250731955e-07, 0.0010007598011693858, 0.09999810439347252, 0.49984295234360726, 0.8999414353990296, 0.9989993239593408, 0.9999989983502636, 0.9999999998998362),
+    ),
+    ('gengamma', (0.5, 6.0)): (
+        (0.0004458, 0.009605, 0.09605, 0.4462, 0.7813, 1.052, 1.325, 1.512, 1.66),
+        (9.997127977886386e-11, 9.998783547137944e-07, 0.000999878093010258, 0.0999775523501246, 0.4999932055205183, 0.90033951601103, 0.9989972285720291, 0.9999989836231342, 0.9999999999013669),
+    ),
+    ('gengamma', (3.0, -0.7)): (
+        (0.008086, 0.01476, 0.03159, 0.09177, 0.2453, 0.8704, 10.68, 304.6, 24620.0),
+        (9.994429731610406e-11, 1.0022457513502146e-06, 0.0010004522177832478, 0.09999281709653957, 0.49993847939445846, 0.9000054040467891, 0.9989998087324841, 0.9999989998329454, 0.9999999999000302),
+    ),
+    ('exponential', ()): (
+        (1e-10, 1e-06, 0.001001, 0.1054, 0.6931, 2.303, 6.908, 13.82, 23.03),
+        (9.999999999500001e-11, 9.999995000001667e-07, 0.0010004991666253415, 0.10003553520640958, 0.4999764091635173, 0.9000414820943945, 0.9990002446910761, 0.9999990044793795, 0.999999999900414),
+    ),
+}
+# Relative tolerance of each family's cdf.  The skew normal's
+# Phi(x) - 2 T(x, a) cancels where 0 < -a x < 3, to 1.3e-11 relative at worst
+# for a <= 100 (see _THIN_AX); every other kernel is within 1e-14 here.
+CDF_TOLERANCE = {"skewnormal": 2e-11}
+SCIPY_DIST = {
+    "normal": stats.norm,
+    "skewnormal": stats.skewnorm,
+    "expnormal": stats.exponnorm,
+    "gamma": stats.gamma,
+    "gengamma": stats.gengamma,
+    "exponential": stats.expon,
+}
+
+
+def _standard(family, *shapes):
+    """The family's standard form (loc 0, scale 1)."""
+    names = marginals._FAMILIES[family].names
+    shape_names = [n for n in names if n not in ("loc", "scale")]
+    params = {"loc": 0.0, "scale": 1.0, **dict(zip(shape_names, shapes))}
+    return FittedDist(family=family, params={n: params[n] for n in names})
+
+
+class TestCdf:
+    @pytest.mark.parametrize("family, shapes", list(CDF_REFERENCE))
+    def test_matches_50_digit_reference(self, family, shapes):
+        x, reference = (np.array(v) for v in CDF_REFERENCE[family, shapes])
+        p = _standard(family, *shapes).cdf(x)
+        assert (np.abs(p - reference) / reference).max() <= CDF_TOLERANCE.get(family, 5e-14)
+
+    def test_skewnormal_thin_side(self):
+        # scipy's skewnorm.cdf gives 4.589e-9: below a tail mass of 1e-6 it
+        # switches to a quadrature that is off by up to 2% there.  The
+        # reference is the mpmath integral (1/pi) int_a^inf of the
+        # SKEWNORMAL_REFERENCE kernel k(x), at 50 digits.
+        p = _standard("skewnormal", 83.85).cdf(np.array([-0.0546]))
+        assert p[0] == pytest.approx(4.4848572273269795e-09, rel=1e-12)
+        # the same tail through a negative shape, as 1 - cdf to the
+        # resolution of doubles near 1
+        sf = 1.0 - _standard("skewnormal", -83.85).cdf(np.array([0.0546]))[0]
+        assert sf == pytest.approx(4.4848572273269795e-09, rel=1e-7)
+
+    @pytest.mark.parametrize("family, shapes", list(CDF_REFERENCE))
+    def test_cdf_inverts_ppf(self, family, shapes):
+        u = np.concatenate([CDF_U, np.linspace(0.01, 0.99, 99)])
+        d = _standard(family, *shapes)
+        back = d.cdf(d.ppf(u))
+        assert (np.abs(back - u) <= 1e-9 * np.minimum(u, 1.0 - u) + np.spacing(u)).all()
+
+
+@pytest.mark.parametrize("family, shapes", list(CDF_REFERENCE))
+def test_scipy_bits_where_the_kernels_are_scipys(family, shapes):
+    """Every log-density, and the cdf of all but the two Newton-inverted
+    families, repeats scipy's operations: equal to the bit, tails, support
+    ends, infinities and NaN included.  The quantiles at 0 and 1 are the
+    support's ends, as scipy's."""
+    d = _standard(family, *shapes)
+    params = {**d.params, "scale": 2.0, **({"loc": 1.0} if "loc" in d.params else {})}
+    d = FittedDist(family, params)
+    reference = SCIPY_DIST[family](*shapes, loc=params.get("loc", 0.0), scale=2.0)
+    x = np.concatenate([np.linspace(-30.0, 30.0, 241), [0.0, 1e-300, np.inf, -np.inf, np.nan]])
+    with np.errstate(all="ignore"):
+        assert np.array_equal(d.logpdf(x), reference.logpdf(x), equal_nan=True)
+        if family not in ("skewnormal", "expnormal"):
+            assert np.array_equal(d.cdf(x), reference.cdf(x), equal_nan=True)
+    assert np.array_equal(d.ppf(np.array([0.0, 1.0])), reference.ppf([0.0, 1.0]))
+
+
+class TestDomain:
+    # 0, both signs, the smallest doubles, the infinities and NaN
+    EDGES = (0.0, -0.0, -1.0, -1e-300, 1e-300, 2.5, np.inf, -np.inf, np.nan)
+
+    @pytest.mark.parametrize("family", sorted(SCIPY_DIST))
+    def test_shapes_as_scipy_argcheck(self, family):
+        dist = SCIPY_DIST[family]
+        spec = marginals._FAMILIES[family]
+        for shapes in itertools.product(self.EDGES, repeat=dist.numargs):
+            assert bool(spec.domain(*shapes)) == bool(dist._argcheck(*shapes)), shapes
+
+    @pytest.mark.parametrize("family", sorted(SCIPY_DIST))
+    def test_from_json_rejects_what_scipy_rejects(self, family):
+        names = marginals._FAMILIES[family].names
+        finite = [v for v in self.EDGES if np.isfinite(v)]  # JSON has no inf or NaN
+        for values in itertools.product(finite, repeat=len(names)):
+            params = dict(zip(names, values))
+            doc = {"family": family, "params": params, "affine": {"shift": 0.0, "reflect": False}}
+            shapes = [params[n] for n in names if n not in ("loc", "scale")]
+            if params["scale"] > 0 and SCIPY_DIST[family]._argcheck(*shapes):
+                assert FittedDist.from_json(doc).params == params
+            else:
+                with pytest.raises(InputError, match="outside the family's domain"):
+                    FittedDist.from_json(doc)
