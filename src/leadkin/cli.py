@@ -29,7 +29,7 @@ from . import ingest, pwl, tables
 from . import validate as validate_mod
 from .config import PipelineConfig
 from .errors import BadArgument, InputError, LeadkinError, NumericalError
-from .events import PARAM_NAMES, ParamTable, SourceGroup
+from .events import PARAM_NAMES, ParamTable
 from .jsonio import read_json, write_json
 from .marginals import fit_tally
 from .mvdist import build_all, bundles_from_json, bundles_to_json
@@ -99,11 +99,10 @@ def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, List[pwl.PwlF
 
 def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -> None:
     events = ingest.load_events(input_path)
-    raw_counts: Dict[SourceGroup, int] = {}
+    raw_counts = Counter(event.source_group for event in events)
     skipped: Counter = Counter()
     windowed = []  # (event, profile) of every event with samples in the window
     for event in events:
-        raw_counts[event.source_group] = raw_counts.get(event.source_group, 0) + 1
         try:
             profile = ingest.window_event(event)
         except LeadkinError as exc:
@@ -257,8 +256,8 @@ def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report
         raw_ecdf = validate_mod.weighted_ecdf(raw.events[name], raw.events.weight)
         syn_ecdf = validate_mod.weighted_ecdf(synthetic.events[name])
         ecdf_points[name] = {
-            "raw": [[float(a), float(b)] for a, b in zip(raw_ecdf.support, raw_ecdf.cumulative)],
-            "synthetic": [[float(a), float(b)] for a, b in zip(syn_ecdf.support, syn_ecdf.cumulative)],
+            "raw": np.column_stack([raw_ecdf.support, raw_ecdf.cumulative]).tolist(),
+            "synthetic": np.column_stack([syn_ecdf.support, syn_ecdf.cumulative]).tolist(),
         }
     write_json(report_out, {"alpha": config.alpha_ks, "parameters": report, "ecdf": ecdf_points})
     worst = min(report.values(), key=lambda r: r["p_value"])
@@ -433,10 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             })
         elif args.command == "pipeline":
             run_pipeline(config, stage=args.stage)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # unreadable input, unwritable output
+    except (InputError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -11,10 +11,11 @@ crash with the crash's weight split equally among the group.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,10 +56,7 @@ class GroupCounts:
         raw_counts: Optional[Mapping[SourceGroup, int]] = None,
     ) -> "GroupCounts":
         """Valid counts from the source group of each valid event."""
-        valid: Dict[SourceGroup, int] = {}
-        for group in valid_groups:
-            if group is not None:
-                valid[group] = valid.get(group, 0) + 1
+        valid = Counter(group for group in valid_groups if group is not None)
         raw = dict(raw_counts) if raw_counts is not None else dict(valid)
         return GroupCounts(raw=raw, valid=valid)
 
@@ -91,10 +89,9 @@ class CombinePlan:
 
 @dataclass(frozen=True)
 class MergeResult:
-    """Which near-crashes were attached to which crash, and the weight splits."""
+    """Which near-crashes were attached to which crash, and at what distance."""
 
     selected: tuple  # (near_crash_id, most_similar_crash_id, d_min)
-    attachment_counts: Mapping[str, int]  # crash_id -> number of attached near-crashes
 
 
 # --- weight preprocessing ---------------------------------------------------
@@ -355,11 +352,7 @@ def merge_near_crashes(
         stage=Stage.COMBINED_INCIDENT,
         counts=crashes.counts,
     )
-    result = MergeResult(
-        selected=tuple(selected),
-        attachment_counts={crash_ids[i]: n for i, n in enumerate(attachments) if n},
-    )
-    return merged, result
+    return merged, MergeResult(selected=tuple(selected))
 
 
 def distance_threshold_from_quantile(

@@ -583,8 +583,6 @@ def _exp_at(*axes):
 
 def _normal(y, w):
     mean, var = _moments(y, w)
-    if var <= 1e-18:
-        return None
     return {"loc": mean, "scale": float(np.sqrt(var))}
 
 
@@ -636,18 +634,14 @@ def _gengamma_logpdf(theta, params, y, log_y):
     )
 
 
-def _mean_sd(y, w) -> Optional[Tuple[float, float]]:
-    """The weighted mean and SD; None for an SD of 1e-9 or less."""
+def _mean_sd(y, w) -> Tuple[float, float]:
+    """The weighted mean and SD, at least 1e-6 by ``_moments``' floor."""
     mean, var = _moments(y, w)
-    sd = float(np.sqrt(var))
-    return None if sd <= 1e-9 else (mean, sd)
+    return mean, float(np.sqrt(var))
 
 
 def _skewnormal_starts(y, w):
-    moments = _mean_sd(y, w)
-    if moments is None:
-        return None
-    mean, sd = moments
+    mean, sd = _mean_sd(y, w)
     return [
         np.array([0.0, mean, np.log(sd)]),
         np.array([2.0, mean - sd, np.log(sd)]),
@@ -662,10 +656,7 @@ def _skewnormal_logpdf(theta, params, y):
 
 
 def _expnormal_starts(y, w):
-    moments = _mean_sd(y, w)
-    if moments is None:
-        return None
-    mean, sd = moments
+    mean, sd = _mean_sd(y, w)
     return [
         np.array([np.log(0.05), mean, np.log(sd)]),
         np.array([np.log(1.0), mean - 0.7 * sd, np.log(0.7 * sd)]),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,27 +40,21 @@ log = logging.getLogger(__name__)
 _MAX_SPLIT_DEPTH = 6
 
 
-class Pattern(str, Enum):
-    CONSTANT = "ConstantAccel"
-    INCREASING = "IncreasingAccel"
-    DECREASING = "DecreasingAccel"
-
-
 @dataclass(frozen=True)
 class SubdatasetLabel:
     id: str
-    pattern: Optional[Pattern]
+    pattern: str  # the speed-change pattern, as model.json names it
     description: str = ""
 
 
 LABELS = {
-    "S1": SubdatasetLabel("S1", Pattern.CONSTANT, "standstill"),
-    "S2": SubdatasetLabel("S2", Pattern.CONSTANT, "constant acceleration"),
-    "S3": SubdatasetLabel("S3", Pattern.CONSTANT, "constant non-zero acceleration then steady speed"),
-    "S4": SubdatasetLabel("S4", Pattern.INCREASING, "increasing acceleration, decelerating near time zero"),
-    "S5": SubdatasetLabel("S5", Pattern.INCREASING, "increasing acceleration, accelerating near time zero"),
-    "S6": SubdatasetLabel("S6", Pattern.DECREASING, "decreasing acceleration, no steady phase"),
-    "S7": SubdatasetLabel("S7", Pattern.DECREASING, "decreasing acceleration with steady phase"),
+    "S1": SubdatasetLabel("S1", "ConstantAccel", "standstill"),
+    "S2": SubdatasetLabel("S2", "ConstantAccel", "constant acceleration"),
+    "S3": SubdatasetLabel("S3", "ConstantAccel", "constant non-zero acceleration then steady speed"),
+    "S4": SubdatasetLabel("S4", "IncreasingAccel", "increasing acceleration, decelerating near time zero"),
+    "S5": SubdatasetLabel("S5", "IncreasingAccel", "increasing acceleration, accelerating near time zero"),
+    "S6": SubdatasetLabel("S6", "DecreasingAccel", "decreasing acceleration, no steady phase"),
+    "S7": SubdatasetLabel("S7", "DecreasingAccel", "decreasing acceleration with steady phase"),
 }
 
 
@@ -588,8 +581,6 @@ def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
 
 
 def _can_model(side: WeightedDataset) -> bool:
-    if not len(side.events):
-        return False
     return effective_sample_size(side.events.weight) >= _MIN_EFFECTIVE
 
 
@@ -618,7 +609,7 @@ def bundles_to_json(bundles: Sequence[SubmodelBundle]) -> dict:
             {
                 "label": {
                     "id": b.label.id,
-                    "pattern": b.label.pattern.value if b.label.pattern else None,
+                    "pattern": b.label.pattern,
                     "description": b.label.description,
                 },
                 "splits": [s.to_json() for s in b.splits],

@@ -48,7 +48,6 @@ class Segment:
 class PwlFit:
     """A fitted piecewise-linear speed model covering [-5, 0] s."""
 
-    breakpoints: tuple
     segments: tuple
     r_squared: float
     r_squared_adj: float
@@ -56,8 +55,13 @@ class PwlFit:
     modified_for_nonnegativity: bool = False
 
     @property
+    def breakpoints(self) -> tuple:
+        """The segment ends inside the window."""
+        return tuple(s.t_end for s in self.segments[:-1])
+
+    @property
     def n_b(self) -> int:
-        return len(self.breakpoints)
+        return len(self.segments) - 1
 
     def vertices(self) -> tuple:
         """(t, v) knots of the polyline, endpoints included."""
@@ -333,7 +337,12 @@ _GRID_CHUNK = 4096  # combinations scored per stacked solve
 
 def _grid_search(t, v, sqrt_w, k):
     """Exhaustive search over sample-midpoint breakpoints (fallback);
-    (bks, sse) of the best combination, or None when none is admissible."""
+    (bks, sse) of the best combination.
+
+    Needs ``t.size >= 2 * (k + 1)``, as every k with starts has: the
+    midpoints 1, 3, ..., 2k - 1 then leave two samples in each segment, so
+    some combination is admissible.
+    """
     mids = (t[:-1] + t[1:]) / 2.0
     combos = itertools.combinations(range(len(mids)), k)
     best = None
@@ -349,8 +358,6 @@ def _grid_search(t, v, sqrt_w, k):
         j = int(np.argmin(sse))
         if best is None or sse[j] < best[1]:
             best = (mids[idx[j]], sse[j])
-    if best is None:
-        return None
     return best[0], _wls(t, v, sqrt_w, best[0])[1]  # the lstsq SSE, as _refine_rows gives
 
 
@@ -442,9 +449,6 @@ class _ProfileFit:
             best = self.best.get(k)
             if best is None:
                 best = _grid_search(t, v, sqrt_w, k)
-            if best is None:
-                log.warning("event %r: no converged fit with %d breakpoints", self.event_id, k)
-                continue
             bks, sse = _polish_breakpoints(t, v, sqrt_w, *best, self.lo, self.hi, self.spacing, self.min_sep)
             if not _separated(bks, t):
                 log.warning("event %r: %d-breakpoint fit lost separation", self.event_id, k)
@@ -481,8 +485,9 @@ def fit_candidates(
     breakpoint count, 0..n_b_max.
 
     Each candidate minimizes the weighted squared error for its breakpoint
-    count.  Counts that cannot converge are dropped with a warning; the
-    zero-breakpoint candidate always exists.  Every restart of every
+    count.  Counts with too few samples, or whose polished breakpoints lose
+    separation, are dropped with a warning; the zero-breakpoint candidate
+    always exists.  Every restart of every
     profile for one breakpoint count is refined in one lockstep stack per
     sample count, so a batch costs a few stacked solves per iteration
     instead of a few per profile; the greedy polish and the grid-search
@@ -498,7 +503,6 @@ def fit_candidates(
 def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
     r2 = _r_squared(v, w, sse)
     return PwlFit(
-        breakpoints=tuple(float(b) for b in breakpoints),
         segments=_segments_from_coef(coef, breakpoints),
         r_squared=float(r2),
         r_squared_adj=float(_adjusted(r2, n, len(breakpoints))),
@@ -581,12 +585,9 @@ def enforce_nonnegative(fit: PwlFit) -> PwlFit:
     # interior breakpoints: clamp to zero, lines reconnect implicitly
     vs = [max(v, 0.0) for v in vs]
 
-    segments = _segments_from_vertices(np.asarray(ts), np.asarray(vs))
-    breakpoints = tuple(s.t_end for s in segments[:-1])
     return replace(
         fit,
-        breakpoints=breakpoints,
-        segments=segments,
+        segments=_segments_from_vertices(np.asarray(ts), np.asarray(vs)),
         modified_for_nonnegativity=True,
     )
 

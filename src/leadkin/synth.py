@@ -133,7 +133,7 @@ def sample_submodel(
     seed=None,
 ) -> ParamTable:
     """Draw n raw parameter vectors from a bundle (no constraint filtering)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     columns: Dict[str, np.ndarray] = {}
 
     if bundle.correlated is not None:

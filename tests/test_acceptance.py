@@ -138,9 +138,9 @@ def test_c3_loss_formula_oracle():
             times = np.array([-5.0, -2.5, 0.0])
             speeds = np.array([v_lo, (v_lo + v_hi) / 2, v_hi])
             profile = SpeedProfile("x", None, None, times, speeds, sample_weights(times))
-            breakpoints = tuple(np.linspace(-4, -1, n_b)) if n_b else ()
-            segments = (Segment(-5.0, 0.0, 0.0, v_hi),)
-            fit = PwlFit(breakpoints, segments, r2, r2, 3)
+            edges = (-5.0, *np.linspace(-4, -1, n_b), 0.0)
+            segments = tuple(Segment(a, b, 0.0, v_hi) for a, b in zip(edges[:-1], edges[1:]))
+            fit = PwlFit(segments, r2, r2, 3)
 
             v_max = max(v_lo, v_hi)
             dv = abs(v_hi - v_lo)

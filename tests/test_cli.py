@@ -970,3 +970,81 @@ def test_event_level_ingest_error_names_its_file(tmp_path, capsys, samples, mess
                       encoding="utf-8")
     assert main(["fit", "--input", str(events), "--output", str(tmp_path / "params.csv")]) == 2
     assert f"error: {events}: {message}" in capsys.readouterr().err
+
+
+def test_bootstrap_writes_its_report_and_repeats(demo_params, tmp_path):
+    combined = tmp_path / "combined.csv"
+    assert main(["combine", "--params", str(demo_params), "--output", str(combined)]) == 0
+    outputs = []
+    for run in ("one", "two"):
+        out = tmp_path / f"{run}.json"
+        argv = ["bootstrap", "--input", str(combined), "--fractions", "0.9", "--reps", "2",
+                "--n-synth", "100", "--n-perm", "50", "--output", str(out)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    report = json.loads(outputs[0])
+    assert set(report) == {"alpha", "reps", "failures", "proportions"}
+    assert report["reps"] == 2
+    assert set(report["failures"]) == set(report["proportions"]) == {"0.9"}
+    proportions = report["proportions"]["0.9"]
+    assert set(proportions) == {"v_c", "a1", "a2", "tau_s", "tau_1", "tau_2"}
+    assert all(0.0 <= p <= 1.0 for p in proportions.values())  # False for NaN, a fraction with no rep
+    assert outputs[1] == outputs[0]
+
+
+def test_combine_without_a_counts_sidecar(demo_params, tmp_path, caplog):
+    params, out = tmp_path / "params.csv", tmp_path / "combined.csv"
+    params.write_bytes(demo_params.read_bytes())
+    with caplog.at_level("WARNING", logger="leadkin.cli"):
+        assert main(["combine", "--params", str(params), "--output", str(out)]) == 0
+    assert "no counts sidecar; deriving raw counts from the parameter table" in caplog.text
+    assert len(read_combined_csv(out).events) > 0
+
+
+def _duplicate_weight_column(path):
+    lines = path.read_text().splitlines()
+    lines[0] += ",weight"
+    path.write_text("\n".join([lines[0], *(line + ",1.5" for line in lines[1:])]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda path: _corrupt_csv(path, "stage", Stage.COMBINED_CRASH.value),
+         "mixed stages: CombinedCrash, CombinedIncident"),
+        (_duplicate_weight_column, "duplicate columns: weight"),
+    ],
+    ids=["mixed-stages", "duplicated-column"],
+)
+def test_bad_combined_table_exits_2(tables_dir, capsys, corrupt, message):
+    combined, model = tables_dir / "combined.csv", tables_dir / "model.json"
+    corrupt(combined)
+    assert main(["model", "--input", str(combined), "--output", str(model)]) == 2
+    assert f"error: {combined}: {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_model_logs_the_families_without_a_fit(tmp_path, caplog, monkeypatch):
+    from groundtruth import ground_truth_corpus
+    from leadkin import marginals, mvdist
+
+    def diverged(y, w):
+        raise FloatingPointError("overflow")
+
+    requests, fit_many = [], mvdist.fit_many
+
+    def recorded_fit_many(batch):
+        requests.extend(batch)
+        return fit_many(batch)
+
+    monkeypatch.setitem(marginals._FAMILIES, "normal", marginals._FAMILIES["normal"]._replace(start=diverged))
+    monkeypatch.setattr(mvdist, "fit_many", recorded_fit_many)
+    combined, model = tmp_path / "combined.csv", tmp_path / "model.json"
+    write_combined_csv(combined, ground_truth_corpus(counts=(30, 40, 30)))
+    with caplog.at_level("INFO", logger="leadkin.cli"):
+        assert main(["model", "--input", str(combined), "--output", str(model)]) == 0
+    [summary] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("model: ")]
+    tried = sum("normal" in request.families for request in requests)
+    assert tried > 0
+    assert summary.endswith(f"families without a fit {{'normal': {tried}}}")
+    assert '"family": "normal"' not in model.read_text()

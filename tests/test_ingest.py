@@ -219,7 +219,6 @@ def fake_fit(slopes, duration=5.0):
         segments.append(Segment(float(edges[i]), float(edges[i + 1]), slope, intercept))
         value = value + slope * (edges[i + 1] - edges[i])
     return PwlFit(
-        breakpoints=tuple(edges[1:-1]),
         segments=tuple(segments),
         r_squared=0.99,
         r_squared_adj=0.99,

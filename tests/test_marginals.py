@@ -10,8 +10,11 @@ from leadkin import marginals
 from leadkin.errors import AllFitsFailed, InputError, NumericalError
 from leadkin.marginals import (
     AffinePre,
+    FitRequest,
     FittedDist,
     fit_family,
+    fit_many,
+    fit_tally,
     fit_univariate,
     quantile_normalize,
 )
@@ -106,6 +109,34 @@ class TestFitUnivariate:
             fitted = fit_univariate(np.random.default_rng(15).normal(size=200))
         assert fitted.family != "skewnormal"
         assert "1 of 4 families failed" in caplog.text
+
+    @pytest.mark.parametrize("family, part", [("skewnormal", "start"), ("normal", "logpdf"), ("gamma", "logpdf")])
+    def test_numerical_failure_is_tallied_and_the_others_still_compete(self, monkeypatch, family, part):
+        """A FloatingPointError while a family is started or scored leaves
+        the choice to the other families and counts as that family's
+        missing fit."""
+        x = np.random.default_rng(18).gamma(2.0, 1.5, size=200)
+        others = tuple(f for f in marginals.CONTINUOUS_FAMILIES if f != family)
+        [expected] = fit_many([FitRequest(x, families=others)])
+
+        def diverged(*args):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setitem(marginals._FAMILIES, family, marginals._FAMILIES[family]._replace(**{part: diverged}))
+        with fit_tally() as tally:
+            [chosen] = fit_many([FitRequest(x)])
+        assert (chosen.family, chosen.params, chosen.aic) == (expected.family, expected.params, expected.aic)
+        assert tally.failed == {family: 1}
+        assert tally.univariate_fits == 1
+
+    def test_ruled_out_samples_are_failures_not_fits(self):
+        x = np.random.default_rng(19).normal(size=200)
+        with fit_tally() as tally:
+            few, nonfinite, fine = fit_many([FitRequest(x[:4]), FitRequest([*x[:9], np.nan]), FitRequest(x)])
+        assert isinstance(few, AllFitsFailed) and "need at least 5 effective samples" in str(few)
+        assert isinstance(nonfinite, AllFitsFailed) and "values must be finite" in str(nonfinite)
+        assert isinstance(fine, FittedDist)
+        assert tally.univariate_fits == 1
 
     def test_weighted_mle_against_scipy_reference(self):
         rng = np.random.default_rng(14)

@@ -8,11 +8,18 @@ from groundtruth import ground_truth_bundles, ground_truth_corpus
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
 from leadkin import marginals, mvdist
-from leadkin.errors import ModelBuildFailed, NumericalError, TooFewSamples, ZeroVariance
+from leadkin.errors import InputError, ModelBuildFailed, NumericalError, TooFewSamples, ZeroVariance
+from leadkin.jsonio import read_json, write_json
+from leadkin.marginals import AffinePre, FittedDist
 from leadkin.events import EventParams, ParamTable
 from leadkin.mvdist import (
     LABELS,
+    CorrelatedBlock,
     HurdleDist,
+    PointMassSpec,
+    SplitCondition,
+    SubmodelBundle,
+    TransformSpec,
     build_all,
     bundles_from_json,
     bundles_to_json,
@@ -440,6 +447,78 @@ class TestBuildSubmodels:
             da = sample_submodel(a, 50, seed=rng_a)
             db = sample_submodel(b, 50, seed=rng_b)
             assert np.allclose(da.values, db.values)
+
+
+def hand_built_model():
+    """Two S4 bundles split on tau_s, between them using every part of the
+    model document: an 'eq' and a 'ne' split, a transform, a hurdle with and
+    without its continuous part, a correlated block, a copy and a marginal
+    that was never scored (NaN aic)."""
+    at_zero = SubmodelBundle(
+        label=LABELS["S4"],
+        splits=(SplitCondition("tau_s", "eq", 0.0),),
+        constants={"tau_s": 0.0},
+        copies={},
+        transforms=(TransformSpec("a1", 0.25, {"v_c": -0.125}),),
+        correlated=CorrelatedBlock(
+            ("a1", "a2"),
+            (FittedDist("skewnormal", {"a": 2.0, "loc": -1.0, "scale": 0.5}, aic=10.5, loglik=-2.25),
+             FittedDist("expnormal", {"k": 1.5, "loc": -3.0, "scale": 0.75}, aic=12.0, loglik=-3.0)),
+            np.array([[1.0, 0.4], [0.4, 1.0]]),
+        ),
+        uncorrelated={
+            "v_c": HurdleDist(PointMassSpec("v_c", 0.0, 0.3),
+                              FittedDist("gamma", {"shape": 2.0, "scale": 1.5}, AffinePre(-0.5, True), 8.0, -2.0)),
+            "tau_1": FittedDist("normal", {"loc": 2.0, "scale": 0.5}),
+            "tau_2": HurdleDist(PointMassSpec("tau_2", 0.0, 0.5), None),
+        },
+        train_weight_share=0.625,
+        train_weight=5.0,
+    )
+    moving = SubmodelBundle(
+        label=LABELS["S4"],
+        splits=(SplitCondition("tau_s", "ne", 0.0),),
+        constants={"tau_1": 5.0, "tau_2": 0.0},
+        copies={"a2": "a1"},
+        transforms=(),
+        correlated=None,
+        uncorrelated={
+            "v_c": FittedDist("exponential", {"scale": 2.0}, aic=4.0, loglik=-1.0),
+            "a1": FittedDist("normal", {"loc": -2.0, "scale": 1.0}, aic=6.0, loglik=-1.0),
+            "tau_s": FittedDist("gengamma", {"a": 2.0, "c": 0.5, "scale": 1.0}, aic=9.0, loglik=-1.5),
+        },
+        train_weight_share=0.375,
+        train_weight=3.0,
+    )
+    return [at_zero, moving]
+
+
+class TestModelCodec:
+    def test_every_bundle_part_round_trips(self, tmp_path):
+        bundles = hand_built_model()
+        assert [b.bundle_id for b in bundles] == ["S4[tau_s=0]", "S4[tau_s!=0]"]
+        doc = bundles_to_json(bundles)
+        write_json(tmp_path / "model.json", doc)
+        back = bundles_from_json(read_json(tmp_path / "model.json", "model"))
+        assert [b.bundle_id for b in back] == ["S4[tau_s=0]", "S4[tau_s!=0]"]
+        # the documents, not the bundles: a NaN aic is never equal to itself
+        assert json.dumps(bundles_to_json(back), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b["splits"][0].update(op="lt"), "expected 'eq' or 'ne', got 'lt'"),
+            (lambda b: b["splits"][0].update(parameter="speed"), "splits known ones"),
+            (lambda b: b["transforms"][0]["coefficients"].update(tau_s=1.0), "transforms must read sampled"),
+            (lambda b: b["label"].update(id="S9"), "unknown sub-dataset 'S9'"),
+        ],
+        ids=["split-op-lt", "split-on-speed", "coefficient-of-a-constant", "label-S9"],
+    )
+    def test_malformed_part_is_an_input_error(self, edit, message):
+        doc = bundles_to_json(hand_built_model())
+        edit(doc["bundles"][0])
+        with pytest.raises(InputError, match=message):
+            bundles_from_json(doc)
 
 
 class TestQuantileNormalitySanity:

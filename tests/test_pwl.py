@@ -41,7 +41,6 @@ def fit_from_vertices(ts, vs):
         slope = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
         segments.append(Segment(ts[i], ts[i + 1], slope, vs[i] - slope * ts[i]))
     return PwlFit(
-        breakpoints=tuple(ts[1:-1]),
         segments=tuple(segments),
         r_squared=1.0,
         r_squared_adj=1.0,

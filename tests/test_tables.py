@@ -97,7 +97,7 @@ class TestCombinedCsv:
     def test_attached_to_names_the_host_crash(self, tmp_path):
         path = tmp_path / "combined.csv"
         events = ParamTable.from_rows(sample_event(i) for i in range(3))
-        merge = MergeResult(selected=(("e2", "e0", 0.1),), attachment_counts={"e0": 1})
+        merge = MergeResult(selected=(("e2", "e0", 0.1),))
         write_combined_csv(path, WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT), merge)
         with path.open(newline="") as fh:
             attached = [row["attached_to"] for row in csv.DictReader(fh)]
