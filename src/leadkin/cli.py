@@ -418,12 +418,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fractions = _bootstrap_fractions(args.fractions)
             try:
                 check_bootstrap_args(fractions, args.reps, args.rep_n_synth)
+                dataset = tables.read_combined_csv(args.input)
+                report = bootstrap_robustness(
+                    dataset, fractions=fractions, reps=args.reps, n_synth=args.rep_n_synth, config=config
+                )
             except BadArgument as exc:  # name the parameter by its command-line flag
                 raise InputError(f"--{exc.name.replace('_', '-')} {exc.problem}") from None
-            dataset = tables.read_combined_csv(args.input)
-            report = bootstrap_robustness(
-                dataset, fractions=fractions, reps=args.reps, n_synth=args.rep_n_synth, config=config
-            )
             write_json(args.output, {
                 "alpha": report.alpha,
                 "reps": report.reps,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +41,7 @@ class _Rule(NamedTuple):
 
 
 MAX_COUNT = 10**9  # largest draw or permutation count; keeps synth._apportion's int64 sums exact
-_MAX_BREAKPOINTS = 5  # the fit's grid-search fallback tries every k-subset of sample midpoints
+_MAX_BREAKPOINTS = 5  # extract_params keeps at most three segments; each further k adds a refinement stack
 _MIN_PROFILE_DT = 1e-3  # s; at most 5001 samples per written profile
 
 # every numeric field, checked on construction
@@ -95,6 +96,10 @@ class PipelineConfig:
                 raise InputError(f"config field {name}: expected {expected}, got {value!r}")
             if not rule.holds(value):
                 raise InputError(f"config field {name} must be {rule.describe()}, got {value!r}")
+        for name in ("input", "workdir"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, os.PathLike)):
+                raise InputError(f"config field {name}: expected a path, got {value!r}")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)

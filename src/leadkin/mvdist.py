@@ -200,14 +200,13 @@ def decorrelate(
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     design = np.column_stack([np.ones_like(x), pm_matrix])
-    rank = np.linalg.matrix_rank(design)
+    sw = np.sqrt(w)
+    beta, _, rank, _ = np.linalg.lstsq(design * sw[:, None], x * sw, rcond=None)
     if rank < design.shape[1]:
         log.warning(
             "parameter %s: collinear point-mass regressors, using minimum-norm solution",
             parameter,
         )
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(design * sw[:, None], x * sw, rcond=None)
     fitted = design @ beta
     spec = TransformSpec(
         parameter=parameter,

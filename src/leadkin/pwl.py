@@ -9,7 +9,6 @@ the six-parameter event description.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -51,7 +50,6 @@ class PwlFit:
     segments: tuple
     r_squared: float
     r_squared_adj: float
-    n_samples: int
     modified_for_nonnegativity: bool = False
 
     @property
@@ -218,18 +216,17 @@ def _breakpoint_bounds(t: np.ndarray):
 
 def _project_separated(bks, lo, hi, min_sep):
     """Sort each row of a (M, k) stack and push its breakpoints apart to at
-    least min_sep inside [lo, hi]; returns the rows and a mask of those
-    that fit.  lo, hi and min_sep are scalars or one per row."""
+    least min_sep inside [lo, hi].  lo, hi and min_sep are scalars or one
+    per row, with room for k breakpoints: lo + (k - 1) min_sep <= hi."""
     out = np.sort(np.asarray(bks, dtype=float), axis=1)
     k = out.shape[1]
-    room = ~(lo + (k - 1) * min_sep > hi)
     out[:, 0] = np.maximum(out[:, 0], lo)
     for i in range(1, k):
         out[:, i] = np.maximum(out[:, i], out[:, i - 1] + min_sep)
     out[:, -1] = np.minimum(out[:, -1], hi)
     for i in range(k - 2, -1, -1):
         out[:, i] = np.minimum(out[:, i], out[:, i + 1] - min_sep)
-    return out, room & (out[:, 0] >= lo - 1e-12)
+    return out
 
 
 _STEPS = np.array([1.0, 0.5, 0.25, 0.1])
@@ -248,15 +245,13 @@ def _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol) -> dict:
     every step.
 
     Each iteration scores every step of every active row in one stacked
-    solve.  A row stops when a slope change vanishes, no step is
-    admissible, the best step does not lower its SSE, the decrease is below
-    ``tol``, or after ``_MAX_ITER`` iterations.  Rows never mix, so a
-    profile's result does not depend on the others in the stack.  Returns
-    {owner: (bks, sse)} of each owner's restart with the lowest final SSE;
-    an owner with no admissible start is missing.
+    solve.  A row stops when a slope change vanishes, the best step does
+    not lower its SSE, the decrease is below ``tol``, or after
+    ``_MAX_ITER`` iterations.  Rows never mix, so a profile's result does
+    not depend on the others in the stack.  Returns {owner: (bks, sse)} of
+    each owner's restart with the lowest final SSE.
     """
-    bks, ok = _project_separated(inits, lo, hi, min_sep)
-    t, v, sqrt_w, lo, hi, min_sep, owner, bks = (a[ok] for a in (t, v, sqrt_w, lo, hi, min_sep, owner, bks))
+    bks = _project_separated(inits, lo, hi, min_sep)
     k = bks.shape[1]
     best_bks = bks.copy()
     best_sse = _sse_batch(t, v, sqrt_w, bks)
@@ -270,15 +265,9 @@ def _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol) -> dict:
         active, delta = active[moving], delta[moving]
         trial = bks[active][:, None, :] - _STEPS[:, None] * delta[:, None, :]
         rows = np.repeat(active, _STEPS.size)
-        cand, ok = _project_separated(trial.reshape(-1, k), lo[rows], hi[rows], min_sep[rows])
-        sse = np.full(len(cand), np.inf)
-        if ok.any():
-            at = rows[ok]
-            sse[ok] = _sse_batch(t[at], v[at], sqrt_w[at], cand[ok])
-        sse = sse.reshape(len(active), _STEPS.size)
+        cand = _project_separated(trial.reshape(-1, k), lo[rows], hi[rows], min_sep[rows])
+        sse = _sse_batch(t[rows], v[rows], sqrt_w[rows], cand).reshape(len(active), _STEPS.size)
         cand = cand.reshape(len(active), _STEPS.size, k)
-        stepped = ok.reshape(sse.shape).any(axis=1)
-        active, sse, cand = active[stepped], sse[stepped], cand[stepped]
         pick = np.argmin(sse, axis=1)  # first minimum: ties go to the longer step
         new_sse = sse[np.arange(len(active)), pick]
         bks[active] = cand[np.arange(len(active)), pick]
@@ -332,35 +321,6 @@ def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep):
     return bks, sse
 
 
-_GRID_CHUNK = 4096  # combinations scored per stacked solve
-
-
-def _grid_search(t, v, sqrt_w, k):
-    """Exhaustive search over sample-midpoint breakpoints (fallback);
-    (bks, sse) of the best combination.
-
-    Needs ``t.size >= 2 * (k + 1)``, as every k with starts has: the
-    midpoints 1, 3, ..., 2k - 1 then leave two samples in each segment, so
-    some combination is admissible.
-    """
-    mids = (t[:-1] + t[1:]) / 2.0
-    combos = itertools.combinations(range(len(mids)), k)
-    best = None
-    while chunk := list(itertools.islice(combos, _GRID_CHUNK)):
-        idx = np.array(chunk, dtype=int)
-        # with t strictly increasing, the breakpoint at mids[j] leaves samples
-        # 0..j to its left, so each segment's sample count is an index gap
-        edges = np.column_stack([np.full(len(idx), -1), idx, np.full(len(idx), t.size - 1)])
-        idx = idx[(np.diff(edges, axis=1) >= _MIN_SAMPLES_PER_SEGMENT).all(axis=1)]
-        if not len(idx):
-            continue
-        sse = _sse_batch(t, v, sqrt_w, mids[idx])
-        j = int(np.argmin(sse))
-        if best is None or sse[j] < best[1]:
-            best = (mids[idx[j]], sse[j])
-    return best[0], _wls(t, v, sqrt_w, best[0])[1]  # the lstsq SSE, as _refine_rows gives
-
-
 def _segments_from_coef(coef, breakpoints) -> tuple:
     """Convert basis coefficients into contiguous segments over [-5, 0]."""
     beta0, beta1 = coef[0], coef[1]
@@ -405,8 +365,12 @@ class _ProfileFit:
     refined restart of each breakpoint count.
 
     The starts of every count are drawn from the profile's own generator
-    here, in k order.  Refinement, the grid search and the polish never
-    draw, so the stream is the same whichever profiles are fit with it.
+    here, in k order.  Refinement and the polish never draw, so the stream
+    is the same whichever profiles are fit with it.  A count gets starts
+    only if its segments keep two samples each and its breakpoints fit
+    min_sep apart in [lo, hi].  Both rules only tighten as k grows, so the
+    counts without starts come last and the draws of the others are
+    unchanged by skipping them.
     """
 
     def __init__(self, profile: SpeedProfile, config: PipelineConfig, rng: np.random.Generator):
@@ -417,8 +381,8 @@ class _ProfileFit:
         if self.t.size < 2:
             raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
         self.sqrt_w = np.sqrt(self.w)
-        self.starts = {}  # k -> (restarts, k) starts; none for a k with too few samples
-        self.best = {}  # k -> (bks, sse) of the best refined start, if one was admissible
+        self.starts = {}  # k -> (restarts, k) starts; none for a k that does not fit
+        self.best = {}  # k -> (bks, sse) of the best refined start
         if not self.has_room:
             return
         self.lo, self.hi = _breakpoint_bounds(self.t)
@@ -426,7 +390,7 @@ class _ProfileFit:
         self.spacing = float(np.median(np.diff(self.t)))  # s, between samples
         self.min_sep = 2.5 * self.spacing
         for k in range(1, config.n_b_max + 1):
-            if self.t.size >= _MIN_SAMPLES_PER_SEGMENT * (k + 1):
+            if self.t.size >= _MIN_SAMPLES_PER_SEGMENT * (k + 1) and self.lo + (k - 1) * self.min_sep <= self.hi:
                 even = self.lo + span * np.arange(1, k + 1) / (k + 1)
                 draws = rng.uniform(self.lo, self.hi, size=(max(config.max_restarts - 1, 0), k))
                 self.starts[k] = np.vstack([even, draws])
@@ -446,10 +410,7 @@ class _ProfileFit:
             if k not in self.starts:
                 log.warning("event %r: too few samples for %d breakpoints", self.event_id, k)
                 continue
-            best = self.best.get(k)
-            if best is None:
-                best = _grid_search(t, v, sqrt_w, k)
-            bks, sse = _polish_breakpoints(t, v, sqrt_w, *best, self.lo, self.hi, self.spacing, self.min_sep)
+            bks, sse = _polish_breakpoints(t, v, sqrt_w, *self.best[k], self.lo, self.hi, self.spacing, self.min_sep)
             if not _separated(bks, t):
                 log.warning("event %r: %d-breakpoint fit lost separation", self.event_id, k)
                 continue
@@ -485,13 +446,13 @@ def fit_candidates(
     breakpoint count, 0..n_b_max.
 
     Each candidate minimizes the weighted squared error for its breakpoint
-    count.  Counts with too few samples, or whose polished breakpoints lose
-    separation, are dropped with a warning; the zero-breakpoint candidate
-    always exists.  Every restart of every
-    profile for one breakpoint count is refined in one lockstep stack per
-    sample count, so a batch costs a few stacked solves per iteration
-    instead of a few per profile; the greedy polish and the grid-search
-    fallback run per profile.
+    count.  Counts with too few samples or too little room for their
+    breakpoints, or whose polished breakpoints lose separation, are dropped
+    with a warning; the zero-breakpoint candidate always exists.  Every
+    restart of every profile for one breakpoint count is refined in one
+    lockstep stack per sample count, so a batch costs a few stacked solves
+    per iteration instead of a few per profile; the greedy polish runs per
+    profile.
     """
     rngs = [None] * len(profiles) if rngs is None else rngs
     fits = [_ProfileFit(p, config, rng or np.random.default_rng(0)) for p, rng in zip(profiles, rngs)]
@@ -506,7 +467,6 @@ def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
         segments=_segments_from_coef(coef, breakpoints),
         r_squared=float(r2),
         r_squared_adj=float(_adjusted(r2, n, len(breakpoints))),
-        n_samples=int(n),
     )
 
 

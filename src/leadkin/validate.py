@@ -235,24 +235,28 @@ def bootstrap_robustness(
     Reported values are the proportions of reps with p > ``config.alpha_ks``;
     failed reps are excluded from the denominator and counted separately.
     Arguments outside their domain raise before any work, by
-    :func:`check_bootstrap_args`.
+    :func:`check_bootstrap_args`, and so does a fraction that leaves no
+    event.
     The models, the KS tests and the random streams (from ``config.seed``)
     all take their settings from ``config``.
     """
     check_bootstrap_args(fractions, reps, n_synth)
+    n = len(dataset.events)
+    sizes = [int(np.floor(fraction * n)) for fraction in fractions]
+    for fraction, size in zip(fractions, sizes):
+        if size < 1:
+            raise BadArgument("fractions", f"must each leave at least one of the {n} events, got {fraction!r}")
     root = np.random.SeedSequence(config.seed)
     ref_seed, *rep_seeds = root.spawn(1 + len(fractions) * reps)
 
     bundles_full = build_all(dataset, config)
     reference, _ = assemble_synthetic(bundles_full, n_reference, seed=ref_seed)
 
-    n = len(dataset.events)
     proportions: Dict[float, Dict[str, float]] = {}
     failures: Dict[float, int] = {}
     per_rep: Dict[float, List[Dict[str, float]]] = {}
     seed_iter = iter(rep_seeds)
-    for fraction in fractions:
-        size = int(np.floor(fraction * n))
+    for fraction, size in zip(fractions, sizes):
         outcomes: List[Dict[str, float]] = []
         failed = 0
         for _ in range(reps):

@@ -140,7 +140,7 @@ def test_c3_loss_formula_oracle():
             profile = SpeedProfile("x", None, None, times, speeds, sample_weights(times))
             edges = (-5.0, *np.linspace(-4, -1, n_b), 0.0)
             segments = tuple(Segment(a, b, 0.0, v_hi) for a, b in zip(edges[:-1], edges[1:]))
-            fit = PwlFit(segments, r2, r2, 3)
+            fit = PwlFit(segments, r2, r2)
 
             v_max = max(v_lo, v_hi)
             dv = abs(v_hi - v_lo)

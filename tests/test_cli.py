@@ -458,6 +458,16 @@ def test_bad_config_fields_exit_2(tables_dir, capsys, doc, field):
     assert not (tables_dir / "r.json").exists()
 
 
+@pytest.mark.parametrize("doc, field", [({"workdir": 3}, "workdir"), ({"input": ["x"]}, "input")])
+def test_non_path_config_paths_exit_2(tmp_path, monkeypatch, capsys, doc, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert main(["--config", "bad.json", "pipeline"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file bad.json: config field {field}: expected a path")
+    assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
+
+
 @pytest.mark.parametrize(
     "command, flags, field",
     [
@@ -506,6 +516,17 @@ def test_bad_bootstrap_fractions_exit_2(tables_dir, capsys, fractions):
             "--output", str(out)]
     assert main(argv) == 2
     assert "--fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bootstrap_fraction_that_leaves_no_event_exits_2(tables_dir, capsys):
+    out = tables_dir / "bootstrap.json"
+    argv = ["bootstrap", "--input", str(tables_dir / "combined.csv"), "--fractions", "0.9,0.001",
+            "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fractions must each leave at least one of the ")
+    assert err.endswith(" events, got 0.001\n")
     assert not out.exists()
 
 

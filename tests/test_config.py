@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,13 @@ def test_fields_cannot_be_set_after_the_rules_ran():
     assert config.n_b_max == 3
     with pytest.raises(InputError, match=r"config field n_b_max must be in \[0, 5\], got 100"):
         dataclasses.replace(config, n_b_max=100)
+
+
+@pytest.mark.parametrize("field, value", [("input", ["x"]), ("workdir", 3), ("workdir", None), ("input", b"x")])
+def test_paths_must_be_strings_or_path_likes(tmp_path, field, value):
+    with pytest.raises(InputError, match=re.escape(f"config field {field}: expected a path, got {value!r}")):
+        PipelineConfig(**{field: value})
+    assert getattr(PipelineConfig(**{field: tmp_path}), field) == tmp_path
 
 
 def test_fit_rejects_the_settings_the_cli_rejects():

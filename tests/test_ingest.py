@@ -222,7 +222,6 @@ def fake_fit(slopes, duration=5.0):
         segments=tuple(segments),
         r_squared=0.99,
         r_squared_adj=0.99,
-        n_samples=51,
     )
 
 

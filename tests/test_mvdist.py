@@ -272,6 +272,26 @@ class TestDecorrelate:
         assert spec.coefficients["tau_s"] == pytest.approx(0.0, abs=0.1)
         assert resid.mean() == pytest.approx(x.mean() - spec.predict({"tau_s": pm}).mean(), abs=1e-9)
 
+    def test_collinear_point_mass_columns_warn_and_take_the_minimum_norm_fit(self, caplog):
+        rng = np.random.default_rng(6)
+        pm = np.where(rng.random(200) < 0.4, 0.0, rng.gamma(2, 1, 200))
+        pm_matrix = np.column_stack([pm, 2.0 * pm])
+        x = 1.0 + 0.5 * pm + rng.normal(0, 0.1, 200)
+        w = rng.uniform(0.5, 2.0, 200)
+        with caplog.at_level("WARNING", logger="leadkin.mvdist"):
+            resid, spec = decorrelate(x, pm_matrix, w, ["tau_s", "tau_1"], parameter="v_c")
+        assert "parameter v_c: collinear point-mass regressors, using minimum-norm solution" in caplog.text
+        sw = np.sqrt(w)
+        design = np.column_stack([np.ones(200), pm_matrix])
+        beta = np.linalg.lstsq(design * sw[:, None], x * sw, rcond=None)[0]
+        assert [spec.intercept, spec.coefficients["tau_s"], spec.coefficients["tau_1"]] == beta.tolist()
+        assert spec.coefficients["tau_1"] == pytest.approx(2.0 * spec.coefficients["tau_s"], rel=1e-9)
+        assert resid.tobytes() == (x - design @ beta).tobytes()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="leadkin.mvdist"):
+            decorrelate(x, pm[:, None], w, ["tau_s"], parameter="v_c")
+        assert not caplog.text
+
 
 class TestSplitOnPointMass:
     def test_split_sides(self):

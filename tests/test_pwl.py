@@ -44,7 +44,6 @@ def fit_from_vertices(ts, vs):
         segments=tuple(segments),
         r_squared=1.0,
         r_squared_adj=1.0,
-        n_samples=51,
     )
 
 
@@ -508,18 +507,51 @@ class TestBatchedFitMatchesScalar:
                 assert new[0].tobytes() == old[0].tobytes()
                 assert new[1] == pytest.approx(old[1], rel=1e-12)
 
-    def test_grid_search_fallback(self):
-        # 8 samples leave no room for 3 breakpoints min_sep apart, so k = 3
-        # comes from the midpoint grid
+    def test_tight_profile_skips_counts_without_room(self, caplog):
+        # 8 samples 0.1 s apart have no room for 3 breakpoints 0.25 s apart,
+        # so k = 3 gets no starts and no candidate
         t = np.round(np.linspace(-0.7, 0.0, 8), 10)
         v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
         p = SpeedProfile("short", None, None, t, v, sample_weights(t))
-        new = fit_candidates([p], PipelineConfig(), [np.random.default_rng(0)])[0]
+        with caplog.at_level("WARNING", logger="leadkin.pwl"):
+            new = fit_candidates([p], PipelineConfig(), [np.random.default_rng(0)])[0]
+        assert "event 'short': too few samples for 3 breakpoints" in caplog.text
         old = scalar.fit_candidates(p, PipelineConfig(), np.random.default_rng(0))
-        assert_same_candidates(new, old)
-        mids = (t[:-1] + t[1:]) / 2.0
-        assert new[-1].n_b == 3
-        assert new[-1].breakpoints == pytest.approx(mids[[1, 3, 5]], abs=1e-12)
+        assert [c.n_b for c in new] == [0, 1, 2]
+        assert_same_candidates(new, old[:3])
+
+
+class TestRoomForBreakpoints:
+    """A breakpoint count gets starts exactly when its breakpoints fit
+    min_sep apart in [lo, hi]; its projections then stay there, and every
+    start comes back refined."""
+
+    @given(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1), irregular=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_starts_only_where_breakpoints_fit(self, n, seed, irregular):
+        rng = np.random.default_rng(seed)
+        if irregular:
+            t = np.sort(rng.choice(501, n, replace=False)) / 100.0 - 5.0
+        else:
+            t = np.round(-rng.choice([0.02, 0.05, 0.1, 0.2]) * np.arange(n)[::-1], 10)
+        p = SpeedProfile("h", None, None, t, rng.uniform(0.0, 20.0, n), sample_weights(t))
+        fit = pwl._ProfileFit(p, PipelineConfig(n_b_max=5), rng)
+        lo, hi, min_sep = fit.lo, fit.hi, fit.min_sep
+        for k in range(1, 6):
+            fits = n >= 2 * (k + 1) and lo + (k - 1) * min_sep <= hi
+            assert (k in fit.starts) == fits
+            if not fits:
+                continue
+            rows = np.vstack([fit.starts[k], rng.uniform(lo - 1.0, hi + 1.0, size=(20, k))])
+            out = pwl._project_separated(rows, lo, hi, min_sep)
+            assert (out[:, 0] >= lo - 1e-12).all() and (out[:, -1] <= hi).all()
+            assert (np.diff(out, axis=1) >= min_sep * (1 - 1e-12)).all()
+            stacked = (np.broadcast_to(a, (len(rows), n)) for a in (t, p.speeds, fit.sqrt_w))
+            limits = (np.full(len(rows), x) for x in (lo, hi, min_sep))
+            best = pwl._refine_rows(*stacked, rows, *limits, np.arange(len(rows)), TOL)
+            assert sorted(best) == list(range(len(rows)))
+            for bks, _ in best.values():
+                assert bks[0] >= lo - 1e-12 and bks[-1] <= hi
 
 
 def _direction_designs(t, v, sqrt_w, bks):
@@ -605,7 +637,7 @@ class TestBatchIndependence:
     def mixed_batch():
         crash = GRID[:48]  # a crash record, cut at -0.3 s
         short = np.round(np.linspace(-0.6, 0.0, 7), 10)  # room for 1 and 2 breakpoints, not 3
-        tight = np.round(np.linspace(-0.7, 0.0, 8), 10)  # k = 3 only from the grid search
+        tight = np.round(np.linspace(-0.7, 0.0, 8), 10)  # samples for 3 breakpoints, no room for them
         profiles = [
             SpeedProfile(f"rec-{i}", None, None, p.times, p.speeds, p.weights)
             for i, (_, p) in enumerate(recovery_corpus(4, seed=31))
@@ -627,27 +659,21 @@ class TestBatchIndependence:
     def test_batch_mixes_the_cases(self, monkeypatch, caplog):
         profiles = {p.event_id: p for p in self.mixed_batch()}
         assert {p.times.size for p in profiles.values()} == {7, 8, 48, 51}
-        searched, stopped = [], []
-        grid_search, directions = pwl._grid_search, pwl._directions
-
-        def spy_grid_search(t, v, sqrt_w, k):
-            searched.append((t.size, k))
-            return grid_search(t, v, sqrt_w, k)
+        stopped = []
+        directions = pwl._directions
 
         def spy_directions(t, v, sqrt_w, bks):
             delta = directions(t, v, sqrt_w, bks)
             stopped.append(np.isnan(delta[:, 0]).any())
             return delta
 
-        monkeypatch.setattr(pwl, "_grid_search", spy_grid_search)
         monkeypatch.setattr(pwl, "_directions", spy_directions)
-        fit_event(profiles["tight"], PipelineConfig(), self.rngs([profiles["tight"]])[0])
-        assert (8, 3) in searched
-        stopped.clear()
         fit_event(profiles["steady"], PipelineConfig(), self.rngs([profiles["steady"]])[0])
         assert stopped and all(stopped)
         with caplog.at_level("WARNING", logger="leadkin.pwl"):
             assert [c.n_b for c in fit_candidates([profiles["short"]], PipelineConfig())[0]] == [0, 1, 2]
+            fit_event(profiles["tight"], PipelineConfig(), self.rngs([profiles["tight"]])[0])
+        assert "event 'tight': too few samples for 3 breakpoints" in caplog.text
         assert "event 'short': too few samples for 3 breakpoints" in caplog.text
 
     @pytest.mark.parametrize("order", range(4))

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import ks_reference
 from groundtruth import ground_truth_corpus
-from leadkin.errors import EmptyInput, EmptyReps, InputError
+from leadkin import validate
+from leadkin.errors import BadArgument, EmptyInput, EmptyReps, InputError
 from leadkin.events import ParamTable
 from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
@@ -222,6 +223,16 @@ class TestBootstrap:
         ds = ground_truth_corpus(seed=1, counts=(20, 30, 20))
         with pytest.raises(InputError, match=f"^{message}"):
             bootstrap_robustness(ds, **{"reps": 1, "n_reference": 200, **arguments})
+
+    def test_fraction_that_leaves_no_event_raises_before_any_work(self, monkeypatch):
+        ds = ground_truth_corpus(seed=1, counts=(20, 30, 20))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(validate, "build_all", no_work)
+        with pytest.raises(BadArgument, match="^fractions must each leave at least one of the 70 events, got 0.01$"):
+            bootstrap_robustness(ds, fractions=(0.9, 0.01), reps=1, n_reference=200)
 
     def test_stable_corpus_smoke(self):
         ds = ground_truth_corpus(seed=321, counts=(45, 60, 45))
