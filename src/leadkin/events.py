@@ -43,7 +43,6 @@ class RawEvent:
     severity: Severity
     times: np.ndarray
     speeds: np.ndarray
-    sample_rate: float
     native_weight: Optional[float] = None
 
     @property

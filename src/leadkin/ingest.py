@@ -100,7 +100,6 @@ def load_events(path: Union[str, Path]) -> list:
                 severity=severity[event_id],
                 times=t,
                 speeds=v,
-                sample_rate=rate,
                 native_weight=weight.get(event_id),
             )
         )

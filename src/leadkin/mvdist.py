@@ -123,11 +123,11 @@ def detect_point_mass(
     shares = np.bincount(inverse, weights=w) / w.sum()
     shares = np.where(counts >= 2, shares, 0.0)
     best = int(np.argmax(shares))  # ties resolve to the smaller value
-    if shares[best] >= config.mass_threshold:
+    if counts[best] >= 2 and shares[best] >= config.mass_threshold:
         return PointMassSpec(
             parameter=parameter,
             mass_value=float(uniq[best]),
-            mass_probability=float(np.bincount(inverse, weights=w)[best] / w.sum()),
+            mass_probability=float(shares[best]),
         )
     return None
 

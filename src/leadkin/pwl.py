@@ -27,55 +27,35 @@ _MIN_SAMPLES_PER_SEGMENT = 2
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One straight piece, v(t) = slope * t + intercept on [t_start, t_end]."""
-
-    t_start: float
-    t_end: float
-    slope: float
-    intercept: float
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
-    def value(self, t: float) -> float:
-        return self.slope * t + self.intercept
-
-
-@dataclass(frozen=True)
 class PwlFit:
-    """A fitted piecewise-linear speed model covering [-5, 0] s."""
+    """A fitted piecewise-linear speed model covering [-5, 0] s, stored as
+    its knots: ``times`` from -5 s to 0 s and the speed at each.  Slopes
+    and durations are knot differences."""
 
-    segments: tuple
+    times: tuple
+    speeds: tuple
     r_squared: float
     r_squared_adj: float
     modified_for_nonnegativity: bool = False
 
     @property
     def breakpoints(self) -> tuple:
-        """The segment ends inside the window."""
-        return tuple(s.t_end for s in self.segments[:-1])
+        """The knots inside the window."""
+        return self.times[1:-1]
 
     @property
     def n_b(self) -> int:
-        return len(self.segments) - 1
+        return len(self.times) - 2
 
     def vertices(self) -> tuple:
-        """(t, v) knots of the polyline, endpoints included."""
-        ts = [self.segments[0].t_start]
-        vs = [self.segments[0].value(self.segments[0].t_start)]
-        for seg in self.segments:
-            ts.append(seg.t_end)
-            vs.append(seg.value(seg.t_end))
-        return np.array(ts), np.array(vs)
+        """(t, v) knots of the polyline as arrays, endpoints included."""
+        return np.array(self.times), np.array(self.speeds)
 
     def predict(self, t) -> np.ndarray:
-        ts, vs = self.vertices()
-        return np.interp(np.asarray(t, dtype=float), ts, vs)
+        return np.interp(np.asarray(t, dtype=float), self.times, self.speeds)
 
     def slopes(self) -> np.ndarray:
-        return np.array([s.slope for s in self.segments])
+        return np.diff(self.speeds) / np.diff(self.times)
 
 
 def sample_weights(times) -> np.ndarray:
@@ -321,29 +301,6 @@ def _polish_breakpoints(t, v, sqrt_w, bks, sse, lo, hi, spacing, min_sep):
     return bks, sse
 
 
-def _segments_from_coef(coef, breakpoints) -> tuple:
-    """Convert basis coefficients into contiguous segments over [-5, 0]."""
-    beta0, beta1 = coef[0], coef[1]
-    gammas = coef[2:]
-    edges = [MODEL_T_MIN, *breakpoints, MODEL_T_MAX]
-    segments = []
-    slope = beta1
-    intercept = beta0
-    for i in range(len(edges) - 1):
-        if i > 0:
-            slope = slope + gammas[i - 1]
-            intercept = intercept - gammas[i - 1] * breakpoints[i - 1]
-        segments.append(
-            Segment(
-                t_start=float(edges[i]),
-                t_end=float(edges[i + 1]),
-                slope=float(slope),
-                intercept=float(intercept),
-            )
-        )
-    return tuple(segments)
-
-
 def _r_squared(v, w, sse_w):
     sw = w.sum()
     mean_w = np.dot(w, v) / sw
@@ -462,9 +419,20 @@ def fit_candidates(
 
 
 def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
+    """The candidate of hinge coefficients (beta0, beta1, gamma_1..k) at
+    its breakpoints.  Each knot speed is the value there of the line of the
+    piece ending at it (of the first piece, at -5 s), whose slope and
+    intercept are running sums of the coefficients."""
+    times = (MODEL_T_MIN, *np.asarray(breakpoints, dtype=float).tolist(), MODEL_T_MAX)
+    intercept, slope, *gammas = np.asarray(coef, dtype=float).tolist()
+    speeds = [slope * times[0] + intercept, slope * times[1] + intercept]
+    for gamma, b, t in zip(gammas, times[1:-1], times[2:]):
+        slope, intercept = slope + gamma, intercept - gamma * b
+        speeds.append(slope * t + intercept)
     r2 = _r_squared(v, w, sse)
     return PwlFit(
-        segments=_segments_from_coef(coef, breakpoints),
+        times=times,
+        speeds=tuple(speeds),
         r_squared=float(r2),
         r_squared_adj=float(_adjusted(r2, n, len(breakpoints))),
     )
@@ -484,24 +452,26 @@ def loss(candidate: PwlFit, profile: SpeedProfile, config: PipelineConfig = Pipe
     return per_bp * candidate.n_b - candidate.r_squared
 
 
-def _segments_from_vertices(ts, vs) -> tuple:
-    segments = []
-    for i in range(len(ts) - 1):
-        dt = ts[i + 1] - ts[i]
-        if dt < 1e-12:  # degenerate piece, e.g. a crossing at an existing vertex
+def _without_redundant_knots(ts: list, vs: list) -> tuple:
+    """The knots without degenerate pieces (under 1e-12 s, such as a
+    crossing at an existing knot) and without the interior knot between
+    two exactly collinear pieces (such as the zero runs clamping leaves).
+    A degenerate piece loses its later knot, or its earlier one when the
+    later is the window end."""
+    kept_t, kept_v = ts[:1], vs[:1]
+    for t, v in zip(ts[1:], vs[1:]):
+        if t - kept_t[-1] < 1e-12:
+            if t == ts[-1]:
+                kept_t[-1], kept_v[-1] = t, v
             continue
-        slope = (vs[i + 1] - vs[i]) / dt
-        intercept = vs[i] - slope * ts[i]
-        segments.append(Segment(float(ts[i]), float(ts[i + 1]), float(slope), float(intercept)))
-    # merge exactly collinear neighbours (created by zero clamping)
-    merged = [segments[0]]
-    for seg in segments[1:]:
-        prev = merged[-1]
-        if abs(seg.slope - prev.slope) < 1e-12 and abs(seg.value(seg.t_start) - prev.value(seg.t_start)) < 1e-12:
-            merged[-1] = Segment(prev.t_start, seg.t_end, prev.slope, prev.intercept)
-        else:
-            merged.append(seg)
-    return tuple(merged)
+        if len(kept_t) > 1:
+            before = (kept_v[-1] - kept_v[-2]) / (kept_t[-1] - kept_t[-2])
+            if abs((v - kept_v[-1]) / (t - kept_t[-1]) - before) < 1e-12:
+                kept_t.pop()
+                kept_v.pop()
+        kept_t.append(t)
+        kept_v.append(v)
+    return tuple(kept_t), tuple(kept_v)
 
 
 def enforce_nonnegative(fit: PwlFit) -> PwlFit:
@@ -511,12 +481,11 @@ def enforce_nonnegative(fit: PwlFit) -> PwlFit:
     zero speed from the crossing point outward; negative interior breakpoint
     values are raised to zero and the neighbouring lines reconnected.
     """
-    ts, vs = fit.vertices()
-    if (vs >= 0.0).all():
+    if all(v >= 0.0 for v in fit.speeds):
         return fit
 
-    ts = list(ts)
-    vs = list(vs)
+    ts = list(fit.times)
+    vs = list(fit.speeds)
 
     def _cross(t0, v0, t1, v1):
         return t0 + (t1 - t0) * (0.0 - v0) / (v1 - v0)
@@ -545,11 +514,8 @@ def enforce_nonnegative(fit: PwlFit) -> PwlFit:
     # interior breakpoints: clamp to zero, lines reconnect implicitly
     vs = [max(v, 0.0) for v in vs]
 
-    return replace(
-        fit,
-        segments=_segments_from_vertices(np.asarray(ts), np.asarray(vs)),
-        modified_for_nonnegativity=True,
-    )
+    ts, vs = _without_redundant_knots(ts, vs)
+    return replace(fit, times=ts, speeds=vs, modified_for_nonnegativity=True)
 
 
 def extract_params(fit: PwlFit, config: PipelineConfig = PipelineConfig()) -> Tuple[float, ...]:
@@ -559,35 +525,17 @@ def extract_params(fit: PwlFit, config: PipelineConfig = PipelineConfig()) -> Tu
     The final segment counts as the steady-speed phase when its |slope| is
     within ``steady_slope_tol``; at most the three (with steady phase) or
     two (without) segments nearest time zero are kept, earlier ones are
-    dropped.
+    dropped.  Slopes and durations are knot differences.
     """
-    segments = list(fit.segments)
-    last = segments[-1]
-    if abs(last.slope) <= config.steady_slope_tol:
-        steady = last
-        rest = segments[:-1]
-    else:
-        steady = None
-        rest = segments
-
-    v_c = float(fit.predict(MODEL_T_MAX))
-    tau_s = steady.duration if steady is not None else 0.0
-    seg1 = rest[-1] if rest else None
-    seg2 = rest[-2] if len(rest) >= 2 else None
-    if seg1 is not None:
-        a1 = seg1.slope
-        tau_1 = seg1.duration
-    else:
-        a1 = 0.0
-        tau_1 = 0.0
-    if seg2 is not None:
-        a2 = seg2.slope
-        tau_2 = seg2.duration
-    else:
-        a2 = a1
-        tau_2 = 0.0
-
-    return v_c, float(a1), float(a2), float(tau_s), float(tau_1), float(tau_2)
+    slopes = fit.slopes().tolist()
+    durations = np.diff(fit.times).tolist()
+    tau_s = 0.0
+    if abs(slopes[-1]) <= config.steady_slope_tol:
+        slopes.pop()
+        tau_s = durations.pop()
+    a1, tau_1 = (slopes[-1], durations[-1]) if slopes else (0.0, 0.0)
+    a2, tau_2 = (slopes[-2], durations[-2]) if len(slopes) >= 2 else (a1, 0.0)
+    return float(fit.speeds[-1]), a1, a2, tau_s, tau_1, tau_2
 
 
 def fit_events(

@@ -6,6 +6,10 @@
 ``leadkin.pwl`` that solved one ``np.linalg.lstsq`` per trial point, so the
 batched fitter can be checked against them.  The helpers that did not
 change are imported from the package.
+
+``segments_from_coef`` and ``vertices`` keep the conversion of hinge
+coefficients into (t_start, t_end, slope, intercept) segments and back to
+knots from the version of ``leadkin.pwl`` that stored a fit as segments.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from leadkin.config import PipelineConfig
 from leadkin.errors import FitDiverged
-from leadkin.events import SpeedProfile
+from leadkin.events import MODEL_T_MAX, MODEL_T_MIN, SpeedProfile
 from leadkin.pwl import (
     _MAX_ITER,
     _MIN_SAMPLES_PER_SEGMENT,
@@ -29,6 +33,33 @@ from leadkin.pwl import (
 )
 
 log = logging.getLogger(__name__)
+
+
+def segments_from_coef(coef, breakpoints) -> tuple:
+    """Convert basis coefficients into contiguous segments over [-5, 0]."""
+    beta0, beta1 = coef[0], coef[1]
+    gammas = coef[2:]
+    edges = [MODEL_T_MIN, *breakpoints, MODEL_T_MAX]
+    segments = []
+    slope = beta1
+    intercept = beta0
+    for i in range(len(edges) - 1):
+        if i > 0:
+            slope = slope + gammas[i - 1]
+            intercept = intercept - gammas[i - 1] * breakpoints[i - 1]
+        segments.append((float(edges[i]), float(edges[i + 1]), float(slope), float(intercept)))
+    return tuple(segments)
+
+
+def vertices(segments) -> tuple:
+    """(t, v) knots of the polyline, endpoints included."""
+    t_start, _, slope, intercept = segments[0]
+    ts = [t_start]
+    vs = [slope * t_start + intercept]
+    for _, t_end, slope, intercept in segments:
+        ts.append(t_end)
+        vs.append(slope * t_end + intercept)
+    return np.array(ts), np.array(vs)
 
 
 def _min_separation(t: np.ndarray) -> float:

@@ -123,7 +123,7 @@ def test_c2_fit_recovery():
 def test_c3_loss_formula_oracle():
     with criterion("3 selection loss oracle"):
         from leadkin.events import SpeedProfile
-        from leadkin.pwl import PwlFit, Segment, loss, sample_weights
+        from leadkin.pwl import PwlFit, loss, sample_weights
 
         rng = np.random.default_rng(7)
         config = PipelineConfig()
@@ -139,8 +139,7 @@ def test_c3_loss_formula_oracle():
             speeds = np.array([v_lo, (v_lo + v_hi) / 2, v_hi])
             profile = SpeedProfile("x", None, None, times, speeds, sample_weights(times))
             edges = (-5.0, *np.linspace(-4, -1, n_b), 0.0)
-            segments = tuple(Segment(a, b, 0.0, v_hi) for a, b in zip(edges[:-1], edges[1:]))
-            fit = PwlFit(segments, r2, r2)
+            fit = PwlFit(edges, (v_hi,) * len(edges), r2, r2)
 
             v_max = max(v_lo, v_hi)
             dv = abs(v_hi - v_lo)

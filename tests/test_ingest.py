@@ -12,7 +12,7 @@ from leadkin.errors import (
     MalformedRow,
 )
 from leadkin.events import RawEvent, Severity, SourceGroup, SpeedProfile
-from leadkin.pwl import PwlFit, Segment, sample_weights
+from leadkin.pwl import PwlFit, sample_weights
 
 
 def write_csv(path, rows, header="event_id,group,severity,t,v,weight"):
@@ -138,7 +138,7 @@ class TestLoadEvents:
         path = tmp_path / "events.csv"
         write_csv(path, sample_rows("a", "SHRP2_nc", "None", t, np.full(t.size, 3.0)))
         (event,) = ingest.load_events(path)
-        assert event.sample_rate == pytest.approx(5.0)
+        assert event.times.tolist() == t.tolist()
 
     def test_native_weight_parsed(self, tmp_path):
         t = grid(-5.0, -0.3)
@@ -146,7 +146,7 @@ class TestLoadEvents:
         write_csv(path, sample_rows("a", "CISS_sc", "Severe", t, np.full(t.size, 3.0), "42.5"))
         (event,) = ingest.load_events(path)
         assert event.native_weight == 42.5
-        assert event.sample_rate == pytest.approx(10.0)
+        assert event.times.tolist() == t.tolist()
 
 
 def raw_event(times, speeds, severity=Severity.NONE, group=SourceGroup.SHRP2_NC):
@@ -156,7 +156,6 @@ def raw_event(times, speeds, severity=Severity.NONE, group=SourceGroup.SHRP2_NC)
         severity=severity,
         times=np.asarray(times, dtype=float),
         speeds=np.asarray(speeds, dtype=float),
-        sample_rate=10.0,
     )
 
 
@@ -210,19 +209,10 @@ class TestWindowEvent:
         assert np.array_equal(again.speeds, profile.speeds)
 
 
-def fake_fit(slopes, duration=5.0):
-    edges = np.linspace(-5.0, 0.0, len(slopes) + 1)
-    segments = []
-    value = 10.0
-    for i, slope in enumerate(slopes):
-        intercept = value - slope * edges[i]
-        segments.append(Segment(float(edges[i]), float(edges[i + 1]), slope, intercept))
-        value = value + slope * (edges[i + 1] - edges[i])
-    return PwlFit(
-        segments=tuple(segments),
-        r_squared=0.99,
-        r_squared_adj=0.99,
-    )
+def fake_fit(slopes):
+    times = np.linspace(-5.0, 0.0, len(slopes) + 1)
+    speeds = 10.0 + np.concatenate([[0.0], np.cumsum(np.multiply(slopes, np.diff(times)))])
+    return PwlFit(tuple(times.tolist()), tuple(speeds.tolist()), r_squared=0.99, r_squared_adj=0.99)
 
 
 class TestValidateEvent:

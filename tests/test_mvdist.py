@@ -186,6 +186,14 @@ class TestDetectPointMass:
         w[3] = 10.0
         assert detect_point_mass(x, w) is None
 
+    def test_zero_threshold_needs_a_repeated_value(self):
+        """At threshold 0 every share passes, so only the twice-seen rule
+        keeps distinct values from making a mass."""
+        config = PipelineConfig(mass_threshold=0.0)
+        assert detect_point_mass(np.arange(10.0), np.ones(10), config) is None
+        spec = detect_point_mass(np.array([0.0, 1.0, 2.0, 3.0, 3.0]), np.ones(5), config)
+        assert (spec.mass_value, spec.mass_probability) == (3.0, 0.4)
+
 
 class TestWeightedCorr:
     def test_perfect_correlation(self):

@@ -11,7 +11,6 @@ from leadkin.config import PipelineConfig
 from leadkin.events import EventParams, ParamTable, SpeedProfile
 from leadkin.pwl import (
     PwlFit,
-    Segment,
     _breakpoint_bounds,
     _polish_breakpoints,
     _sse_batch,
@@ -34,17 +33,7 @@ def profile(speeds, times=GRID):
 
 
 def fit_from_vertices(ts, vs):
-    ts = np.asarray(ts, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    segments = []
-    for i in range(len(ts) - 1):
-        slope = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
-        segments.append(Segment(ts[i], ts[i + 1], slope, vs[i] - slope * ts[i]))
-    return PwlFit(
-        segments=tuple(segments),
-        r_squared=1.0,
-        r_squared_adj=1.0,
-    )
+    return PwlFit(tuple(map(float, ts)), tuple(map(float, vs)), r_squared=1.0, r_squared_adj=1.0)
 
 
 class TestSampleWeights:
@@ -67,13 +56,13 @@ class TestFitCandidates:
         cands = fit_candidates([profile(2 * GRID + 12)], PipelineConfig())[0]
         c0 = cands[0]
         assert c0.n_b == 0
-        assert c0.segments[0].slope == pytest.approx(2.0, abs=1e-9)
-        assert c0.segments[0].intercept == pytest.approx(12.0, abs=1e-9)
+        assert c0.slopes()[0] == pytest.approx(2.0, abs=1e-9)
+        assert c0.predict(0.0) == pytest.approx(12.0, abs=1e-9)
         assert c0.r_squared == pytest.approx(1.0)
 
     def test_standstill_r_squared_convention(self):
         c0 = fit_candidates([profile(np.zeros(GRID.size))], PipelineConfig())[0][0]
-        assert c0.segments[0].slope == 0.0
+        assert c0.slopes()[0] == 0.0
         assert c0.r_squared == 1.0  # zero residual on constant data
 
     def test_constant_with_noise_r_squared_zero(self):
@@ -201,6 +190,18 @@ class TestEnforceNonnegative:
         assert vs.min() >= -1e-12
         assert repaired.predict(-2.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_crossing_at_an_existing_knot(self):
+        # v(-2) = 0 exactly, so the start-side crossing lands on that knot
+        repaired = enforce_nonnegative(fit_from_vertices([-5, -2, 0], [-2, 0, 4]))
+        assert repaired.n_b == 1
+        assert [a.tolist() for a in repaired.vertices()] == [[-5.0, -2.0, 0.0], [0.0, 0.0, 4.0]]
+
+    def test_collinear_pieces_merge_after_an_interior_clamp(self):
+        # clamping v(-3) to zero leaves two zero pieces, [-5, -3] and [-3, -2]
+        repaired = enforce_nonnegative(fit_from_vertices([-5, -3, -2, 0], [0, -1, 0, 2]))
+        assert repaired.n_b == 1
+        assert [a.tolist() for a in repaired.vertices()] == [[-5.0, -2.0, 0.0], [0.0, 0.0, 2.0]]
+
     @given(
         st.lists(st.floats(min_value=-3, max_value=12), min_size=2, max_size=5),
     )
@@ -259,6 +260,51 @@ class TestExtractParams:
         [rebuilt] = params_to_profile(ParamTable.from_rows([params]), config=PipelineConfig(profile_dt=0.05))
         predicted = fit.predict(rebuilt.times)
         assert np.abs(rebuilt.speeds - predicted).max() < 1e-9
+
+
+@st.composite
+def hinge_coefficients(draw):
+    """Hinge coefficients (beta0, beta1, gamma_1..k) and k sorted
+    breakpoints in [-4.85, -0.15], at least 0.25 s apart as at 10 Hz."""
+    k = draw(st.integers(0, 5))
+    coef = draw(st.lists(st.floats(-20.0, 20.0), min_size=2 + k, max_size=2 + k))
+    offsets = draw(st.lists(st.floats(0.0, 4.7 - 0.25 * max(k - 1, 0)), min_size=k, max_size=k))
+    return np.array(coef), -4.85 + np.sort(offsets) + 0.25 * np.arange(k)
+
+
+class TestKnotsFromCoefficients:
+    """``_build_fit``'s knots against the coefficient-to-segment conversion
+    kept in ``tests/pwl_reference.py``."""
+
+    @given(hinge_coefficients())
+    @settings(max_examples=200, deadline=None)
+    def test_knots_are_the_segment_vertices(self, drawn):
+        """Knot speeds are bit-equal to the segment lines' values.  A slope
+        from knot differences is within 4 eps M / dt of the coefficient
+        sum, M the largest 5 |slope| + |intercept| of a segment: each knot
+        speed rounds a few terms no larger than M, then the difference is
+        divided by the piece's duration dt.  The floor ``tiny`` covers
+        products that underflow."""
+        coef, bks = drawn
+        fit = pwl._build_fit(coef, bks, np.array([0.0, 1.0]), np.ones(2), 0.0, 2)
+        segments = scalar.segments_from_coef(coef, bks)
+        ts, vs = scalar.vertices(segments)
+        assert np.array(fit.times).tobytes() == ts.tobytes()
+        assert np.array(fit.speeds).tobytes() == vs.tobytes()
+        slope, intercept = np.array([s[2:] for s in segments]).T
+        scale = np.max(5.0 * np.abs(slope) + np.abs(intercept))
+        tol = 4 * np.finfo(float).eps * scale / np.diff(ts) + np.finfo(float).tiny
+        assert np.all(np.abs(fit.slopes() - slope) <= tol)
+
+    @given(hinge_coefficients())
+    @settings(max_examples=200, deadline=None)
+    def test_params_of_built_and_repaired_fits(self, drawn):
+        fit = pwl._build_fit(*drawn, np.array([0.0, 1.0]), np.ones(2), 0.0, 2)
+        for f in (fit, enforce_nonnegative(fit)):
+            v_c, a1, a2, tau_s, tau_1, tau_2 = extract_params(f)
+            assert tau_s + tau_1 + tau_2 <= 5.0 + 1e-12
+            if tau_2 == 0.0:
+                assert a2 == a1
 
 
 class TestSelection:
