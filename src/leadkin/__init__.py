@@ -22,8 +22,6 @@ from .combine import (
     CombinePlan,
     GroupCounts,
     MergeResult,
-    Stage,
-    WeightedDataset,
     build_plan,
     merge_near_crashes,
     preprocess,

@@ -166,7 +166,7 @@ def stage_combine(
         counts = combine_mod.GroupCounts.from_groups(events.source_group)
     _, ncs = combine_mod.split_near_crashes(events)
     preprocessed = combine_mod.preprocess(events, counts)
-    plan = combine_mod.build_plan(preprocessed)
+    plan = combine_mod.build_plan(preprocessed, counts)
     combined_crash = combine_mod.reweight_combine(preprocessed, plan)
     if threshold_quantile is not None:
         threshold = combine_mod.distance_threshold_from_quantile(
@@ -178,17 +178,17 @@ def stage_combine(
     tables.write_combined_csv(combined_out, merged, merge_result)
     log.info(
         "combine: %d crashes + %d/%d near-crashes, total weight %.6f",
-        len(combined_crash.events),
+        len(combined_crash),
         len(merge_result.selected),
         len(ncs),
-        merged.total_weight,
+        merged.weight.sum(),
     )
 
 
 def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
-    dataset = tables.read_combined_csv(combined_path)
+    table = tables.read_combined_csv(combined_path).events
     with fit_tally() as tally:
-        bundles = build_all(dataset, config)
+        bundles = build_all(table, config)
     write_json(model_out, bundles_to_json(bundles))
     log.info(
         "model: %d bundles; %d univariate fits, %d Nelder-Mead runs, %d evaluations; "
@@ -248,13 +248,13 @@ def stage_generate(
 
 
 def stage_validate(config: PipelineConfig, combined_path, synthetic_path, report_out) -> None:
-    raw = tables.read_combined_csv(combined_path)
-    synthetic = tables.read_synthetic_csv(synthetic_path)
+    raw = tables.read_combined_csv(combined_path).events
+    synthetic = tables.read_synthetic_csv(synthetic_path).events
     report = compare_datasets(raw, synthetic, config, seed=config.seed)
     ecdf_points = {}
     for name in PARAM_NAMES:
-        raw_ecdf = validate_mod.weighted_ecdf(raw.events[name], raw.events.weight)
-        syn_ecdf = validate_mod.weighted_ecdf(synthetic.events[name])
+        raw_ecdf = validate_mod.weighted_ecdf(raw[name], raw.weight)
+        syn_ecdf = validate_mod.weighted_ecdf(synthetic[name])
         ecdf_points[name] = {
             "raw": np.column_stack([raw_ecdf.support, raw_ecdf.cumulative]).tolist(),
             "synthetic": np.column_stack([syn_ecdf.support, syn_ecdf.cumulative]).tolist(),
@@ -418,7 +418,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fractions = _bootstrap_fractions(args.fractions)
             try:
                 check_bootstrap_args(fractions, args.reps, args.rep_n_synth)
-                dataset = tables.read_combined_csv(args.input)
+                dataset = tables.read_combined_csv(args.input).events
                 report = bootstrap_robustness(
                     dataset, fractions=fractions, reps=args.reps, n_synth=args.rep_n_synth, config=config
                 )

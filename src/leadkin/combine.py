@@ -5,7 +5,9 @@ scaling for CISS, uniform group weights for SHRP2), reweighted into a
 single combined crash dataset that keeps CISS's speed distribution for
 severe crashes and SHRP2's severe/non-severe mix, and finally enlarged by
 attaching sufficiently similar near-crashes as variations of their nearest
-crash with the crash's weight split equally among the group.
+crash with the crash's weight split equally among the group.  Every step
+takes and returns ``ParamTable``s; the group counts are passed to both
+``preprocess`` and ``build_plan``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -29,12 +30,6 @@ log = logging.getLogger(__name__)
 TRIM_FACTOR = 3.5
 
 CRASH_GROUPS = (SourceGroup.CISS_SC, SourceGroup.SHRP2_SC, SourceGroup.SHRP2_NSC)
-
-
-class Stage(str, Enum):
-    PREPROCESSED = "Preprocessed"
-    COMBINED_CRASH = "CombinedCrash"
-    COMBINED_INCIDENT = "CombinedIncident"
 
 
 @dataclass(frozen=True)
@@ -59,17 +54,6 @@ class GroupCounts:
         valid = Counter(group for group in valid_groups if group is not None)
         raw = dict(raw_counts) if raw_counts is not None else dict(valid)
         return GroupCounts(raw=raw, valid=valid)
-
-
-@dataclass(frozen=True)
-class WeightedDataset:
-    events: ParamTable
-    stage: Stage
-    counts: Optional[GroupCounts] = None
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.events.weight.sum())
 
 
 @dataclass(frozen=True)
@@ -156,7 +140,7 @@ def split_near_crashes(events: ParamTable) -> Tuple[ParamTable, ParamTable]:
     return events.take(crashes), events.take(in_groups(events, SourceGroup.SHRP2_NC))
 
 
-def preprocess(events: ParamTable, counts: GroupCounts) -> WeightedDataset:
+def preprocess(events: ParamTable, counts: GroupCounts) -> ParamTable:
     """Make the crash sources' weights compatible.
 
     CISS native weights are trimmed and scaled to sum to the CISS valid
@@ -195,24 +179,15 @@ def preprocess(events: ParamTable, counts: GroupCounts) -> WeightedDataset:
         weights.append(np.full(rows[group].size, w))
 
     order = np.concatenate([rows[g] for g in CRASH_GROUPS])
-    return WeightedDataset(
-        events=events.take(order).with_weights(np.concatenate(weights)),
-        stage=Stage.PREPROCESSED,
-        counts=counts,
-    )
+    return events.take(order).with_weights(np.concatenate(weights))
 
 
 # --- reweighting into the combined crash dataset ----------------------------
 
 
-def build_plan(dataset: WeightedDataset) -> CombinePlan:
-    """Derive the combination targets from a preprocessed dataset."""
-    if dataset.stage is not Stage.PREPROCESSED:
-        raise InputError("build_plan requires a Preprocessed dataset")
-    counts = dataset.counts
-    if counts is None:
-        raise InputError("preprocessed dataset is missing group counts")
-    events = dataset.events
+def build_plan(events: ParamTable, counts: GroupCounts) -> CombinePlan:
+    """Derive the combination targets from the preprocessed crashes and the
+    counts ``preprocess`` was given."""
     ciss, shrp2_sc, shrp2_nsc = (in_groups(events, g) for g in CRASH_GROUPS)
     for group, rows in zip(CRASH_GROUPS, (ciss, shrp2_sc, shrp2_nsc)):
         if not rows.any():
@@ -252,16 +227,14 @@ def build_plan(dataset: WeightedDataset) -> CombinePlan:
     )
 
 
-def reweight_combine(dataset: WeightedDataset, plan: CombinePlan) -> WeightedDataset:
-    """Apply the plan's weights, producing the combined crash dataset."""
-    if dataset.stage is not Stage.PREPROCESSED:
-        raise InputError("reweight_combine requires a Preprocessed dataset")
+def reweight_combine(events: ParamTable, plan: CombinePlan) -> ParamTable:
+    """Apply the plan's weights to the preprocessed crashes, producing the
+    combined crash dataset."""
     if plan.lowspeed_weight <= 0 and plan.target_lowspeed > 0:
         raise DegenerateSplit("low-speed branch has zero weight but a positive target")
     if plan.highspeed_weight <= 0 and plan.target_highspeed > 0:
         raise DegenerateSplit("high-speed branch has zero weight but a positive target")
 
-    events = dataset.events
     ciss, shrp2_sc, shrp2_nsc = (in_groups(events, g) for g in CRASH_GROUPS)
     unexpected = ~(ciss | shrp2_sc | shrp2_nsc)
     if unexpected.any():
@@ -274,11 +247,7 @@ def reweight_combine(dataset: WeightedDataset, plan: CombinePlan) -> WeightedDat
     weights[shrp2_nsc] = plan.target_nonsevere / int(shrp2_nsc.sum()) if shrp2_nsc.any() else 0.0
     weights[high] = plan.target_highspeed * w[high] / plan.highspeed_weight
     weights[low] = plan.target_lowspeed * w[low] / plan.lowspeed_weight
-    return WeightedDataset(
-        events=events.with_weights(weights),
-        stage=Stage.COMBINED_CRASH,
-        counts=dataset.counts,
-    )
+    return events.with_weights(weights)
 
 
 # --- near-crash merging -----------------------------------------------------
@@ -298,10 +267,10 @@ def _crash_zscores(crashes: ParamTable) -> Callable[[ParamTable], np.ndarray]:
 
 
 def merge_near_crashes(
-    crashes: WeightedDataset,
+    crashes: ParamTable,
     near_crashes: ParamTable,
     config: PipelineConfig = PipelineConfig(),
-) -> Tuple[WeightedDataset, MergeResult]:
+) -> Tuple[ParamTable, MergeResult]:
     """Attach similar near-crashes as variations of their nearest crash, when
     its z-score distance is at most ``config.d_thd``.
 
@@ -311,14 +280,12 @@ def merge_near_crashes(
     the original weight.  The merged rows are the crashes sorted by id,
     then the attached near-crashes in input order.
     """
-    if not len(crashes.events):
+    if not len(crashes):
         raise InputError("combined crash dataset is empty")
-    if crashes.stage is not Stage.COMBINED_CRASH:
-        raise InputError("merge_near_crashes requires a CombinedCrash dataset")
 
-    zscores = _crash_zscores(crashes.events)
-    ids = crashes.events.event_id
-    sorted_crashes = crashes.events.take(sorted(range(len(ids)), key=ids.__getitem__))
+    zscores = _crash_zscores(crashes)
+    ids = crashes.event_id
+    sorted_crashes = crashes.take(sorted(range(len(ids)), key=ids.__getitem__))
     crash_ids = sorted_crashes.event_id.tolist()
     z_crash = zscores(sorted_crashes)
     z_nc = zscores(near_crashes)
@@ -344,34 +311,28 @@ def merge_near_crashes(
         for w, n, s in zip(crash_weight, attachments, share)
     ]
     attached = np.flatnonzero(host >= 0)
-    merged = WeightedDataset(
-        events=ParamTable.concat([
-            sorted_crashes.with_weights(host_weight),
-            near_crashes.take(attached).with_weights([share[i] for i in host[attached]]),
-        ]),
-        stage=Stage.COMBINED_INCIDENT,
-        counts=crashes.counts,
-    )
+    merged = ParamTable.concat([
+        sorted_crashes.with_weights(host_weight),
+        near_crashes.take(attached).with_weights([share[i] for i in host[attached]]),
+    ])
     return merged, MergeResult(selected=tuple(selected))
 
 
-def distance_threshold_from_quantile(
-    crashes: WeightedDataset, quantile: float = 0.6
-) -> float:
+def distance_threshold_from_quantile(crashes: ParamTable, quantile: float = 0.6) -> float:
     """Data-driven threshold: a quantile of the crash-to-crash minimum
     distances, weighted by crash weights.
 
     Approximates picking the elbow of the minimum-distance CDF when a new
     corpus ships without a calibrated threshold.
     """
-    z = _crash_zscores(crashes.events)(crashes.events)
+    z = _crash_zscores(crashes)(crashes)
     n = z.shape[0]
     if n < 2:
         raise InputError("need at least two crashes")
     d2 = np.square(z[:, None, :] - z[None, :, :]).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     d_min = np.sqrt(d2.min(axis=1))
-    w = crashes.events.weight
+    w = crashes.weight
     order = np.argsort(d_min)
     cum = np.cumsum(w[order]) / w.sum()
     idx = int(np.searchsorted(cum, quantile))

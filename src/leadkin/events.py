@@ -52,14 +52,11 @@ class RawEvent:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """A windowed speed series with per-sample fit weights attached."""
+    """A windowed speed series; ``pwl`` owns the weighting of its samples."""
 
     event_id: str
-    source_group: Optional[SourceGroup]
-    severity: Optional[Severity]
     times: np.ndarray
     speeds: np.ndarray
-    weights: np.ndarray
 
     @property
     def duration(self) -> float:

@@ -27,7 +27,7 @@ from .events import (
     SourceGroup,
     SpeedProfile,
 )
-from .pwl import PwlFit, sample_weights
+from .pwl import PwlFit
 from .tables import _member, _number, _weight, read_columns
 
 REQUIRED_COLUMNS = ("event_id", "group", "severity", "t", "v")
@@ -113,7 +113,7 @@ def _sample_rate(t: np.ndarray) -> float:
 
 
 def window_event(event: RawEvent) -> SpeedProfile:
-    """Restrict samples to the modeling window and attach fit weights.
+    """Restrict samples to the modeling window.
 
     Crashes keep [-5, -0.3] s (the last samples before impact are dropped),
     near-crashes keep [-5, 0] s.  A window with fewer than two samples
@@ -124,16 +124,7 @@ def window_event(event: RawEvent) -> SpeedProfile:
     n_samples = int(mask.sum())
     if n_samples < 2:  # a line needs two
         raise EmptyWindow(event.event_id, n_samples)
-    t = event.times[mask]
-    v = event.speeds[mask]
-    return SpeedProfile(
-        event_id=event.event_id,
-        source_group=event.source_group,
-        severity=event.severity,
-        times=t,
-        speeds=v,
-        weights=sample_weights(t),
-    )
+    return SpeedProfile(event_id=event.event_id, times=event.times[mask], speeds=event.speeds[mask])
 
 
 def validate_event(profile: SpeedProfile, fit: PwlFit) -> bool:

@@ -18,7 +18,6 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .combine import WeightedDataset
 from .config import PipelineConfig
 from .errors import AllFitsFailed, InputError, ModelBuildFailed, TooFewSamples, ZeroVariance
 from .events import PARAM_NAMES, ParamTable
@@ -86,14 +85,11 @@ def classify(table: ParamTable) -> np.ndarray:
     )
 
 
-def categorize(dataset: WeightedDataset) -> Dict[SubdatasetLabel, WeightedDataset]:
-    """Partition a dataset by sub-dataset label, keeping row order within
+def categorize(table: ParamTable) -> Dict[SubdatasetLabel, ParamTable]:
+    """Partition a table by sub-dataset label, keeping row order within
     each; empty labels are omitted."""
-    ids = classify(dataset.events)
-    return {
-        LABELS[i]: WeightedDataset(events=dataset.events.take(ids == i), stage=dataset.stage)
-        for i in sorted(set(ids.tolist()))
-    }
+    ids = classify(table)
+    return {LABELS[i]: table.take(ids == i) for i in sorted(set(ids.tolist()))}
 
 
 # --- point masses and correlations -------------------------------------------
@@ -216,13 +212,10 @@ def decorrelate(
     return x - fitted, spec
 
 
-def split_on_point_mass(
-    dataset: WeightedDataset, spec: PointMassSpec
-) -> Tuple[WeightedDataset, WeightedDataset]:
-    """Split events by whether the parameter equals its point-mass value."""
-    at_mass = dataset.events[spec.parameter] == spec.mass_value
-    make = lambda rows: WeightedDataset(events=dataset.events.take(rows), stage=dataset.stage)
-    return make(at_mass), make(~at_mass)
+def split_on_point_mass(table: ParamTable, spec: PointMassSpec) -> Tuple[ParamTable, ParamTable]:
+    """Split rows by whether the parameter equals its point-mass value."""
+    at_mass = table[spec.parameter] == spec.mass_value
+    return table.take(at_mass), table.take(~at_mass)
 
 
 # --- hurdle model -------------------------------------------------------------
@@ -255,11 +248,14 @@ class HurdleDist:
     @staticmethod
     def from_json(doc: dict, where: str) -> "HurdleDist":
         cont = doc.get("continuous")
+        probability = _field(doc, "mass_probability", float, where)
+        if not 0.0 <= probability <= 1.0:
+            raise InputError(f"{where}.mass_probability: must be in [0, 1], got {probability!r}")
         return HurdleDist(
             mass=PointMassSpec(
                 parameter=_field(doc, "parameter", str, where, default=""),
                 mass_value=_field(doc, "mass_value", float, where),
-                mass_probability=_field(doc, "mass_probability", float, where),
+                mass_probability=probability,
             ),
             continuous=None if cont is None else FittedDist.from_json(cont, f"{where}.continuous"),
         )
@@ -401,15 +397,15 @@ def _corr_pairs(columns: Dict[str, np.ndarray], w: np.ndarray, config: PipelineC
     }
 
 
-def build_all(dataset: WeightedDataset, config: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
-    """Categorize a dataset and build bundles for every non-empty label."""
-    return _build(categorize(dataset), config, dataset.total_weight)
+def build_all(table: ParamTable, config: PipelineConfig = PipelineConfig()) -> List[SubmodelBundle]:
+    """Categorize a table and build bundles for every non-empty label."""
+    return _build(categorize(table), config, float(table.weight.sum()))
 
 
 _BUILD_ERRORS = (AllFitsFailed, ZeroVariance, TooFewSamples, np.linalg.LinAlgError)
 
 
-def _build(subs: Mapping[SubdatasetLabel, WeightedDataset], config, total) -> List[SubmodelBundle]:
+def _build(subs: Mapping[SubdatasetLabel, ParamTable], config, total) -> List[SubmodelBundle]:
     """Plan every sub-dataset's bundles, make all their fits in one batch,
     then assemble the bundles.
 
@@ -482,8 +478,8 @@ def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
     """The plans of a sub-dataset's bundles, in order: constants, copies,
     point masses, splits, decorrelation and the correlated names, which
     need no fit."""
-    w = sub.events.weight
-    matrix = sub.events.values
+    w = sub.weight
+    matrix = sub.values
 
     constants: Dict[str, float] = {}
     copies: Dict[str, str] = {}
@@ -579,8 +575,8 @@ def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
     yield _Plan(bundle, tuple(marginals), len(corr_names))
 
 
-def _can_model(side: WeightedDataset) -> bool:
-    return effective_sample_size(side.events.weight) >= _MIN_EFFECTIVE
+def _can_model(side: ParamTable) -> bool:
+    return effective_sample_size(side.weight) >= _MIN_EFFECTIVE
 
 
 # --- persistence ----------------------------------------------------------------
@@ -652,6 +648,9 @@ def _bundle_from_json(item: dict, where: str) -> SubmodelBundle:
         k = len(names)
         if len(marginals) != k or len(sigma) != k or any(len(row) != k for row in sigma):
             raise InputError(f"{w}: {k} names need {k} marginals and a {k}x{k} sigma")
+        # no symmetry check: the eigen-reconstruction may leave it asymmetric in the last bits
+        if any(sigma[i][i] != 1.0 for i in range(k)) or any(abs(v) > 1.0 for row in sigma for v in row):
+            raise InputError(f"{w}.sigma: must have a unit diagonal and entries in [-1, 1]")
         correlated = CorrelatedBlock(names, marginals, np.array(sigma, dtype=float).reshape(k, k))
     uncorrelated = {}
     for name, u in _mapping(item, "uncorrelated", dict, where).items():

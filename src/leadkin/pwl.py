@@ -334,9 +334,9 @@ class _ProfileFit:
         self.event_id = profile.event_id
         self.t = np.asarray(profile.times, dtype=float)
         self.v = np.asarray(profile.speeds, dtype=float)
-        self.w = np.asarray(profile.weights, dtype=float)
         if self.t.size < 2:
             raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
+        self.w = sample_weights(self.t)
         self.sqrt_w = np.sqrt(self.w)
         self.starts = {}  # k -> (restarts, k) starts; none for a k that does not fit
         self.best = {}  # k -> (bks, sse) of the best refined start

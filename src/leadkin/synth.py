@@ -22,7 +22,6 @@ from .errors import RejectionCapExceeded
 from .events import GRAVITY, MODEL_T_MIN, PARAM_NAMES, EventParams, ParamTable, SpeedProfile
 from .marginals import _CLIP_HI, _CLIP_LO
 from .mvdist import SubmodelBundle, classify
-from .pwl import sample_weights
 
 log = logging.getLogger(__name__)
 
@@ -108,13 +107,7 @@ def params_to_profile(table: ParamTable, config: PipelineConfig = PipelineConfig
     steps = int(np.floor(-MODEL_T_MIN / dt + 1e-9))
     grid = MODEL_T_MIN + dt * np.arange(steps + 1)
     speeds = speeds_at(table.values, -grid)
-    weights = sample_weights(grid)
-    return [
-        SpeedProfile(event_id, group, severity, grid, row, weights)
-        for event_id, group, severity, row in zip(
-            table.event_id, table.source_group, table.severity, speeds
-        )
-    ]
+    return [SpeedProfile(event_id, grid, row) for event_id, row in zip(table.event_id, speeds)]
 
 
 # --- sampling -------------------------------------------------------------------

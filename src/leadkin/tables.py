@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import operator
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .combine import GroupCounts, MergeResult, Stage, WeightedDataset
+from .combine import GroupCounts, MergeResult
 from .config import MAX_COUNT
 from .errors import InputError, MalformedRow, Undecodable
 from .events import PARAM_NAMES, ParamTable, Severity, SourceGroup, SpeedProfile
@@ -33,6 +34,9 @@ PathLike = Union[str, Path]
 PARAMS_HEADER = ["event_id", "group", "severity", *PARAM_NAMES, "r2", "n_b", "weight", "valid"]
 COMBINED_HEADER = ["event_id", "group", "severity", *PARAM_NAMES, "weight", "stage", "attached_to"]
 SYNTHETIC_HEADER = ["event_id", *PARAM_NAMES, "weight", "bundle"]
+
+# the stage every combined.csv row carries: the combined incident dataset
+COMBINED_STAGE = "CombinedIncident"
 
 # lower-cased header name -> column; any other name stands for itself
 _ALIASES = {"vc": "v_c", "taus": "tau_s", "tau1": "tau_1", "tau2": "tau_2", "w": "weight"}
@@ -80,6 +84,11 @@ def _member(kind, text: str, name: str):
         raise InputError(f"unknown {name} {text!r}") from None
 
 
+def _stage(text: str) -> None:
+    if text not in ("", COMBINED_STAGE):
+        raise InputError(f"stage {text!r} is not {COMBINED_STAGE}")
+
+
 def _flag(text: str) -> bool:
     if text not in ("", "0", "1"):
         raise InputError(f"valid flag {text!r} is neither 0 nor 1")
@@ -93,7 +102,7 @@ _PARSERS = {
     **{name: partial(_number, name=name) for name in PARAM_NAMES},
     "group": partial(_member, SourceGroup, name="group"),
     "severity": partial(_member, Severity, name="severity"),
-    "stage": partial(_member, Stage, name="stage"),
+    "stage": _stage,
     "event_id": str,
     "bundle": str,
 }
@@ -229,28 +238,31 @@ def read_counts_json(path: PathLike) -> GroupCounts:
     return GroupCounts(**sections)
 
 
-def write_combined_csv(
-    path: PathLike,
-    dataset: WeightedDataset,
-    merge: Optional[MergeResult] = None,
-) -> None:
+def write_combined_csv(path: PathLike, table: ParamTable, merge: Optional[MergeResult] = None) -> None:
+    """The combined incident dataset, one row per event; a near-crash that
+    ``merge`` attached names its crash in ``attached_to``."""
     attached_to = {nc_id: crash_id for nc_id, crash_id, _ in merge.selected} if merge else {}
-    event_id = dataset.events.event_id.tolist()
+    event_id = table.event_id.tolist()
     _write_csv(path, COMBINED_HEADER, zip(
-        *_event_columns(dataset.events), dataset.events.weight.tolist(),
-        [dataset.stage.value] * len(event_id), [attached_to.get(e, "") for e in event_id],
+        *_event_columns(table), table.weight.tolist(),
+        [COMBINED_STAGE] * len(event_id), [attached_to.get(e, "") for e in event_id],
     ))
 
 
+# perfbench reads ``.events`` from what ``read_combined_csv`` returns
+@dataclass(frozen=True)
+class WeightedDataset:
+    events: ParamTable
+
+
 def read_combined_csv(path: PathLike) -> WeightedDataset:
-    table, columns = _read_table(path)
+    """The combined incident dataset.  Every ``stage`` cell must be empty or
+    ``CombinedIncident``: a file of another stage is a malformed row naming
+    its first bad line, so it is never modeled as the combined dataset."""
+    table, _ = _read_table(path)
     if not len(table):
         raise InputError(f"{path}: no events")
-    stages = set(columns["stage"]) - {None}
-    if len(stages) > 1:
-        raise InputError(f"{path}: mixed stages: {', '.join(sorted(s.value for s in stages))}")
-    stage = stages.pop() if stages else Stage.COMBINED_INCIDENT
-    return WeightedDataset(events=table, stage=stage)
+    return WeightedDataset(events=table)
 
 
 def write_synthetic_csv(path: PathLike, dataset: SyntheticDataset) -> None:

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .combine import WeightedDataset
 from .config import MAX_COUNT, PipelineConfig
 from .errors import BadArgument, EmptyInput, EmptyReps, InputError, LeadkinError
-from .events import PARAM_NAMES
+from .events import PARAM_NAMES, ParamTable
 from .mvdist import build_all
-from .synth import SyntheticDataset, assemble_synthetic
+from .synth import assemble_synthetic
 from .wstats import describe
 
 log = logging.getLogger(__name__)
@@ -172,8 +171,8 @@ def weighted_ks_test(x, wx, y, wy, config: PipelineConfig = PipelineConfig(), se
 
 
 def compare_datasets(
-    raw: WeightedDataset,
-    synthetic: SyntheticDataset,
+    raw: ParamTable,
+    synthetic: ParamTable,
     config: PipelineConfig = PipelineConfig(),
     seed=None,
 ) -> Dict[str, dict]:
@@ -185,9 +184,9 @@ def compare_datasets(
     report = {}
     for name in PARAM_NAMES:
         ks = weighted_ks_test(
-            raw.events[name],
-            raw.events.weight,
-            synthetic.events[name],
+            raw[name],
+            raw.weight,
+            synthetic[name],
             None,
             config,
             seed=rng.integers(2**63),
@@ -220,7 +219,7 @@ def check_bootstrap_args(fractions: Sequence[float], reps: int, n_synth: int) ->
 
 
 def bootstrap_robustness(
-    dataset: WeightedDataset,
+    dataset: ParamTable,
     fractions: Sequence[float] = (0.9, 0.8),
     reps: int = 100,
     n_synth: int = 1000,
@@ -241,7 +240,7 @@ def bootstrap_robustness(
     all take their settings from ``config``.
     """
     check_bootstrap_args(fractions, reps, n_synth)
-    n = len(dataset.events)
+    n = len(dataset)
     sizes = [int(np.floor(fraction * n)) for fraction in fractions]
     for fraction, size in zip(fractions, sizes):
         if size < 1:
@@ -263,7 +262,7 @@ def bootstrap_robustness(
             stream = next(seed_iter)
             rng = np.random.default_rng(stream)
             idx = rng.choice(n, size=size, replace=False)
-            sub = replace(dataset, events=dataset.events.take(np.sort(idx)))
+            sub = dataset.take(np.sort(idx))
             try:
                 bundles = build_all(sub, config)
                 syn, _ = assemble_synthetic(bundles, n_synth, seed=rng)
@@ -272,7 +271,7 @@ def bootstrap_robustness(
                 failed += 1
                 continue
             # the synthetic sample's unit weights test as no weights do
-            report = compare_datasets(syn, reference, config, seed=rng)
+            report = compare_datasets(syn.events, reference.events, config, seed=rng)
             outcomes.append({name: report[name]["p_value"] for name in PARAM_NAMES})
         per_rep[fraction] = outcomes
         failures[fraction] = failed

@@ -66,11 +66,9 @@ def normalize_to_effective(weights) -> np.ndarray:
 
 
 def describe(dataset) -> Dict[str, Tuple[float, float]]:
-    """Weighted mean and SD of each parameter.
-
-    Accepts a ParamTable or anything holding one as ``events`` (a
-    WeightedDataset, a SyntheticDataset with unit weights).
-    """
+    """Weighted mean and SD of each parameter of a ParamTable, or of the
+    one held as ``events`` (a SyntheticDataset's has unit weights)."""
+    # perfbench passes what the table readers return, which hold the table as ``events``
     table = getattr(dataset, "events", dataset)
     if not len(table):
         raise EmptyInput("dataset has no events")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
 from leadkin.events import ParamTable, SpeedProfile
 from leadkin.marginals import FittedDist
@@ -102,7 +101,7 @@ def recovery_corpus(n: int, seed: int, noise: float = 0.05):
     out = []
     for i in range(n):
         bks, v = make_recovery_profile(rng, i % 4, noise=noise)
-        out.append((bks, SpeedProfile(f"rec-{i:04d}", None, None, GRID, v, GRID_W)))
+        out.append((bks, SpeedProfile(f"rec-{i:04d}", GRID, v)))
     return out
 
 
@@ -180,7 +179,7 @@ def ground_truth_bundles():
     return [s2, s4, s7]
 
 
-def ground_truth_corpus(seed: int = 20240, counts=(90, 120, 90)) -> WeightedDataset:
+def ground_truth_corpus(seed: int = 20240, counts=(90, 120, 90)) -> ParamTable:
     """A weighted training corpus drawn from the ground-truth bundles.
 
     Events are rejection-filtered through the same constraints applied at
@@ -205,4 +204,4 @@ def ground_truth_corpus(seed: int = 20240, counts=(90, 120, 90)) -> WeightedData
         weighted.append(
             replace(e, event_id=f"gt-{i:04d}", weight=float(rng.uniform(0.5, 1.5)))
         )
-    return WeightedDataset(events=ParamTable.from_rows(weighted), stage=Stage.COMBINED_INCIDENT)
+    return ParamTable.from_rows(weighted)

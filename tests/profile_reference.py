@@ -15,7 +15,6 @@ import numpy as np
 
 from leadkin.events import GRAVITY, MODEL_T_MIN, EventParams, ParamTable, SpeedProfile
 from leadkin.mvdist import classify
-from leadkin.pwl import sample_weights
 
 
 def _profile_vertices(v_c, a1, a2, tau_s, tau_1, tau_2) -> Tuple[np.ndarray, np.ndarray]:
@@ -83,14 +82,7 @@ def params_to_profile(e: EventParams, dt: float = 0.1) -> SpeedProfile:
     steps = int(np.floor(-MODEL_T_MIN / dt + 1e-9))
     grid = MODEL_T_MIN + dt * np.arange(steps + 1)
     speeds = np.interp(grid, ts, vs)
-    return SpeedProfile(
-        event_id=e.event_id,
-        source_group=e.source_group,
-        severity=e.severity,
-        times=grid,
-        speeds=speeds,
-        weights=sample_weights(grid),
-    )
+    return SpeedProfile(event_id=e.event_id, times=grid, speeds=speeds)
 
 
 def rejection_reasons(bundle, table: ParamTable) -> np.ndarray:

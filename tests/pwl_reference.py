@@ -30,6 +30,7 @@ from leadkin.pwl import (
     _build_fit,
     _separated,
     _wls,
+    sample_weights,
 )
 
 log = logging.getLogger(__name__)
@@ -191,9 +192,9 @@ def fit_candidates(
     rng = rng or np.random.default_rng(0)
     t = np.asarray(profile.times, dtype=float)
     v = np.asarray(profile.speeds, dtype=float)
-    w = np.asarray(profile.weights, dtype=float)
     if t.size < 2:
         raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
+    w = sample_weights(t)
     sqrt_w = np.sqrt(w)
 
     candidates = []

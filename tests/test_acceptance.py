@@ -17,8 +17,6 @@ from groundtruth import ground_truth_corpus, recovery_corpus
 from leadkin.cli import PipelineConfig, run_pipeline
 from leadkin.combine import (
     GroupCounts,
-    Stage,
-    WeightedDataset,
     build_plan,
     merge_near_crashes,
     preprocess,
@@ -86,13 +84,13 @@ def test_c1_combination_algebra_oracle():
         )
         start = time.perf_counter()
         pre = preprocess(ParamTable.from_rows(events), counts)
-        plan = build_plan(pre)
+        plan = build_plan(pre, counts)
         combined = reweight_combine(pre, plan)
         elapsed = time.perf_counter() - start
 
         assert abs(plan.nonsevere_share - 106 / 130) < 1e-9
         assert plan.combined_size == 132.0
-        assert abs(combined.total_weight - 132.0) < 1e-9
+        assert abs(combined.weight.sum() - 132.0) < 1e-9
         assert elapsed < 1.0
 
 
@@ -123,7 +121,7 @@ def test_c2_fit_recovery():
 def test_c3_loss_formula_oracle():
     with criterion("3 selection loss oracle"):
         from leadkin.events import SpeedProfile
-        from leadkin.pwl import PwlFit, loss, sample_weights
+        from leadkin.pwl import PwlFit, loss
 
         rng = np.random.default_rng(7)
         config = PipelineConfig()
@@ -137,7 +135,7 @@ def test_c3_loss_formula_oracle():
         for v_lo, v_hi, n_b, r2 in cases:
             times = np.array([-5.0, -2.5, 0.0])
             speeds = np.array([v_lo, (v_lo + v_hi) / 2, v_hi])
-            profile = SpeedProfile("x", None, None, times, speeds, sample_weights(times))
+            profile = SpeedProfile("x", times, speeds)
             edges = (-5.0, *np.linspace(-4, -1, n_b), 0.0)
             fit = PwlFit(edges, (v_hi,) * len(edges), r2, r2)
 
@@ -158,7 +156,7 @@ def test_c4_round_trip_distribution_fidelity(distribution_corpus, full_synthetic
         rng = np.random.default_rng(4242)
         for name in PARAM_NAMES:
             result = weighted_ks_test(
-                raw.events[name], raw.events.weight, synthetic.events[name], None,
+                raw[name], raw.weight, synthetic.events[name], None,
                 config=PipelineConfig(n_perm=2000), seed=rng.integers(2**63),
             )
             assert result.p_value >= 0.10, f"{name}: p={result.p_value:.4f} D={result.statistic:.4f}"
@@ -212,10 +210,10 @@ def test_c6_merge_weight_conservation():
                         severity=Severity.NON_SEVERE,
                     )
                 )
-            dataset = WeightedDataset(events=ParamTable.from_rows(crashes), stage=Stage.COMBINED_CRASH)
+            dataset = ParamTable.from_rows(crashes)
             ncs = []
             for k in range(int(rng.integers(5, 40))):
-                host = dataset.events.values[int(rng.integers(0, n_crash))]
+                host = dataset.values[int(rng.integers(0, n_crash))]
                 jitter = rng.uniform(0, 0.4)
                 ncs.append(
                     EventParams(
@@ -228,9 +226,9 @@ def test_c6_merge_weight_conservation():
                 )
             merged, result = merge_near_crashes(dataset, ParamTable.from_rows(ncs), config=PipelineConfig(d_thd=0.78))
 
-            assert abs(merged.total_weight - dataset.total_weight) < 1e-9
+            assert abs(merged.weight.sum() - dataset.weight.sum()) < 1e-9
             original = {e.event_id: e.weight for e in crashes}
-            merged_by_id = {e.event_id: e.weight for e in merged.events}
+            merged_by_id = {e.event_id: e.weight for e in merged}
             attached = {}
             for nc_id, crash_id, _ in result.selected:
                 attached.setdefault(crash_id, []).append(merged_by_id[nc_id])
@@ -264,7 +262,7 @@ def test_c8_published_dataset_reproduction():
     with criterion("8 published dataset reproduction"):
         from leadkin.tables import read_combined_csv
 
-        dataset = read_combined_csv(PUBLISHED)
+        dataset = read_combined_csv(PUBLISHED).events
         stats = describe(dataset)
         reference = {
             "v_c": (2.01, 4.69),
@@ -279,7 +277,7 @@ def test_c8_published_dataset_reproduction():
         synthetic, _ = assemble_synthetic(bundles, 10000, seed=1)
         for j, name in enumerate(PARAM_NAMES):
             result = weighted_ks_test(
-                dataset.events[name], dataset.events.weight, synthetic.events[name], None,
+                dataset[name], dataset.weight, synthetic.events[name], None,
                 config=PipelineConfig(n_perm=2000), seed=j,
             )
             assert result.p_value > 0.10

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from groundtruth import ground_truth_bundles
 from leadkin.cli import PipelineConfig, main, run_pipeline
-from leadkin.combine import Stage, WeightedDataset
 from leadkin.demo import make_demo_events
 from leadkin.errors import InputError
 from leadkin.events import EventParams, ParamTable, Severity, SourceGroup
@@ -77,7 +76,7 @@ class TestPipeline:
             return [row[:drop] + row[drop + 1:] for row in rows]
 
         combined = tmp_path / "combined.csv"
-        write_combined_csv(again, read_combined_csv(combined))
+        write_combined_csv(again, read_combined_csv(combined).events)
         assert cells_but_attached_to(again) == cells_but_attached_to(combined)
 
     def test_single_stage_requires_upstream_artifacts(self, demo_csv, tmp_path):
@@ -160,7 +159,7 @@ def tables_dir(tmp_path):
     ]
     write_params_csv(tmp_path / "params.csv", ParamTable.from_rows(events), [0.9] * 3, [1] * 3, [True] * 3)
     table = ParamTable.from_rows(events)
-    write_combined_csv(tmp_path / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))
+    write_combined_csv(tmp_path / "combined.csv", table)
     write_synthetic_csv(
         tmp_path / "synthetic.csv",
         SyntheticDataset(table, bundle_ids=("S1",) * len(events)),
@@ -568,9 +567,9 @@ def test_random_config_document_is_a_config_or_an_input_error(doc):
     assert isinstance(config, PipelineConfig)
 
 
-def _edit_bundle(edit):
+def _edit_bundle(edit, index=0):
     def apply(doc):
-        edit(doc["bundles"][0])
+        edit(doc["bundles"][index])
         return json.dumps(doc)
 
     return apply
@@ -589,9 +588,11 @@ def _one_by_one_sigma(bundle):
         _edit_bundle(lambda b: b.update(train_weight_share=b["train_weight_share"] - 0.05)),
         _edit_bundle(lambda b: b.update(label=5)),
         _edit_bundle(_one_by_one_sigma),
+        _edit_bundle(lambda b: b["uncorrelated"]["tau_s"].update(mass_probability=1.5), index=1),
+        _edit_bundle(lambda b: b["correlated"]["sigma"][0].__setitem__(0, 7.0)),
     ],
     ids=["bundles-not-an-array", "share-not-a-number", "shares-sum-to-0.95", "label-not-an-object",
-         "sigma-1x1-for-two-names"],
+         "sigma-1x1-for-two-names", "mass-probability-1.5", "sigma-diagonal-7"],
 )
 def test_malformed_model_document_exits_2(tmp_path, capsys, text):
     model = tmp_path / "model.json"
@@ -842,7 +843,7 @@ def cli_inputs(tmp_path_factory):
     write_params_csv(root / "params.csv", ParamTable.from_rows(events), [0.9] * 3, [1] * 3, [True] * 3)
     (root / "counts.json").write_text(json.dumps({"SHRP2_nsc": 3}), encoding="utf-8")
     table = ParamTable.from_rows(events)
-    write_combined_csv(root / "combined.csv", WeightedDataset(table, Stage.COMBINED_INCIDENT))
+    write_combined_csv(root / "combined.csv", table)
     write_synthetic_csv(root / "synthetic.csv", SyntheticDataset(table, bundle_ids=("S1",) * 3))
     (root / "model.json").write_text(json.dumps(_model_doc()), encoding="utf-8")
     (root / "config.json").write_text(json.dumps({"n_synth": 20, "n_perm": 10}), encoding="utf-8")
@@ -1031,8 +1032,8 @@ def _duplicate_weight_column(path):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda path: _corrupt_csv(path, "stage", Stage.COMBINED_CRASH.value),
-         "mixed stages: CombinedCrash, CombinedIncident"),
+        (lambda path: _corrupt_csv(path, "stage", "CombinedCrash"),
+         "line 2: stage 'CombinedCrash' is not CombinedIncident"),
         (_duplicate_weight_column, "duplicate columns: weight"),
     ],
     ids=["mixed-stages", "duplicated-column"],

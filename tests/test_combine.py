@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from leadkin.combine import (
     GroupCounts,
-    Stage,
-    WeightedDataset,
     build_plan,
     merge_near_crashes,
     preprocess,
@@ -114,26 +112,26 @@ class TestPlanAndReweight:
     def test_micro_dataset_hand_algebra(self):
         events, counts = micro_dataset()
         pre = preprocess(ParamTable.from_rows(events), counts)
-        plan = build_plan(pre)
+        plan = build_plan(pre, counts)
         assert plan.nonsevere_share == pytest.approx(0.5)
         assert plan.speed_split == pytest.approx(5.0)
         assert plan.highspeed_share == pytest.approx(0.5)
         assert plan.combined_size == 6.0
         combined = reweight_combine(pre, plan)
-        weights = {e.event_id: e.weight for e in combined.events}
+        weights = {e.event_id: e.weight for e in combined}
         assert weights == pytest.approx(
             {"c0": 1.5, "c1": 0.5, "s0": 0.5, "s1": 0.5, "n0": 1.5, "n1": 1.5}
         )
-        assert combined.total_weight == pytest.approx(6.0, abs=1e-9)
+        assert combined.weight.sum() == pytest.approx(6.0, abs=1e-9)
 
     def test_no_highspeed_puts_all_mass_low(self):
         events, counts = micro_dataset()
         events[0] = event("c0", SourceGroup.CISS_SC, 4.5, native=1.0)
         pre = preprocess(ParamTable.from_rows(events), counts)
-        plan = build_plan(pre)
+        plan = build_plan(pre, counts)
         assert plan.highspeed_share == 0.0
         combined = reweight_combine(pre, plan)
-        assert combined.total_weight == pytest.approx(6.0, abs=1e-9)
+        assert combined.weight.sum() == pytest.approx(6.0, abs=1e-9)
 
     def test_weight_sum_identity_random(self):
         rng = np.random.default_rng(7)
@@ -149,24 +147,24 @@ class TestPlanAndReweight:
             valid={SourceGroup.CISS_SC: 12, SourceGroup.SHRP2_SC: 6, SourceGroup.SHRP2_NSC: 9},
         )
         pre = preprocess(ParamTable.from_rows(events), counts)
-        ciss = in_groups(pre.events, SourceGroup.CISS_SC)
-        assert pre.events.weight[ciss].sum() == pytest.approx(12.0, abs=1e-9)
+        ciss = in_groups(pre, SourceGroup.CISS_SC)
+        assert pre.weight[ciss].sum() == pytest.approx(12.0, abs=1e-9)
         total_shrp2 = sum(
-            e.weight for e in pre.events if e.source_group is not SourceGroup.CISS_SC
+            e.weight for e in pre if e.source_group is not SourceGroup.CISS_SC
         )
         assert total_shrp2 == pytest.approx(6 + 9, abs=1e-9)
-        plan = build_plan(pre)
+        plan = build_plan(pre, counts)
         combined = reweight_combine(pre, plan)
-        assert combined.total_weight == pytest.approx(27.0, abs=1e-9)
+        assert combined.weight.sum() == pytest.approx(27.0, abs=1e-9)
         # branch totals
         low = sum(
             e.weight
-            for e in combined.events
+            for e in combined
             if e.severity is Severity.SEVERE and e.v_c <= plan.speed_split
         )
         high = sum(
             e.weight
-            for e in combined.events
+            for e in combined
             if e.severity is Severity.SEVERE and e.v_c > plan.speed_split
         )
         assert low == pytest.approx(plan.target_lowspeed, abs=1e-9)
@@ -193,7 +191,7 @@ class TestPlanAndReweight:
         for i in range(63):
             events.append(event(f"n{i}", SourceGroup.SHRP2_NSC, rng.uniform(0, 6)))
         pre = preprocess(ParamTable.from_rows(events), counts)
-        plan = build_plan(pre)
+        plan = build_plan(pre, counts)
         assert plan.nonsevere_share == pytest.approx(106 / 130, abs=1e-12)
         assert plan.combined_size == 132.0
 
@@ -214,7 +212,7 @@ def crash_dataset(rng, n=8):
                 tau_2=float(rng.uniform(0, 2)),
             )
         )
-    return WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_CRASH)
+    return ParamTable.from_rows(events)
 
 
 def near_crash_like(crash, event_id, jitter, rng):
@@ -236,11 +234,11 @@ class TestMergeNearCrashes:
     def test_weight_split_with_one_attachment(self):
         rng = np.random.default_rng(11)
         crashes = crash_dataset(rng)
-        host = list(crashes.events)[0]
+        host = list(crashes)[0]
         nc = near_crash_like(host, "nc-0", 0.01, rng)
         merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), config=PipelineConfig(d_thd=0.78))
         assert [crash_id for _, crash_id, _ in result.selected] == [host.event_id]
-        by_id = {e.event_id: e for e in merged.events}
+        by_id = {e.event_id: e for e in merged}
         assert by_id[host.event_id].weight == pytest.approx(host.weight / 2)
         assert by_id["nc-0"].weight == pytest.approx(host.weight / 2)
         assert result.selected[0][1] == host.event_id
@@ -254,30 +252,29 @@ class TestMergeNearCrashes:
         )
         merged, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), config=PipelineConfig(d_thd=0.78))
         assert result.selected == ()
-        assert merged.total_weight == pytest.approx(crashes.total_weight, abs=1e-12)
-        assert len(merged.events) == len(crashes.events)
+        assert merged.weight.sum() == pytest.approx(crashes.weight.sum(), abs=1e-12)
+        assert len(merged) == len(crashes)
 
     def test_split_weights_sum_exactly(self):
         rng = np.random.default_rng(13)
         crashes = crash_dataset(rng, n=5)
-        host = list(crashes.events)[2]
+        host = list(crashes)[2]
         ncs = ParamTable.from_rows(near_crash_like(host, f"nc-{k}", 0.005, rng) for k in range(3))
         merged, result = merge_near_crashes(crashes, ncs, config=PipelineConfig(d_thd=0.78))
         assert [crash_id for _, crash_id, _ in result.selected].count(host.event_id) == 3
-        group = [e.weight for e in merged.events if e.event_id == host.event_id]
-        group += [e.weight for e in merged.events if e.event_id.startswith("nc-")]
+        group = [e.weight for e in merged if e.event_id == host.event_id]
+        group += [e.weight for e in merged if e.event_id.startswith("nc-")]
         assert math.fsum(group) == host.weight
 
     def test_total_weight_conserved(self):
         rng = np.random.default_rng(14)
         crashes = crash_dataset(rng, n=10)
-        hosts = list(crashes.events)
+        hosts = list(crashes)
         ncs = ParamTable.from_rows(
             near_crash_like(hosts[k % 10], f"nc-{k}", 0.3, rng) for k in range(12)
         )
         merged, _ = merge_near_crashes(crashes, ncs)
-        assert merged.total_weight == pytest.approx(crashes.total_weight, abs=1e-9)
-        assert merged.stage is Stage.COMBINED_INCIDENT
+        assert merged.weight.sum() == pytest.approx(crashes.weight.sum(), abs=1e-9)
 
     def test_marginal_drift_small_at_realistic_scale(self):
         # weight splitting keeps each parameter's weighted distribution
@@ -289,7 +286,7 @@ class TestMergeNearCrashes:
             rng = np.random.default_rng(seed)
             n_crash = int(rng.integers(60, 140))
             crashes = crash_dataset(rng, n=n_crash)
-            hosts = list(crashes.events)
+            hosts = list(crashes)
             ncs = []
             for k in range(int(rng.integers(30, int(1.5 * n_crash)))):
                 host = hosts[int(rng.integers(0, n_crash))]
@@ -297,10 +294,10 @@ class TestMergeNearCrashes:
             merged, _ = merge_near_crashes(crashes, ParamTable.from_rows(ncs), config=PipelineConfig(d_thd=0.78))
             for name in PARAM_NAMES:
                 result = weighted_ks_test(
-                    crashes.events[name],
-                    crashes.events.weight,
-                    merged.events[name],
-                    merged.events.weight,
+                    crashes[name],
+                    crashes.weight,
+                    merged[name],
+                    merged.weight,
                     config=PipelineConfig(n_perm=1),
                     seed=0,
                 )
@@ -314,12 +311,12 @@ class TestMergeNearCrashes:
         rng = np.random.default_rng(15)
         crashes = crash_dataset(rng, n=6)
         ncs = ParamTable.from_rows(
-            near_crash_like(c, f"nc-{i}", 0.0, rng) for i, c in enumerate(crashes.events)
+            near_crash_like(c, f"nc-{i}", 0.0, rng) for i, c in enumerate(crashes)
         )
         merged, result = merge_near_crashes(crashes, ncs)
         assert len(result.selected) == 6
         for name in ("v_c", "a1", "tau_1"):
-            before = weighted_ecdf(crashes.events[name], crashes.events.weight)
-            after = weighted_ecdf(merged.events[name], merged.events.weight)
+            before = weighted_ecdf(crashes[name], crashes.weight)
+            after = weighted_ecdf(merged[name], merged.weight)
             for x in before.support:
                 assert after.evaluate(x) == pytest.approx(before.evaluate(x), abs=1e-12)

@@ -16,7 +16,6 @@ from leadkin import cli, combine, mvdist, pwl, synth, validate
 from leadkin.config import PipelineConfig
 from leadkin.errors import InputError
 from leadkin.events import SpeedProfile
-from leadkin.pwl import sample_weights
 
 
 def test_cli_uses_the_library_config():
@@ -41,7 +40,7 @@ def test_paths_must_be_strings_or_path_likes(tmp_path, field, value):
 
 def test_fit_rejects_the_settings_the_cli_rejects():
     times = np.round(np.arange(-5.0, 0.01, 0.1), 10)
-    profile = SpeedProfile("p", None, None, times, 10.0 + times, sample_weights(times))
+    profile = SpeedProfile("p", times, 10.0 + times)
     with pytest.raises(InputError, match=r"config field n_b_max must be in \[0, 5\], got 6"):
         pwl.fit_event(profile, PipelineConfig(n_b_max=6))
     with pytest.raises(InputError, match="config field convergence_tol must be >= 0, got -1"):

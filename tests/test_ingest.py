@@ -12,7 +12,7 @@ from leadkin.errors import (
     MalformedRow,
 )
 from leadkin.events import RawEvent, Severity, SourceGroup, SpeedProfile
-from leadkin.pwl import PwlFit, sample_weights
+from leadkin.pwl import PwlFit
 
 
 def write_csv(path, rows, header="event_id,group,severity,t,v,weight"):
@@ -192,11 +192,6 @@ class TestWindowEvent:
         profile = ingest.window_event(raw_event(t, np.full(t.size, 5.0)))
         assert profile.times.tolist() == [-1.0, -0.9]
 
-    def test_weights_attached(self):
-        t = grid(-5.0, 0.0)
-        profile = ingest.window_event(raw_event(t, np.full(t.size, 5.0)))
-        assert np.allclose(profile.weights, sample_weights(profile.times))
-
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=20, deadline=None)
     def test_windowing_idempotent(self, offset):
@@ -218,7 +213,7 @@ def fake_fit(slopes):
 class TestValidateEvent:
     def profile(self, span):
         t = grid(span, 0.0)
-        return SpeedProfile("x", None, None, t, np.full(t.size, 5.0), sample_weights(t))
+        return SpeedProfile("x", t, np.full(t.size, 5.0))
 
     def test_valid(self):
         assert ingest.validate_event(self.profile(-4.7), fake_fit([-3.0, 0.0]))

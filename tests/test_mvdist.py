@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import pearsonr
 
 from groundtruth import ground_truth_bundles, ground_truth_corpus
-from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
 from leadkin import marginals, mvdist
 from leadkin.errors import InputError, ModelBuildFailed, NumericalError, TooFewSamples, ZeroVariance
@@ -40,12 +39,12 @@ def ev(vector, event_id="e", weight=1.0):
 
 
 def dataset(events):
-    return WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_INCIDENT)
+    return ParamTable.from_rows(events)
 
 
 def build_label(sub, label, total_weight=None):
     """The bundles of one sub-dataset, from the model build's batch call."""
-    total = sub.total_weight if total_weight is None else total_weight
+    total = float(sub.weight.sum()) if total_weight is None else total_weight
     return mvdist._build({label: sub}, PipelineConfig(), total)
 
 
@@ -129,7 +128,7 @@ class TestClassify:
             ]
             events.append(ev(vec, event_id=f"e{i}"))
         parts = categorize(dataset(events))
-        assert sum(len(sub.events) for sub in parts.values()) == 300
+        assert sum(len(sub) for sub in parts.values()) == 300
 
 
     @pytest.mark.parametrize(
@@ -308,7 +307,7 @@ class TestSplitOnPointMass:
         from leadkin.mvdist import PointMassSpec
 
         at, off = split_on_point_mass(dataset(events), PointMassSpec("tau_s", 0.0, 0.57))
-        assert len(at.events) == 4 and len(off.events) == 3
+        assert len(at) == 4 and len(off) == 3
 
 
 def v_c_hurdle(x):
@@ -420,7 +419,7 @@ class TestBuildSubmodels:
         assert len(labels) > 1
         one_by_one = [
             bundle for label, sub in labels.items()
-            for bundle in build_label(sub, label, total_weight=ds.total_weight)
+            for bundle in build_label(sub, label, total_weight=float(ds.weight.sum()))
         ]
         assert len(one_by_one) > len(labels) or corpus == "ground-truth"
         assert json.dumps(bundles_to_json(build_all(ds))) == json.dumps(bundles_to_json(one_by_one))
@@ -437,7 +436,7 @@ class TestBuildSubmodels:
         one_by_one = []
         for label, sub in categorize(ds).items():
             with pytest.raises(ModelBuildFailed) as raised:
-                build_label(sub, label, total_weight=ds.total_weight)
+                build_label(sub, label, total_weight=float(ds.weight.sum()))
             one_by_one.append(str(raised.value))
         with pytest.raises(ModelBuildFailed) as raised:
             build_all(ds)
@@ -539,14 +538,36 @@ class TestModelCodec:
             (lambda b: b["splits"][0].update(parameter="speed"), "splits known ones"),
             (lambda b: b["transforms"][0]["coefficients"].update(tau_s=1.0), "transforms must read sampled"),
             (lambda b: b["label"].update(id="S9"), "unknown sub-dataset 'S9'"),
+            (lambda b: b["uncorrelated"]["v_c"].update(mass_probability=-3),
+             r"model.bundles\[0\].uncorrelated.v_c.mass_probability: must be in \[0, 1\], got -3.0"),
+            (lambda b: b["uncorrelated"]["tau_2"].update(mass_probability=5),
+             r"model.bundles\[0\].uncorrelated.tau_2.mass_probability: must be in \[0, 1\], got 5.0"),
+            (lambda b: b["correlated"]["sigma"][1].__setitem__(1, 7.0),
+             r"model.bundles\[0\].correlated.sigma: must have a unit diagonal and entries in \[-1, 1\]"),
+            (lambda b: b["correlated"]["sigma"][0].__setitem__(0, 0.9999999999999999),
+             r"model.bundles\[0\].correlated.sigma: must have a unit diagonal"),
+            (lambda b: b["correlated"]["sigma"][0].__setitem__(1, -1.5),
+             r"model.bundles\[0\].correlated.sigma: must have a unit diagonal and entries in \[-1, 1\]"),
         ],
-        ids=["split-op-lt", "split-on-speed", "coefficient-of-a-constant", "label-S9"],
+        ids=["split-op-lt", "split-on-speed", "coefficient-of-a-constant", "label-S9", "mass-probability-negative",
+             "mass-probability-above-1", "sigma-diagonal-7", "sigma-diagonal-below-1", "sigma-entry-below-minus-1"],
     )
     def test_malformed_part_is_an_input_error(self, edit, message):
         doc = bundles_to_json(hand_built_model())
         edit(doc["bundles"][0])
         with pytest.raises(InputError, match=message):
             bundles_from_json(doc)
+
+    def test_range_bounds_and_asymmetric_last_bits_are_accepted(self):
+        doc = bundles_to_json(hand_built_model())
+        bundle = doc["bundles"][0]
+        bundle["uncorrelated"]["v_c"]["mass_probability"] = 0.0
+        bundle["uncorrelated"]["tau_2"]["mass_probability"] = 1.0
+        bundle["correlated"]["sigma"] = [[1.0, -1.0], [np.nextafter(-1.0, 0.0), 1.0]]
+        (back, _) = bundles_from_json(doc)
+        assert back.uncorrelated["v_c"].mass.mass_probability == 0.0
+        assert back.uncorrelated["tau_2"].mass.mass_probability == 1.0
+        assert back.correlated.sigma.tolist() == bundle["correlated"]["sigma"]
 
 
 class TestQuantileNormalitySanity:

@@ -57,7 +57,7 @@ def demo_combined(tmp_path_factory):
     config = cli.PipelineConfig()
     cli.stage_fit(config, root / "events.csv", root / "params.csv", root / "counts.json")
     cli.stage_combine(config, root / "params.csv", root / "combined.csv", root / "counts.json")
-    return read_combined_csv(root / "combined.csv")
+    return read_combined_csv(root / "combined.csv").events
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def _recorded_runs(monkeypatch, fit):
 @pytest.mark.parametrize("corpus", ["ground-truth", "demo-x1"])
 @pytest.mark.parametrize("family", NM_FAMILIES)
 def test_every_family_likelihood_matches_scipy(monkeypatch, corpora, corpus, family):
-    table = corpora[corpus].events
+    table = corpora[corpus]
 
     def fit():
         for name in PARAM_NAMES:
@@ -209,7 +209,7 @@ def test_mixed_batch_matches_scipy_run_by_run(corpora, families):
     """One lockstep batch: likelihoods of several families and sample sizes,
     next to objectives with 1e12 plateaus, ties, NaN and a cusp that only
     the 400-iteration cap stops.  Every run ends as scipy's run of it alone."""
-    table = corpora["demo-x1"].events
+    table = corpora["demo-x1"]
     rng = np.random.default_rng(11)
     runs = []
     for family in families:

@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps package functions by name; a rename or
-removal of any of them must fail here rather than in a traced benchmark run."""
+"""The benchmark's tracer wraps package functions by name, and its output
+checks read artifacts through the package's API; a rename or removal of
+any of them must fail here rather than in a benchmark run."""
 
 import sys
 from pathlib import Path
@@ -84,3 +85,39 @@ def test_tracer_counts_profile_rows_of_a_traced_generate(tmp_path):
     assert tracer.counters["tables.rows_written"] == 120 + 120 * 51
     assert len((tmp_path / "profiles.csv").read_text().splitlines()) == 1 + 120 * 51
     assert [s.name for s in tracer.spans].count("synth.params_to_profile") == 1
+
+
+def test_output_checks_pass_on_a_small_pipeline(tmp_path):
+    """The benchmark's artifact checks read the program's tables and models
+    through its API (``read_combined_csv(...).events``, ``describe``,
+    ``ConstraintSet.rejection_reason``); an API change that breaks them must
+    fail here, not only in a benchmark run."""
+    import json
+
+    import checks
+    import workloads
+
+    workload = workloads.Workload("small-x1", scale=1, n_synth=200, n_perm=50, profiles=True)
+    n_events = workloads.setup(workload, tmp_path)
+    for _, call in workloads.stage_calls(workload, seed=1, workdir=tmp_path):
+        call()
+    paths = workloads.artifact_paths(tmp_path)
+    assert checks.check_fit(paths["params"], paths["counts"], n_events) == []
+    assert checks.check_combine(paths["combined"]) == []
+    assert checks.check_model(paths["model"]) == []
+    assert checks.check_generate(paths["model"], paths["synthetic"], workload.n_synth, paths["profiles"],
+                                 workload.profile_points) == []
+    assert checks.check_validate(paths["report"]) == []
+
+    summary = checks.summarize(paths)
+    counts = json.loads(paths["counts"].read_text(encoding="utf-8"))
+    combined_rows = len(paths["combined"].read_text(encoding="utf-8").splitlines()) - 1
+    bundles = json.loads(paths["model"].read_text(encoding="utf-8"))["bundles"]
+    assert summary["counts"] == {
+        "params_valid": sum(counts["valid"].values()),
+        "combined_rows": combined_rows,
+        "synthetic_rows": workload.n_synth,
+        "bundles": len(bundles),
+    }
+    assert set(summary["describe"]) == {"params", "combined", "synthetic"}
+    assert checks.check_reference(paths, summary) == {}

@@ -29,7 +29,7 @@ GRID = np.round(np.arange(-5.0, 0.01, 0.1), 10)
 
 def profile(speeds, times=GRID):
     speeds = np.asarray(speeds, dtype=float)
-    return SpeedProfile("p", None, None, times, speeds, sample_weights(times))
+    return SpeedProfile("p", times, speeds)
 
 
 def fit_from_vertices(ts, vs):
@@ -82,7 +82,7 @@ class TestFitCandidates:
         c1 = [c for c in cands if c.n_b == 1][0]
 
         # oracle: brute-force scan over breakpoint locations
-        sw = np.sqrt(p.weights)
+        sw = np.sqrt(sample_weights(GRID))
         best_b, best_sse = None, np.inf
         for b in np.arange(-4.5, -0.5, 0.01):
             X = np.column_stack([np.ones_like(GRID), GRID, np.maximum(GRID - b, 0)])
@@ -92,17 +92,6 @@ class TestFitCandidates:
                 best_b, best_sse = b, sse
         assert c1.breakpoints[0] == pytest.approx(best_b, abs=0.05)
         assert c1.breakpoints[0] == pytest.approx(true_b, abs=0.1)
-
-    def test_weight_scale_equivariance(self):
-        rng = np.random.default_rng(3)
-        v = np.where(GRID <= -2.5, 6.0 - 3.0 * (GRID + 2.5), 6.0) + rng.normal(0, 0.02, GRID.size)
-        p1 = profile(v)
-        p2 = SpeedProfile("p", None, None, GRID, v, p1.weights * 8.0)
-        c1 = fit_candidates([p1], PipelineConfig(), [np.random.default_rng(5)])[0]
-        c2 = fit_candidates([p2], PipelineConfig(), [np.random.default_rng(5)])[0]
-        for a, b in zip(c1, c2):
-            assert a.breakpoints == pytest.approx(b.breakpoints, abs=1e-9)
-            assert a.slopes() == pytest.approx(b.slopes(), abs=1e-9)
 
 
 class TestLoss:
@@ -157,7 +146,7 @@ class TestFitEventsSelection:
 
     def test_single_candidate(self, monkeypatch):
         t = np.array([-0.2, -0.1, 0.0])  # no room for a breakpoint
-        p = SpeedProfile("p", None, None, t, np.array([5.0, 4.0, 3.5]), sample_weights(t))
+        p = SpeedProfile("p", t, np.array([5.0, 4.0, 3.5]))
         assert self.chosen(monkeypatch, [-0.7], p) == 0
 
 
@@ -533,7 +522,7 @@ class TestBatchedFitMatchesScalar:
             for k in (1, 2, 3):
                 inits = rng.uniform(LO, HI, size=(10, k))
                 runs = [
-                    scalar._iterate_breakpoints(GRID, p.speeds, p.weights, x, TOL) for x in inits
+                    scalar._iterate_breakpoints(GRID, p.speeds, sample_weights(GRID), x, TOL) for x in inits
                 ]
                 _, old_bks, old_sse = min(runs, key=lambda run: run[2])
                 stacked = (np.broadcast_to(a, (len(inits), GRID.size)) for a in (GRID, p.speeds, SQRT_W))
@@ -558,7 +547,7 @@ class TestBatchedFitMatchesScalar:
         # so k = 3 gets no starts and no candidate
         t = np.round(np.linspace(-0.7, 0.0, 8), 10)
         v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
-        p = SpeedProfile("short", None, None, t, v, sample_weights(t))
+        p = SpeedProfile("short", t, v)
         with caplog.at_level("WARNING", logger="leadkin.pwl"):
             new = fit_candidates([p], PipelineConfig(), [np.random.default_rng(0)])[0]
         assert "event 'short': too few samples for 3 breakpoints" in caplog.text
@@ -580,7 +569,7 @@ class TestRoomForBreakpoints:
             t = np.sort(rng.choice(501, n, replace=False)) / 100.0 - 5.0
         else:
             t = np.round(-rng.choice([0.02, 0.05, 0.1, 0.2]) * np.arange(n)[::-1], 10)
-        p = SpeedProfile("h", None, None, t, rng.uniform(0.0, 20.0, n), sample_weights(t))
+        p = SpeedProfile("h", t, rng.uniform(0.0, 20.0, n))
         fit = pwl._ProfileFit(p, PipelineConfig(n_b_max=5), rng)
         lo, hi, min_sep = fit.lo, fit.hi, fit.min_sep
         for k in range(1, 6):
@@ -685,15 +674,15 @@ class TestBatchIndependence:
         short = np.round(np.linspace(-0.6, 0.0, 7), 10)  # room for 1 and 2 breakpoints, not 3
         tight = np.round(np.linspace(-0.7, 0.0, 8), 10)  # samples for 3 breakpoints, no room for them
         profiles = [
-            SpeedProfile(f"rec-{i}", None, None, p.times, p.speeds, p.weights)
+            SpeedProfile(f"rec-{i}", p.times, p.speeds)
             for i, (_, p) in enumerate(recovery_corpus(4, seed=31))
         ]
         v = np.where(crash <= -2.0, 9.0 + 3.0 * (crash + 2.0), 9.0) + np.random.default_rng(1).normal(0, 0.05, 48)
-        profiles.append(SpeedProfile("crash", None, None, crash, v, sample_weights(crash)))
-        profiles.append(SpeedProfile("short", None, None, short, 6.0 - 2.0 * short, sample_weights(short)))
+        profiles.append(SpeedProfile("crash", crash, v))
+        profiles.append(SpeedProfile("short", short, 6.0 - 2.0 * short))
         tight_v = np.array([9.0, 8.1, 7.3, 6.0, 5.2, 5.0, 5.1, 4.9])
-        profiles.append(SpeedProfile("tight", None, None, tight, tight_v, sample_weights(tight)))
-        profiles.append(SpeedProfile("steady", None, None, GRID, np.full(GRID.size, 8.0), sample_weights(GRID)))
+        profiles.append(SpeedProfile("tight", tight, tight_v))
+        profiles.append(SpeedProfile("steady", GRID, np.full(GRID.size, 8.0)))
         return profiles
 
     @staticmethod

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadkin.combine import GroupCounts, MergeResult, Stage, WeightedDataset
+from leadkin.combine import GroupCounts, MergeResult
 from leadkin.config import MAX_COUNT
-from leadkin.errors import InputError
+from leadkin.errors import InputError, MalformedRow
 from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup, SpeedProfile
 from leadkin.synth import SyntheticDataset
 from leadkin.tables import (
@@ -82,11 +82,53 @@ class TestCombinedCsv:
     def test_round_trip_with_weights(self, tmp_path):
         path = tmp_path / "combined.csv"
         events = [sample_event(i, weight=0.1 + 0.7 * i) for i in range(4)]
-        dataset = WeightedDataset(events=ParamTable.from_rows(events), stage=Stage.COMBINED_INCIDENT)
-        write_combined_csv(path, dataset)
+        write_combined_csv(path, ParamTable.from_rows(events))
         back = read_combined_csv(path)
-        assert back.stage is Stage.COMBINED_INCIDENT
         assert back.events.weight.tolist() == [e.weight for e in events]
+
+    @staticmethod
+    def with_stages(path, stages):
+        """Rewrite the stage cell of each row; None drops the column."""
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("stage")
+        for row, stage in zip(rows[1:], stages or ()):
+            row[column] = stage
+        if stages is None:
+            for row in rows:
+                del row[column]
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize(
+        "stages",
+        [None, ["", "", ""], ["CombinedIncident", "", "CombinedIncident"]],
+        ids=["missing-column", "empty-cells", "combined-incident"],
+    )
+    def test_stage_of_the_combined_dataset_reads(self, tmp_path, stages):
+        path = tmp_path / "combined.csv"
+        table = ParamTable.from_rows(sample_event(i) for i in range(3))
+        write_combined_csv(path, table)
+        self.with_stages(path, stages)
+        assert list(read_combined_csv(path).events) == list(table)
+
+    @pytest.mark.parametrize(
+        "stages, line, stage",
+        [
+            (["Preprocessed"] * 3, 2, "Preprocessed"),
+            (["CombinedCrash"] * 3, 2, "CombinedCrash"),
+            (["CombinedIncident", "", "Preprocessed"], 4, "Preprocessed"),
+            (["", "CombinedCrash", "combined"], 3, "CombinedCrash"),
+            (["CombinedIncident", "incident", ""], 3, "incident"),
+        ],
+        ids=["preprocessed", "combined-crash", "preprocessed-last", "first-of-two", "other-text"],
+    )
+    def test_any_other_stage_names_its_first_line(self, tmp_path, stages, line, stage):
+        path = tmp_path / "combined.csv"
+        write_combined_csv(path, ParamTable.from_rows(sample_event(i) for i in range(3)))
+        self.with_stages(path, stages)
+        with pytest.raises(MalformedRow, match=f"line {line}: stage '{stage}' is not CombinedIncident"):
+            read_combined_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
@@ -98,7 +140,7 @@ class TestCombinedCsv:
         path = tmp_path / "combined.csv"
         events = ParamTable.from_rows(sample_event(i) for i in range(3))
         merge = MergeResult(selected=(("e2", "e0", 0.1),))
-        write_combined_csv(path, WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT), merge)
+        write_combined_csv(path, events, merge)
         with path.open(newline="") as fh:
             attached = [row["attached_to"] for row in csv.DictReader(fh)]
         assert attached == ["", "", "e0"]
@@ -155,13 +197,11 @@ def test_params_round_trip(tmp_path_factory, rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(event_params(), min_size=1, max_size=8), stage=st.sampled_from(Stage))
-def test_combined_round_trip(tmp_path_factory, rows, stage):
+@given(rows=st.lists(event_params(), min_size=1, max_size=8))
+def test_combined_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("combined") / "combined.csv"
-    write_combined_csv(path, WeightedDataset(events=ParamTable.from_rows(rows), stage=stage))
-    back = read_combined_csv(path)
-    assert list(back.events) == rows
-    assert back.stage is stage
+    write_combined_csv(path, ParamTable.from_rows(rows))
+    assert list(read_combined_csv(path).events) == rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +239,7 @@ CORRUPT = {
     "weight": st.sampled_from(["0", "-1", "-0.0", "nan", "inf", "x"]),
     "group": not_one_of({"", *(g.value for g in SourceGroup)}),
     "severity": not_one_of({"", *(s.value for s in Severity)}),
-    "stage": not_one_of({"", *(s.value for s in Stage)}),
+    "stage": not_one_of({"", "CombinedIncident"}),
     "valid": not_one_of({"", "0", "1"}),
 }
 
@@ -208,9 +248,7 @@ def _write_tables(directory):
     events = [sample_event(i, weight=0.5 + i) for i in range(3)]
     write_params_csv(directory / "params.csv", ParamTable.from_rows(events), [0.9] * 3, [1] * 3, [True] * 3)
     table = ParamTable.from_rows(events)
-    write_combined_csv(
-        directory / "combined.csv", WeightedDataset(events=table, stage=Stage.COMBINED_INCIDENT)
-    )
+    write_combined_csv(directory / "combined.csv", table)
     write_synthetic_csv(
         directory / "synthetic.csv",
         SyntheticDataset(events=table, bundle_ids=("S1", "S2", "S1")),
@@ -302,7 +340,7 @@ def test_random_counts_document_is_counts_or_an_input_error(tmp_path_factory, do
 
 def _profile(event_id, times, speeds):
     times = np.asarray(times, dtype=float)
-    return SpeedProfile(event_id, None, None, times, np.asarray(speeds, dtype=float), np.ones_like(times))
+    return SpeedProfile(event_id, times, np.asarray(speeds, dtype=float))
 
 
 def _csv_writer_bytes(profiles) -> bytes:

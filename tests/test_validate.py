@@ -8,7 +8,6 @@ from groundtruth import ground_truth_corpus
 from leadkin import validate
 from leadkin.errors import BadArgument, EmptyInput, EmptyReps, InputError
 from leadkin.events import ParamTable
-from leadkin.combine import Stage, WeightedDataset
 from leadkin.config import PipelineConfig
 from leadkin.validate import (
     bootstrap_robustness,
@@ -165,8 +164,7 @@ def test_ks_matches_reference_at_pipeline_sizes(sizes):
 
 class TestDescribe:
     def dataset(self, vectors, weights):
-        events = ParamTable(vectors, weight=weights, event_id=[f"e{i}" for i in range(len(weights))])
-        return WeightedDataset(events=events, stage=Stage.COMBINED_INCIDENT)
+        return ParamTable(vectors, weight=weights, event_id=[f"e{i}" for i in range(len(weights))])
 
     def test_unit_weights_match_unweighted(self):
         rng = np.random.default_rng(5)
@@ -183,7 +181,7 @@ class TestDescribe:
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            describe(WeightedDataset(events=ParamTable.from_rows([]), stage=Stage.COMBINED_INCIDENT))
+            describe(ParamTable.from_rows([]))
 
     def test_merge_limit_case_preserves_descriptives(self):
         # attaching exact copies of each crash leaves every mean/SD in place
@@ -194,7 +192,7 @@ class TestDescribe:
         crashes = crash_dataset(rng, n=12)
         ncs = ParamTable.from_rows(
             near_crash_like(c, f"nc-{i}", 0.0, rng)
-            for i, c in enumerate(crashes.events)
+            for i, c in enumerate(crashes)
         )
         merged, _ = merge_near_crashes(crashes, ncs)
         before = describe(crashes)
