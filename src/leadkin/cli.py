@@ -32,7 +32,7 @@ from .errors import BadArgument, InputError, LeadkinError, NumericalError
 from .events import PARAM_NAMES, ParamTable
 from .jsonio import read_json, write_json
 from .marginals import fit_tally
-from .mvdist import build_all, bundles_from_json, bundles_to_json
+from .mvdist import HurdleDist, build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
 from .validate import bootstrap_robustness, check_bootstrap_args, compare_datasets
 
@@ -203,19 +203,16 @@ def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
 
 
 def _chosen_families(bundles) -> Dict[str, Dict[str, int]]:
-    """Counts of the fitted marginal family per parameter role, over all bundles."""
+    """Counts of the fitted marginal family per parameter role, over all
+    bundles; constants and copies have no marginal."""
     chosen: Dict[str, Counter] = {}
     for bundle in bundles:
-        for name, role in bundle.roles().items():
-            if role == "correlated":
-                dist = bundle.correlated.marginals[bundle.correlated.names.index(name)]
-            elif role in ("uncorrelated", "point-mass"):
-                dist = bundle.uncorrelated[name]
-                dist = getattr(dist, "continuous", dist)  # a hurdle's continuous part
-            else:
-                continue  # constants and copies have no marginal
-            family = "none" if dist is None else dist.family
-            chosen.setdefault(role, Counter())[family] += 1
+        for dist in bundle.correlated.marginals if bundle.correlated else ():
+            chosen.setdefault("correlated", Counter())[dist.family] += 1
+        for dist in bundle.uncorrelated.values():
+            role = "point-mass" if isinstance(dist, HurdleDist) else "uncorrelated"
+            dist = getattr(dist, "continuous", dist)  # a hurdle's continuous part
+            chosen.setdefault(role, Counter())["none" if dist is None else dist.family] += 1
     return {role: dict(sorted(c.items())) for role, c in sorted(chosen.items())}
 
 

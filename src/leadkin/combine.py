@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DegenerateSplit, EmptyGroup, InputError, ZeroVariance
+from .errors import DegenerateSplit, EmptyGroup, InputError, NumericalError, ZeroVariance
 from .events import PARAM_NAMES, ParamTable, SourceGroup
 from .wstats import describe
 
@@ -84,7 +84,9 @@ class MergeResult:
 def trim_cutpoint(weights) -> float:
     """Trimming cut-point, 3.5 * sqrt(1 + CV^2) * median.
 
-    CV uses the sample (n-1) standard deviation.
+    CV uses the sample (n-1) standard deviation; a CV that overflows (from
+    weights of about 1e155 up) raises ``NumericalError``, since an infinite
+    cut-point would skip the trim.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
@@ -93,7 +95,10 @@ def trim_cutpoint(weights) -> float:
         cv2 = 0.0
     else:
         mean = w.mean()
-        cv2 = float(w.std(ddof=1) / mean) ** 2 if mean > 0 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            cv2 = float(w.std(ddof=1) / mean) ** 2 if mean > 0 else 0.0
+        if not np.isfinite(cv2):
+            raise NumericalError(f"coefficient of variation of the weights is not finite (mean {mean:.6g})")
     return float(TRIM_FACTOR * np.sqrt(1.0 + cv2) * np.median(w))
 
 
@@ -266,6 +271,16 @@ def _crash_zscores(crashes: ParamTable) -> Callable[[ParamTable], np.ndarray]:
     return lambda events: np.column_stack([(events[name] - stats[name][0]) / stats[name][1] for name in usable])
 
 
+def _check_weights(table: ParamTable) -> None:
+    """``NumericalError`` naming the first event whose weight is not finite
+    and positive."""
+    bad = np.flatnonzero(~(np.isfinite(table.weight) & (table.weight > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(f"event {table.event_id[i]!r}: weight {float(table.weight[i])!r} "
+                             "is not finite and positive")
+
+
 def merge_near_crashes(
     crashes: ParamTable,
     near_crashes: ParamTable,
@@ -278,10 +293,13 @@ def merge_near_crashes(
     crash hosting n near-crashes shares its weight equally among the n+1
     events; the host keeps the exact remainder so the split sums back to
     the original weight.  The merged rows are the crashes sorted by id,
-    then the attached near-crashes in input order.
+    then the attached near-crashes in input order.  A crash or merged
+    weight that is not finite and positive raises ``NumericalError``
+    naming its event.
     """
     if not len(crashes):
         raise InputError("combined crash dataset is empty")
+    _check_weights(crashes)  # a weight that over- or underflowed in scaling
 
     zscores = _crash_zscores(crashes)
     ids = crashes.event_id
@@ -315,6 +333,7 @@ def merge_near_crashes(
         sorted_crashes.with_weights(host_weight),
         near_crashes.take(attached).with_weights([share[i] for i in host[attached]]),
     ])
+    _check_weights(merged)  # a share of the smallest subnormal weight rounds to 0
     return merged, MergeResult(selected=tuple(selected))
 
 

@@ -31,21 +31,16 @@ class MalformedRow(InputError):
 
     def __init__(self, source, line_no: int, message: str):
         super().__init__(f"{source}: line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class DuplicateTimestamp(InputError):
     def __init__(self, source, event_id: str, t: float):
         super().__init__(f"{source}: event {event_id!r}: duplicate timestamp t={t}")
-        self.event_id = event_id
-        self.t = t
 
 
 class InvalidSampleRate(InputError):
     def __init__(self, source, event_id: str, rate: float):
         super().__init__(f"{source}: event {event_id!r}: sample rate {rate:.3g} Hz below the 5 Hz minimum")
-        self.event_id = event_id
-        self.rate = rate
 
 
 class EmptyWindow(InputError):
@@ -54,7 +49,6 @@ class EmptyWindow(InputError):
     def __init__(self, event_id: str, n_samples: int):
         left = "no samples" if n_samples == 0 else f"only {n_samples} sample"
         super().__init__(f"event {event_id!r}: {left} left inside the modeling window")
-        self.event_id = event_id
 
 
 # --- fitting --------------------------------------------------------------
@@ -68,7 +62,6 @@ class FitDiverged(NumericalError):
 class EmptyGroup(InputError):
     def __init__(self, group: str):
         super().__init__(f"required source group {group!r} has no events")
-        self.group = group
 
 
 class DegenerateSplit(NumericalError):
@@ -101,8 +94,6 @@ class RejectionCapExceeded(NumericalError):
             f"bundle {bundle_id!r}: rejection sampling cap hit after {drawn} draws "
             f"({accepted} accepted); dominant rejection reason: {dominant_reason}"
         )
-        self.bundle_id = bundle_id
-        self.dominant_reason = dominant_reason
 
 
 # --- validation -----------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,19 +59,23 @@ class AffinePre:
 class FittedDist:
     """A fitted marginal: family, parameters, and the pre-transformation.
 
-    aic = 2 k - 2 loglik with k the family's parameter count; the loglik is
-    computed with weights normalized to the effective sample size.
+    The loglik is computed with weights normalized to the effective sample
+    size; NaN for a marginal that was never scored.
     """
 
     family: str
     params: Dict[str, float]
     affine: AffinePre = field(default_factory=AffinePre)
-    aic: float = float("nan")
     loglik: float = float("nan")
 
     @property
     def k(self) -> int:
         return len(_FAMILIES[self.family].names)
+
+    @property
+    def aic(self) -> float:
+        """2 k - 2 loglik, with k the family's parameter count."""
+        return 2 * self.k - 2 * self.loglik
 
     def _standard(self, x):
         """The family row, the shapes, loc and scale, and the standard
@@ -133,7 +137,8 @@ class FittedDist:
     @staticmethod
     def from_json(doc, where: str = "marginal") -> "FittedDist":
         """Decode a ``to_json`` document; a malformed one raises ``InputError``
-        naming ``where``, the part of the model at fault."""
+        naming ``where``, the part of the model at fault.  Its ``aic`` is not
+        read, since it follows from ``loglik``."""
         doc = _checked(doc, dict, where)
         family = _field(doc, "family", str, where)
         if family not in _FAMILIES:
@@ -145,11 +150,9 @@ class FittedDist:
         if not _FAMILIES[family].admits(params):
             raise InputError(f"{where}: {family} marginal parameters {params} are outside the family's domain")
         affine = _field(doc, "affine", dict, where)
-        scores = {}
-        for key in ("aic", "loglik"):  # NaN for a marginal that was never scored
-            value = doc.get(key, math.nan)
-            nan = isinstance(value, float) and math.isnan(value)
-            scores[key] = value if nan else _checked(value, float, f"{where}.{key}")
+        loglik = doc.get("loglik", math.nan)
+        if not (isinstance(loglik, float) and math.isnan(loglik)):
+            loglik = _checked(loglik, float, f"{where}.loglik")
         return FittedDist(
             family=family,
             params=params,
@@ -157,7 +160,7 @@ class FittedDist:
                 shift=_field(affine, "shift", float, f"{where}.affine"),
                 reflect=_field(affine, "reflect", bool, f"{where}.affine"),
             ),
-            **scores,
+            loglik=loglik,
         )
 
 
@@ -831,7 +834,7 @@ def _job(family: str, x: np.ndarray, weights) -> _Job:
 
 def _scored(job: _Job, results: Sequence[_Simplex]) -> Optional[FittedDist]:
     """The job's fit from its closed form or its best finite Nelder-Mead
-    result, with its log-likelihood and AIC; None when there is none."""
+    result, with its log-likelihood; None when there is none."""
     spec = _FAMILIES[job.family]
     params = job.start
     if isinstance(params, list):
@@ -846,8 +849,7 @@ def _scored(job: _Job, results: Sequence[_Simplex]) -> Optional[FittedDist]:
     lp = fitted.logpdf(job.x)
     if not np.isfinite(lp).all():
         return None
-    loglik = float(np.dot(job.w, lp))
-    return FittedDist(job.family, params, job.affine, aic=2 * fitted.k - 2 * loglik, loglik=loglik)
+    return replace(fitted, loglik=float(np.dot(job.w, lp)))
 
 
 def _fit_families(tasks: Sequence[Tuple[str, np.ndarray, np.ndarray]]) -> list:

@@ -95,18 +95,10 @@ def categorize(table: ParamTable) -> Dict[SubdatasetLabel, ParamTable]:
 # --- point masses and correlations -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointMassSpec:
-    parameter: str
-    mass_value: float
-    mass_probability: float
-
-
-def detect_point_mass(
-    values, weights, config: PipelineConfig = PipelineConfig(), parameter: str = ""
-) -> Optional[PointMassSpec]:
+def detect_point_mass(values, weights, config: PipelineConfig = PipelineConfig()) -> Optional[HurdleDist]:
     """The modal exact value, when its weighted share reaches
-    ``config.mass_threshold``.
+    ``config.mass_threshold``, as a hurdle whose continuous part is not fit
+    yet.
 
     A mass must be an exact value observed at least twice; a single heavy
     event is not a point mass, just a heavy event.
@@ -120,11 +112,7 @@ def detect_point_mass(
     shares = np.where(counts >= 2, shares, 0.0)
     best = int(np.argmax(shares))  # ties resolve to the smaller value
     if counts[best] >= 2 and shares[best] >= config.mass_threshold:
-        return PointMassSpec(
-            parameter=parameter,
-            mass_value=float(uniq[best]),
-            mass_probability=float(shares[best]),
-        )
+        return HurdleDist(mass_value=float(uniq[best]), mass_probability=float(shares[best]))
     return None
 
 
@@ -212,51 +200,46 @@ def decorrelate(
     return x - fitted, spec
 
 
-def split_on_point_mass(table: ParamTable, spec: PointMassSpec) -> Tuple[ParamTable, ParamTable]:
-    """Split rows by whether the parameter equals its point-mass value."""
-    at_mass = table[spec.parameter] == spec.mass_value
-    return table.take(at_mass), table.take(~at_mass)
-
-
 # --- hurdle model -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class HurdleDist:
-    """Point mass with a given probability, else a continuous draw."""
+    """Point mass with a given probability, else a continuous draw; always
+    the mass when there is no continuous part."""
 
-    mass: PointMassSpec
-    continuous: Optional[FittedDist]
+    mass_value: float
+    mass_probability: float
+    continuous: Optional[FittedDist] = None
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        take_mass = rng.random(n) < self.mass.mass_probability
+        take_mass = rng.random(n) < self.mass_probability
         u = rng.random(n)
         if self.continuous is None:
-            return np.full(n, self.mass.mass_value)
+            return np.full(n, self.mass_value)
         values = self.continuous.ppf(u)
-        return np.where(take_mass, self.mass.mass_value, values)
+        return np.where(take_mass, self.mass_value, values)
 
-    def to_json(self) -> dict:
+    def to_json(self, parameter: str) -> dict:
         return {
             "kind": "hurdle",
-            "parameter": self.mass.parameter,
-            "mass_value": self.mass.mass_value,
-            "mass_probability": self.mass.mass_probability,
+            "parameter": parameter,
+            "mass_value": self.mass_value,
+            "mass_probability": self.mass_probability,
             "continuous": None if self.continuous is None else self.continuous.to_json(),
         }
 
     @staticmethod
     def from_json(doc: dict, where: str) -> "HurdleDist":
+        """Decode a ``to_json`` document; its ``parameter`` is not read, since
+        a hurdle is named by its key in the bundle."""
         cont = doc.get("continuous")
         probability = _field(doc, "mass_probability", float, where)
         if not 0.0 <= probability <= 1.0:
             raise InputError(f"{where}.mass_probability: must be in [0, 1], got {probability!r}")
         return HurdleDist(
-            mass=PointMassSpec(
-                parameter=_field(doc, "parameter", str, where, default=""),
-                mass_value=_field(doc, "mass_value", float, where),
-                mass_probability=probability,
-            ),
+            mass_value=_field(doc, "mass_value", float, where),
+            mass_probability=probability,
             continuous=None if cont is None else FittedDist.from_json(cont, f"{where}.continuous"),
         )
 
@@ -268,7 +251,7 @@ class _Marginal(NamedTuple):
     name: str
     values: np.ndarray
     weights: np.ndarray
-    mass: Optional[PointMassSpec] = None
+    mass: Optional[HurdleDist] = None  # its continuous part not fit yet
 
     @property
     def request(self) -> Optional[FitRequest]:
@@ -287,9 +270,9 @@ class _Marginal(NamedTuple):
             fitted = next(outcomes)
             if isinstance(fitted, AllFitsFailed):
                 raise fitted
-            return fitted if self.mass is None else HurdleDist(mass=self.mass, continuous=fitted)
+            return fitted if self.mass is None else replace(self.mass, continuous=fitted)
         log.warning("parameter %s: too few non-mass samples, falling back to exponential", self.name or "?")
-        return HurdleDist(mass=self.mass, continuous=fit_family("exponential", self.values, self.weights))
+        return replace(self.mass, continuous=fit_family("exponential", self.values, self.weights))
 
 
 # --- submodel bundles ----------------------------------------------------------
@@ -345,21 +328,6 @@ class SubmodelBundle:
             return self.label.id
         suffix = ",".join(f"{s.parameter}{'=' if s.op == 'eq' else '!='}{s.value:g}" for s in self.splits)
         return f"{self.label.id}[{suffix}]"
-
-    def roles(self) -> Dict[str, str]:
-        out = {}
-        for name in PARAM_NAMES:
-            if name in self.constants:
-                out[name] = "constant"
-            elif name in self.copies:
-                out[name] = "copy"
-            elif self.correlated and name in self.correlated.names:
-                out[name] = "correlated"
-            elif isinstance(self.uncorrelated.get(name), HurdleDist):
-                out[name] = "point-mass"
-            else:
-                out[name] = "uncorrelated"
-        return out
 
 
 def nearest_unit_correlation(matrix: np.ndarray) -> np.ndarray:
@@ -501,11 +469,11 @@ def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
 
     columns = {name: matrix[:, PARAM_NAMES.index(name)].copy() for name in free}
 
-    masses: Dict[str, PointMassSpec] = {}
+    masses: Dict[str, HurdleDist] = {}
     for name in free:
-        spec = detect_point_mass(columns[name], w, config, parameter=name)
-        if spec is not None:
-            masses[name] = spec
+        mass = detect_point_mass(columns[name], w, config)
+        if mass is not None:
+            masses[name] = mass
 
     # split when two point-mass parameters are strongly entangled
     if len(masses) >= 2 and depth < _MAX_SPLIT_DEPTH:
@@ -520,11 +488,10 @@ def _plan(sub, label, config, total, splits, depth) -> Iterator[_Plan]:
                 sorted(entangled, key=PARAM_NAMES.index),
                 key=lambda n: masses[n].mass_probability,
             )
-            spec = masses[split_name]
-            side_eq, side_ne = split_on_point_mass(sub, spec)
-            if _can_model(side_eq) and _can_model(side_ne):
-                for side, op in ((side_eq, "eq"), (side_ne, "ne")):
-                    condition = SplitCondition(split_name, op, spec.mass_value)
+            conditions = [SplitCondition(split_name, op, masses[split_name].mass_value) for op in ("eq", "ne")]
+            sides = [sub.take(condition.mask(sub)) for condition in conditions]
+            if all(_can_model(side) for side in sides):
+                for side, condition in zip(sides, conditions):
                     yield from _plan(side, label, config, total, splits + (condition,), depth + 1)
                 return
             log.warning(
@@ -596,10 +563,10 @@ def bundles_to_json(bundles: Sequence[SubmodelBundle]) -> dict:
             }
         uncorrelated = {}
         for name, dist in b.uncorrelated.items():
-            doc = dist.to_json()
             if isinstance(dist, FittedDist):
-                doc = {"kind": "continuous", **doc}
-            uncorrelated[name] = doc
+                uncorrelated[name] = {"kind": "continuous", **dist.to_json()}
+            else:
+                uncorrelated[name] = dist.to_json(name)
         docs.append(
             {
                 "label": {

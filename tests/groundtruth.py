@@ -19,7 +19,6 @@ from leadkin.mvdist import (
     LABELS,
     CorrelatedBlock,
     HurdleDist,
-    PointMassSpec,
     SubmodelBundle,
 )
 from leadkin.pwl import sample_weights
@@ -146,10 +145,7 @@ def ground_truth_bundles():
         ),
         uncorrelated={
             "v_c": _gamma(2.5, 1.2),
-            "tau_s": HurdleDist(
-                mass=PointMassSpec("tau_s", 0.0, 0.4),
-                continuous=_gamma(2.0, 0.7),
-            ),
+            "tau_s": HurdleDist(mass_value=0.0, mass_probability=0.4, continuous=_gamma(2.0, 0.7)),
             "tau_1": _gamma(2.5, 0.6),
             "tau_2": _gamma(2.0, 0.5),
         },

@@ -964,6 +964,30 @@ def test_counts_that_contradict_the_table_exit_2(demo_params, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ("1e200", "coefficient of variation of the weights is not finite"),
+        ("5e-324", "event 'CISS_sc-000': weight 0.0 is not finite and positive"),
+    ],
+    ids=["cv-overflows", "weight-underflows"],
+)
+def test_combine_weight_out_of_float_range_exits_3(demo_params, tmp_path, capsys, weight, message):
+    """A CISS weight whose trim overflows or whose scaled weight underflows
+    stops combine, where it once wrote rows of weight 0 that model rejects."""
+    rows = list(csv.reader(io.StringIO(demo_params.read_text(encoding="utf-8"))))
+    first = next(row for row in rows if row[1] == "CISS_sc")
+    first[rows[0].index("weight")] = weight
+    params, out = tmp_path / "params.csv", tmp_path / "combined.csv"
+    with params.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    counts = demo_params.with_suffix(".counts.json")
+    assert main(["combine", "--params", str(params), "--counts", str(counts), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_rejected_config_document_names_its_file(tables_dir, capsys):
     config = tables_dir / "config.json"
     config.write_text(json.dumps({"no_such_knob": 1}), encoding="utf-8")

@@ -18,7 +18,7 @@ from leadkin.combine import (
     trim_weights,
 )
 from leadkin.config import PipelineConfig
-from leadkin.errors import EmptyGroup
+from leadkin.errors import EmptyGroup, NumericalError
 from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 
 
@@ -62,6 +62,17 @@ class TestTrimWeights:
         assert (trimmed <= cut + 1e-12).all()
         shuffled = trim_weights(weights[::-1])
         assert np.allclose(np.sort(trimmed), np.sort(shuffled))
+
+    @pytest.mark.parametrize("huge", [1e155, 1e200, 1e308])
+    def test_overflowing_cv_raises(self, huge):
+        """The sample variance of these weights overflows; an infinite
+        cut-point would skip the trim."""
+        with pytest.raises(NumericalError, match="coefficient of variation of the weights is not finite"):
+            trim_cutpoint([1.0, 2.0, 3.0, huge])
+
+    def test_large_finite_cv_is_kept(self):
+        # CV -> 2 as the last weight grows: 3.5 * sqrt(1 + 4) * median 2.5
+        assert trim_cutpoint([1.0, 2.0, 3.0, 1e150]) == pytest.approx(3.5 * math.sqrt(5.0) * 2.5)
 
 
 class TestScaleWeights:
@@ -275,6 +286,26 @@ class TestMergeNearCrashes:
         )
         merged, _ = merge_near_crashes(crashes, ncs)
         assert merged.weight.sum() == pytest.approx(crashes.weight.sum(), abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_weight_not_finite_and_positive_raises_naming_the_first(self, bad):
+        rng = np.random.default_rng(15)
+        crashes = crash_dataset(rng, n=5)
+        weights = crashes.weight.copy()
+        weights[[3, 1]] = bad  # crash-01 comes first in the merged rows
+        with pytest.raises(NumericalError, match=f"event 'crash-01': weight {bad!r} is not finite and positive"):
+            merge_near_crashes(crashes.with_weights(weights), ParamTable.from_rows([]))
+
+    def test_share_that_underflows_raises_naming_the_near_crash(self):
+        rng = np.random.default_rng(16)
+        crashes = crash_dataset(rng, n=5)
+        host = list(crashes)[2]
+        weights = crashes.weight.copy()
+        weights[2] = 5e-324  # the smallest subnormal: half of it rounds to 0
+        nc = near_crash_like(host, "nc-0", 0.005, rng)
+        with pytest.raises(NumericalError, match="event 'nc-0': weight 0.0 is not finite and positive"):
+            merge_near_crashes(crashes.with_weights(weights), ParamTable.from_rows([nc]),
+                               config=PipelineConfig(d_thd=0.78))
 
     def test_marginal_drift_small_at_realistic_scale(self):
         # weight splitting keeps each parameter's weighted distribution

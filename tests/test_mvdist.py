@@ -10,12 +10,11 @@ from leadkin import marginals, mvdist
 from leadkin.errors import InputError, ModelBuildFailed, NumericalError, TooFewSamples, ZeroVariance
 from leadkin.jsonio import read_json, write_json
 from leadkin.marginals import AffinePre, FittedDist
-from leadkin.events import EventParams, ParamTable
+from leadkin.events import PARAM_NAMES, EventParams, ParamTable
 from leadkin.mvdist import (
     LABELS,
     CorrelatedBlock,
     HurdleDist,
-    PointMassSpec,
     SplitCondition,
     SubmodelBundle,
     TransformSpec,
@@ -27,7 +26,6 @@ from leadkin.mvdist import (
     decorrelate,
     detect_point_mass,
     nearest_unit_correlation,
-    split_on_point_mass,
     weighted_corr,
 )
 from leadkin.synth import sample_submodel
@@ -193,6 +191,12 @@ class TestDetectPointMass:
         spec = detect_point_mass(np.array([0.0, 1.0, 2.0, 3.0, 3.0]), np.ones(5), config)
         assert (spec.mass_value, spec.mass_probability) == (3.0, 0.4)
 
+    def test_mass_is_a_hurdle_that_samples_only_the_mass(self):
+        x = np.concatenate([np.full(8, 2.5), np.linspace(3, 5, 12)])
+        mass = detect_point_mass(x, np.ones_like(x))
+        assert mass == HurdleDist(mass_value=2.5, mass_probability=0.4, continuous=None)
+        assert (mass.sample(np.random.default_rng(0), 50) == 2.5).all()
+
 
 class TestWeightedCorr:
     def test_perfect_correlation(self):
@@ -304,10 +308,9 @@ class TestSplitOnPointMass:
     def test_split_sides(self):
         events = [ev([1, -1, 0, 0.0, 2, 1], event_id=f"a{i}") for i in range(4)]
         events += [ev([1, -1, 0, 1.5, 2, 1], event_id=f"b{i}") for i in range(3)]
-        from leadkin.mvdist import PointMassSpec
-
-        at, off = split_on_point_mass(dataset(events), PointMassSpec("tau_s", 0.0, 0.57))
-        assert len(at) == 4 and len(off) == 3
+        table = dataset(events)
+        at, off = (table.take(SplitCondition("tau_s", op, 0.0).mask(table)) for op in ("eq", "ne"))
+        assert at.event_id.tolist() == ["a0", "a1", "a2", "a3"] and off.event_id.tolist() == ["b0", "b1", "b2"]
 
 
 def v_c_hurdle(x):
@@ -323,7 +326,7 @@ class TestFitHurdle:
         rng = np.random.default_rng(6)
         x = np.where(rng.random(4000) < 0.5, 0.0, rng.exponential(1.0, 4000))
         h = v_c_hurdle(x)
-        assert h.mass.mass_probability == pytest.approx(0.5, abs=0.02)
+        assert h.mass_probability == pytest.approx(0.5, abs=0.02)
         assert h.continuous is not None
         # analytic MLE rate of the positive part
         positives = x[x > 0]
@@ -350,7 +353,7 @@ class TestFitHurdle:
         x = np.where(rng.random(2000) < 0.3, 0.0, rng.gamma(2, 1, 2000))
         h = v_c_hurdle(x)
         draws = h.sample(np.random.default_rng(1), 20000)
-        assert (draws == 0.0).mean() == pytest.approx(h.mass.mass_probability, abs=0.02)
+        assert (draws == 0.0).mean() == pytest.approx(h.mass_probability, abs=0.02)
 
 
 class TestNearestUnitCorrelation:
@@ -394,8 +397,9 @@ class TestBuildSubmodels:
         ds = ground_truth_corpus(seed=77, counts=(40, 60, 40))
         for label, sub in categorize(ds).items():
             for bundle in build_label(sub, label):
-                roles = bundle.roles()
-                assert set(roles) == {"v_c", "a1", "a2", "tau_s", "tau_1", "tau_2"}
+                correlated = bundle.correlated.names if bundle.correlated else ()
+                parts = [*bundle.constants, *bundle.copies, *correlated, *bundle.uncorrelated]
+                assert sorted(parts) == sorted(PARAM_NAMES)
 
     def test_split_on_correlated_point_masses(self):
         bundles = build_label(dataset(entangled_masses()), LABELS["S6"])
@@ -453,7 +457,7 @@ class TestBuildSubmodels:
         assert s2.copies == {"a2": "a1"}
         s4 = bundles["S4"]
         assert isinstance(s4.uncorrelated.get("tau_s"), HurdleDist)
-        assert s4.uncorrelated["tau_s"].mass.mass_probability == pytest.approx(0.4, abs=0.1)
+        assert s4.uncorrelated["tau_s"].mass_probability == pytest.approx(0.4, abs=0.1)
         if s4.correlated is not None and set(s4.correlated.names) == {"a1", "a2"}:
             i = s4.correlated.names.index("a1")
             j = s4.correlated.names.index("a2")
@@ -489,15 +493,14 @@ def hand_built_model():
         transforms=(TransformSpec("a1", 0.25, {"v_c": -0.125}),),
         correlated=CorrelatedBlock(
             ("a1", "a2"),
-            (FittedDist("skewnormal", {"a": 2.0, "loc": -1.0, "scale": 0.5}, aic=10.5, loglik=-2.25),
-             FittedDist("expnormal", {"k": 1.5, "loc": -3.0, "scale": 0.75}, aic=12.0, loglik=-3.0)),
+            (FittedDist("skewnormal", {"a": 2.0, "loc": -1.0, "scale": 0.5}, loglik=-2.25),
+             FittedDist("expnormal", {"k": 1.5, "loc": -3.0, "scale": 0.75}, loglik=-3.0)),
             np.array([[1.0, 0.4], [0.4, 1.0]]),
         ),
         uncorrelated={
-            "v_c": HurdleDist(PointMassSpec("v_c", 0.0, 0.3),
-                              FittedDist("gamma", {"shape": 2.0, "scale": 1.5}, AffinePre(-0.5, True), 8.0, -2.0)),
+            "v_c": HurdleDist(0.0, 0.3, FittedDist("gamma", {"shape": 2.0, "scale": 1.5}, AffinePre(-0.5, True), -2.0)),
             "tau_1": FittedDist("normal", {"loc": 2.0, "scale": 0.5}),
-            "tau_2": HurdleDist(PointMassSpec("tau_2", 0.0, 0.5), None),
+            "tau_2": HurdleDist(0.0, 0.5),
         },
         train_weight_share=0.625,
         train_weight=5.0,
@@ -510,9 +513,9 @@ def hand_built_model():
         transforms=(),
         correlated=None,
         uncorrelated={
-            "v_c": FittedDist("exponential", {"scale": 2.0}, aic=4.0, loglik=-1.0),
-            "a1": FittedDist("normal", {"loc": -2.0, "scale": 1.0}, aic=6.0, loglik=-1.0),
-            "tau_s": FittedDist("gengamma", {"a": 2.0, "c": 0.5, "scale": 1.0}, aic=9.0, loglik=-1.5),
+            "v_c": FittedDist("exponential", {"scale": 2.0}, loglik=-1.0),
+            "a1": FittedDist("normal", {"loc": -2.0, "scale": 1.0}, loglik=-1.0),
+            "tau_s": FittedDist("gengamma", {"a": 2.0, "c": 0.5, "scale": 1.0}, loglik=-1.5),
         },
         train_weight_share=0.375,
         train_weight=3.0,
@@ -529,6 +532,21 @@ class TestModelCodec:
         back = bundles_from_json(read_json(tmp_path / "model.json", "model"))
         assert [b.bundle_id for b in back] == ["S4[tau_s=0]", "S4[tau_s!=0]"]
         # the documents, not the bundles: a NaN aic is never equal to itself
+        assert json.dumps(bundles_to_json(back), sort_keys=True) == json.dumps(doc, sort_keys=True)
+        assert doc["bundles"][0]["correlated"]["marginals"][0]["aic"] == 10.5  # 2 * 3 - 2 * -2.25
+
+    def test_derived_fields_are_not_read(self):
+        """A document whose aic contradicts its loglik, and whose hurdle
+        names another column, reads; it re-encodes to the derived values."""
+        doc = bundles_to_json(hand_built_model())
+        edited = json.loads(json.dumps(doc))
+        at_zero = edited["bundles"][0]
+        at_zero["correlated"]["marginals"][0]["aic"] = -7.0
+        at_zero["uncorrelated"]["v_c"]["continuous"]["aic"] = 123.0
+        at_zero["uncorrelated"]["v_c"]["parameter"] = "tau_1"
+        del at_zero["uncorrelated"]["tau_2"]["parameter"]
+        back = bundles_from_json(edited)
+        assert back[0].correlated.marginals[0].aic == 10.5
         assert json.dumps(bundles_to_json(back), sort_keys=True) == json.dumps(doc, sort_keys=True)
 
     @pytest.mark.parametrize(
@@ -565,8 +583,8 @@ class TestModelCodec:
         bundle["uncorrelated"]["tau_2"]["mass_probability"] = 1.0
         bundle["correlated"]["sigma"] = [[1.0, -1.0], [np.nextafter(-1.0, 0.0), 1.0]]
         (back, _) = bundles_from_json(doc)
-        assert back.uncorrelated["v_c"].mass.mass_probability == 0.0
-        assert back.uncorrelated["tau_2"].mass.mass_probability == 1.0
+        assert back.uncorrelated["v_c"].mass_probability == 0.0
+        assert back.uncorrelated["tau_2"].mass_probability == 1.0
         assert back.correlated.sigma.tolist() == bundle["correlated"]["sigma"]
 
 

@@ -16,7 +16,6 @@ from leadkin.mvdist import (
     LABELS,
     CorrelatedBlock,
     HurdleDist,
-    PointMassSpec,
     SplitCondition,
     SubmodelBundle,
 )
@@ -105,7 +104,7 @@ class TestSampleSubmodel:
         assert np.array_equal(a.values, b.values)
 
     def test_transform_inverted_on_sampling(self):
-        from leadkin.mvdist import HurdleDist, PointMassSpec, TransformSpec
+        from leadkin.mvdist import TransformSpec
 
         bundle = SubmodelBundle(
             label=LABELS["S6"],
@@ -115,10 +114,7 @@ class TestSampleSubmodel:
             transforms=(TransformSpec("v_c", intercept=1.0, coefficients={"tau_s": 2.0}),),
             correlated=None,
             uncorrelated={
-                "tau_s": HurdleDist(
-                    PointMassSpec("tau_s", 0.0, 0.5),
-                    FittedDist("gamma", {"shape": 2.0, "scale": 0.5}),
-                ),
+                "tau_s": HurdleDist(0.0, 0.5, FittedDist("gamma", {"shape": 2.0, "scale": 0.5})),
                 "v_c": FittedDist("normal", {"loc": 0.0, "scale": 0.3}),
             },
             train_weight_share=1.0,
@@ -198,9 +194,7 @@ LOOSE_S4 = SubmodelBundle(
         "v_c": FittedDist("normal", {"loc": 4.0, "scale": 4.0}),
         "a1": FittedDist("normal", {"loc": -2.0, "scale": 5.0}),
         "a2": FittedDist("normal", {"loc": -4.0, "scale": 5.0}),
-        "tau_s": HurdleDist(
-            PointMassSpec("tau_s", 0.0, 0.6), FittedDist("normal", {"loc": 1.0, "scale": 1.0})
-        ),
+        "tau_s": HurdleDist(0.0, 0.6, FittedDist("normal", {"loc": 1.0, "scale": 1.0})),
         "tau_1": FittedDist("normal", {"loc": 2.0, "scale": 1.0}),
         "tau_2": FittedDist("normal", {"loc": 1.5, "scale": 1.0}),
     },
