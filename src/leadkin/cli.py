@@ -59,18 +59,22 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _fit_batch(config: PipelineConfig, profiles: list) -> Tuple[List[pwl.PwlFit], float]:
-    """One batch's fits and its elapsed seconds.  Each event's generator
-    depends only on the seed and the event id, and its fit never on the
-    other events of the batch, so a fit is the same in any batch and any
-    process."""
+def _fit_batch(config: PipelineConfig, profiles: list) -> Tuple[List[pwl.PwlFit], float, pwl.SearchTally]:
+    """One batch's fits, its elapsed seconds and its breakpoint-search
+    tally.  Each event's generator depends only on the seed and the event
+    id, and its fit never on the other events of the batch, so a fit is
+    the same in any batch and any process."""
     began = time.perf_counter()
-    fits = pwl.fit_events(profiles, config, [event_rng(config.seed, p.event_id) for p in profiles])
-    return fits, time.perf_counter() - began
+    with pwl.search_tally() as tally:
+        fits = pwl.fit_events(profiles, config, [event_rng(config.seed, p.event_id) for p in profiles])
+    return fits, time.perf_counter() - began, tally
 
 
-def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, List[pwl.PwlFit], List[float]]:
-    """(worker count, fits in input order, seconds of each batch).
+def _fit_all(
+    config: PipelineConfig, profiles: list
+) -> Tuple[int, List[pwl.PwlFit], List[float], pwl.SearchTally]:
+    """(worker count, fits in input order, seconds of each batch, the
+    batches' summed search tally).
 
     The profiles are cut, in order, into batches of at most ``_FIT_CHUNK``
     events, the same number of batches for each worker and sizes that
@@ -94,7 +98,8 @@ def _fit_all(config: PipelineConfig, profiles: list) -> Tuple[int, List[pwl.PwlF
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             done = list(pool.map(fit, batches))
-    return workers, [f for fits, _ in done for f in fits], [seconds for _, seconds in done]
+    tally = pwl.SearchTally(sum(t.refined for _, _, t in done), sum(t.skipped for _, _, t in done))
+    return workers, [f for fits, _, _ in done for f in fits], [seconds for _, seconds, _ in done], tally
 
 
 def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -> None:
@@ -111,7 +116,7 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
             continue
         windowed.append((event, profile))
     began = time.perf_counter()
-    workers, fits, batch_s = _fit_all(config, [profile for _, profile in windowed])
+    workers, fits, batch_s, search = _fit_all(config, [profile for _, profile in windowed])
     fit_s = time.perf_counter() - began
     events = [event for event, _ in windowed]
     valid = [ingest.validate_event(profile, fit) for (_, profile), fit in zip(windowed, fits)]
@@ -143,6 +148,10 @@ def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -
     log.info(
         "fit timing: %d workers, %d batches, %.2f s; per-batch fit s p50 %.3f p90 %.3f",
         workers, len(batch_s), fit_s, p50, p90,
+    )
+    log.info(
+        "fit search: %d (event, breakpoint count) pairs refined, %d skipped by the loss bound",
+        search.refined, search.skipped,
     )
 
 

@@ -10,8 +10,10 @@ the six-parameter event description.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -318,28 +320,31 @@ def _adjusted(r2: float, n: int, n_b: int) -> float:
 
 
 class _ProfileFit:
-    """One profile's samples and breakpoint limits, its starts, and the best
-    refined restart of each breakpoint count.
+    """One profile's samples and breakpoint limits, its starts, and its
+    candidates so far: the zero-breakpoint one, then one per count that was
+    refined and kept its separation.
 
     The starts of every count are drawn from the profile's own generator
-    here, in k order.  Refinement and the polish never draw, so the stream
-    is the same whichever profiles are fit with it.  A count gets starts
-    only if its segments keep two samples each and its breakpoints fit
-    min_sep apart in [lo, hi].  Both rules only tighten as k grows, so the
-    counts without starts come last and the draws of the others are
-    unchanged by skipping them.
+    here, in k order, whether or not the count is refined later.
+    Refinement and the polish never draw, so the stream is the same
+    whichever profiles are fit with it and whichever counts are skipped.  A
+    count gets starts only if its segments keep two samples each and its
+    breakpoints fit min_sep apart in [lo, hi].  Both rules only tighten as
+    k grows, so the counts without starts come last and the draws of the
+    others are unchanged by skipping them.
     """
 
     def __init__(self, profile: SpeedProfile, config: PipelineConfig, rng: np.random.Generator):
-        self.event_id = profile.event_id
+        self.profile = profile
         self.t = np.asarray(profile.times, dtype=float)
         self.v = np.asarray(profile.speeds, dtype=float)
         if self.t.size < 2:
             raise FitDiverged(f"event {profile.event_id!r}: need at least two samples")
         self.w = sample_weights(self.t)
         self.sqrt_w = np.sqrt(self.w)
+        coef, sse = _wls(self.t, self.v, self.sqrt_w, np.empty(0))
+        self.candidates = [_build_fit(coef, np.empty(0), self.v, self.w, sse, self.t.size)]
         self.starts = {}  # k -> (restarts, k) starts; none for a k that does not fit
-        self.best = {}  # k -> (bks, sse) of the best refined start
         if not self.has_room:
             return
         self.lo, self.hi = _breakpoint_bounds(self.t)
@@ -357,32 +362,24 @@ class _ProfileFit:
         """Whether any breakpoint fits between the end segments."""
         return self.t.size >= 2 * _MIN_SAMPLES_PER_SEGMENT
 
-    def candidates(self, n_b_max: int) -> list:
-        t, v, w, sqrt_w = self.t, self.v, self.w, self.sqrt_w
-        coef, sse = _wls(t, v, sqrt_w, np.empty(0))
-        candidates = [_build_fit(coef, np.empty(0), v, w, sse, t.size)]
-        if not self.has_room:
-            return candidates
-        for k in range(1, n_b_max + 1):
-            if k not in self.starts:
-                log.warning("event %r: too few samples for %d breakpoints", self.event_id, k)
-                continue
-            bks, sse = _polish_breakpoints(t, v, sqrt_w, *self.best[k], self.lo, self.hi, self.spacing, self.min_sep)
-            if not _separated(bks, t):
-                log.warning("event %r: %d-breakpoint fit lost separation", self.event_id, k)
-                continue
-            coef, sse = _wls(t, v, sqrt_w, bks)
-            candidates.append(_build_fit(coef, bks, v, w, sse, t.size))
-        return candidates
+    def add(self, k: int, bks, sse) -> None:
+        """Polish the best refined k-breakpoint start into the k candidate;
+        one whose breakpoints lose separation is dropped with a warning."""
+        t, v, sqrt_w = self.t, self.v, self.sqrt_w
+        bks, sse = _polish_breakpoints(t, v, sqrt_w, bks, sse, self.lo, self.hi, self.spacing, self.min_sep)
+        if not _separated(bks, t):
+            log.warning("event %r: %d-breakpoint fit lost separation", self.profile.event_id, k)
+            return
+        coef, sse = _wls(t, v, sqrt_w, bks)
+        self.candidates.append(_build_fit(coef, bks, v, self.w, sse, t.size))
 
 
 def _refine_all(fits: Sequence[_ProfileFit], k: int, tol: float) -> None:
-    """Refine the k-breakpoint starts of every profile that has them, one
-    ``_refine_rows`` stack per sample count, into each profile's ``best``."""
+    """Refine the k-breakpoint starts of every profile, one ``_refine_rows``
+    stack per sample count, and add each profile's k candidate."""
     by_size = {}
     for fit in fits:
-        if k in fit.starts:
-            by_size.setdefault(fit.t.size, []).append(fit)
+        by_size.setdefault(fit.t.size, []).append(fit)
     for group in by_size.values():
         owner = np.repeat(np.arange(len(group)), [len(fit.starts[k]) for fit in group])
         t, v, sqrt_w, lo, hi, min_sep = (
@@ -390,8 +387,63 @@ def _refine_all(fits: Sequence[_ProfileFit], k: int, tol: float) -> None:
             for name in ("t", "v", "sqrt_w", "lo", "hi", "min_sep")
         )
         inits = np.concatenate([fit.starts[k] for fit in group])
-        for i, result in _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol).items():
-            group[i].best[k] = result
+        for i, (bks, sse) in _refine_rows(t, v, sqrt_w, inits, lo, hi, min_sep, owner, tol).items():
+            group[i].add(k, bks, sse)
+
+
+@dataclass
+class SearchTally:
+    """Breakpoint-search work counted inside a :func:`search_tally` block:
+    the (profile, k) pairs refined, and the pairs with starts that the loss
+    bound of ``fit_events`` skipped."""
+
+    refined: int = 0
+    skipped: int = 0
+
+
+_TALLY: ContextVar[Optional[SearchTally]] = ContextVar("leadkin_search_tally", default=None)
+
+
+@contextmanager
+def search_tally() -> Iterator[SearchTally]:
+    """Count the refined and skipped (profile, k) pairs of every fit made
+    inside the block."""
+    tally = SearchTally()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+
+
+def _search(profiles, config, rngs, can_win=None) -> list:
+    """Every profile's candidates, found count by count.
+
+    For each k = 1..n_b_max, the profiles with k-breakpoint starts for which
+    ``can_win(profile, k, candidates so far)`` holds (every one when
+    ``can_win`` is None) are refined in one lockstep ``_refine_all``, and
+    each is polished into its k candidate before k + 1 is refined.  A count
+    without starts is skipped with a warning, whatever ``can_win`` says.
+    """
+    rngs = [None] * len(profiles) if rngs is None else rngs
+    fits = [_ProfileFit(p, config, rng or np.random.default_rng(0)) for p, rng in zip(profiles, rngs)]
+    tally = _TALLY.get()
+    for k in range(1, config.n_b_max + 1):
+        running, skipped = [], 0
+        for fit in fits:
+            if not fit.has_room:
+                continue
+            if k not in fit.starts:
+                log.warning("event %r: too few samples for %d breakpoints", fit.profile.event_id, k)
+            elif can_win is None or can_win(fit.profile, k, fit.candidates):
+                running.append(fit)
+            else:
+                skipped += 1
+        if tally is not None:
+            tally.refined += len(running)
+            tally.skipped += skipped
+        _refine_all(running, k, config.convergence_tol)
+    return [fit.candidates for fit in fits]
 
 
 def fit_candidates(
@@ -409,13 +461,10 @@ def fit_candidates(
     restart of every profile for one breakpoint count is refined in one
     lockstep stack per sample count, so a batch costs a few stacked solves
     per iteration instead of a few per profile; the greedy polish runs per
-    profile.
+    profile.  Every count is refined: this is ``fit_events``' search
+    without its loss bound.
     """
-    rngs = [None] * len(profiles) if rngs is None else rngs
-    fits = [_ProfileFit(p, config, rng or np.random.default_rng(0)) for p, rng in zip(profiles, rngs)]
-    for k in range(1, config.n_b_max + 1):
-        _refine_all(fits, k, config.convergence_tol)
-    return [fit.candidates(config.n_b_max) for fit in fits]
+    return _search(profiles, config, rngs)
 
 
 def _build_fit(coef, breakpoints, v, w, sse, n) -> PwlFit:
@@ -443,7 +492,9 @@ def loss(candidate: PwlFit, profile: SpeedProfile, config: PipelineConfig = Pipe
 
     The penalty per breakpoint grows with max(v)/(max(v) - min(v)), both
     taken from the observed samples, so barely-perceptible speed changes do
-    not earn extra segments.
+    not earn extra segments.  Of the candidate, the loss reads only ``n_b``
+    and ``r_squared``, and it does not increase as ``r_squared`` grows:
+    ``fit_events`` relies on both to skip the counts that cannot win.
     """
     v = np.asarray(profile.speeds, dtype=float)
     v_max = float(v.max())
@@ -538,6 +589,14 @@ def extract_params(fit: PwlFit, config: PipelineConfig = PipelineConfig()) -> Tu
     return float(fit.speeds[-1]), a1, a2, tau_s, tau_1, tau_2
 
 
+class _Floor(NamedTuple):
+    """What ``loss`` reads of a candidate, at the best fit any k-breakpoint
+    candidate can have."""
+
+    n_b: int
+    r_squared: float = 1.0
+
+
 def fit_events(
     profiles: Sequence[SpeedProfile],
     config: PipelineConfig = PipelineConfig(),
@@ -549,10 +608,21 @@ def fit_events(
     breakpoints.  ``rngs`` holds one generator per profile (each
     ``default_rng(0)`` when left out).  A profile's fit depends only on the
     profile and its own generator, never on the others in the list.
+
+    A k-breakpoint candidate has r^2 <= 1, so its loss is at least the
+    loss of ``_Floor(k)``.  A count whose floor is above a loss already
+    found for the profile cannot win, so it is not refined (the bounding
+    step of branch and bound, Land & Doig 1960); the choice is the one
+    among all of ``fit_candidates``.  A NaN floor or loss skips nothing.
     """
+
+    def can_win(profile, k, candidates):
+        floor = loss(_Floor(k), profile, config)
+        return not any(floor > loss(c, profile, config) for c in candidates)
+
     return [
         enforce_nonnegative(min(candidates, key=lambda c: (loss(c, profile, config), c.n_b)))
-        for profile, candidates in zip(profiles, fit_candidates(profiles, config, rngs))
+        for profile, candidates in zip(profiles, _search(profiles, config, rngs, can_win))
     ]
 
 

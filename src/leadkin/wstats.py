@@ -11,11 +11,18 @@ from .events import PARAM_NAMES
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
-    """Kish effective sample size, (sum w)^2 / sum(w^2)."""
+    """Kish effective sample size, (sum w)^2 / sum(w^2).
+
+    The weights are first scaled by the power of two that brings the
+    largest into [0.5, 1).  That scaling is exact, so the result is the
+    same, but the squares no longer overflow from weights of about 1e154.
+    """
     w = np.asarray(weights, dtype=float)
     s = w.sum()
     if s <= 0:
         return 0.0
+    w = np.ldexp(w, -np.frexp(w.max())[1])
+    s = w.sum()
     return float(s * s / np.square(w).sum())
 
 

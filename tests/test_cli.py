@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -724,6 +725,29 @@ def test_fit_artifacts_do_not_depend_on_the_worker_count(demo_csv, tmp_path, mon
     assert "skipping event early-000" in caplog.text
 
 
+def test_fit_search_line_totals_every_batch(demo_csv, tmp_path, monkeypatch, caplog):
+    """The fit log's search line counts the (event, breakpoint count) pairs
+    that were refined and those the loss bound skipped, summed over the
+    workers' batches: the same for any worker count, and together every
+    pair the exhaustive search refines."""
+    from leadkin import ingest, pwl
+
+    for cpus in (1, 2):
+        (tmp_path / str(cpus)).mkdir()
+        with caplog.at_level("INFO", logger="leadkin.cli"):
+            _fit_with_cpus(monkeypatch, cpus, demo_csv, tmp_path / str(cpus))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit search: ")]
+    assert len(lines) == 2 and lines[0] == lines[1]
+    match = re.fullmatch(
+        r"fit search: (\d+) \(event, breakpoint count\) pairs refined, (\d+) skipped by the loss bound", lines[0]
+    )
+    assert match, lines[0]
+    refined, skipped = map(int, match.groups())
+    with pwl.search_tally() as exhaustive:
+        pwl.fit_candidates([ingest.window_event(e) for e in ingest.load_events(demo_csv)])
+    assert refined + skipped == exhaustive.refined and skipped > 0 and refined > 0
+
+
 def test_fit_diverged_in_a_worker_exits_3(demo_csv, tmp_path, monkeypatch, capsys):
     from leadkin import cli, pwl
     from leadkin.errors import FitDiverged
@@ -986,6 +1010,23 @@ def test_combine_weight_out_of_float_range_exits_3(demo_params, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"numerical failure: {message}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_model_with_a_weight_whose_square_overflows_exits_3(demo_params, tmp_path, capsys):
+    """A combined-table weight of 1e300 leaves about one effective sample:
+    model says so and exits 3, with no overflow warning on the way."""
+    combined = tmp_path / "combined.csv"
+    assert main(["combine", "--params", str(demo_params), "--output", str(combined)]) == 0
+    rows = list(csv.reader(io.StringIO(combined.read_text(encoding="utf-8"))))
+    rows[1][rows[0].index("weight")] = "1e300"
+    with combined.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["model", "--input", str(combined), "--output", str(tmp_path / "model.json")]) == 3
+    err = capsys.readouterr().err
+    assert "need at least 5 effective samples" in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_rejected_config_document_names_its_file(tables_dir, capsys):

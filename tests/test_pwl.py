@@ -703,7 +703,7 @@ class TestBatchIndependence:
             return delta
 
         monkeypatch.setattr(pwl, "_directions", spy_directions)
-        fit_event(profiles["steady"], PipelineConfig(), self.rngs([profiles["steady"]])[0])
+        fit_candidates([profiles["steady"]], PipelineConfig(), self.rngs([profiles["steady"]]))
         assert stopped and all(stopped)
         with caplog.at_level("WARNING", logger="leadkin.pwl"):
             assert [c.n_b for c in fit_candidates([profiles["short"]], PipelineConfig())[0]] == [0, 1, 2]
@@ -720,3 +720,69 @@ class TestBatchIndependence:
         assert batch == [alone[p.event_id] for p in shuffled]
         cands = fit_candidates(shuffled, PipelineConfig(), self.rngs(shuffled))
         assert cands == [fit_candidates([p], PipelineConfig(), [rng])[0] for p, rng in zip(shuffled, self.rngs(shuffled))]
+
+
+class TestLossBound:
+    """``fit_events`` refines only the counts whose loss floor is not above
+    a loss it already found, and chooses what the exhaustive
+    ``fit_candidates`` search gives."""
+
+    @staticmethod
+    def assert_exhaustive_choice(p, seed):
+        [fit] = pwl.fit_events([p], PipelineConfig(), [np.random.default_rng(seed)])
+        [cands] = fit_candidates([p], PipelineConfig(), [np.random.default_rng(seed)])
+        assert fit == enforce_nonnegative(min(cands, key=lambda c: (loss(c, p), c.n_b)))
+
+    def test_recovery_corpus(self):
+        with pwl.search_tally() as tally:
+            for i, (_, p) in enumerate(recovery_corpus(24, seed=17)):
+                self.assert_exhaustive_choice(p, i)
+        assert tally.skipped > 0
+
+    @given(
+        n_b=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        log_noise=st.floats(-3.0, 0.0),
+        clamp=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_noisy_piecewise_linear(self, n_b, seed, log_noise, clamp):
+        rng = np.random.default_rng(seed)
+        edges = np.concatenate([[-5.0], np.sort(rng.uniform(-4.5, -0.5, n_b)), [0.0]])
+        v = np.interp(GRID, edges, rng.uniform(0.0, 20.0, n_b + 2))
+        v = v + rng.normal(0.0, 10.0**log_noise, GRID.size)
+        if clamp:
+            v = np.maximum(v, 0.0)
+        self.assert_exhaustive_choice(profile(v), seed)
+
+    @pytest.mark.parametrize("event_id", ["steady", "short", "tight"])
+    def test_batch_cases(self, event_id):
+        [p] = [p for p in TestBatchIndependence.mixed_batch() if p.event_id == event_id]
+        self.assert_exhaustive_choice(p, 3)
+
+    def test_only_counts_that_can_win_are_refined(self, monkeypatch):
+        refined = []
+        directions = pwl._directions
+
+        def spy_directions(t, v, sqrt_w, bks):
+            refined.append(bks.shape[1])
+            return directions(t, v, sqrt_w, bks)
+
+        monkeypatch.setattr(pwl, "_directions", spy_directions)
+        # r^2 is 1 at zero breakpoints, and a breakpoint costs about 5e4
+        steady = SpeedProfile("steady", GRID, np.full(GRID.size, 8.0))
+        assert fit_event(steady, PipelineConfig(), np.random.default_rng(0)).n_b == 0
+        assert refined == []
+        kinked = profile(np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0))
+        assert fit_event(kinked, PipelineConfig(), np.random.default_rng(0)).n_b == 1
+        assert 1 in refined
+
+    def test_tally_counts_refined_and_skipped_pairs(self):
+        steady = SpeedProfile("steady", GRID, np.full(GRID.size, 8.0))
+        kinked = profile(np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0))
+        with pwl.search_tally() as tally:
+            pwl.fit_events([steady, kinked], PipelineConfig())
+        assert tally.refined + tally.skipped == 6 and tally.skipped >= 3 and tally.refined >= 1
+        with pwl.search_tally() as tally:
+            fit_candidates([steady, kinked], PipelineConfig())
+        assert (tally.refined, tally.skipped) == (6, 0)
