@@ -31,9 +31,9 @@ from .config import PipelineConfig
 from .errors import BadArgument, InputError, LeadkinError, NumericalError
 from .events import PARAM_NAMES, ParamTable
 from .jsonio import read_json, write_json
-from .marginals import fit_tally
 from .mvdist import HurdleDist, build_all, bundles_from_json, bundles_to_json
 from .synth import assemble_synthetic, params_to_profile
+from .tally import Tally, tally
 from .validate import bootstrap_robustness, check_bootstrap_args, compare_datasets
 
 log = logging.getLogger(__name__)
@@ -59,22 +59,22 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _fit_batch(config: PipelineConfig, profiles: list) -> Tuple[List[pwl.PwlFit], float, pwl.SearchTally]:
-    """One batch's fits, its elapsed seconds and its breakpoint-search
-    tally.  Each event's generator depends only on the seed and the event
-    id, and its fit never on the other events of the batch, so a fit is
-    the same in any batch and any process."""
+def _fit_batch(config: PipelineConfig, profiles: list) -> Tuple[List[pwl.PwlFit], float, Tally]:
+    """One batch's fits, its elapsed seconds and its work tally.  Each
+    event's generator depends only on the seed and the event id, and its
+    fit never on the other events of the batch, so a fit is the same in any
+    batch and any process."""
     began = time.perf_counter()
-    with pwl.search_tally() as tally:
+    with tally() as work:
         fits = pwl.fit_events(profiles, config, [event_rng(config.seed, p.event_id) for p in profiles])
-    return fits, time.perf_counter() - began, tally
+    return fits, time.perf_counter() - began, work
 
 
 def _fit_all(
     config: PipelineConfig, profiles: list
-) -> Tuple[int, List[pwl.PwlFit], List[float], pwl.SearchTally]:
+) -> Tuple[int, List[pwl.PwlFit], List[float], Tally]:
     """(worker count, fits in input order, seconds of each batch, the
-    batches' summed search tally).
+    batches' summed work tally).
 
     The profiles are cut, in order, into batches of at most ``_FIT_CHUNK``
     events, the same number of batches for each worker and sizes that
@@ -98,8 +98,8 @@ def _fit_all(
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             done = list(pool.map(fit, batches))
-    tally = pwl.SearchTally(sum(t.refined for _, _, t in done), sum(t.skipped for _, _, t in done))
-    return workers, [f for fits, _, _ in done for f in fits], [seconds for _, seconds, _ in done], tally
+    work = sum((t for _, _, t in done), Tally())
+    return workers, [f for fits, _, _ in done for f in fits], [seconds for _, seconds, _ in done], work
 
 
 def stage_fit(config: PipelineConfig, input_path, params_out, counts_out=None) -> None:
@@ -196,18 +196,18 @@ def stage_combine(
 
 def stage_model(config: PipelineConfig, combined_path, model_out) -> None:
     table = tables.read_combined_csv(combined_path).events
-    with fit_tally() as tally:
+    with tally() as work:
         bundles = build_all(table, config)
     write_json(model_out, bundles_to_json(bundles))
     log.info(
         "model: %d bundles; %d univariate fits, %d Nelder-Mead runs, %d evaluations; "
         "chosen families by role %s; families without a fit %s",
         len(bundles),
-        tally.univariate_fits,
-        tally.nm_runs,
-        tally.nm_nfev,
+        work.univariate_fits,
+        work.nm_runs,
+        work.nm_nfev,
         _chosen_families(bundles),
-        dict(sorted(tally.failed.items())),
+        dict(sorted(work.failed.items())),
     )
 
 

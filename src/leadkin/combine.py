@@ -22,14 +22,12 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import DegenerateSplit, EmptyGroup, InputError, NumericalError, ZeroVariance
-from .events import PARAM_NAMES, ParamTable, SourceGroup
+from .events import CRASH_GROUPS, PARAM_NAMES, ParamTable, SourceGroup
 from .wstats import describe
 
 log = logging.getLogger(__name__)
 
 TRIM_FACTOR = 3.5
-
-CRASH_GROUPS = (SourceGroup.CISS_SC, SourceGroup.SHRP2_SC, SourceGroup.SHRP2_NSC)
 
 
 @dataclass(frozen=True)
@@ -260,9 +258,10 @@ def reweight_combine(events: ParamTable, plan: CombinePlan) -> ParamTable:
 
 def _crash_zscores(crashes: ParamTable) -> Callable[[ParamTable], np.ndarray]:
     """A table's z-score matrix on the crashes' weighted mean and SD, over
-    the parameters that vary across the crashes."""
+    the parameters that vary across the crashes.  A constant parameter is
+    skipped even where its weighted mean, and so its SD, carries rounding."""
     stats = describe(crashes)
-    usable = [name for name in PARAM_NAMES if stats[name][1] > 0]
+    usable = [name for name in PARAM_NAMES if stats[name][1] > 0 and np.ptp(crashes[name]) > 0]
     skipped = [name for name in PARAM_NAMES if name not in usable]
     if skipped:
         log.warning("distance skips zero-variance parameters: %s", ", ".join(skipped))

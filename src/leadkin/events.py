@@ -24,6 +24,9 @@ class SourceGroup(str, Enum):
     SHRP2_NC = "SHRP2_nc"
 
 
+CRASH_GROUPS = (SourceGroup.CISS_SC, SourceGroup.SHRP2_SC, SourceGroup.SHRP2_NSC)  # SHRP2_nc holds near-crashes
+
+
 class Severity(str, Enum):
     SEVERE = "Severe"
     NON_SEVERE = "NonSevere"
@@ -47,7 +50,8 @@ class RawEvent:
 
     @property
     def is_crash(self) -> bool:
-        return self.severity is not Severity.NONE
+        """Decided by the source group; a near-crash has severity None."""
+        return self.source_group in CRASH_GROUPS
 
 
 @dataclass(frozen=True)

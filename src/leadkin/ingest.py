@@ -5,7 +5,9 @@ Input CSV schema (header required, UTF-8, '.' decimal point):
 with one row per sample, read by ``tables.read_columns``.  ``group`` is one
 of CISS_sc, SHRP2_sc, SHRP2_nsc, SHRP2_nc; ``weight`` is the native survey
 weight and only meaningful for CISS events.  Every row of an event gives
-the same group and severity, and the same weight where it gives one.
+the same group and severity, and the same weight where it gives one.  The
+group decides whether an event is a crash; severity is None exactly for
+SHRP2_nc.
 """
 
 from __future__ import annotations
@@ -93,16 +95,18 @@ def load_events(path: Union[str, Path]) -> list:
         rate = _sample_rate(t)
         if t.size >= 2 and rate < MIN_SAMPLE_RATE - 1e-9:
             raise InvalidSampleRate(path, event_id, rate)
-        events.append(
-            RawEvent(
-                event_id=event_id,
-                source_group=group[event_id],
-                severity=severity[event_id],
-                times=t,
-                speeds=v,
-                native_weight=weight.get(event_id),
-            )
+        event = RawEvent(
+            event_id=event_id,
+            source_group=group[event_id],
+            severity=severity[event_id],
+            times=t,
+            speeds=v,
+            native_weight=weight.get(event_id),
         )
+        if event.is_crash == (event.severity is Severity.NONE):
+            raise InputError(f"{path}: event {event_id!r}: severity {event.severity.value} "
+                             f"contradicts group {event.source_group.value}")
+        events.append(event)
     return events
 
 

@@ -14,17 +14,15 @@ import itertools
 import logging
 import math
 import sys
-from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special
 
 from .errors import AllFitsFailed, InputError, NumericalError
 from .jsonio import _checked, _field, _mapping
+from .tally import current_tally
 from .wstats import effective_sample_size, normalize_to_effective, weighted_mean, weighted_var_mle
 
 log = logging.getLogger(__name__)
@@ -442,31 +440,6 @@ class _Simplex(NamedTuple):
     nit: int
 
 
-@dataclass
-class FitTally:
-    """Fitting work counted inside a :func:`fit_tally` block."""
-
-    univariate_fits: int = 0
-    nm_runs: int = 0
-    nm_nfev: int = 0
-    failed: Counter = field(default_factory=Counter)  # family -> fits it did not produce
-
-
-_TALLY: ContextVar[Optional[FitTally]] = ContextVar("leadkin_fit_tally", default=None)
-
-
-@contextmanager
-def fit_tally() -> Iterator[FitTally]:
-    """Count the univariate fits, Nelder-Mead runs and evaluations, and the
-    families that produced no fit, for every fit made inside the block."""
-    tally = FitTally()
-    token = _TALLY.set(tally)
-    try:
-        yield tally
-    finally:
-        _TALLY.reset(token)
-
-
 def _ordered(sim, fsim):
     """Each run's vertices (runs, m, n) and values (runs, m) sorted by value,
     in np.argsort's order: its order of ties (the 1e12 infeasible plateau)
@@ -796,10 +769,9 @@ def _minimize(runs) -> List[_Simplex]:
         results = _nelder_mead(_likelihood(sorted_runs), np.array([run[3] for run in sorted_runs]))
         for i, res in zip(batch, results):
             out[i] = res
-    tally = _TALLY.get()
-    if tally is not None:
-        tally.nm_runs += len(runs)
-        tally.nm_nfev += sum(res.nfev for res in out)
+    tally = current_tally()
+    tally.nm_runs += len(runs)
+    tally.nm_nfev += sum(res.nfev for res in out)
     return out
 
 
@@ -911,13 +883,12 @@ def fit_many(requests: Sequence[FitRequest]) -> list:
     """What fit_univariate gives for each request, with the Nelder-Mead runs
     of them all in one batch: the chosen FittedDist, or the AllFitsFailed
     that fit_univariate would raise."""
-    tally = _TALLY.get()
+    tally = current_tally()
     samples = [_checked_sample(request) for request in requests]
     tasks = []
     for request, sample in zip(requests, samples):
         if isinstance(sample, tuple):
-            if tally is not None:
-                tally.univariate_fits += 1
+            tally.univariate_fits += 1
             tasks.extend((family, *sample) for family in request.families)
     outcomes = iter(_fit_families(tasks))
     chosen = []
@@ -936,7 +907,7 @@ def fit_many(requests: Sequence[FitRequest]) -> list:
                 fitted = None
             if fitted is not None and np.isfinite(fitted.aic):
                 fits.append(fitted)
-            elif tally is not None:
+            else:
                 tally.failed[family] += 1
         if failed:
             log.info("%d of %d families failed with a numerical error", failed, len(request.families))

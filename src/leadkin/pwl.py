@@ -10,10 +10,8 @@ the six-parameter event description.
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -21,6 +19,7 @@ from numpy.linalg import _umath_linalg
 from .config import PipelineConfig
 from .errors import FitDiverged
 from .events import MODEL_T_MAX, MODEL_T_MIN, SpeedProfile
+from .tally import current_tally
 
 log = logging.getLogger(__name__)
 
@@ -345,7 +344,7 @@ class _ProfileFit:
         coef, sse = _wls(self.t, self.v, self.sqrt_w, np.empty(0))
         self.candidates = [_build_fit(coef, np.empty(0), self.v, self.w, sse, self.t.size)]
         self.starts = {}  # k -> (restarts, k) starts; none for a k that does not fit
-        if not self.has_room:
+        if self.t.size < 2 * _MIN_SAMPLES_PER_SEGMENT:  # no breakpoint fits between the end segments
             return
         self.lo, self.hi = _breakpoint_bounds(self.t)
         span = self.hi - self.lo
@@ -356,11 +355,6 @@ class _ProfileFit:
                 even = self.lo + span * np.arange(1, k + 1) / (k + 1)
                 draws = rng.uniform(self.lo, self.hi, size=(max(config.max_restarts - 1, 0), k))
                 self.starts[k] = np.vstack([even, draws])
-
-    @property
-    def has_room(self) -> bool:
-        """Whether any breakpoint fits between the end segments."""
-        return self.t.size >= 2 * _MIN_SAMPLES_PER_SEGMENT
 
     def add(self, k: int, bks, sse) -> None:
         """Polish the best refined k-breakpoint start into the k candidate;
@@ -391,31 +385,6 @@ def _refine_all(fits: Sequence[_ProfileFit], k: int, tol: float) -> None:
             group[i].add(k, bks, sse)
 
 
-@dataclass
-class SearchTally:
-    """Breakpoint-search work counted inside a :func:`search_tally` block:
-    the (profile, k) pairs refined, and the pairs with starts that the loss
-    bound of ``fit_events`` skipped."""
-
-    refined: int = 0
-    skipped: int = 0
-
-
-_TALLY: ContextVar[Optional[SearchTally]] = ContextVar("leadkin_search_tally", default=None)
-
-
-@contextmanager
-def search_tally() -> Iterator[SearchTally]:
-    """Count the refined and skipped (profile, k) pairs of every fit made
-    inside the block."""
-    tally = SearchTally()
-    token = _TALLY.set(tally)
-    try:
-        yield tally
-    finally:
-        _TALLY.reset(token)
-
-
 def _search(profiles, config, rngs, can_win=None) -> list:
     """Every profile's candidates, found count by count.
 
@@ -423,15 +392,17 @@ def _search(profiles, config, rngs, can_win=None) -> list:
     ``can_win(profile, k, candidates so far)`` holds (every one when
     ``can_win`` is None) are refined in one lockstep ``_refine_all``, and
     each is polished into its k candidate before k + 1 is refined.  A count
-    without starts is skipped with a warning, whatever ``can_win`` says.
+    without starts is skipped with a warning, whatever ``can_win`` says; a
+    profile without any has fewer than four samples (four or more, sorted
+    by time, give lo <= hi, so k = 1 gets starts) and is skipped silently.
     """
     rngs = [None] * len(profiles) if rngs is None else rngs
     fits = [_ProfileFit(p, config, rng or np.random.default_rng(0)) for p, rng in zip(profiles, rngs)]
-    tally = _TALLY.get()
+    tally = current_tally()
     for k in range(1, config.n_b_max + 1):
         running, skipped = [], 0
         for fit in fits:
-            if not fit.has_room:
+            if not fit.starts:  # no room for any breakpoint
                 continue
             if k not in fit.starts:
                 log.warning("event %r: too few samples for %d breakpoints", fit.profile.event_id, k)
@@ -439,9 +410,8 @@ def _search(profiles, config, rngs, can_win=None) -> list:
                 running.append(fit)
             else:
                 skipped += 1
-        if tally is not None:
-            tally.refined += len(running)
-            tally.skipped += skipped
+        tally.refined += len(running)
+        tally.skipped += skipped
         _refine_all(running, k, config.convergence_tol)
     return [fit.candidates for fit in fits]
 

@@ -23,6 +23,7 @@ from leadkin.errors import InputError
 from leadkin.events import EventParams, ParamTable, Severity, SourceGroup
 from leadkin.mvdist import bundles_to_json
 from leadkin.synth import SyntheticDataset
+from leadkin.tally import tally
 from leadkin.tables import (
     read_combined_csv,
     read_synthetic_csv,
@@ -743,7 +744,7 @@ def test_fit_search_line_totals_every_batch(demo_csv, tmp_path, monkeypatch, cap
     )
     assert match, lines[0]
     refined, skipped = map(int, match.groups())
-    with pwl.search_tally() as exhaustive:
+    with tally() as exhaustive:
         pwl.fit_candidates([ingest.window_event(e) for e in ingest.load_events(demo_csv)])
     assert refined + skipped == exhaustive.refined and skipped > 0 and refined > 0
 
@@ -1012,6 +1013,24 @@ def test_combine_weight_out_of_float_range_exits_3(demo_params, tmp_path, capsys
     assert not out.exists()
 
 
+def test_combine_with_every_parameter_constant_exits_3(demo_params, tmp_path, capsys):
+    """The near-crash distance needs a parameter that varies across crashes;
+    a1 and a2 of -1 count as constant though their weighted means round."""
+    rows = list(csv.reader(io.StringIO(demo_params.read_text(encoding="utf-8"))))
+    constants = dict(v_c="5", a1="-1", a2="-1", tau_s="0", tau_1="5", tau_2="0")
+    for row in rows[1:]:
+        for name, value in constants.items():
+            row[rows[0].index(name)] = value
+    params, out = tmp_path / "params.csv", tmp_path / "combined.csv"
+    with params.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    counts = demo_params.with_suffix(".counts.json")
+    assert main(["combine", "--params", str(params), "--counts", str(counts), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: every parameter is constant across crashes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_model_with_a_weight_whose_square_overflows_exits_3(demo_params, tmp_path, capsys):
     """A combined-table weight of 1e300 leaves about one effective sample:
     model says so and exits 3, with no overflow warning on the way."""
@@ -1057,6 +1076,37 @@ def test_event_level_ingest_error_names_its_file(tmp_path, capsys, samples, mess
                       encoding="utf-8")
     assert main(["fit", "--input", str(events), "--output", str(tmp_path / "params.csv")]) == 2
     assert f"error: {events}: {message}" in capsys.readouterr().err
+
+
+def _edit_event(demo_csv, path, event_id, **cells):
+    """The demo corpus with ``cells`` set on every row of ``event_id``."""
+    header, *rows = demo_csv.read_text(encoding="utf-8").splitlines()
+    edited = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    for row in edited:
+        if row["event_id"] == event_id:
+            row.update(cells)
+    path.write_text("\n".join([header, *(",".join(row.values()) for row in edited)]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("event_id, severity", [("SHRP2_nc-000", "Severe"), ("CISS_sc-000", "None")])
+def test_severity_that_contradicts_the_group_exits_2(demo_csv, tmp_path, capsys, event_id, severity):
+    events, params = tmp_path / "events.csv", tmp_path / "params.csv"
+    _edit_event(demo_csv, events, event_id, severity=severity)
+    assert main(["fit", "--input", str(events), "--output", str(params)]) == 2
+    group = event_id.split("-")[0]
+    err = capsys.readouterr().err
+    assert f"error: {events}: event {event_id!r}: severity {severity} contradicts group {group}" in err
+    assert "Traceback" not in err and not params.exists()
+
+
+def test_ciss_event_without_a_native_weight_exits_2_in_combine(demo_csv, tmp_path, capsys):
+    events, params, out = tmp_path / "events.csv", tmp_path / "params.csv", tmp_path / "combined.csv"
+    _edit_event(demo_csv, events, "CISS_sc-000", weight="")
+    assert main(["fit", "--input", str(events), "--output", str(params)]) == 0
+    assert main(["combine", "--params", str(params), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: CISS event 'CISS_sc-000' is missing its native weight" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bootstrap_writes_its_report_and_repeats(demo_params, tmp_path):

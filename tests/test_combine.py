@@ -18,7 +18,7 @@ from leadkin.combine import (
     trim_weights,
 )
 from leadkin.config import PipelineConfig
-from leadkin.errors import EmptyGroup, NumericalError
+from leadkin.errors import EmptyGroup, NumericalError, ZeroVariance
 from leadkin.events import PARAM_NAMES, EventParams, ParamTable, Severity, SourceGroup
 
 
@@ -351,3 +351,33 @@ class TestMergeNearCrashes:
             after = weighted_ecdf(merged[name], merged.weight)
             for x in before.support:
                 assert after.evaluate(x) == pytest.approx(before.evaluate(x), abs=1e-12)
+
+
+class TestZeroVarianceParameters:
+    """Parameters constant across the crashes drop out of the distance; a
+    distance with none left is a numerical failure."""
+
+    def test_constant_parameters_are_skipped(self, caplog):
+        rng = np.random.default_rng(21)
+        # a2 and tau_2 keep the helper's constants; with these weights a2's
+        # weighted mean rounds, so its weighted SD is about 2e-16, not 0
+        crashes = ParamTable.from_rows(
+            event(f"crash-{i:02d}", SourceGroup.SHRP2_NSC, float(rng.uniform(0.5, 8)), weight=0.7 + 0.1 * i,
+                  a1=float(rng.normal(-2, 0.5)), tau_s=float(rng.uniform(0, 2)), tau_1=float(rng.uniform(1, 4)))
+            for i in range(8)
+        )
+        host = list(crashes)[3]
+        nc = EventParams("nc-0", host.v_c, host.a1, 3.0, host.tau_s, host.tau_1, 2.0,
+                         weight=1.0, source_group=SourceGroup.SHRP2_NC, severity=Severity.NONE)
+        with caplog.at_level("WARNING", logger="leadkin.combine"):
+            _, result = merge_near_crashes(crashes, ParamTable.from_rows([nc]), config=PipelineConfig(d_thd=0.1))
+        assert result.selected == (("nc-0", host.event_id, 0.0),)
+        assert [r.getMessage() for r in caplog.records] == ["distance skips zero-variance parameters: a2, tau_2"]
+
+    def test_constant_in_every_parameter_raises(self):
+        # v_c's weighted mean rounds with these weights
+        crashes = ParamTable.from_rows(
+            event(f"crash-{i}", SourceGroup.SHRP2_NSC, 5.0, weight=w) for i, w in enumerate([1.4, 0.4, 0.2])
+        )
+        with pytest.raises(ZeroVariance, match="^every parameter is constant across crashes$"):
+            merge_near_crashes(crashes, ParamTable.from_rows([]))

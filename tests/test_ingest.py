@@ -90,6 +90,16 @@ class TestLoadEvents:
         with pytest.raises(InputError, match=f"{path}: event 'a': rows disagree on {field}$"):
             ingest.load_events(path)
 
+    @pytest.mark.parametrize("group, severity", [("SHRP2_nc", "Severe"), ("CISS_sc", "None")])
+    def test_severity_must_match_the_group(self, tmp_path, group, severity):
+        t = grid(-5.0, 0.0)
+        rows = sample_rows("ok", "SHRP2_nsc", "NonSevere", t, np.full(t.size, 4.0))
+        rows += sample_rows("a", group, severity, t, np.full(t.size, 3.0))
+        path = tmp_path / "events.csv"
+        write_csv(path, rows)
+        with pytest.raises(InputError, match=f"{path}: event 'a': severity {severity} contradicts group {group}$"):
+            ingest.load_events(path)
+
     def test_weight_given_on_some_rows_only(self, tmp_path):
         t = grid(-5.0, -0.3)
         rows = sample_rows("a", "CISS_sc", "Severe", t, np.full(t.size, 3.0))
@@ -168,6 +178,13 @@ class TestWindowEvent:
         assert profile.times.size == 48
         assert profile.times[0] == pytest.approx(-5.0)
         assert profile.times[-1] == pytest.approx(-0.3)
+
+    def test_the_group_decides_the_window(self):
+        t = grid(-6.0, 0.0)
+        crash = raw_event(t, np.full(t.size, 5.0), Severity.NONE, SourceGroup.CISS_SC)
+        near_crash = raw_event(t, np.full(t.size, 5.0), Severity.SEVERE, SourceGroup.SHRP2_NC)
+        assert ingest.window_event(crash).times[-1] == pytest.approx(-0.3)
+        assert ingest.window_event(near_crash).times[-1] == pytest.approx(0.0)
 
     def test_near_crash_keeps_full_span(self):
         t = grid(-5.0, 0.0)

@@ -14,10 +14,10 @@ from leadkin.marginals import (
     FittedDist,
     fit_family,
     fit_many,
-    fit_tally,
     fit_univariate,
     quantile_normalize,
 )
+from leadkin.tally import tally
 
 
 class TestAffinePre:
@@ -123,20 +123,20 @@ class TestFitUnivariate:
             raise FloatingPointError("overflow")
 
         monkeypatch.setitem(marginals._FAMILIES, family, marginals._FAMILIES[family]._replace(**{part: diverged}))
-        with fit_tally() as tally:
+        with tally() as work:
             [chosen] = fit_many([FitRequest(x)])
         assert (chosen.family, chosen.params, chosen.aic) == (expected.family, expected.params, expected.aic)
-        assert tally.failed == {family: 1}
-        assert tally.univariate_fits == 1
+        assert work.failed == {family: 1}
+        assert work.univariate_fits == 1
 
     def test_ruled_out_samples_are_failures_not_fits(self):
         x = np.random.default_rng(19).normal(size=200)
-        with fit_tally() as tally:
+        with tally() as work:
             few, nonfinite, fine = fit_many([FitRequest(x[:4]), FitRequest([*x[:9], np.nan]), FitRequest(x)])
         assert isinstance(few, AllFitsFailed) and "need at least 5 effective samples" in str(few)
         assert isinstance(nonfinite, AllFitsFailed) and "values must be finite" in str(nonfinite)
         assert isinstance(fine, FittedDist)
-        assert tally.univariate_fits == 1
+        assert work.univariate_fits == 1
 
     def test_weighted_mle_against_scipy_reference(self):
         rng = np.random.default_rng(14)

@@ -23,6 +23,7 @@ from leadkin.pwl import (
     sample_weights,
 )
 from leadkin.synth import params_to_profile
+from leadkin.tally import tally
 
 GRID = np.round(np.arange(-5.0, 0.01, 0.1), 10)
 
@@ -588,6 +589,28 @@ class TestRoomForBreakpoints:
             for bks, _ in best.values():
                 assert bks[0] >= lo - 1e-12 and bks[-1] <= hi
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_profile_below_four_samples_has_no_starts_and_no_warning(self, n, caplog):
+        t = np.round(-0.1 * np.arange(n)[::-1], 10)
+        p = SpeedProfile("few", t, 5.0 - t)
+        with caplog.at_level("WARNING", logger="leadkin.pwl"):
+            [cands] = fit_candidates([p], PipelineConfig())
+        assert bool(pwl._ProfileFit(p, PipelineConfig(), np.random.default_rng(0)).starts) == (n == 4)
+        assert [c.n_b for c in cands] == ([0, 1] if n == 4 else [0])
+        assert caplog.text.count("too few samples") == (2 if n == 4 else 0)
+
+    def test_a_polished_fit_that_loses_separation_is_dropped(self, caplog):
+        # samples every 0.1 s on [-5, -4] and [-1, 0]: breakpoints at -3 and
+        # -2 leave no sample between them, and the polish cannot reach one
+        t = np.round(np.concatenate([np.arange(-5.0, -3.95, 0.1), np.arange(-1.0, 0.05, 0.1)]), 10)
+        fit = pwl._ProfileFit(SpeedProfile("gap", t, np.where(t < -2.0, 10.0, 4.0 - t)), PipelineConfig(),
+                              np.random.default_rng(0))
+        bks = np.array([-3.0, -2.0])
+        with caplog.at_level("WARNING", logger="leadkin.pwl"):
+            fit.add(2, bks, _wls(fit.t, fit.v, fit.sqrt_w, bks)[1])
+        assert [r.getMessage() for r in caplog.records] == ["event 'gap': 2-breakpoint fit lost separation"]
+        assert [c.n_b for c in fit.candidates] == [0]
+
 
 def _direction_designs(t, v, sqrt_w, bks):
     """The weighted designs, with jump indicator columns, and the targets
@@ -734,10 +757,10 @@ class TestLossBound:
         assert fit == enforce_nonnegative(min(cands, key=lambda c: (loss(c, p), c.n_b)))
 
     def test_recovery_corpus(self):
-        with pwl.search_tally() as tally:
+        with tally() as work:
             for i, (_, p) in enumerate(recovery_corpus(24, seed=17)):
                 self.assert_exhaustive_choice(p, i)
-        assert tally.skipped > 0
+        assert work.skipped > 0
 
     @given(
         n_b=st.integers(0, 3),
@@ -780,9 +803,9 @@ class TestLossBound:
     def test_tally_counts_refined_and_skipped_pairs(self):
         steady = SpeedProfile("steady", GRID, np.full(GRID.size, 8.0))
         kinked = profile(np.where(GRID <= -2.0, 8.0 - 4.0 * (GRID + 2.0), 8.0))
-        with pwl.search_tally() as tally:
+        with tally() as work:
             pwl.fit_events([steady, kinked], PipelineConfig())
-        assert tally.refined + tally.skipped == 6 and tally.skipped >= 3 and tally.refined >= 1
-        with pwl.search_tally() as tally:
+        assert work.refined + work.skipped == 6 and work.skipped >= 3 and work.refined >= 1
+        with tally() as work:
             fit_candidates([steady, kinked], PipelineConfig())
-        assert (tally.refined, tally.skipped) == (6, 0)
+        assert (work.refined, work.skipped) == (6, 0)
